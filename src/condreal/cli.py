@@ -10,8 +10,9 @@ gadgets list    available base functions
 gadgets eval    apply one base function to naturals
 spaces list     built-in effective metric spaces
 
-Exit codes: 0 success, 2 usage or parse error, 3 search budget
-exhausted, 4 suite failure.
+Exit codes: 0 success, 2 usage or parse error (including an expression
+nested more than 100 levels deep), 3 search budget exhausted,
+4 suite failure.
 """
 
 from __future__ import annotations
@@ -43,6 +44,13 @@ from .sexpr import SexprError, parse_sexpr
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main", "main_entry"]
+
+# Reading a lazily built name takes up to about eight interpreter frames
+# per nested form, so this many levels stay well inside the default
+# recursion limit.
+_MAX_NESTING = 100
+
+_TOO_DEEP = "error: expression nested too deeply (at most {} levels)"
 
 
 class _UsageError(Exception):
@@ -163,6 +171,15 @@ def _eval_node(
     return _apply_entry(entry, names, budget, found)
 
 
+def _nesting(tree: object) -> int:
+    """How many list levels deep a parsed expression is; an atom is 0."""
+    depth, level = 0, [tree]
+    while any(isinstance(node, list) for node in level):
+        depth += 1
+        level = [child for node in level if isinstance(node, list) for child in node]
+    return depth
+
+
 def _cmd_eval(args: argparse.Namespace) -> int:
     registry = default_functions()
     try:
@@ -171,6 +188,9 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         t = precision_index(eps)
     except (SexprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    if _nesting(tree) > _MAX_NESTING:
+        print(_TOO_DEEP.format(_MAX_NESTING), file=sys.stderr)
         return 2
 
     found: list[tuple[str, int]] = []
@@ -183,6 +203,10 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except BudgetExhausted as exc:
         print(f"budget exhausted: {exc}", file=sys.stderr)
         return 3
+    except RecursionError:
+        # a caller already deep in the stack can run out before the limit
+        print(_TOO_DEEP.format(_MAX_NESTING), file=sys.stderr)
+        return 2
 
     print(f"approx = {format_rational(value)}")
     print(f"t = {t}")

@@ -136,32 +136,34 @@ def _mu_value(k: int, c: int, x: int, y: int) -> int:
 
 
 def _gamma_value(b: int, c: int, args: Sequence[int]) -> int:
-    """Sum comparison by the truncated-subtraction recursion.
+    """Sum comparison by truncated subtraction.
 
-    Positive exactly when x_1 + .. + x_b > y_1 + .. + y_c.  The recursion
-    peels one argument per step; the selector branches are evaluated
-    lazily, which changes nothing about the value and keeps an
-    evaluation linear in b + c.
+    Positive exactly when x_1 + .. + x_b > y_1 + .. + y_c.  Each step
+    peels the last x against the last y and pushes back what remains of
+    the larger one, in the order of the paper's recursion on (b, c); the
+    x and y sides are kept as two stacks, so an evaluation takes at most
+    b + c - 1 steps and constant stack depth.
     """
-    xs, ys = args[:b], args[b:]
     if b == 1 and c == 1:
-        return monus(xs[0], ys[0])
-    if b == 1:
-        # fold the last y into the single x
-        return _gamma_value(1, c - 1, (monus(xs[0], ys[-1]),) + tuple(ys[:-1]))
-    if c == 1:
-        # single y left: if the last x already exceeds it the total does too,
-        # otherwise shrink y by that x and drop it
-        guard = monus(xs[-1], ys[0])
+        return monus(args[0], args[1])
+    xs, ys = list(args[:b]), list(args[b:])
+    while len(xs) > 1:
+        x, y = xs.pop(), ys.pop()
+        guard = monus(x, y)
         if guard == 0:
-            return _gamma_value(b - 1, 1, tuple(xs[:-1]) + (monus(ys[0], xs[-1]),))
-        return guard
-    guard = monus(xs[-1], ys[-1])
-    if guard == 0:
-        return _gamma_value(
-            b - 1, c, tuple(xs[:-1]) + tuple(ys[:-1]) + (monus(ys[-1], xs[-1]),)
-        )
-    return _gamma_value(b, c - 1, tuple(xs[:-1]) + (guard,) + tuple(ys[:-1]))
+            # the last y absorbs the last x
+            ys.append(monus(y, x))
+        elif ys:
+            # the last x absorbs the last y
+            xs.append(guard)
+        else:
+            # the last x already exceeds the single y left
+            return guard
+    # a single x left: fold the ys into it, last first
+    (x,) = xs
+    for y in reversed(ys):
+        x = monus(x, y)
+    return x
 
 
 def delta_k(k: int) -> BaseFunction:

@@ -13,10 +13,12 @@ names of values, and *conditionally computable* when a certificate
 operator E must first vanish at a searched parameter ``s``, after which
 ``T(f, const_s)`` names the value.
 
-The same composition / localization / gluing constructions as for real
-functions apply verbatim, and the spaces ``M_N`` (rational N-tuples coded
-by nested pairing, max-norm distance) translate real-function
-computability back and forth losslessly.
+Composition, localization and gluing are the constructions of
+``condreal.realfns``: one implementation, generic over the number of
+functions in a name, serves real names (three functions) and ordinary
+names (one).  The spaces ``M_N`` (rational N-tuples coded by nested
+pairing, max-norm distance) translate real-function computability back
+and forth losslessly.
 """
 
 from __future__ import annotations
@@ -27,16 +29,20 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import gadgets
-from .gadgets import conj, left, right, tuple_pack, tuple_part
-from .naming import NatFun, format_rational, recording
+from .gadgets import conj, tuple_pack, tuple_part
+from .naming import NatFun
 from .realfns import (
     BudgetExhausted,
     ConditionalFn,
     Operator,
     ProcOperator,
     UniformFn,
+    _compose_ops,
+    _first_passing,
+    _glue_ops,
+    _localize_ops,
 )
-from .terms import ArityMismatch
+from .terms import ArityMismatch, BaseFunction
 
 __all__ = [
     "EffectiveSpace",
@@ -138,10 +144,6 @@ class MsConditionalFn:
 def _same_space(a: EffectiveSpace, b: EffectiveSpace, what: str) -> None:
     if a is not b:
         raise SpaceMismatch(f"{what}: {a.name} vs {b.name}")
-
-
-def _lift(base: Callable[[int], int], fn: NatFun, label: str) -> NatFun:
-    return NatFun(lambda t: base(fn(t)), label=label, memoize=False)
 
 
 def _part_lift(width: int, index: int, fn: NatFun) -> NatFun:
@@ -260,30 +262,8 @@ def compose_conditional_ms(
     through the same split.
     """
     _same_space(inner.codomain, outer.domain, "composition space mismatch")
-
-    def build_cert(fns: tuple[NatFun, ...]) -> NatFun:
-        (f,) = fns
-        inner_cert = inner.E.apply((f,))
-
-        def ev(s: int) -> int:
-            first = inner_cert(right(s))
-            mid = inner.T.apply((f, NatFun.constant(right(s))))
-            second = outer.E.apply((mid,))(left(s))
-            return conj(first, second)
-
-        return NatFun(ev, label="ms-composed-cert")
-
-    def build_value(args: tuple[NatFun, ...]) -> NatFun:
-        f, e = args
-        mid = inner.T.apply((f, _lift(right, e, "right.e")))
-        return outer.T.apply((mid, _lift(left, e, "left.e")))
-
-    return MsConditionalFn(
-        inner.domain,
-        outer.codomain,
-        ProcOperator(1, build_cert, "ms-composed-cert"),
-        ProcOperator(2, build_value, "ms-composed-value"),
-    )
+    E, T = _compose_ops((outer.E, outer.T), (inner.E, inner.T))
+    return MsConditionalFn(inner.domain, outer.codomain, E, T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -319,22 +299,9 @@ def localize_ms(
     """
     _same_space(at.space, fn.domain, "anchor name lives in the wrong space")
     s0 = find_parameter_ms(fn, at, budget)
-
-    wrapped, log = recording((at.f,))
-    if fn.E.apply(wrapped)(s0) != 0:
-        raise AssertionError("certificate changed value under instrumentation")
-    queried = [t for seen in log.values() for t in seen]
-    u = max(queried) if queried else 0
-
-    hood = MsNeighborhood(fn.domain, u, tuple(at.f(t) for t in range(u + 1)))
-
-    def build(fns: tuple[NatFun, ...]) -> NatFun:
-        patched = NatFun.patched(at.f, u + 1, fns[0])
-        return fn.T.apply((patched, NatFun.constant(s0)))
-
-    return hood, MsUniformFn(
-        fn.domain, fn.codomain, ProcOperator(1, build, "ms-localized")
-    )
+    prefix, (T,) = _localize_ops((fn.E, fn.T), (at.f,), s0)
+    hood = MsNeighborhood(fn.domain, len(prefix) - 1, tuple(code for (code,) in prefix))
+    return hood, MsUniformFn(fn.domain, fn.codomain, T)
 
 
 @dataclass(frozen=True, eq=False)
@@ -382,22 +349,20 @@ class MsBallCover:
         return self.balls[0].local.codomain
 
 
-def _cover_indicators_ms(cover: MsBallCover) -> list[Callable[[int], int]]:
+def _cover_indicators_ms(cover: MsBallCover) -> list[BaseFunction]:
     margin = Fraction(1, cover.separation + 1)
     space = cover.domain
-    out: list[Callable[[int], int]] = []
-    for ball in cover.balls:
-        if ball.indicator is not None:
-            out.append(ball.indicator)
-        else:
-            threshold = ball.radius - margin
+    out: list[BaseFunction] = []
+    for i, ball in enumerate(cover.balls, start=1):
+        indicator = ball.indicator
+        if indicator is None:
 
-            def derived(
-                n: int, _c: int = ball.center_code, _q: Fraction = threshold
+            def indicator(
+                n: int, _c: int = ball.center_code, _q: Fraction = ball.radius - margin
             ) -> int:
                 return 0 if space.dist_lt(n, _c, _q) else 1
 
-            out.append(derived)
+        out.append(BaseFunction(f"ms_ball_{i}", 1, indicator))
     return out
 
 
@@ -407,40 +372,19 @@ def glue_compact_ms(cover: MsBallCover) -> MsUniformFn:
     At output index t the glued operator probes the argument name at the
     separation index k, asks each ball's indicator about that code, and
     emits the first passing ball's local output at t (code 0 if none
-    passes).  The caller warrants the covering and separation
-    hypotheses, as for the real-number gluing.
+    passes).  The procedure form makes that choice once per argument
+    name.  The caller warrants the covering and separation hypotheses,
+    as for the real-number gluing.
     """
-    k = cover.separation
-    indicators = _cover_indicators_ms(cover)
-
-    def build(fns: tuple[NatFun, ...]) -> NatFun:
-        (f,) = fns
-        outs = [ball.local.T.apply((f,)) for ball in cover.balls]
-
-        def ev(t: int) -> int:
-            probe = f(k)
-            args: list[int] = []
-            for e_i, out in zip(indicators, outs):
-                args.append(e_i(probe))
-                args.append(out(t))
-            args.append(0)
-            return gadgets._delta_k_value(len(outs), args)
-
-        return NatFun(ev, label="ms-glued")
-
-    return MsUniformFn(
-        cover.domain, cover.codomain, ProcOperator(1, build, "ms-glued")
-    )
+    branches = [ball.local.T for ball in cover.balls]
+    (T,) = _glue_ops(_cover_indicators_ms(cover), cover.separation, [branches])
+    return MsUniformFn(cover.domain, cover.codomain, T)
 
 
 def dispatch_index_ms(cover: MsBallCover, name: OrdinaryName) -> int | None:
     """Which ball (1-based) the glued map would source from, if any."""
     _same_space(name.space, cover.domain, "name lives in the wrong space")
-    probe = name.f(cover.separation)
-    for i, indicator in enumerate(_cover_indicators_ms(cover), start=1):
-        if indicator(probe) == 0:
-            return i
-    return None
+    return _first_passing(_cover_indicators_ms(cover), [name.f(cover.separation)])
 
 
 # ---------------------------------------------------------------------------

@@ -20,9 +20,16 @@ procedures honoring the same contract: total, deterministic, reading
 their function arguments only by evaluation.  The constructions below --
 composition of conditionals, localization of a conditional to a uniform
 function near a point, and gluing of local uniform functions over a
-finite ball cover -- stay inside the term language whenever every
-ingredient is term-backed, and otherwise fall back to the equivalent
-procedure form.
+finite ball cover -- are each written once, over a few operator
+combinators and for names of any width, and ``condreal.metric`` uses
+the same code for one-function names of coded points.  A construction
+stays inside the term language whenever every ingredient is
+term-backed, and otherwise builds the equivalent procedure form.
+
+Procedure-backed gluing picks its ball once per argument name and
+evaluates only that ball's local function.  Values are the same as
+under the term form, which evaluates every branch at every index, so
+support traces shrink and ``support_bound`` stays an upper bound.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from . import gadgets
-from .gadgets import CORE, conj, left, right
+from .gadgets import CORE
 from .naming import NameTriple, NatFun, recording
 from .terms import (
     Apply,
@@ -42,6 +49,7 @@ from .terms import (
     Node,
     OperatorTerm,
     Proj,
+    _subst_numeric,
     compose_terms,
     diagonalize,
     eval_term,
@@ -68,7 +76,6 @@ __all__ = [
     "identity_uniform",
     "localize",
     "patch_operator",
-    "patch_operator_mu_chain",
     "separation_violations",
 ]
 
@@ -250,132 +257,263 @@ def identity_uniform() -> UniformFn:
 
 
 # ---------------------------------------------------------------------------
-# composition of conditional functions
+# operator combinators
 # ---------------------------------------------------------------------------
+#
+# Each combinator returns a TermOperator when ``term`` is set, in which case
+# every operator input must be a TermOperator, and a procedure otherwise;
+# the two forms agree pointwise.  A construction computes ``term`` once
+# from all of its ingredients and passes it to every combinator it uses:
+# slot, constant and patch have no operator inputs to ask.
 
-_PAIR_LEFT = CORE.get("left")
-_PAIR_RIGHT = CORE.get("right")
+_LEFT = CORE.get("left")
+_RIGHT = CORE.get("right")
 _CONJ = CORE.get("conj")
 
 
-def _precompose_slot(node: Node, slot: int, base: BaseFunction) -> Node:
-    # every application of `slot` gets routed through `base` afterwards,
-    # i.e. the slot function f becomes base . f
-    if isinstance(node, Proj):
-        return node
-    if isinstance(node, Apply):
-        sub = _precompose_slot(node.sub, slot, base)
-        if node.index == slot:
-            return Base(base, (Apply(slot, sub),))
-        return Apply(node.index, sub)
-    return Base(node.fn, tuple(_precompose_slot(sub, slot, base) for sub in node.subs))
+def _slot(k: int, i: int, term: bool) -> Operator:
+    """The k-ary operator returning its i-th function argument."""
+    if term:
+        return TermOperator(OperatorTerm(k, 1, Apply(i, Proj(1))))
+    return ProcOperator(k, lambda fns: fns[i - 1], f"slot {i}")
 
 
-def _subst_arg_node(node: Node, replacement: Node) -> Node:
-    if isinstance(node, Proj):
-        return replacement
-    if isinstance(node, Apply):
-        return Apply(node.index, _subst_arg_node(node.sub, replacement))
-    return Base(node.fn, tuple(_subst_arg_node(sub, replacement) for sub in node.subs))
+def _constant(k: int, c: int, term: bool) -> Operator:
+    """The k-ary operator returning the constant function c."""
+    if term:
+        return TermOperator(OperatorTerm(k, 1, Base(CORE.constant(c), (Proj(1),))))
+    return ProcOperator(k, lambda _fns: NatFun.constant(c), f"const {c}")
 
 
-def _post_lift(base_fn: Callable[[int], int], fn: NatFun, label: str) -> NatFun:
-    return NatFun(lambda t: base_fn(fn(t)), label=label, memoize=False)
+def _patch(k: int, i: int, values: Sequence[int], term: bool) -> Operator:
+    """Slot i with its values below ``len(values)`` replaced by ``values``.
+
+    The term form chains one ``mu`` override per replaced index; the
+    procedure form looks the prefix up in constant time.
+    """
+    values = tuple(values)
+    if term:
+        node: Node = Apply(i, Proj(1))
+        for j, value in enumerate(values):
+            node = Base(CORE.mu(j, value), (Proj(1), node))
+        return TermOperator(OperatorTerm(k, 1, node))
+    cut = len(values)
+
+    def build(fns: tuple[NatFun, ...]) -> NatFun:
+        fn = fns[i - 1]
+        return NatFun(
+            lambda t: values[t] if t < cut else fn(t), label=f"patch<{cut}", memoize=False
+        )
+
+    return ProcOperator(k, build, f"patch<{cut}")
+
+
+def _lift(base: BaseFunction, ops: Sequence[Operator], term: bool) -> Operator:
+    """Pointwise: ``base`` applied to the outputs of ``ops`` at each index."""
+    k = ops[0].arity
+    if term:
+        return TermOperator(OperatorTerm(k, 1, Base(base, tuple(op.term.node for op in ops))))
+    fn = base.fn
+
+    def build(fns: tuple[NatFun, ...]) -> NatFun:
+        outs = [op.apply(fns) for op in ops]
+        return NatFun(lambda t: fn(*[out(t) for out in outs]), label=base.name, memoize=False)
+
+    return ProcOperator(k, build, base.name)
+
+
+def _subst(outer: Operator, inners: Sequence[Operator], term: bool) -> Operator:
+    """Substitution: ``outer`` applied to the outputs of ``inners``."""
+    if term:
+        return TermOperator(compose_terms(outer.term, [op.term for op in inners]))
+    return ProcOperator(
+        inners[0].arity, lambda fns: outer.apply([op.apply(fns) for op in inners]), "subst"
+    )
+
+
+def _reindex(op: Operator, base: BaseFunction, term: bool) -> Operator:
+    """Read the output of ``op`` at ``base(n)`` instead of at ``n``."""
+    if term:
+        node = _subst_numeric(op.term.node, Base(base, (Proj(1),)))
+        return TermOperator(OperatorTerm(op.arity, 1, node))
+    fn = base.fn
+
+    def build(fns: tuple[NatFun, ...]) -> NatFun:
+        out = op.apply(fns)
+        return NatFun(lambda n: out(fn(n)), label=f"{base.name}-indexed", memoize=False)
+
+    return ProcOperator(op.arity, build, f"{base.name}-indexed")
+
+
+def _diagonal(op: Operator, term: bool) -> Operator:
+    """Drop the last slot, feeding it ``const_n`` when reading index ``n``."""
+    if term:
+        return TermOperator(diagonalize(op.term))
+
+    def build(fns: tuple[NatFun, ...]) -> NatFun:
+        return NatFun(
+            lambda n: op.apply(fns + (NatFun.constant(n),))(n), label="diagonal", memoize=False
+        )
+
+    return ProcOperator(op.arity - 1, build, "diagonal")
+
+
+def _first_passing(indicators: Sequence[BaseFunction], probes: Sequence[int]) -> int | None:
+    """The 1-based position of the first indicator vanishing at ``probes``."""
+    for i, indicator in enumerate(indicators, start=1):
+        if indicator.fn(*probes) == 0:
+            return i
+    return None
+
+
+def _select(
+    indicators: Sequence[BaseFunction],
+    k: int,
+    components: Sequence[Sequence[Operator]],
+    term: bool,
+) -> list[Operator]:
+    """First-zero select: per component, the branch of the first passing ball.
+
+    Every indicator reads all function arguments at index ``k``; the
+    default when none passes is the constant zero.  The term form keeps
+    the selector ``delta_m`` inside the term, so every guard and branch is
+    evaluated at every index.  The procedure form picks the branch once
+    per argument tuple and evaluates only that branch: values are the
+    same, the support read is smaller.
+    """
+    n = components[0][0].arity
+    if term:
+        const_k = Base(CORE.constant(k), (Proj(1),))
+        probes = tuple(Apply(i, const_k) for i in range(1, n + 1))
+        zero = Base(CORE.constant(0), (Proj(1),))
+        selector = CORE.delta(len(indicators))
+
+        def select_term(branches: Sequence[Operator]) -> Operator:
+            subs = [
+                node
+                for indicator, branch in zip(indicators, branches)
+                for node in (Base(indicator, probes), branch.term.node)
+            ]
+            return TermOperator(OperatorTerm(n, 1, Base(selector, (*subs, zero))))
+
+        return [select_term(branches) for branches in components]
+
+    def select_proc(branches: Sequence[Operator]) -> Operator:
+        def build(fns: tuple[NatFun, ...]) -> NatFun:
+            chosen: NatFun | None = None
+
+            def ev(t: int) -> int:
+                nonlocal chosen
+                if chosen is None:
+                    i = _first_passing(indicators, [fn(k) for fn in fns])
+                    chosen = NatFun.constant(0) if i is None else branches[i - 1].apply(fns)
+                return chosen(t)
+
+            return NatFun(ev, label="glued")
+
+        return ProcOperator(n, build, "glued")
+
+    return [select_proc(branches) for branches in components]
+
+
+# ---------------------------------------------------------------------------
+# the three constructions, for names of any width
+# ---------------------------------------------------------------------------
+#
+# A unary conditional function is passed as the tuple (E, V_1, ..., V_w) of
+# its certificate and its value operators, where w is the number of
+# functions in a name: 3 for reals (F, G, H), 1 for coded points (T).
+
+
+def _compose_ops(
+    outer: Sequence[Operator], inner: Sequence[Operator]
+) -> tuple[Operator, ...]:
+    """Certificate and value operators of ``outer`` after ``inner``.
+
+    At candidate ``s`` the certificate is
+
+        conj(E_inner(name)(right(s)),
+             E_outer(inner value name at parameter right(s))(left(s)))
+
+    which vanishes exactly when ``right(s)`` certifies the inner function
+    and ``left(s)`` the outer one at the inner output.  The value
+    operators feed the packed parameter through the same split.
+    """
+    e_outer, *v_outer = outer
+    e_inner, *v_inner = inner
+    term = all(_is_term(op) for op in (*outer, *inner))
+    w = e_inner.arity
+    slots = [_slot(w + 1, i, term) for i in range(1, w + 1)]
+    param = _slot(w + 1, w + 1, term)
+    # the inner value name, its parameter slot read through `right`
+    inner_value = [_subst(v, slots + [_lift(_RIGHT, [param], term)], term) for v in v_inner]
+    cert = _lift(
+        _CONJ,
+        [
+            _reindex(e_inner, _RIGHT, term),
+            _diagonal(_reindex(_subst(e_outer, inner_value, term), _LEFT, term), term),
+        ],
+        term,
+    )
+    outer_args = inner_value + [_lift(_LEFT, [param], term)]
+    return (cert, *(_subst(v, outer_args, term) for v in v_outer))
+
+
+def _localize_ops(
+    fn: Sequence[Operator], anchor: Sequence[NatFun], s0: int
+) -> tuple[tuple[tuple[int, ...], ...], list[Operator]]:
+    """The anchor's certified prefix and the value operators patched to it.
+
+    Instruments the certificate at the certified ``s0`` to find the
+    largest queried index ``u`` (a continuity modulus: the certificate
+    cannot tell apart names agreeing up to ``u``).  Returns the anchor's
+    values at ``t <= u`` and the value operators that patch every argument
+    function below ``u + 1`` with the anchor and read the parameter slot
+    as the constant ``s0``.
+    """
+    e, *values = fn
+    wrapped, log = recording(anchor)
+    if e.apply(wrapped)(s0) != 0:
+        raise AssertionError("certificate changed value under instrumentation")
+    u = max((t for seen in log.values() for t in seen), default=0)
+    prefix = tuple(tuple(f(t) for f in anchor) for t in range(u + 1))
+
+    term = all(_is_term(op) for op in values)
+    w = len(anchor)
+    inners = [_patch(w, i, [point[i - 1] for point in prefix], term) for i in range(1, w + 1)]
+    inners.append(_constant(w, s0, term))
+    return prefix, [_subst(v, inners, term) for v in values]
+
+
+def _glue_ops(
+    indicators: Sequence[BaseFunction], k: int, components: Sequence[Sequence[Operator]]
+) -> list[Operator]:
+    """One glued operator per component of the balls' local functions."""
+    term = all(_is_term(op) for branches in components for op in branches)
+    return _select(indicators, k, components, term)
+
+
+# ---------------------------------------------------------------------------
+# composition, patching and localization of real functions
+# ---------------------------------------------------------------------------
 
 
 def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> ConditionalFn:
     """Composite of two conditional unary functions.
 
     The composite's parameter packs the component parameters through the
-    diagonal pairing: at candidate ``s`` the certificate is
-
-        conj(E_inner(f,g,h)(right(s)),
-             E_outer(inner value name at parameter right(s))(left(s)))
-
-    which vanishes exactly when ``right(s)`` certifies the inner function
-    and ``left(s)`` certifies the outer one at the inner output.  The
-    value operators feed the packed parameter through the same split.
-    Term-backed ingredients yield term-backed results; otherwise the
-    procedure form of the same equations is used.
+    diagonal pairing: ``right(s)`` certifies the inner function and
+    ``left(s)`` the outer one at the inner output.  Term-backed
+    ingredients yield term-backed results.
     """
     if outer.n_args != 1 or inner.n_args != 1:
         raise ArityMismatch("composition is defined for unary conditional functions")
-
-    ops = (inner.E, inner.F, inner.G, inner.H, outer.E, outer.F, outer.G, outer.H)
-    if all(_is_term(op) for op in ops):
-        return _compose_terms_path(outer, inner)
-    return _compose_proc_path(outer, inner)
-
-
-def _compose_terms_path(outer: ConditionalFn, inner: ConditionalFn) -> ConditionalFn:
-    # value-name operators of the inner function with the parameter slot
-    # rerouted through `right`
-    f1 = _precompose_slot(inner.F.term.node, 4, _PAIR_RIGHT)
-    g1 = _precompose_slot(inner.G.term.node, 4, _PAIR_RIGHT)
-    h1 = _precompose_slot(inner.H.term.node, 4, _PAIR_RIGHT)
-    inner_triple = [OperatorTerm(4, 1, node) for node in (f1, g1, h1)]
-
-    # certificate: conj of the inner test at right(s) and the outer test,
-    # over the rerouted inner value name, at left(s)
-    a_node = _subst_arg_node(inner.E.term.node, Base(_PAIR_RIGHT, (Proj(1),)))
-    w0 = compose_terms(outer.E.term, inner_triple)
-    w_node = _subst_arg_node(w0.node, Base(_PAIR_LEFT, (Proj(1),)))
-    b_term = diagonalize(OperatorTerm(4, 1, w_node))
-    cert = OperatorTerm(3, 1, Base(_CONJ, (a_node, b_term.node)))
-
-    # value operators: outer value operators over the rerouted inner name,
-    # with the outer parameter slot fed by left . e
-    left_lift = OperatorTerm(4, 1, Base(_PAIR_LEFT, (Apply(4, Proj(1)),)))
-    inners = inner_triple + [left_lift]
-
-    def value_op(op: TermOperator) -> TermOperator:
-        return TermOperator(compose_terms(op.term, inners))
-
     return ConditionalFn(
         1,
-        TermOperator(cert),
-        value_op(outer.F),
-        value_op(outer.G),
-        value_op(outer.H),
+        *_compose_ops(
+            (outer.E, outer.F, outer.G, outer.H), (inner.E, inner.F, inner.G, inner.H)
+        ),
     )
-
-
-def _compose_proc_path(outer: ConditionalFn, inner: ConditionalFn) -> ConditionalFn:
-    def inner_value_at(fns: tuple[NatFun, ...], e: NatFun) -> tuple[NatFun, NatFun, NatFun]:
-        shifted = fns + (_post_lift(right, e, "right.e"),)
-        return (inner.F.apply(shifted), inner.G.apply(shifted), inner.H.apply(shifted))
-
-    def build_cert(fns: tuple[NatFun, ...]) -> NatFun:
-        inner_cert = inner.E.apply(fns)
-
-        def ev(s: int) -> int:
-            first = inner_cert(right(s))
-            triple = inner_value_at(fns, NatFun.constant(s))
-            second = outer.E.apply(triple)(left(s))
-            return conj(first, second)
-
-        return NatFun(ev, label="composed-certificate")
-
-    def build_value(op: Operator) -> ProcOperator:
-        def build(args: tuple[NatFun, ...]) -> NatFun:
-            fns, e = args[:3], args[3]
-            triple = inner_value_at(fns, e)
-            return op.apply(triple + (_post_lift(left, e, "left.e"),))
-
-        return ProcOperator(4, build, "composed-value")
-
-    return ConditionalFn(
-        1,
-        ProcOperator(3, build_cert, "composed-certificate"),
-        build_value(outer.F),
-        build_value(outer.G),
-        build_value(outer.H),
-    )
-
-
-# ---------------------------------------------------------------------------
-# patching and localization
-# ---------------------------------------------------------------------------
 
 
 def patch_operator(anchor: NatFun, k: int) -> ProcOperator:
@@ -385,36 +523,6 @@ def patch_operator(anchor: NatFun, k: int) -> ProcOperator:
     return ProcOperator(
         1, lambda fns: NatFun.patched(anchor, k, fns[0]), f"patch<{k}"
     )
-
-
-def patch_operator_mu_chain(anchor: NatFun, k: int) -> ProcOperator:
-    """Same operator built by chaining single-point overrides.
-
-    The empty patch is the identity and each step overrides one more
-    index through ``mu``; evaluation agrees everywhere with
-    ``patch_operator`` and exists as the term-language route to patching.
-    """
-    if k < 0:
-        raise ValueError("patch cutoff must be a natural")
-
-    def build(fns: tuple[NatFun, ...]) -> NatFun:
-        result = fns[0]
-        for j in range(k):
-            result = NatFun(
-                lambda t, _j=j, _inner=result: gadgets._mu_value(_j, anchor(_j), t, _inner(t)),
-                label=f"mu-patch<{j + 1}",
-            )
-        return result
-
-    return ProcOperator(1, build, f"mu-patch<{k}")
-
-
-def _patch_term_node(slot: int, values: Sequence[int]) -> Node:
-    # chained single-point overrides as a term over the given slot
-    node: Node = Apply(slot, Proj(1))
-    for j, value in enumerate(values):
-        node = Base(CORE.mu(j, value), (Proj(1), node))
-    return node
 
 
 @dataclass(frozen=True)
@@ -458,51 +566,9 @@ def localize(
     """
     if fn.n_args != 1:
         raise ArityMismatch("localization is defined for unary conditional functions")
-    anchor_fns = (at.f, at.g, at.h)
     s0 = find_parameter(fn, [at], budget)
-
-    wrapped, log = recording(anchor_fns)
-    check = fn.E.apply(wrapped)(s0)
-    if check != 0:
-        raise AssertionError("certificate changed value under instrumentation")
-    queried = [t for seen in log.values() for t in seen]
-    u = max(queried) if queried else 0
-
-    anchor_values = tuple((at.f(t), at.g(t), at.h(t)) for t in range(u + 1))
-    hood = Neighborhood(u, anchor_values)
-
-    if all(_is_term(op) for op in (fn.F, fn.G, fn.H)):
-        patches = [
-            OperatorTerm(3, 1, _patch_term_node(slot + 1, [v[slot] for v in anchor_values]))
-            for slot in range(3)
-        ]
-        const_term = OperatorTerm(3, 1, Base(CORE.constant(s0), (Proj(1),)))
-        inners = patches + [const_term]
-        uniform = UniformFn(
-            1,
-            TermOperator(compose_terms(fn.F.term, inners)),
-            TermOperator(compose_terms(fn.G.term, inners)),
-            TermOperator(compose_terms(fn.H.term, inners)),
-        )
-        return hood, uniform
-
-    p = patch_operator(at.f, u + 1)
-    q = patch_operator(at.g, u + 1)
-    r = patch_operator(at.h, u + 1)
-
-    def build(op: Operator) -> ProcOperator:
-        def build_fn(fns: tuple[NatFun, ...]) -> NatFun:
-            patched = (
-                p.apply(fns[0:1]),
-                q.apply(fns[1:2]),
-                r.apply(fns[2:3]),
-                NatFun.constant(s0),
-            )
-            return op.apply(patched)
-
-        return ProcOperator(3, build_fn, "localized")
-
-    return hood, UniformFn(1, build(fn.F), build(fn.G), build(fn.H))
+    prefix, (F, G, H) = _localize_ops((fn.E, fn.F, fn.G, fn.H), tuple(at), s0)
+    return Neighborhood(len(prefix) - 1, prefix), UniformFn(1, F, G, H)
 
 
 # ---------------------------------------------------------------------------
@@ -572,62 +638,21 @@ def glue_compact(cover: BallCover) -> UniformFn:
     first passing ball's local output at ``t`` (a constant-zero name if
     none passes).  With the warranted separation, some ball always
     certifies and the point provably lies inside every certifying ball.
+    The procedure form makes that choice once per argument name and
+    evaluates only the chosen ball's local function.
     """
-    k = cover.separation
-    n = cover.n_args
-    indicators = _cover_indicators(cover)
     locals_ = [ball.local for ball in cover.balls]
-
-    if all(
-        _is_term(op) for loc in locals_ for op in (loc.F, loc.G, loc.H)
-    ):
-        const_k = OperatorTerm(3 * n, 1, Base(CORE.constant(k), (Proj(1),)))
-        probes = tuple(
-            Apply(i, const_k.node) for i in range(1, 3 * n + 1)
-        )
-        selector = CORE.delta(len(cover.balls))
-        zero_node = Base(CORE.constant(0), (Proj(1),))
-
-        def glued(component: str) -> TermOperator:
-            subs: list[Node] = []
-            for indicator, loc in zip(indicators, locals_):
-                subs.append(Base(indicator, probes))
-                subs.append(getattr(loc, component).term.node)
-            subs.append(zero_node)
-            return TermOperator(OperatorTerm(3 * n, 1, Base(selector, tuple(subs))))
-
-        return UniformFn(n, glued("F"), glued("G"), glued("H"))
-
-    def build(component: str) -> ProcOperator:
-        def build_fn(fns: tuple[NatFun, ...]) -> NatFun:
-            branch = [getattr(loc, component).apply(fns) for loc in locals_]
-
-            def ev(t: int) -> int:
-                probes = [fn(k) for fn in fns]
-                args: list[int] = []
-                for indicator, out in zip(indicators, branch):
-                    args.append(indicator.fn(*probes))
-                    args.append(out(t))
-                args.append(0)
-                return gadgets._delta_k_value(len(branch), args)
-
-            return NatFun(ev, label="glued")
-
-        return ProcOperator(3 * n, build_fn, "glued")
-
-    return UniformFn(n, build("F"), build("G"), build("H"))
+    components = [[getattr(loc, c) for loc in locals_] for c in "FGH"]
+    F, G, H = _glue_ops(_cover_indicators(cover), cover.separation, components)
+    return UniformFn(cover.n_args, F, G, H)
 
 
 def dispatch_index(cover: BallCover, names: Sequence[NameTriple]) -> int | None:
     """Which ball (1-based) the glued function would source from, if any."""
     if len(names) != cover.n_args:
         raise ArityMismatch(f"{cover.n_args} argument names expected")
-    k = cover.separation
-    probes = [fn(k) for name in names for fn in name]
-    for i, indicator in enumerate(_cover_indicators(cover), start=1):
-        if indicator.fn(*probes) == 0:
-            return i
-    return None
+    probes = [fn(cover.separation) for name in names for fn in name]
+    return _first_passing(_cover_indicators(cover), probes)
 
 
 def separation_violations(

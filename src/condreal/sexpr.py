@@ -14,27 +14,30 @@ def _tokenize(text: str) -> list[str]:
 
 
 def parse_sexpr(text: str):
-    """Parse one s-expression into nested lists of atom strings."""
+    """Parse one s-expression into nested lists of atom strings.
+
+    Reads with an explicit stack of open lists, so nesting depth costs
+    no interpreter frames.
+    """
     tokens = _tokenize(text)
     if not tokens:
         raise SexprError("empty expression")
-    expr, rest = _read(tokens)
-    if rest:
-        raise SexprError(f"trailing input after expression: {' '.join(rest)!r}")
-    return expr
-
-
-def _read(tokens: list[str]):
-    head, rest = tokens[0], tokens[1:]
-    if head == "(":
-        items = []
-        while True:
-            if not rest:
-                raise SexprError("unbalanced '('")
-            if rest[0] == ")":
-                return items, rest[1:]
-            item, rest = _read(rest)
-            items.append(item)
-    if head == ")":
-        raise SexprError("unbalanced ')'")
-    return head, rest
+    open_lists: list[list] = []
+    for pos, token in enumerate(tokens):
+        if token == "(":
+            open_lists.append([])
+            continue
+        if token == ")":
+            if not open_lists:
+                raise SexprError("unbalanced ')'")
+            item = open_lists.pop()
+        else:
+            item = token
+        if open_lists:
+            open_lists[-1].append(item)
+            continue
+        rest = tokens[pos + 1 :]
+        if rest:
+            raise SexprError(f"trailing input after expression: {' '.join(rest)!r}")
+        return item
+    raise SexprError("unbalanced '('")

@@ -78,6 +78,25 @@ def test_eval_rejects_unknown_functions_and_bad_arity(capsys):
     assert code == 2
 
 
+def nested_negations(depth):
+    return "(negate " * depth + "1" + ")" * depth
+
+
+def test_eval_rejects_deep_nesting_with_exit_two(capsys):
+    code, out, err = run(capsys, "eval", nested_negations(600))
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert "nested too deeply" in err
+
+
+def test_eval_still_evaluates_a_hundred_nested_forms(capsys):
+    code, out, err = run(capsys, "eval", nested_negations(100), "--eps", "1/10")
+    assert code == 0
+    assert "approx = 1" in out.splitlines()
+    assert err == ""
+
+
 def test_eval_budget_exhaustion_is_exit_three(capsys):
     code, _, err = run(capsys, "eval", "(recip 0)", "--budget", "1000")
     assert code == 3
@@ -147,6 +166,14 @@ def test_gadgets_eval_applies_resolved_spellings(capsys):
     code, out, _ = run(capsys, "gadgets", "eval", "lt_1/2", "0", "1", "0")
     assert code == 0
     assert int(out.strip()) > 0
+
+
+def test_gadgets_eval_handles_long_comparisons(capsys):
+    # lt_2000/1999 compares 2000 copies against 1999 in gamma
+    code, out, err = run(capsys, "gadgets", "eval", "lt_2000/1999", "1", "0", "0")
+    assert code == 0
+    assert int(out.strip()) > 0
+    assert err == ""
 
 
 def test_gadgets_eval_rejects_unknown_names_and_bad_arity(capsys):

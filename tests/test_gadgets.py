@@ -135,6 +135,50 @@ def test_gamma_positivity_encodes_the_sum_comparison():
             assert (fn.fn(*args) > 0) == (sum(xs) > sum(ys))
 
 
+def gamma_recursive(b, c, args):
+    # the paper's recursion on (b, c), one argument peeled per step: the
+    # oracle for the iterative evaluation
+    xs, ys = args[:b], args[b:]
+    if b == 1 and c == 1:
+        return monus(xs[0], ys[0])
+    if b == 1:
+        return gamma_recursive(1, c - 1, (monus(xs[0], ys[-1]),) + tuple(ys[:-1]))
+    if c == 1:
+        guard = monus(xs[-1], ys[0])
+        if guard == 0:
+            return gamma_recursive(b - 1, 1, tuple(xs[:-1]) + (monus(ys[0], xs[-1]),))
+        return guard
+    guard = monus(xs[-1], ys[-1])
+    if guard == 0:
+        return gamma_recursive(
+            b - 1, c, tuple(xs[:-1]) + tuple(ys[:-1]) + (monus(ys[-1], xs[-1]),)
+        )
+    return gamma_recursive(b, c - 1, tuple(xs[:-1]) + (guard,) + tuple(ys[:-1]))
+
+
+def test_gamma_matches_its_recursion_exhaustively():
+    for b, c in product(range(1, 5), repeat=2):
+        fn = gamma(b, c).fn
+        for args in product(range(4 if b + c <= 6 else 3), repeat=b + c):
+            assert fn(*args) == gamma_recursive(b, c, args)
+
+
+@given(
+    st.lists(small, min_size=1, max_size=12),
+    st.lists(small, min_size=1, max_size=12),
+)
+def test_gamma_matches_its_recursion_on_sampled_arguments(xs, ys):
+    args = tuple(xs + ys)
+    assert gamma(len(xs), len(ys)).fn(*args) == gamma_recursive(len(xs), len(ys), args)
+
+
+def test_gamma_evaluates_long_argument_lists():
+    # far past the interpreter's recursion limit
+    b, c = 3000, 2999
+    assert gamma(b, c).fn(*([1] * (b + c))) == 1
+    assert gamma(b, c).fn(*([1] * b + [2] * c)) == 0
+
+
 def test_gamma_rejects_empty_sides():
     with pytest.raises(ValueError):
         gamma(0, 1)

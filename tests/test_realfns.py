@@ -8,6 +8,7 @@ from condreal.gadgets import CORE, left, right
 from condreal.naming import NatFun, approx, rational_name, validate_name
 from condreal.realfns import (
     Ball,
+    ProcOperator,
     BallCover,
     BudgetExhausted,
     ConditionalFn,
@@ -23,11 +24,19 @@ from condreal.realfns import (
     glue_compact,
     identity_uniform,
     localize,
+    _constant,
+    _diagonal,
+    _lift,
+    _patch,
+    _reindex,
+    _select,
+    _slot,
+    _subst,
     patch_operator,
-    patch_operator_mu_chain,
     separation_violations,
 )
-from condreal.sampling import random_natfun
+from condreal.gadgets import ball_indicator
+from condreal.sampling import random_natfun, random_term
 from condreal.terms import Apply, Base, OperatorTerm, Proj
 
 REGISTRY = default_functions()
@@ -77,6 +86,16 @@ def proc_abs_fn():
 
 def proc_identity_fn():
     return uniform_from_rule(1, lambda a: a, lambda t, names: t, "identity")
+
+
+def as_proc(op):
+    # the same operator, no longer recognizable as a term
+    return ProcOperator(op.arity, op.apply, "wrapped")
+
+
+def agree(a, b, fns, ts=range(12)):
+    fa, fb = a.apply(fns), b.apply(fns)
+    return all(fa(t) == fb(t) for t in ts)
 
 
 # ---------------------------------------------------------------------------
@@ -205,10 +224,158 @@ def test_mu_chain_patch_agrees_with_the_case_definition():
         for _ in range(12):
             anchor = random_natfun(rng)
             inner = random_natfun(rng)
-            direct = patch_operator(anchor, k).apply((inner,))
-            chained = patch_operator_mu_chain(anchor, k).apply((inner,))
+            chain = _patch(1, 1, [anchor(t) for t in range(k)], term=True)
+            assert isinstance(chain, TermOperator)
+            direct = NatFun.patched(anchor, k, inner)
+            chained = chain.apply((inner,))
             for t in range(12):
                 assert chained(t) == direct(t)
+
+
+# ---------------------------------------------------------------------------
+# operator combinators: the term form and the procedure form agree
+# ---------------------------------------------------------------------------
+
+
+def random_ops(rng, k, count):
+    return [TermOperator(random_term(rng, k, 1, 3)) for _ in range(count)]
+
+
+def test_combinators_without_operator_inputs_agree_in_both_forms():
+    rng = Random(11)
+    for _ in range(40):
+        k = rng.randrange(1, 4)
+        i = rng.randrange(1, k + 1)
+        fns = tuple(random_natfun(rng) for _ in range(k))
+        values = [rng.randrange(9) for _ in range(rng.randrange(5))]
+        c = rng.randrange(9)
+        pairs = [
+            (_slot(k, i, True), _slot(k, i, False)),
+            (_constant(k, c, True), _constant(k, c, False)),
+            (_patch(k, i, values, True), _patch(k, i, values, False)),
+        ]
+        for term_form, proc_form in pairs:
+            assert isinstance(term_form, TermOperator)
+            assert isinstance(proc_form, ProcOperator)
+            assert agree(term_form, proc_form, fns)
+
+
+def test_combinators_over_operators_agree_in_both_forms():
+    rng = Random(12)
+    bases = [CORE.get(name) for name in ("conj", "left", "monus", "pair")]
+    indices = [CORE.get(name) for name in ("left", "right", "succ")]
+    for _ in range(60):
+        k = rng.randrange(1, 4)
+        fns = tuple(random_natfun(rng) for _ in range(k))
+        base, index = rng.choice(bases), rng.choice(indices)
+        ops = random_ops(rng, k, base.arity)
+        outer = TermOperator(random_term(rng, 2, 1, 3))
+        inners = random_ops(rng, k, 2)
+        wide = TermOperator(random_term(rng, k + 1, 1, 3))
+        pairs = [
+            (_lift(base, ops, True), _lift(base, ops, False)),
+            (_subst(outer, inners, True), _subst(outer, inners, False)),
+            (_reindex(ops[0], index, True), _reindex(ops[0], index, False)),
+            (_diagonal(wide, True), _diagonal(wide, False)),
+        ]
+        for term_form, proc_form in pairs:
+            assert isinstance(term_form, TermOperator)
+            assert isinstance(proc_form, ProcOperator)
+            assert agree(term_form, proc_form, fns)
+
+
+def test_select_agrees_in_both_forms():
+    rng = Random(13)
+    indicators = [ball_indicator((Fraction(-2),), Fraction(3)), ball_indicator((Fraction(3),), 2)]
+    for _ in range(40):
+        fns = tuple(random_natfun(rng) for _ in range(3))
+        components = [random_ops(rng, 3, 2) for _ in range(2)]
+        k = rng.randrange(6)
+        term_forms = _select(indicators, k, components, True)
+        proc_forms = _select(indicators, k, components, False)
+        for term_form, proc_form in zip(term_forms, proc_forms):
+            assert isinstance(term_form, TermOperator)
+            assert agree(term_form, proc_form, fns)
+
+
+# ---------------------------------------------------------------------------
+# constructions: one procedure-backed ingredient gives the procedure form
+# ---------------------------------------------------------------------------
+
+
+SAMPLE_POINTS = [Fraction(n, 7) for n in range(-9, 10, 3)]
+
+
+def agree_on_names(a, b, points=SAMPLE_POINTS, ts=range(0, 60, 7)):
+    for q in points:
+        out_a = apply_uniform(a, [rational_name(q)])
+        out_b = apply_uniform(b, [rational_name(q)])
+        assert [approx(out_a, t) for t in ts] == [approx(out_b, t) for t in ts]
+
+
+def test_composition_procedure_form_agrees_with_the_term_form():
+    outer, inner = embed_uniform(negate_term_fn()), embed_uniform(abs_term_fn())
+    term_form = compose_conditional(outer, inner)
+    proc_form = compose_conditional(outer, ConditionalFn(1, inner.E, as_proc(inner.F), inner.G, inner.H))
+    assert all(isinstance(op, TermOperator) for op in (term_form.E, term_form.F))
+    assert all(isinstance(op, ProcOperator) for op in (proc_form.E, proc_form.F))
+    rng = Random(14)
+    for _ in range(20):
+        fns = tuple(random_natfun(rng) for _ in range(3))
+        assert agree(term_form.E, proc_form.E, fns, range(40))
+        with_s = fns + (random_natfun(rng),)
+        for a, b in zip((term_form.F, term_form.G, term_form.H), (proc_form.F, proc_form.G, proc_form.H)):
+            assert agree(a, b, with_s)
+
+
+def test_localization_procedure_form_agrees_with_the_term_form():
+    composed = compose_conditional(embed_uniform(negate_term_fn()), embed_uniform(identity_uniform()))
+    wrapped = ConditionalFn(1, composed.E, composed.F, as_proc(composed.G), composed.H)
+    at = rational_name(Fraction(2, 7))
+    hood_t, term_form = localize(composed, at, 100)
+    hood_p, proc_form = localize(wrapped, at, 100)
+    assert hood_t == hood_p
+    assert isinstance(term_form.F, TermOperator)
+    assert isinstance(proc_form.F, ProcOperator)
+    points = [Fraction(2, 7) + Fraction(n, 100) for n in range(-9, 10, 3)]
+    agree_on_names(term_form, proc_form, points)
+
+
+def test_gluing_procedure_form_agrees_with_the_term_form():
+    negate = negate_term_fn()
+    balls = lambda first: (  # noqa: E731
+        Ball((Fraction(-1),), Fraction(3, 2), first),
+        Ball((Fraction(1),), Fraction(3, 2), identity_uniform()),
+    )
+    term_form = glue_compact(BallCover(balls(negate), separation=3))
+    wrapped = UniformFn(1, negate.F, negate.G, as_proc(negate.H))
+    proc_form = glue_compact(BallCover(balls(wrapped), separation=3))
+    assert isinstance(term_form.F, TermOperator)
+    assert isinstance(proc_form.F, ProcOperator)
+    agree_on_names(term_form, proc_form, SAMPLE_POINTS + [Fraction(9, 2)])
+
+
+def constant_term_fn(c):
+    zero = TermOperator(OperatorTerm(3, 1, Base(CORE.constant(0), (Proj(1),))))
+    return UniformFn(1, TermOperator(OperatorTerm(3, 1, Base(CORE.constant(c), (Proj(1),)))), zero, zero)
+
+
+def test_glued_procedure_picks_the_dispatched_ball():
+    # ball i outputs the constant i, so the output tells which ball was picked
+    cover = BallCover(
+        tuple(
+            Ball((Fraction(c),), Fraction(3, 4), UniformFn(1, *map(as_proc, (fn.F, fn.G, fn.H))))
+            for c, fn in ((-1, constant_term_fn(1)), (0, constant_term_fn(2)), (1, constant_term_fn(3)))
+        ),
+        separation=7,
+    )
+    glued = glue_compact(cover)
+    assert isinstance(glued.F, ProcOperator)
+    for n in range(-16, 17):
+        q = Fraction(n, 8)
+        picked = dispatch_index(cover, [rational_name(q)])
+        out = apply_uniform(glued, [rational_name(q)])
+        assert approx(out, 5) == (picked or 0)
 
 
 # ---------------------------------------------------------------------------
@@ -373,6 +540,19 @@ def test_single_ball_cover_reduces_to_its_local_function():
     for q in (Fraction(0), Fraction(1, 4), Fraction(-1, 4)):
         out = apply_uniform(glued, [rational_name(q)])
         assert validate_name(out, q, 100).passed
+
+
+@pytest.mark.parametrize(
+    "local,sign",
+    [(identity_uniform(), 1), (REGISTRY.get("negate").fn, -1)],
+    ids=["term", "procedure"],
+)
+def test_one_ball_cover_with_a_wide_separation_glues(local, sign):
+    glued = glue_compact(BallCover((Ball((Fraction(0),), Fraction(1), local),), separation=1000))
+    assert isinstance(glued.F, type(local.F))
+    for q in (Fraction(0), Fraction(1, 3), Fraction(-1, 2)):
+        out = apply_uniform(glued, [rational_name(q)])
+        assert validate_name(out, sign * q, 40).passed
 
 
 def test_ball_rejects_nonpositive_radius():
