@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from itertools import product
 from typing import Callable, Iterator, Sequence
 
@@ -26,6 +27,7 @@ from . import gadgets
 from .naming import (
     NameTriple,
     NatFun,
+    TripleStream,
     approx,
     format_rational,
     parse_rational,
@@ -34,6 +36,7 @@ from .naming import (
 )
 from .realfns import (
     ConditionalFn,
+    JointOperator,
     ProcOperator,
     UniformFn,
     apply_conditional,
@@ -80,23 +83,22 @@ def uniform_from_rule(
     ``schedule(t, names)``, ``rule`` combines the exact approximations,
     and the exact rational result is re-encoded canonically.  The caller
     owns the error analysis: the schedule must be fine enough that the
-    rule's output is within ``1/(t+1)`` of the true value.
+    rule's output is within ``1/(t+1)`` of the true value.  F, G and H
+    are the components of one ``JointOperator``, so an application
+    computes each index's rational once.
     """
 
-    def component(pick: int) -> ProcOperator:
-        def build(fns: tuple[NatFun, ...]) -> NatFun:
-            names = [NameTriple(*fns[3 * j : 3 * j + 3]) for j in range(n_args)]
+    def build(fns: tuple[NatFun, ...]) -> NameTriple:
+        names = [NameTriple(*fns[3 * j : 3 * j + 3]) for j in range(n_args)]
 
-            def ev(t: int) -> int:
-                tau = schedule(t, names)
-                value = Fraction(rule(*(approx(nm, tau) for nm in names)))
-                return _encode(value)[pick]
+        def ev(t: int) -> tuple[int, int, int]:
+            tau = schedule(t, names)
+            value = rule(*[approx(nm, tau) for nm in names])
+            return _encode(value if isinstance(value, Fraction) else Fraction(value))
 
-            return NatFun(ev, label=f"{name}.{'fgh'[pick]}")
+        return TripleStream(ev, name).name()
 
-        return ProcOperator(3 * n_args, build, f"{name}-{'FGH'[pick]}")
-
-    return UniformFn(n_args, component(0), component(1), component(2))
+    return UniformFn(n_args, *JointOperator(3 * n_args, 3, build, name).components())
 
 
 def _at_t(t: int, _names: Sequence[NameTriple]) -> int:
@@ -148,33 +150,30 @@ def _recip_certificate() -> ProcOperator:
     return ProcOperator(3, build, "recip-E")
 
 
-def _recip_value(pick: int) -> ProcOperator:
+def _recip_value() -> JointOperator:
     # A certified s gives |xi| > 1/(s+1).  Reading the input at
     # tau = 2(s+1)^2 (t+1) - 1 keeps the approximation q above
     # 1/(2(s+1)) in magnitude, and the quotient bound
     # |1/q - 1/xi| = |xi - q| / (|q||xi|) then lands strictly under
     # 1/(t+1).  The q = 0 guard is unreachable for certified inputs and
     # only keeps the operator total.
-    def build(fns: tuple[NatFun, ...]) -> NatFun:
+    def build(fns: tuple[NatFun, ...]) -> NameTriple:
         f, g, h, e = fns
 
-        def ev(t: int) -> int:
+        def ev(t: int) -> tuple[int, int, int]:
             s = e(t)
             tau = 2 * (s + 1) * (s + 1) * (t + 1) - 1
             q = Fraction(f(tau) - g(tau), h(tau) + 1)
-            value = Fraction(0) if q == 0 else 1 / q
-            return _encode(value)[pick]
+            return _encode(Fraction(0) if q == 0 else 1 / q)
 
-        return NatFun(ev, label=f"recip.{'fgh'[pick]}")
+        return TripleStream(ev, "recip").name()
 
-    return ProcOperator(4, build, "recip-value")
+    return JointOperator(4, 3, build, "recip-value")
 
 
 def reciprocal_fn() -> ConditionalFn:
     """Reciprocal as a conditional function on the nonzero reals."""
-    return ConditionalFn(
-        1, _recip_certificate(), _recip_value(0), _recip_value(1), _recip_value(2)
-    )
+    return ConditionalFn(1, _recip_certificate(), *_recip_value().components())
 
 
 # ---------------------------------------------------------------------------
@@ -232,6 +231,13 @@ class FunctionRegistry:
         for alias in aliases:
             self._aliases[alias] = entry.name
         return entry
+
+    def copy(self) -> "FunctionRegistry":
+        """The same entries and aliases in a registry that grows on its own."""
+        other = FunctionRegistry()
+        other._entries = dict(self._entries)
+        other._aliases = dict(self._aliases)
+        return other
 
     def names(self) -> list[str]:
         return sorted(self._entries)
@@ -320,8 +326,15 @@ def register_builtins(registry: FunctionRegistry | None = None) -> FunctionRegis
     return reg
 
 
-def default_functions() -> FunctionRegistry:
+@lru_cache(maxsize=1)
+def _validated_builtins() -> FunctionRegistry:
+    # validated once per process; only copies are handed out
     return register_builtins()
+
+
+def default_functions() -> FunctionRegistry:
+    """A fresh registry of the builtins, validated once per process."""
+    return _validated_builtins().copy()
 
 
 # ---------------------------------------------------------------------------

@@ -125,10 +125,12 @@ def tuple_part(k: int, i: int, n: int) -> int:
 
 
 def _delta_k_value(k: int, args: Sequence[int]) -> int:
-    # delta_0(z) = z; delta_{K+1}(x1,y1,rest) = delta_1(x1, y1, delta_K(rest))
-    if k == 0:
-        return args[0]
-    return delta_1(args[0], args[1], _delta_k_value(k - 1, args[2:]))
+    # delta_0(z) = z; delta_{K+1}(x1,y1,rest) = delta_1(x1, y1, delta_K(rest)),
+    # unrolled: the first y_i whose guard x_i is zero, else z
+    for i in range(0, 2 * k, 2):
+        if args[i] == 0:
+            return args[i + 1]
+    return args[2 * k]
 
 
 def _mu_value(k: int, c: int, x: int, y: int) -> int:

@@ -34,9 +34,11 @@ from .naming import NatFun
 from .realfns import (
     BudgetExhausted,
     ConditionalFn,
+    JointOperator,
     Operator,
     ProcOperator,
     UniformFn,
+    _apply_ops,
     _compose_ops,
     _first_passing,
     _glue_ops,
@@ -469,6 +471,11 @@ def builtin_spaces() -> list[EffectiveSpace]:
     return [make_mn(1), make_mn(2), make_mn(3), make_discrete(8)]
 
 
+def _unpacked(fn: NatFun) -> list[NatFun]:
+    # the name triple an M_1 code stream stands for
+    return [_part_lift(3, pick, fn) for pick in (1, 2, 3)]
+
+
 def _decoded_parts(n_dims: int, fn: NatFun) -> tuple[NatFun, ...]:
     width = 3 * n_dims
     return tuple(_part_lift(width, i, fn) for i in range(1, width + 1))
@@ -480,14 +487,12 @@ def translate_uniform(fn: UniformFn) -> MsUniformFn:
     The operator decodes the argument-name codes into 3N component
     functions (which are exactly name triples of the coordinates), runs
     the real operators, and packs the output triple back into codes.
+    Operators that are one joint's components run once per index.
     """
     n = fn.n_args
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
-        parts = _decoded_parts(n, fns[0])
-        return _pack_lift(
-            (fn.F.apply(parts), fn.G.apply(parts), fn.H.apply(parts))
-        )
+        return _pack_lift(_apply_ops((fn.F, fn.G, fn.H), _decoded_parts(n, fns[0])))
 
     return MsUniformFn(
         make_mn(n), make_mn(1), ProcOperator(1, build, "translated-uniform")
@@ -500,14 +505,10 @@ def translate_uniform_back(fn: MsUniformFn) -> UniformFn:
     if n is None or fn.codomain.dimension != 1:
         raise SpaceMismatch("translation expects a map from M_N to M_1")
 
-    def component(pick: int) -> ProcOperator:
-        def build(fns: tuple[NatFun, ...]) -> NatFun:
-            out = fn.T.apply((_pack_lift(fns),))
-            return _part_lift(3, pick, out)
+    def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
+        return _unpacked(fn.T.apply((_pack_lift(fns),)))
 
-        return ProcOperator(3 * n, build, "translated-back")
-
-    return UniformFn(n, component(1), component(2), component(3))
+    return UniformFn(n, *JointOperator(3 * n, 3, build, "translated-back").components())
 
 
 def translate_conditional(fn: ConditionalFn) -> MsConditionalFn:
@@ -519,10 +520,7 @@ def translate_conditional(fn: ConditionalFn) -> MsConditionalFn:
 
     def build_value(args: tuple[NatFun, ...]) -> NatFun:
         f, e = args
-        parts = _decoded_parts(n, f) + (e,)
-        return _pack_lift(
-            (fn.F.apply(parts), fn.G.apply(parts), fn.H.apply(parts))
-        )
+        return _pack_lift(_apply_ops((fn.F, fn.G, fn.H), _decoded_parts(n, f) + (e,)))
 
     return MsConditionalFn(
         make_mn(n),
@@ -540,19 +538,13 @@ def translate_conditional_back(fn: MsConditionalFn) -> ConditionalFn:
     def build_cert(fns: tuple[NatFun, ...]) -> NatFun:
         return fn.E.apply((_pack_lift(fns),))
 
-    def component(pick: int) -> ProcOperator:
-        def build(fns: tuple[NatFun, ...]) -> NatFun:
-            out = fn.T.apply((_pack_lift(fns[:-1]), fns[-1]))
-            return _part_lift(3, pick, out)
-
-        return ProcOperator(3 * n + 1, build, "translated-back-value")
+    def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
+        return _unpacked(fn.T.apply((_pack_lift(fns[:-1]), fns[-1])))
 
     return ConditionalFn(
         n,
         ProcOperator(3 * n, build_cert, "translated-back-cert"),
-        component(1),
-        component(2),
-        component(3),
+        *JointOperator(3 * n + 1, 3, build, "translated-back-value").components(),
     )
 
 

@@ -13,11 +13,20 @@ manipulates these triples, so this module pins down the two ground types:
 ``NatFun``
     a total, deterministic function on the naturals.  Instances are built
     from a small closed set of constructors (constants, the identity,
-    patching, term-evaluation closures and vouched-for pure callables)
-    and memoize per instance, so repeated evaluation at the same index is
-    cheap and always returns the same value.  Memoization uses a plain
-    dict; under CPython's GIL concurrent readers at worst recompute the
-    same (deterministic) value.
+    patching, term-evaluation closures and vouched-for pure callables).
+    A memoizing instance keeps the values it computed in a plain dict of
+    at most ``MEMO_CAP`` indices, emptied when full, so repeated
+    evaluation at a recent index is cheap and a sweep over many indices
+    holds bounded memory.  The values are the same either way: the
+    function is pure.  Under CPython's GIL concurrent readers at worst
+    recompute the same (deterministic) value.
+
+``TripleStream``
+    the three values ``(x, y, z)`` a name takes at each index, computed
+    together by one function and memoized once, under the same cap.
+    Its ``name()`` is the three-function view the paper and the term
+    layer use: ``f``, ``g`` and ``h`` project the one memo, so reading
+    all three at an index computes that index's rational once.
 
 Rationals are ``fractions.Fraction`` throughout: arbitrary-precision,
 kept in lowest terms with positive denominator, exactly the contract the
@@ -31,8 +40,10 @@ from fractions import Fraction
 from typing import Callable, Iterator, Mapping, Sequence
 
 __all__ = [
+    "MEMO_CAP",
     "NatFun",
     "NameTriple",
+    "TripleStream",
     "ValidationReport",
     "ValidationRow",
     "approx",
@@ -45,13 +56,38 @@ __all__ = [
 ]
 
 
+# Most indices a memo table holds; a full table is emptied before the
+# next value goes in.  An output index reads each argument at one or two
+# indices (t, 2t+1, a schedule fixed by a certified s), so reading a
+# result to t in the hundreds never evicts, while a certificate sweep
+# over 10^6 indices keeps at most this many (under a megabyte).
+MEMO_CAP = 4096
+
+
+def _natural(value: object) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 0
+
+
+def _check_argument(t: object, kind: str) -> None:
+    if not _natural(t):
+        raise ValueError(f"{kind} argument must be a natural, got {t!r}")
+
+
+def _memo_put(memo: dict, t: int, value: object) -> None:
+    """Store ``value`` at ``t``, emptying a table that holds ``MEMO_CAP`` indices."""
+    if len(memo) >= MEMO_CAP:
+        memo.clear()
+    memo[t] = value
+
+
 class NatFun:
     """A total function on the naturals with per-instance memoization.
 
     ``fn`` must be pure: total on the naturals, deterministic, and
     returning a natural.  Both the argument and the result are checked on
     every evaluation so contract violations surface at the offending
-    call, not three layers later.
+    call, not three layers later.  The memo holds at most ``MEMO_CAP``
+    indices.
     """
 
     __slots__ = ("_fn", "_memo", "label")
@@ -65,11 +101,12 @@ class NatFun:
         memo = self._memo
         if memo is not None:
             hit = memo.get(t)
-            if hit is not None:
+            # True and 1.0 find the entry of 1; only an int may take it
+            if hit is not None and t.__class__ is int:
                 return hit
         value = self._eval(t)
         if memo is not None:
-            memo[t] = value
+            _memo_put(memo, t, value)
         return value
 
     def eval_uncached(self, t: int) -> int:
@@ -82,10 +119,11 @@ class NatFun:
         return self._eval(t)
 
     def _eval(self, t: int) -> int:
-        if not isinstance(t, int) or isinstance(t, bool) or t < 0:
-            raise ValueError(f"NatFun argument must be a natural, got {t!r}")
+        # a plain int is checked inline, anything else by ``_natural``
+        if t.__class__ is not int or t < 0:
+            _check_argument(t, "NatFun")
         value = self._fn(t)
-        if not isinstance(value, int) or isinstance(value, bool) or value < 0:
+        if (value.__class__ is not int or value < 0) and not _natural(value):
             raise ValueError(
                 f"NatFun {self.label or '<anonymous>'} returned {value!r} at {t}; "
                 "values must be naturals"
@@ -98,7 +136,7 @@ class NatFun:
     @classmethod
     def constant(cls, c: int) -> "NatFun":
         """The constant function t -> c."""
-        if not isinstance(c, int) or isinstance(c, bool) or c < 0:
+        if not _natural(c):
             raise ValueError(f"constant value must be a natural, got {c!r}")
         return cls(lambda _t: c, label=f"const {c}", memoize=False)
 
@@ -128,6 +166,48 @@ class NameTriple:
 
     def __iter__(self) -> Iterator[NatFun]:
         return iter((self.f, self.g, self.h))
+
+
+class TripleStream:
+    """A name's three values at each index, computed together.
+
+    ``fn`` must be pure and map every natural ``t`` to a triple of
+    naturals ``(f(t), g(t), h(t))``.  Each index is computed once and kept
+    in a memo of at most ``MEMO_CAP`` indices; the argument and the
+    triple are checked when the triple is computed.
+    """
+
+    __slots__ = ("_fn", "_memo", "label")
+
+    def __init__(self, fn: Callable[[int], tuple[int, int, int]], label: str = ""):
+        self._fn = fn
+        self._memo: dict[int, tuple[int, int, int]] = {}
+        self.label = label
+
+    def __call__(self, t: int) -> tuple[int, int, int]:
+        memo = self._memo
+        hit = memo.get(t)
+        if hit is not None and t.__class__ is int:
+            return hit
+        _check_argument(t, "TripleStream")
+        value = self._fn(t)
+        if not (isinstance(value, tuple) and len(value) == 3 and all(map(_natural, value))):
+            raise ValueError(
+                f"TripleStream {self.label or '<anonymous>'} returned {value!r} at {t}; "
+                "values must be triples of naturals"
+            )
+        _memo_put(memo, t, value)
+        return value
+
+    def name(self) -> NameTriple:
+        """The three-function view: f, g and h project this stream."""
+        label = self.label or "stream"
+        return NameTriple(
+            *(
+                NatFun(lambda t, _i=i: self(t)[_i], label=f"{label}.{c}", memoize=False)
+                for i, c in enumerate("fgh")
+            )
+        )
 
 
 def approx(name: NameTriple, t: int) -> Fraction:

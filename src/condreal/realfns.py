@@ -26,6 +26,14 @@ the same code for one-function names of coded points.  A construction
 stays inside the term language whenever every ingredient is
 term-backed, and otherwise builds the equivalent procedure form.
 
+A ``JointOperator`` builds several value functions at once -- for a
+real value the three functions of a name, projected from one
+``TripleStream`` -- and ``components()`` gives its F, G and H.
+Application, substitution, localization and gluing build a joint once
+wherever its components are used together, in order, so a
+procedure-backed name computes its rational once per index; used one
+at a time, a component gives the same values.
+
 Procedure-backed gluing picks its ball once per argument name and
 evaluates only that ball's local function.  Values are the same as
 under the term form, which evaluates every branch at every index, so
@@ -60,6 +68,8 @@ __all__ = [
     "BallCover",
     "BudgetExhausted",
     "ConditionalFn",
+    "JointComponent",
+    "JointOperator",
     "Neighborhood",
     "Operator",
     "ProcOperator",
@@ -140,11 +150,85 @@ class ProcOperator:
         return self.build(fns)
 
 
+class JointOperator:
+    """``width`` operators built together: one build gives all their results.
+
+    ``build`` maps the argument functions to ``width`` functions at once;
+    for a real value (width 3) that is typically the ``name()`` of a
+    ``TripleStream``, which computes each index's rational once.
+    ``components()`` is the view of one operator each that functions,
+    constructions and terms work with.  Wherever a joint's components
+    are applied together, in order, the joint is built once.
+    """
+
+    __slots__ = ("arity", "width", "build", "label")
+
+    def __init__(
+        self,
+        arity: int,
+        width: int,
+        build: Callable[[tuple[NatFun, ...]], Sequence[NatFun]],
+        label: str = "",
+    ):
+        self.arity, self.width, self.build, self.label = arity, width, build, label
+
+    def apply(self, fns: Sequence[NatFun]) -> tuple[NatFun, ...]:
+        fns = tuple(fns)
+        if len(fns) != self.arity:
+            raise ArityMismatch(f"operator wants {self.arity} functions, got {len(fns)}")
+        return tuple(self.build(fns))
+
+    def components(self) -> tuple["JointComponent", ...]:
+        return tuple(JointComponent(self, pick) for pick in range(self.width))
+
+
+class JointComponent(ProcOperator):
+    """Result ``pick`` of a ``JointOperator``, a procedure on its own.
+
+    Applied alone it builds the joint and keeps its own function, so it
+    gives the same values as the joint application.
+    """
+
+    def __init__(self, joint: JointOperator, pick: int):
+        super().__init__(joint.arity, lambda fns: joint.apply(fns)[pick], f"{joint.label}[{pick}]")
+        self.joint = joint
+        self.pick = pick
+
+
 Operator = TermOperator | ProcOperator
 
 
 def _is_term(op: Operator) -> bool:
     return isinstance(op, TermOperator)
+
+
+def _joint_of(ops: Sequence[Operator]) -> JointOperator | None:
+    """The joint whose components ``ops`` are, all of them in order, if any."""
+    first = ops[0]
+    if not isinstance(first, JointComponent) or len(ops) != first.joint.width:
+        return None
+    if all(
+        isinstance(op, JointComponent) and op.joint is first.joint and op.pick == i
+        for i, op in enumerate(ops)
+    ):
+        return first.joint
+    return None
+
+
+def _apply_ops(ops: Sequence[Operator], fns: Sequence[NatFun]) -> list[NatFun]:
+    """Every operator applied to ``fns``; one joint's components build it once."""
+    out: list[NatFun] = []
+    i = 0
+    while i < len(ops):
+        op = ops[i]
+        joint = _joint_of(ops[i : i + op.joint.width]) if isinstance(op, JointComponent) else None
+        if joint is not None:
+            out.extend(joint.apply(fns))
+            i += joint.width
+        else:
+            out.append(op.apply(fns))
+            i += 1
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -196,8 +280,7 @@ def apply_uniform(fn: UniformFn, names: Sequence[NameTriple]) -> NameTriple:
     """Transform argument names into a (lazily evaluated) value name."""
     if len(names) != fn.n_args:
         raise ArityMismatch(f"{fn.n_args} argument names expected, got {len(names)}")
-    fns = _flatten(names)
-    return NameTriple(fn.F.apply(fns), fn.G.apply(fns), fn.H.apply(fns))
+    return NameTriple(*_apply_ops((fn.F, fn.G, fn.H), _flatten(names)))
 
 
 def find_parameter(fn: ConditionalFn, names: Sequence[NameTriple], budget: int) -> int:
@@ -218,7 +301,7 @@ def apply_conditional_at(
     if len(names) != fn.n_args:
         raise ArityMismatch(f"{fn.n_args} argument names expected, got {len(names)}")
     fns = _flatten(names) + (NatFun.constant(s),)
-    return NameTriple(fn.F.apply(fns), fn.G.apply(fns), fn.H.apply(fns))
+    return NameTriple(*_apply_ops((fn.F, fn.G, fn.H), fns))
 
 
 def apply_conditional(
@@ -237,13 +320,13 @@ def embed_uniform(fn: UniformFn) -> ConditionalFn:
     """
     k = 3 * fn.n_args
     cert = TermOperator(OperatorTerm(k, 1, Proj(1)))
-
-    def widen(op: Operator) -> Operator:
-        if _is_term(op):
-            return TermOperator(OperatorTerm(k + 1, 1, op.term.node))
-        return ProcOperator(k + 1, lambda fns, _op=op: _op.apply(fns[:-1]), "widened")
-
-    return ConditionalFn(fn.n_args, cert, widen(fn.F), widen(fn.G), widen(fn.H))
+    values = (fn.F, fn.G, fn.H)
+    if all(map(_is_term, values)):
+        widened = [TermOperator(OperatorTerm(k + 1, 1, op.term.node)) for op in values]
+    else:
+        # the parameter slot k + 1 goes unread
+        widened = _subst(values, [_slot(k + 1, i, False) for i in range(1, k + 1)], False)
+    return ConditionalFn(fn.n_args, cert, *widened)
 
 
 def identity_uniform() -> UniformFn:
@@ -322,13 +405,19 @@ def _lift(base: BaseFunction, ops: Sequence[Operator], term: bool) -> Operator:
     return ProcOperator(k, build, base.name)
 
 
-def _subst(outer: Operator, inners: Sequence[Operator], term: bool) -> Operator:
-    """Substitution: ``outer`` applied to the outputs of ``inners``."""
+def _subst(outers: Sequence[Operator], inners: Sequence[Operator], term: bool) -> list[Operator]:
+    """Substitution: each of ``outers`` applied to the outputs of ``inners``.
+
+    The procedure form is one joint: applied to an argument tuple it
+    applies the inner operators once and the outer ones to their outputs.
+    """
     if term:
-        return TermOperator(compose_terms(outer.term, [op.term for op in inners]))
-    return ProcOperator(
-        inners[0].arity, lambda fns: outer.apply([op.apply(fns) for op in inners]), "subst"
-    )
+        return [TermOperator(compose_terms(op.term, [i.term for i in inners])) for op in outers]
+
+    def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
+        return _apply_ops(outers, _apply_ops(inners, fns))
+
+    return list(JointOperator(inners[0].arity, len(outers), build, "subst").components())
 
 
 def _reindex(op: Operator, base: BaseFunction, term: bool) -> Operator:
@@ -377,9 +466,10 @@ def _select(
     Every indicator reads all function arguments at index ``k``; the
     default when none passes is the constant zero.  The term form keeps
     the selector ``delta_m`` inside the term, so every guard and branch is
-    evaluated at every index.  The procedure form picks the branch once
-    per argument tuple and evaluates only that branch: values are the
-    same, the support read is smaller.
+    evaluated at every index.  The procedure form is one joint over all
+    components: the first read of any of its results picks the ball for
+    that argument tuple, and only that ball's branches are applied,
+    together.  Values are the same, the support read is smaller.
     """
     n = components[0][0].arity
     if term:
@@ -398,22 +488,26 @@ def _select(
 
         return [select_term(branches) for branches in components]
 
-    def select_proc(branches: Sequence[Operator]) -> Operator:
-        def build(fns: tuple[NatFun, ...]) -> NatFun:
-            chosen: NatFun | None = None
+    width = len(components)
 
-            def ev(t: int) -> int:
-                nonlocal chosen
-                if chosen is None:
-                    i = _first_passing(indicators, [fn(k) for fn in fns])
-                    chosen = NatFun.constant(0) if i is None else branches[i - 1].apply(fns)
-                return chosen(t)
+    def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
+        chosen: list[NatFun] = []
 
-            return NatFun(ev, label="glued")
+        def branch(j: int) -> NatFun:
+            if not chosen:
+                i = _first_passing(indicators, [fn(k) for fn in fns])
+                if i is None:
+                    chosen.extend([NatFun.constant(0)] * width)
+                else:
+                    chosen.extend(_apply_ops([branches[i - 1] for branches in components], fns))
+            return chosen[j]
 
-        return ProcOperator(n, build, "glued")
+        return [
+            NatFun(lambda t, _j=j: branch(_j)(t), label="glued", memoize=False)
+            for j in range(width)
+        ]
 
-    return [select_proc(branches) for branches in components]
+    return list(JointOperator(n, width, build, "glued").components())
 
 
 # ---------------------------------------------------------------------------
@@ -446,17 +540,17 @@ def _compose_ops(
     slots = [_slot(w + 1, i, term) for i in range(1, w + 1)]
     param = _slot(w + 1, w + 1, term)
     # the inner value name, its parameter slot read through `right`
-    inner_value = [_subst(v, slots + [_lift(_RIGHT, [param], term)], term) for v in v_inner]
+    inner_value = _subst(v_inner, slots + [_lift(_RIGHT, [param], term)], term)
     cert = _lift(
         _CONJ,
         [
             _reindex(e_inner, _RIGHT, term),
-            _diagonal(_reindex(_subst(e_outer, inner_value, term), _LEFT, term), term),
+            _diagonal(_reindex(_subst([e_outer], inner_value, term)[0], _LEFT, term), term),
         ],
         term,
     )
     outer_args = inner_value + [_lift(_LEFT, [param], term)]
-    return (cert, *(_subst(v, outer_args, term) for v in v_outer))
+    return (cert, *_subst(v_outer, outer_args, term))
 
 
 def _localize_ops(
@@ -482,7 +576,7 @@ def _localize_ops(
     w = len(anchor)
     inners = [_patch(w, i, [point[i - 1] for point in prefix], term) for i in range(1, w + 1)]
     inners.append(_constant(w, s0, term))
-    return prefix, [_subst(v, inners, term) for v in values]
+    return prefix, _subst(values, inners, term)
 
 
 def _glue_ops(

@@ -176,6 +176,12 @@ def test_gadgets_eval_handles_long_comparisons(capsys):
     assert err == ""
 
 
+def test_gadgets_eval_handles_long_selectors(capsys):
+    # delta_1000 dispatches over 1000 guard/value pairs, then the default
+    code, out, err = run(capsys, "gadgets", "eval", "delta_1000", *["1"] * 2000, "0")
+    assert (code, out.strip(), err) == (0, "0", "")
+
+
 def test_gadgets_eval_rejects_unknown_names_and_bad_arity(capsys):
     code, _, err = run(capsys, "gadgets", "eval", "nosuch", "1")
     assert code == 2

@@ -1,4 +1,6 @@
+import tracemalloc
 from fractions import Fraction
+from random import Random
 
 import pytest
 
@@ -14,10 +16,13 @@ from condreal.elementary import (
     registry_validate,
     uniform_from_rule,
 )
-from condreal.naming import approx, rational_name, validate_name
+from condreal.naming import NatFun, approx, rational_name, validate_name
 from condreal.realfns import (
     BudgetExhausted,
+    ConditionalFn,
+    JointComponent,
     apply_conditional,
+    apply_conditional_at,
     apply_uniform,
     find_parameter,
 )
@@ -186,3 +191,114 @@ def test_reciprocal_fn_is_freshly_buildable():
     recip = reciprocal_fn()
     out = apply_conditional(recip, [rational_name(Fraction(-1, 4))], 100)
     assert validate_name(out, Fraction(-4), 200).passed
+
+
+# ---------------------------------------------------------------------------
+# one rational per index: the joint name against its components
+# ---------------------------------------------------------------------------
+
+
+def seeded_points(rng, n_args, count=6):
+    def rational():
+        q = Fraction(rng.randrange(-999, 1000), rng.randrange(1, 300))
+        return q if q != 0 else Fraction(1, 7)
+
+    return [tuple(rational() for _ in range(n_args)) for _ in range(count)]
+
+
+def test_joint_names_equal_their_components_applied_separately(registry):
+    rng = Random(404)
+    ts = range(201)
+    for entry in registry:
+        fn = entry.fn
+        assert all(isinstance(op, JointComponent) for op in (fn.F, fn.G, fn.H))
+        for point in seeded_points(rng, entry.n_args):
+            names = [rational_name(q) for q in point]
+            fns = [f for name in names for f in name]
+            if isinstance(fn, ConditionalFn):
+                s = find_parameter(fn, names, 10_000)
+                joint = apply_conditional_at(fn, names, s)
+                fns.append(NatFun.constant(s))
+            else:
+                joint = apply_uniform(fn, names)
+            # each component built and read on its own
+            alone = [op.apply(fns) for op in (fn.F, fn.G, fn.H)]
+            assert [[c(t) for t in ts] for c in joint] == [[c(t) for t in ts] for c in alone]
+
+
+def test_reading_a_whole_name_runs_the_rule_once_per_index():
+    calls = []
+
+    def rule(a, b):
+        calls.append((a, b))
+        return a * b + 1
+
+    fn = uniform_from_rule(2, rule, lambda t, names: 2 * t + 1, "counted")
+    out = apply_uniform(fn, [rational_name(Fraction(1, 3)), rational_name(Fraction(-2))])
+    n = 150
+    for t in range(n + 1):
+        out.f(t), out.g(t), out.h(t)
+    for t in reversed(range(n + 1)):
+        approx(out, t)
+    assert len(calls) == n + 1
+
+
+def test_reciprocal_reads_its_argument_once_per_output_index(registry):
+    calls = []
+    counted = uniform_from_rule(1, lambda a: calls.append(a) or a, lambda t, names: t, "counted")
+    argument = apply_uniform(counted, [rational_name(Fraction(3, 4))])
+    recip = registry.get("recip").fn
+    s = find_parameter(recip, [argument], 100)
+    del calls[:]
+    out = apply_conditional_at(recip, [argument], s)
+    for t in range(40):
+        approx(out, t)
+    # one argument index per output index, each computed once
+    assert len(calls) == 40
+
+
+def test_exhausting_search_memory_does_not_grow_with_the_budget(registry):
+    sub, recip = registry.get("sub").fn, registry.get("recip").fn
+
+    def peak(budget):
+        zero = apply_uniform(sub, [rational_name(Fraction(1, 3))] * 2)
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetExhausted):
+                find_parameter(recip, [zero], budget)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(20_000), peak(200_000)
+    assert large < 2 * small
+
+
+# ---------------------------------------------------------------------------
+# default registries
+# ---------------------------------------------------------------------------
+
+
+def test_default_registries_are_fresh_and_do_not_share_constants():
+    first, second = default_functions(), default_functions()
+    assert first is not second
+    assert first.get("add") is second.get("add")
+    first.get("const_5/3")
+    assert "const_5/3" in first.names()
+    assert "const_5/3" not in second.names()
+    assert "const_5/3" not in default_functions().names()
+
+
+def test_a_default_registry_still_rejects_a_drifted_entry():
+    reg = default_functions()
+    drifted = Entry(
+        "add_drifted",
+        2,
+        uniform_from_rule(2, lambda a, b: a + b + Fraction(1, 8), lambda t, names: 2 * t + 1, "add"),
+        lambda a, b: a + b,
+    )
+    with pytest.raises(ValueError, match="failed validation"):
+        reg.register(drifted)
+    assert "add_drifted" not in reg.names()
+    with pytest.raises(ValueError):
+        register_builtins(reg)

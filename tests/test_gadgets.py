@@ -116,6 +116,28 @@ def test_delta_k_matches_first_zero_dispatch():
             assert fn.fn(*args) == first_zero_oracle(k, args)
 
 
+def delta_recursive(k, args):
+    # the paper's recursion, delta_{K+1}(x1, y1, rest) = delta_1(x1, y1,
+    # delta_K(rest)): the oracle for the iterative evaluation
+    if k == 0:
+        return args[0]
+    return delta_1(args[0], args[1], delta_recursive(k - 1, args[2:]))
+
+
+def test_delta_k_matches_its_recursion_exhaustively():
+    for k in range(5):
+        fn = delta_k(k).fn
+        for args in product(range(3), repeat=2 * k + 1):
+            assert fn(*args) == delta_recursive(k, args)
+
+
+def test_delta_k_evaluates_long_argument_lists():
+    # far past the interpreter's recursion limit
+    k = 3000
+    assert delta_k(k).fn(*([1] * (2 * k) + [4])) == 4
+    assert delta_k(k).fn(*([1] * (2 * k - 2) + [0, 7, 4])) == 7
+
+
 def test_mu_matches_its_case_rule_and_its_dispatch_formula():
     d1 = delta_k(1).fn
     for k, c in product(range(1, 5), repeat=2):

@@ -231,6 +231,25 @@ def test_ms_translation_round_trip_is_code_exact():
         assert out1.f(t) == out2.f(t)
 
 
+def test_translations_run_a_joint_rule_once_per_index():
+    calls = []
+    counted = uniform_from_rule(
+        1, lambda a: calls.append(a) or 3 * a, lambda t, names: t, "triple"
+    )
+    out = apply_uniform_ms(translate_uniform(counted), mn_name((Fraction(-2, 9),)))
+    assert [M1.alpha(out.f(t)) for t in range(50)] == [(Fraction(-2, 3),)] * 50
+    assert len(calls) == 50
+
+    del calls[:]
+    recip_ms = translate_conditional(RECIP)
+    argument = apply_uniform_ms(translate_uniform(counted), mn_name((Fraction(1, 4),)))
+    s = find_parameter_ms(recip_ms, argument, 100)
+    del calls[:]
+    out = apply_conditional_ms_at(recip_ms, argument, s)
+    assert validate_ordinary_name(out, mn_code((Fraction(4, 3),)), 39) == []
+    assert len(calls) == 40
+
+
 def test_translation_back_requires_coordinate_spaces():
     bogus = identity_ms(make_discrete(3))
     with pytest.raises(SpaceMismatch):

@@ -5,8 +5,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from condreal.naming import (
+    MEMO_CAP,
     NameTriple,
     NatFun,
+    TripleStream,
     approx,
     format_rational,
     parse_rational,
@@ -101,6 +103,56 @@ def test_natfun_memoization_is_per_instance():
     assert calls == [4, 4]
 
 
+def test_natfun_memo_is_bounded():
+    fn = NatFun(lambda t: 2 * t)
+    for t in range(MEMO_CAP + 10):
+        assert fn(t) == 2 * t
+    assert len(fn._memo) <= MEMO_CAP
+    assert [fn(t) for t in range(5)] == [0, 2, 4, 6, 8]
+
+
+def counted_stream(calls):
+    def body(t):
+        calls.append(t)
+        return (t, 1, t % 3)
+
+    return TripleStream(body, "counted")
+
+
+def test_stream_projections_share_one_evaluation_per_index():
+    calls = []
+    name = counted_stream(calls).name()
+    for t in range(30):
+        assert (name.h(t), name.f(t), name.g(t)) == (t % 3, t, 1)
+    assert calls == list(range(30))
+    assert [fn.label for fn in name] == ["counted.f", "counted.g", "counted.h"]
+
+
+def test_stream_memo_is_bounded_and_keeps_values():
+    calls = []
+    stream = counted_stream(calls)
+    for t in range(MEMO_CAP + 10):
+        assert stream(t) == (t, 1, t % 3)
+    assert len(stream._memo) <= MEMO_CAP
+    # the latest index is still cached; an evicted one is recomputed
+    stream(MEMO_CAP + 9)
+    assert calls.count(MEMO_CAP + 9) == 1
+    assert stream(0) == (0, 1, 0)
+    assert calls.count(0) == 2
+
+
+def test_stream_checks_its_argument_and_its_triples():
+    stream = TripleStream(lambda t: (t, 0, 0))
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            stream(bad)
+    for broken in ((1, 2), (1, -1, 0), (1, 0, 0.5), [1, 0, 0]):
+        with pytest.raises(ValueError):
+            TripleStream(lambda _t, b=broken: b, "broken")(0)
+    with pytest.raises(ValueError):
+        stream.name().f(-1)
+
+
 def test_patched_switches_at_the_cutoff():
     patched = NatFun.patched(NatFun.constant(9), 3, NatFun.identity())
     assert [patched(t) for t in range(6)] == [9, 9, 9, 3, 4, 5]
@@ -131,3 +183,14 @@ def test_parse_rational_rejects_garbage():
     for text in ("", "one", "1/0", "1//2"):
         with pytest.raises(ValueError):
             parse_rational(text)
+
+
+def test_a_cached_index_admits_no_bool_or_float_argument():
+    fn = NatFun(lambda t: t)
+    stream = TripleStream(lambda t: (t, 0, 0))
+    assert fn(1) == 1 and stream(1) == (1, 0, 0)
+    for bad in (True, 1.0):
+        with pytest.raises(ValueError):
+            fn(bad)
+        with pytest.raises(ValueError):
+            stream(bad)

@@ -5,13 +5,14 @@ import pytest
 
 from condreal.elementary import default_functions, uniform_from_rule
 from condreal.gadgets import CORE, left, right
-from condreal.naming import NatFun, approx, rational_name, validate_name
+from condreal.naming import NameTriple, NatFun, approx, rational_name, recording, validate_name
 from condreal.realfns import (
     Ball,
     ProcOperator,
     BallCover,
     BudgetExhausted,
     ConditionalFn,
+    JointComponent,
     TermOperator,
     UniformFn,
     apply_conditional,
@@ -274,7 +275,7 @@ def test_combinators_over_operators_agree_in_both_forms():
         wide = TermOperator(random_term(rng, k + 1, 1, 3))
         pairs = [
             (_lift(base, ops, True), _lift(base, ops, False)),
-            (_subst(outer, inners, True), _subst(outer, inners, False)),
+            (_subst([outer], inners, True)[0], _subst([outer], inners, False)[0]),
             (_reindex(ops[0], index, True), _reindex(ops[0], index, False)),
             (_diagonal(wide, True), _diagonal(wide, False)),
         ]
@@ -376,6 +377,30 @@ def test_glued_procedure_picks_the_dispatched_ball():
         picked = dispatch_index(cover, [rational_name(q)])
         out = apply_uniform(glued, [rational_name(q)])
         assert approx(out, 5) == (picked or 0)
+
+
+def test_glued_procedure_reads_its_arguments_only_when_read():
+    cover = BallCover(
+        (
+            Ball((Fraction(-1),), Fraction(3, 2), proc_negate_fn()),
+            Ball((Fraction(1),), Fraction(3, 2), proc_identity_fn()),
+        ),
+        separation=3,
+    )
+    glued = glue_compact(cover)
+    fns, log = recording(tuple(rational_name(Fraction(1, 2))))
+    out = apply_uniform(glued, [NameTriple(*fns)])
+    assert not any(log.values())
+    assert approx(out, 4) == Fraction(1, 2)
+    assert any(log.values())
+    # the composite's certificate never reads the glued value, so nothing is read
+    composed = compose_conditional(embed_uniform(proc_identity_fn()), embed_uniform(glued))
+    fns, log = recording(tuple(rational_name(Fraction(1, 2))))
+    cert = composed.E.apply(fns)
+    assert find_parameter(composed, [rational_name(Fraction(1, 2))], 10) == 0
+    for t in range(10):
+        cert(t)
+    assert not any(log.values())
 
 
 # ---------------------------------------------------------------------------
@@ -558,3 +583,79 @@ def test_one_ball_cover_with_a_wide_separation_glues(local, sign):
 def test_ball_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
         Ball((Fraction(0),), Fraction(0), proc_identity_fn())
+
+
+# ---------------------------------------------------------------------------
+# joint names: constructions over one-joint functions stay joint
+# ---------------------------------------------------------------------------
+
+
+def counted_fn(calls, scale=1):
+    # a procedure-backed q -> scale * q whose rule logs every evaluation
+    return uniform_from_rule(
+        1, lambda a: calls.append(a) or scale * a, lambda t, names: t, f"times {scale}"
+    )
+
+
+def read_whole(name, ts):
+    return [(name.f(t), name.g(t), name.h(t)) for t in ts]
+
+
+def components_alone(fn, fns, ts):
+    alone = [op.apply(fns) for op in (fn.F, fn.G, fn.H)]
+    return [tuple(c(t) for c in alone) for t in ts]
+
+
+def test_embedded_and_glued_joint_functions_run_the_rule_once_per_index():
+    calls = []
+    ts = range(60)
+    embedded = embed_uniform(counted_fn(calls, 2))
+    assert isinstance(embedded.F, JointComponent)
+    out = apply_conditional(embedded, [rational_name(Fraction(3, 5))], 10)
+    assert read_whole(out, ts) == [(6, 0, 4)] * 60
+    assert len(calls) == 60
+
+    del calls[:]
+    cover = BallCover(
+        (
+            Ball((Fraction(-1),), Fraction(3, 2), counted_fn(calls, -1)),
+            Ball((Fraction(1),), Fraction(3, 2), counted_fn(calls, 1)),
+        ),
+        separation=3,
+    )
+    glued = glue_compact(cover)
+    assert isinstance(glued.F, JointComponent)
+    name = [rational_name(Fraction(-1, 2))]
+    assert read_whole(apply_uniform(glued, name), ts) == [(1, 0, 1)] * 60
+    assert len(calls) == 60
+    fns = tuple(name[0])
+    assert components_alone(glued, fns, ts) == [(1, 0, 1)] * 60
+
+
+def test_localized_and_composed_joint_functions_agree_with_their_components():
+    calls = []
+    ts = range(0, 80, 3)
+    composed = compose_conditional(RECIP, embed_uniform(counted_fn(calls, -1)))
+    assert all(isinstance(op, JointComponent) for op in (composed.F, composed.G, composed.H))
+    for q in (Fraction(2, 3), Fraction(-5, 2)):
+        names = [rational_name(q)]
+        s = find_parameter(composed, names, 1000)
+        out = apply_conditional_at(composed, names, s)
+        assert validate_name(out, -1 / q, 79).passed
+        fns = tuple(names[0]) + (NatFun.constant(s),)
+        assert read_whole(out, ts) == components_alone(composed, fns, ts)
+
+    hood, local = localize(RECIP, rational_name(Fraction(1, 2)), 100)
+    assert isinstance(local.F, JointComponent)
+    q = Fraction(1, 2) + Fraction(1, 10 * (hood.cutoff + 2))
+    out = apply_uniform(local, [rational_name(q)])
+    assert validate_name(out, 1 / q, 79).passed
+    assert read_whole(out, ts) == components_alone(local, tuple(rational_name(q)), ts)
+
+
+def test_mixed_operators_are_applied_one_by_one():
+    # F, G, H of two different joints: no joint build applies
+    a, b = proc_negate_fn(), proc_identity_fn()
+    mixed = UniformFn(1, a.F, b.G, a.H)
+    out = apply_uniform(mixed, [rational_name(Fraction(-3, 4))])
+    assert read_whole(out, range(5)) == [(3, 3, 3)] * 5
