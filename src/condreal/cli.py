@@ -40,7 +40,7 @@ from .realfns import (
     apply_uniform,
     find_parameter,
 )
-from .sexpr import SexprError, parse_sexpr
+from .sexpr import SexprError, nesting, parse_sexpr
 from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main", "main_entry"]
@@ -171,15 +171,6 @@ def _eval_node(
     return _apply_entry(entry, names, budget, found)
 
 
-def _nesting(tree: object) -> int:
-    """How many list levels deep a parsed expression is; an atom is 0."""
-    depth, level = 0, [tree]
-    while any(isinstance(node, list) for node in level):
-        depth += 1
-        level = [child for node in level if isinstance(node, list) for child in node]
-    return depth
-
-
 def _cmd_eval(args: argparse.Namespace) -> int:
     registry = default_functions()
     try:
@@ -189,7 +180,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
     except (SexprError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if _nesting(tree) > _MAX_NESTING:
+    if nesting(tree) > _MAX_NESTING:
         print(_TOO_DEEP.format(_MAX_NESTING), file=sys.stderr)
         return 2
 

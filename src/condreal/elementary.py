@@ -32,6 +32,7 @@ from .naming import (
     format_rational,
     parse_rational,
     rational_name,
+    triple_reader,
     validate_name,
 )
 from .realfns import (
@@ -68,6 +69,11 @@ def _encode(q: Fraction) -> tuple[int, int, int]:
     return (p if p > 0 else 0, -p if p < 0 else 0, d - 1)
 
 
+def _decode(triple: tuple[int, int, int]) -> Fraction:
+    x, y, z = triple
+    return Fraction(x - y, z + 1)
+
+
 Schedule = Callable[[int, Sequence[NameTriple]], int]
 
 
@@ -85,15 +91,17 @@ def uniform_from_rule(
     owns the error analysis: the schedule must be fine enough that the
     rule's output is within ``1/(t+1)`` of the true value.  F, G and H
     are the components of one ``JointOperator``, so an application
-    computes each index's rational once.
+    computes each index's rational once, and it reads each argument name
+    through one ``triple_reader``.
     """
 
     def build(fns: tuple[NatFun, ...]) -> NameTriple:
         names = [NameTriple(*fns[3 * j : 3 * j + 3]) for j in range(n_args)]
+        readers = [triple_reader(*nm) for nm in names]
 
         def ev(t: int) -> tuple[int, int, int]:
             tau = schedule(t, names)
-            value = rule(*[approx(nm, tau) for nm in names])
+            value = rule(*[_decode(read(tau)) for read in readers])
             return _encode(value if isinstance(value, Fraction) else Fraction(value))
 
         return TripleStream(ev, name).name()
@@ -138,10 +146,10 @@ def _recip_certificate() -> ProcOperator:
     test = gadgets.gt(2)
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
-        f, g, h = fns
+        read = triple_reader(*fns)
 
         def ev(s: int) -> int:
-            x, y, z = f(s), g(s), h(s)
+            x, y, z = read(s)
             d = x - y if x >= y else y - x
             return 0 if test.fn(d * (s + 1), 0, z) else 1
 
@@ -158,12 +166,12 @@ def _recip_value() -> JointOperator:
     # 1/(t+1).  The q = 0 guard is unreachable for certified inputs and
     # only keeps the operator total.
     def build(fns: tuple[NatFun, ...]) -> NameTriple:
-        f, g, h, e = fns
+        read, e = triple_reader(*fns[:3]), fns[3]
 
         def ev(t: int) -> tuple[int, int, int]:
             s = e(t)
             tau = 2 * (s + 1) * (s + 1) * (t + 1) - 1
-            q = Fraction(f(tau) - g(tau), h(tau) + 1)
+            q = _decode(read(tau))
             return _encode(Fraction(0) if q == 0 else 1 / q)
 
         return TripleStream(ev, "recip").name()

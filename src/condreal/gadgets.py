@@ -55,6 +55,7 @@ __all__ = [
     "succ",
     "tuple_pack",
     "tuple_part",
+    "tuple_parts",
 ]
 
 
@@ -117,6 +118,20 @@ def tuple_part(k: int, i: int, n: int) -> int:
     for _ in range(i - 1):
         n = right(n)
     return left(n) if i < k else n
+
+
+def tuple_parts(k: int, n: int) -> tuple[int, ...]:
+    """All k components of a k-tuple code, unpaired in one walk."""
+    if k < 1:
+        raise ValueError(f"a tuple has at least one component, got {k}")
+    parts = []
+    for _ in range(k - 1):
+        w = (isqrt(8 * n + 1) - 1) // 2
+        u = n - w * (w + 1) // 2
+        parts.append(u)
+        n = w - u
+    parts.append(n)
+    return tuple(parts)
 
 
 # ---------------------------------------------------------------------------

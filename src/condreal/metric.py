@@ -29,8 +29,8 @@ from functools import lru_cache
 from typing import Callable, Sequence
 
 from . import gadgets
-from .gadgets import conj, tuple_pack, tuple_part
-from .naming import NatFun
+from .gadgets import conj, tuple_pack, tuple_part, tuple_parts
+from .naming import NatFun, TripleStream, triple_reader
 from .realfns import (
     BudgetExhausted,
     ConditionalFn,
@@ -157,9 +157,13 @@ def _part_lift(width: int, index: int, fn: NatFun) -> NatFun:
 
 
 def _pack_lift(fns: Sequence[NatFun]) -> NatFun:
+    # the code stream of names given as consecutive f, g, h triples
     fns = tuple(fns)
+    readers = [triple_reader(*fns[i : i + 3]) for i in range(0, len(fns), 3)]
     return NatFun(
-        lambda t: tuple_pack([fn(t) for fn in fns]), label="pack", memoize=False
+        lambda t: tuple_pack([v for read in readers for v in read(t)]),
+        label="pack",
+        memoize=False,
     )
 
 
@@ -408,7 +412,7 @@ def make_mn(n_dims: int) -> EffectiveSpace:
     width = 3 * n_dims
 
     def alpha(n: int) -> tuple[Fraction, ...]:
-        parts = [tuple_part(width, i, n) for i in range(1, width + 1)]
+        parts = tuple_parts(width, n)
         return tuple(
             Fraction(parts[3 * j] - parts[3 * j + 1], parts[3 * j + 2] + 1)
             for j in range(n_dims)
@@ -471,14 +475,18 @@ def builtin_spaces() -> list[EffectiveSpace]:
     return [make_mn(1), make_mn(2), make_mn(3), make_discrete(8)]
 
 
-def _unpacked(fn: NatFun) -> list[NatFun]:
-    # the name triple an M_1 code stream stands for
-    return [_part_lift(3, pick, fn) for pick in (1, 2, 3)]
-
-
 def _decoded_parts(n_dims: int, fn: NatFun) -> tuple[NatFun, ...]:
+    """The 3N functions an M_N code stream stands for.
+
+    Each coordinate's name projects one stream that decodes the code
+    once per index, so a reader takes the coordinate whole.
+    """
     width = 3 * n_dims
-    return tuple(_part_lift(width, i, fn) for i in range(1, width + 1))
+    streams = [
+        TripleStream(lambda t, j=j: tuple_parts(width, fn(t))[j : j + 3], "decoded")
+        for j in range(0, width, 3)
+    ]
+    return tuple(part for stream in streams for part in stream.name())
 
 
 def translate_uniform(fn: UniformFn) -> MsUniformFn:
@@ -506,7 +514,7 @@ def translate_uniform_back(fn: MsUniformFn) -> UniformFn:
         raise SpaceMismatch("translation expects a map from M_N to M_1")
 
     def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
-        return _unpacked(fn.T.apply((_pack_lift(fns),)))
+        return _decoded_parts(1, fn.T.apply((_pack_lift(fns),)))
 
     return UniformFn(n, *JointOperator(3 * n, 3, build, "translated-back").components())
 
@@ -539,7 +547,7 @@ def translate_conditional_back(fn: MsConditionalFn) -> ConditionalFn:
         return fn.E.apply((_pack_lift(fns),))
 
     def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
-        return _unpacked(fn.T.apply((_pack_lift(fns[:-1]), fns[-1])))
+        return _decoded_parts(1, fn.T.apply((_pack_lift(fns[:-1]), fns[-1])))
 
     return ConditionalFn(
         n,
@@ -589,7 +597,7 @@ def tuple_conditional(fns: Sequence[MsConditionalFn]) -> MsConditionalFn:
             comps: list[int] = []
             for out in outs:
                 code = out(t)
-                comps.extend(tuple_part(3, j, code) for j in (1, 2, 3))
+                comps.extend(tuple_parts(3, code))
             return tuple_pack(comps)
 
         return NatFun(ev, label="tupled-value")
@@ -615,6 +623,6 @@ def code_ball_indicator(
     width = 3 * n_dims
 
     def fn(n: int) -> int:
-        return base.fn(*(tuple_part(width, i, n) for i in range(1, width + 1)))
+        return base.fn(*tuple_parts(width, n))
 
     return fn

@@ -28,6 +28,17 @@ manipulates these triples, so this module pins down the two ground types:
     layer use: ``f``, ``g`` and ``h`` project the one memo, so reading
     all three at an index computes that index's rational once.
 
+``triple_reader``
+    how a consumer reads a name: one ``(x, y, z)`` per index.  A stream's
+    projections and ``NatFun.constant`` know where their values come
+    from, so the reader of a stream's ``f, g, h`` is the stream itself
+    and the reader of three constants returns one fixed triple; any
+    other triple (a recording spy, a patch, a user ``NatFun``) is read
+    through its three functions.  A value is checked once, where it is
+    made: by the stream's triple check, by the constant's check at
+    construction, or by a ``NatFun``'s own evaluation; every reader
+    still refuses an argument that is not a natural.
+
 Rationals are ``fractions.Fraction`` throughout: arbitrary-precision,
 kept in lowest terms with positive denominator, exactly the contract the
 approximation arithmetic needs.
@@ -52,6 +63,7 @@ __all__ = [
     "precision_index",
     "rational_name",
     "recording",
+    "triple_reader",
     "validate_name",
 ]
 
@@ -90,12 +102,14 @@ class NatFun:
     indices.
     """
 
-    __slots__ = ("_fn", "_memo", "label")
+    __slots__ = ("_fn", "_memo", "label", "_source")
 
     def __init__(self, fn: Callable[[int], int], label: str = "", memoize: bool = True):
         self._fn = fn
         self._memo: dict[int, int] | None = {} if memoize else None
         self.label = label
+        # (stream, position) of a stream projection, (None, c) of a constant
+        self._source: tuple[TripleStream | None, int] | None = None
 
     def __call__(self, t: int) -> int:
         memo = self._memo
@@ -138,7 +152,9 @@ class NatFun:
         """The constant function t -> c."""
         if not _natural(c):
             raise ValueError(f"constant value must be a natural, got {c!r}")
-        return cls(lambda _t: c, label=f"const {c}", memoize=False)
+        fn = cls(lambda _t: c, label=f"const {c}", memoize=False)
+        fn._source = (None, c)
+        return fn
 
     @classmethod
     def identity(cls) -> "NatFun":
@@ -189,9 +205,16 @@ class TripleStream:
         hit = memo.get(t)
         if hit is not None and t.__class__ is int:
             return hit
-        _check_argument(t, "TripleStream")
+        if t.__class__ is not int or t < 0:
+            _check_argument(t, "TripleStream")
         value = self._fn(t)
-        if not (isinstance(value, tuple) and len(value) == 3 and all(map(_natural, value))):
+        # a tuple of three plain ints is checked inline, anything else by ``_natural``
+        if not (
+            value.__class__ is tuple
+            and len(value) == 3
+            and value[0].__class__ is value[1].__class__ is value[2].__class__ is int
+            and min(value) >= 0
+        ) and not (isinstance(value, tuple) and len(value) == 3 and all(map(_natural, value))):
             raise ValueError(
                 f"TripleStream {self.label or '<anonymous>'} returned {value!r} at {t}; "
                 "values must be triples of naturals"
@@ -202,17 +225,43 @@ class TripleStream:
     def name(self) -> NameTriple:
         """The three-function view: f, g and h project this stream."""
         label = self.label or "stream"
-        return NameTriple(
-            *(
-                NatFun(lambda t, _i=i: self(t)[_i], label=f"{label}.{c}", memoize=False)
-                for i, c in enumerate("fgh")
-            )
-        )
+        fns = []
+        for i, c in enumerate("fgh"):
+            fn = NatFun(lambda t, _i=i: self(t)[_i], label=f"{label}.{c}", memoize=False)
+            fn._source = (self, i)
+            fns.append(fn)
+        return NameTriple(*fns)
+
+
+def triple_reader(f: NatFun, g: NatFun, h: NatFun) -> Callable[[int], tuple[int, int, int]]:
+    """One call per index giving ``(f(t), g(t), h(t))``.
+
+    The projections of one stream, in order, are read as the stream
+    itself, and three constants as their fixed triple; anything else is
+    read through its three functions.  The values are the same either
+    way, and every reader refuses an argument that is not a natural.
+    """
+    sources = [getattr(fn, "_source", None) for fn in (f, g, h)]
+    if None not in sources:
+        (a, i), (b, j), (c, k) = sources
+        if a is None and b is None and c is None:
+            triple = (i, j, k)
+
+            def read(t: int) -> tuple[int, int, int]:
+                if t.__class__ is not int or t < 0:
+                    _check_argument(t, "NatFun")
+                return triple
+
+            return read
+        if a is b is c and (i, j, k) == (0, 1, 2):
+            return a
+    return lambda t: (f(t), g(t), h(t))
 
 
 def approx(name: NameTriple, t: int) -> Fraction:
     """The rational approximation encoded at index ``t``, in lowest terms."""
-    return Fraction(name.f(t) - name.g(t), name.h(t) + 1)
+    x, y, z = triple_reader(*name)(t)
+    return Fraction(x - y, z + 1)
 
 
 def rational_name(q: Fraction | int) -> NameTriple:
@@ -281,9 +330,11 @@ def validate_name(name: NameTriple, reference: Fraction | int, t_max: int) -> Va
     row per index so failures point at the first offending t.
     """
     reference = Fraction(reference)
+    read = triple_reader(*name)
     rows = []
     for t in range(t_max + 1):
-        value = approx(name, t)
+        x, y, z = read(t)
+        value = Fraction(x - y, z + 1)
         bound = Fraction(1, t + 1)
         rows.append(ValidationRow(t, value, bound, abs(value - reference) < bound))
     return ValidationReport(reference, tuple(rows))

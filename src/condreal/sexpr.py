@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-__all__ = ["SexprError", "parse_sexpr"]
+__all__ = ["SexprError", "nesting", "parse_sexpr"]
 
 
 class SexprError(ValueError):
@@ -41,3 +41,12 @@ def parse_sexpr(text: str):
             raise SexprError(f"trailing input after expression: {' '.join(rest)!r}")
         return item
     raise SexprError("unbalanced '('")
+
+
+def nesting(tree: object) -> int:
+    """How many list levels deep a parsed expression is; an atom is 0."""
+    depth, level = 0, [tree]
+    while any(isinstance(node, list) for node in level):
+        depth += 1
+        level = [child for node in level if isinstance(node, list) for child in node]
+    return depth

@@ -41,13 +41,14 @@ from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, Union
 
 from .naming import NatFun, recording
-from .sexpr import SexprError, parse_sexpr
+from .sexpr import SexprError, nesting, parse_sexpr
 
 __all__ = [
     "Apply",
     "ArityMismatch",
     "Base",
     "BaseFunction",
+    "MAX_TERM_DEPTH",
     "OperatorTerm",
     "Proj",
     "SupportTrace",
@@ -67,6 +68,12 @@ __all__ = [
 
 class ArityMismatch(ValueError):
     pass
+
+
+# The term walks (evaluation, printing, composition, support bounds)
+# recurse once or twice per node level; terms parsed from text stay this
+# shallow, well inside the default recursion limit.
+MAX_TERM_DEPTH = 200
 
 
 @dataclass(frozen=True)
@@ -390,9 +397,13 @@ def parse_term(
 
     ``resolve`` maps base-function names to their entries (typically a
     gadget registry lookup); arities are re-validated on construction, so
-    a printed term parses back to an equal one.
+    a printed term parses back to an equal one.  Raises ``SexprError``
+    on malformed input and on a term nested more than
+    ``MAX_TERM_DEPTH`` levels deep.
     """
     expr = parse_sexpr(text)
+    if nesting(expr) > MAX_TERM_DEPTH:
+        raise SexprError(f"term nested too deeply (at most {MAX_TERM_DEPTH} levels)")
 
     def build(node) -> Node:
         if not isinstance(node, list) or not node:

@@ -16,7 +16,7 @@ from condreal.elementary import (
     registry_validate,
     uniform_from_rule,
 )
-from condreal.naming import NatFun, approx, rational_name, validate_name
+from condreal.naming import NatFun, TripleStream, approx, rational_name, validate_name
 from condreal.realfns import (
     BudgetExhausted,
     ConditionalFn,
@@ -241,6 +241,33 @@ def test_reading_a_whole_name_runs_the_rule_once_per_index():
     for t in reversed(range(n + 1)):
         approx(out, t)
     assert len(calls) == n + 1
+
+
+class _CountingStream(TripleStream):
+    """A stream that counts how often it is read."""
+
+    def __init__(self, fn):
+        super().__init__(fn, "counted")
+        self.reads = 0
+
+    def __call__(self, t):
+        self.reads += 1
+        return super().__call__(t)
+
+
+def test_whole_outputs_read_each_argument_stream_once_per_index():
+    calls = []
+    negate = uniform_from_rule(1, lambda a: calls.append(a) or -a, lambda t, names: t, "negate")
+    add = uniform_from_rule(2, lambda a, b: calls.append(a) or a + b, lambda t, names: 2 * t + 1, "add")
+    n = 120
+    for fn in (negate, add):
+        streams = [_CountingStream(lambda t, c=c: (t + c, 1, 2)) for c in range(fn.n_args)]
+        del calls[:]
+        out = apply_uniform(fn, [stream.name() for stream in streams])
+        for t in range(n + 1):
+            out.f(t), out.g(t), out.h(t)
+        assert len(calls) == n + 1
+        assert [stream.reads for stream in streams] == [n + 1] * fn.n_args
 
 
 def test_reciprocal_reads_its_argument_once_per_output_index(registry):

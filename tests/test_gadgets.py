@@ -26,6 +26,7 @@ from condreal.gadgets import (
     succ,
     tuple_pack,
     tuple_part,
+    tuple_parts,
 )
 
 nats = st.integers(min_value=0, max_value=10_000)
@@ -86,6 +87,14 @@ def test_tuple_pack_parts_invert(values):
     k = len(values)
     for i, v in enumerate(values, start=1):
         assert tuple_part(k, i, packed) == v
+
+
+@given(st.lists(st.integers(min_value=0, max_value=10**6), min_size=1, max_size=7))
+def test_tuple_parts_walks_to_every_tuple_part(values):
+    code = tuple_pack(values)
+    k = len(values)
+    assert tuple_parts(k, code) == tuple(values)
+    assert tuple_parts(k, code) == tuple(tuple_part(k, i, code) for i in range(1, k + 1))
 
 
 def test_tuple_part_validates_indices():

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condreal import metric
 from condreal.elementary import default_functions, uniform_from_rule
-from condreal.gadgets import tuple_pack
+from condreal.gadgets import tuple_pack, tuple_part
 from condreal.metric import (
     MsBall,
     MsBallCover,
@@ -248,6 +249,24 @@ def test_translations_run_a_joint_rule_once_per_index():
     out = apply_conditional_ms_at(recip_ms, argument, s)
     assert validate_ordinary_name(out, mn_code((Fraction(4, 3),)), 39) == []
     assert len(calls) == 40
+
+
+def test_translated_sum_decodes_each_coordinate_once_per_index(monkeypatch):
+    add = default_functions().get("add").fn
+    point = (Fraction(-3, 7), Fraction(5, 2))
+    n = 100
+    # the per-component decode: one tuple_part walk per component per index
+    code = NatFun.constant(mn_code(point))
+    parts = [NatFun(lambda t, i=i: tuple_part(6, i, code(t))) for i in range(1, 7)]
+    outs = [op.apply(parts) for op in (add.F, add.G, add.H)]
+    expected = [tuple_pack([out(t) for out in outs]) for t in range(n + 1)]
+
+    walks = []
+    walk = metric.tuple_parts
+    monkeypatch.setattr(metric, "tuple_parts", lambda k, c: walks.append(k) or walk(k, c))
+    out = apply_uniform_ms(translate_uniform(add), mn_name(point))
+    assert [out.f(t) for t in range(n + 1)] == expected
+    assert walks == [6] * 2 * (n + 1)
 
 
 def test_translation_back_requires_coordinate_spaces():

@@ -15,6 +15,7 @@ from condreal.naming import (
     precision_index,
     rational_name,
     recording,
+    triple_reader,
     validate_name,
 )
 
@@ -194,3 +195,64 @@ def test_a_cached_index_admits_no_bool_or_float_argument():
             fn(bad)
         with pytest.raises(ValueError):
             stream(bad)
+
+
+# ---------------------------------------------------------------------------
+# the triple reader
+# ---------------------------------------------------------------------------
+
+
+def _names_of_every_kind():
+    stream = TripleStream(lambda t: (t + 3, t // 2, t % 5), "s")
+    spies, _log = recording(tuple(stream.name()))
+    return {
+        "stream": stream.name(),
+        "constant": rational_name(Fraction(-7, 3)),
+        "spy": NameTriple(*spies),
+        "mixed": NameTriple(stream.name().f, NatFun.constant(2), NatFun(lambda t: t % 3)),
+    }
+
+
+def test_triple_reader_reads_what_the_three_functions_give():
+    for kind, name in _names_of_every_kind().items():
+        read = triple_reader(*name)
+        for t in range(201):
+            assert read(t) == (name.f(t), name.g(t), name.h(t)), kind
+
+
+def test_triple_reader_takes_streams_and_constants_whole(monkeypatch):
+    stream = TripleStream(lambda t: (t, 1, 2), "s")
+    assert triple_reader(*stream.name()) is stream
+    const = triple_reader(*rational_name(Fraction(5, 2)))
+    spy = triple_reader(*_names_of_every_kind()["spy"])
+    calls = []
+    call = NatFun.__call__
+    monkeypatch.setattr(NatFun, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    assert [const(t) for t in range(50)] == [(5, 0, 1)] * 50
+    assert [stream(t) for t in range(50)] == [(t, 1, 2) for t in range(50)]
+    assert calls == []
+    spy(7)
+    assert len(calls) == 6  # three spies, each reading one projection
+
+
+def test_triple_reader_falls_back_for_swapped_or_foreign_projections():
+    one = TripleStream(lambda t: (t, 2 * t, 3), "one")
+    two = TripleStream(lambda t: (7, t, t + 1), "two")
+    f, g, h = one.name()
+    swapped = triple_reader(g, f, h)
+    mixed = triple_reader(f, two.name().g, h)
+    assert swapped is not one and mixed not in (one, two)
+    for t in range(50):
+        assert swapped(t) == (2 * t, t, 3)
+        assert mixed(t) == (t, t, 3)
+
+
+def test_every_reader_refuses_non_natural_arguments():
+    for kind, name in _names_of_every_kind().items():
+        read = triple_reader(*name)
+        read(1)  # a cached index must not admit True or 1.0 either
+        for bad in (-1, True, 1.0):
+            with pytest.raises(ValueError):
+                read(bad)
+            with pytest.raises(ValueError):
+                approx(name, bad)

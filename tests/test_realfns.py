@@ -5,7 +5,15 @@ import pytest
 
 from condreal.elementary import default_functions, uniform_from_rule
 from condreal.gadgets import CORE, left, right
-from condreal.naming import NameTriple, NatFun, approx, rational_name, recording, validate_name
+from condreal.naming import (
+    NameTriple,
+    NatFun,
+    TripleStream,
+    approx,
+    rational_name,
+    recording,
+    validate_name,
+)
 from condreal.realfns import (
     Ball,
     ProcOperator,
@@ -421,6 +429,15 @@ def test_localize_reciprocal_at_one():
         assert hood.contains(q)
         out = apply_uniform(local, [rational_name(q)])
         assert validate_name(out, 1 / q, 300).passed
+
+
+def test_localize_cuts_off_a_stream_anchor_where_it_cuts_off_a_constant_anchor():
+    for q in (Fraction(1), Fraction(-2, 7), Fraction(1, 40)):
+        triple = tuple(fn(0) for fn in rational_name(q))
+        stream_anchor = TripleStream(lambda _t, v=triple: v, "anchor").name()
+        hood_c, _ = localize(RECIP, rational_name(q), 1000)
+        hood_s, _ = localize(RECIP, stream_anchor, 1000)
+        assert hood_s == hood_c
 
 
 def test_localize_keeps_the_certificate_frozen_under_patching():

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from condreal.gadgets import CORE
 from condreal.naming import NatFun
 from condreal.sampling import random_natfun, random_term
+from condreal.sexpr import SexprError
 from condreal.terms import (
     Apply,
     ArityMismatch,
@@ -20,6 +21,7 @@ from condreal.terms import (
     eval_instrumented,
     eval_term,
     multi_curry,
+    MAX_TERM_DEPTH,
     parse_term,
     print_term,
     representable_lift,
@@ -273,6 +275,20 @@ def test_parse_term_rejects_malformed_input():
     for text in ("", "(proj)", "(proj x)", "(apply 1)", "(base nosuch (proj 1))", "(proj 1) extra"):
         with pytest.raises(ValueError):
             parse_term(text, 1, 1, CORE.get)
+
+
+def test_parse_term_refuses_deep_nesting_but_reads_its_limit():
+    def nested(depth):
+        return "(apply 1 " * (depth - 1) + "(proj 1)" + ")" * (depth - 1)
+
+    with pytest.raises(SexprError, match="nested too deeply"):
+        parse_term(nested(1201), 1, 1, CORE.resolve)
+    with pytest.raises(SexprError):
+        parse_term(nested(MAX_TERM_DEPTH + 1), 1, 1, CORE.resolve)
+    term = parse_term(nested(MAX_TERM_DEPTH), 1, 1, CORE.resolve)
+    assert print_term(term) == nested(MAX_TERM_DEPTH)
+    assert support_bound(term) == MAX_TERM_DEPTH - 1
+    assert eval_term(term, [NatFun(lambda t: t + 1)], (0,)) == MAX_TERM_DEPTH - 1
 
 
 @settings(max_examples=60)
