@@ -11,8 +11,9 @@ gadgets eval    apply one base function to naturals
 spaces list     built-in effective metric spaces
 
 Exit codes: 0 success, 2 usage or parse error (including an expression
-nested more than 100 levels deep), 3 search budget exhausted,
-4 suite failure.
+nested more than 100 levels deep, and a number, given or computed, with
+more digits than Python prints: 4300 by default), 3 search budget
+exhausted, 4 suite failure.
 """
 
 from __future__ import annotations
@@ -126,6 +127,8 @@ def _lookup(registry: FunctionRegistry, name: str) -> Entry:
         return registry.get(name)
     except KeyError:
         raise _UsageError(f"unknown function: {name}") from None
+    except ValueError as exc:  # a constant too long to spell
+        raise _UsageError(f"{name}: {exc}") from None
 
 
 def _apply_entry(
@@ -199,13 +202,23 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         print(_TOO_DEEP.format(_MAX_NESTING), file=sys.stderr)
         return 2
 
-    print(f"approx = {format_rational(value)}")
-    print(f"t = {t}")
-    print(f"bound = {format_rational(Fraction(1, t + 1))}")
-    for fn_name, s in found:
-        print(f"s[{fn_name}] = {s}")
+    try:
+        # spelled before anything is printed: a number may be too long to spell
+        lines = [
+            f"approx = {format_rational(value)}",
+            f"t = {format_rational(t)}",
+            f"bound = {format_rational(Fraction(1, t + 1))}",
+            *(f"s[{fn_name}] = {s}" for fn_name, s in found),
+        ]
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    print("\n".join(lines))
     if args.decimal:
-        print(f"decimal ~ {float(value):.12g} (approximate rendering)")
+        try:
+            print(f"decimal ~ {float(value):.12g} (approximate rendering)")
+        except OverflowError:
+            print("decimal ~ beyond the float range (approximate rendering)")
     return 0
 
 

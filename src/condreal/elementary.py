@@ -7,7 +7,10 @@ approximations, and re-encode the exact result as a canonical triple
 component.  The error budget is the standard split -- a binary function
 reads its arguments at ``2t+1``, so two input errors below ``1/(2t+2)``
 sum to under ``1/(t+1)``; multiplication additionally rescales the index
-by a magnitude bound read off the index-0 approximations.
+by a magnitude bound read off the index-0 approximations.  What does not
+depend on the index is done once per application: a constant argument
+is decoded into its ``Fraction`` once and the product's magnitude bound
+is read once, while the rule itself still runs at every index.
 
 Reciprocal is the genuinely conditional entry: its certificate at
 parameter ``s`` checks ``|approx(input, s)| > 2/(s+1)`` -- realized with
@@ -28,7 +31,9 @@ from .naming import (
     NameTriple,
     NatFun,
     TripleStream,
+    _check_argument,
     approx,
+    constant_values,
     format_rational,
     parse_rational,
     rational_name,
@@ -77,6 +82,12 @@ def _decode(triple: tuple[int, int, int]) -> Fraction:
 Schedule = Callable[[int, Sequence[NameTriple]], int]
 
 
+def _argument(name: NameTriple) -> Fraction | Callable[[int], tuple[int, int, int]]:
+    """A constant name's exact value, decoded once; any other name's reader."""
+    triple = constant_values(*name)
+    return triple_reader(*name) if triple is None else _decode(triple)
+
+
 def uniform_from_rule(
     n_args: int,
     rule: Callable[..., Fraction],
@@ -93,15 +104,26 @@ def uniform_from_rule(
     are the components of one ``JointOperator``, so an application
     computes each index's rational once, and it reads each argument name
     through one ``triple_reader``.
+
+    Work that does not depend on the index is done once per application:
+    a constant argument is decoded into its ``Fraction`` once (the rule
+    still runs at every index, and the queried index is still checked),
+    and a schedule with a ``bind(names)`` method gives the application
+    its ``t -> index`` map, as the product schedule does to read its
+    magnitude bound once.
     """
+    bind = getattr(schedule, "bind", None)
 
     def build(fns: tuple[NatFun, ...]) -> NameTriple:
         names = [NameTriple(*fns[3 * j : 3 * j + 3]) for j in range(n_args)]
-        readers = [triple_reader(*nm) for nm in names]
+        args = [_argument(nm) for nm in names]
+        at = bind(names) if bind is not None else lambda t: schedule(t, names)
 
         def ev(t: int) -> tuple[int, int, int]:
-            tau = schedule(t, names)
-            value = rule(*[_decode(read(tau)) for read in readers])
+            tau = at(t)
+            if tau.__class__ is not int or tau < 0:
+                _check_argument(tau, "schedule")
+            value = rule(*[a if a.__class__ is Fraction else _decode(a(tau)) for a in args])
             return _encode(value if isinstance(value, Fraction) else Fraction(value))
 
         return TripleStream(ev, name).name()
@@ -117,13 +139,32 @@ def _twice_plus_one(t: int, _names: Sequence[NameTriple]) -> int:
     return 2 * t + 1
 
 
-def _product_schedule(t: int, names: Sequence[NameTriple]) -> int:
-    # |ab - a'b'| <= |a||b - b'| + |b'||a - a'| < (2M+1)/(tau+1) where M
-    # bounds |a'| + 1 and |b'| + 1 via the index-0 approximations; making
-    # tau + 1 = ceil((2M+1)(t+1)) brings the output under 1/(t+1).
-    m = max(abs(approx(nm, 0)) for nm in names) + 1
-    need = (2 * m + 1) * (t + 1)
-    return -(-need.numerator // need.denominator) - 1
+class _ProductSchedule:
+    """|ab - a'b'| <= |a||b - b'| + |b'||a - a'| < (2M+1)/(tau+1) where M
+    bounds |a'| + 1 and |b'| + 1 via the index-0 approximations; making
+    tau + 1 = ceil((2M+1)(t+1)) brings the output under 1/(t+1).
+
+    ``bind`` reads the index-0 approximations on the first index asked
+    for and keeps the bound for the rest of the application.
+    """
+
+    @staticmethod
+    def bind(names: Sequence[NameTriple]) -> Callable[[int], int]:
+        bound: list[Fraction | None] = [None]
+
+        def at(t: int) -> int:
+            need = bound[0]
+            if need is None:
+                need = bound[0] = 2 * (max(abs(approx(nm, 0)) for nm in names) + 1) + 1
+            return -(-need.numerator * (t + 1) // need.denominator) - 1
+
+        return at
+
+    def __call__(self, t: int, names: Sequence[NameTriple]) -> int:
+        return self.bind(names)(t)
+
+
+_product_schedule = _ProductSchedule()
 
 
 def constant_fn(q: Fraction | int) -> UniformFn:
@@ -165,13 +206,14 @@ def _recip_value() -> JointOperator:
     # |1/q - 1/xi| = |xi - q| / (|q||xi|) then lands strictly under
     # 1/(t+1).  The q = 0 guard is unreachable for certified inputs and
     # only keeps the operator total.
+    # A constant input is decoded once; tau is a natural by construction.
     def build(fns: tuple[NatFun, ...]) -> NameTriple:
-        read, e = triple_reader(*fns[:3]), fns[3]
+        arg, e = _argument(NameTriple(*fns[:3])), fns[3]
 
         def ev(t: int) -> tuple[int, int, int]:
             s = e(t)
             tau = 2 * (s + 1) * (s + 1) * (t + 1) - 1
-            q = _decode(read(tau))
+            q = arg if arg.__class__ is Fraction else _decode(arg(tau))
             return _encode(Fraction(0) if q == 0 else 1 / q)
 
         return TripleStream(ev, "recip").name()

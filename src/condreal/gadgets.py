@@ -159,10 +159,13 @@ def _gamma_value(b: int, c: int, args: Sequence[int]) -> int:
     peels the last x against the last y and pushes back what remains of
     the larger one, in the order of the paper's recursion on (b, c); the
     x and y sides are kept as two stacks, so an evaluation takes at most
-    b + c - 1 steps and constant stack depth.
+    b + c - 1 steps and constant stack depth.  With a single x (every
+    integer-threshold sign test) the fold of the ys into it is one
+    truncated subtraction of their sum: the arguments are naturals.
     """
-    if b == 1 and c == 1:
-        return monus(args[0], args[1])
+    if b == 1:
+        x = args[0]
+        return monus(x, sum(args) - x)
     xs, ys = list(args[:b]), list(args[b:])
     while len(xs) > 1:
         x, y = xs.pop(), ys.pop()

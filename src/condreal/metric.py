@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 
 from . import gadgets
 from .gadgets import conj, tuple_pack, tuple_part, tuple_parts
-from .naming import NatFun, TripleStream, triple_reader
+from .naming import NatFun, TripleStream, constant_values, triple_reader
 from .realfns import (
     BudgetExhausted,
     ConditionalFn,
@@ -478,13 +478,26 @@ def builtin_spaces() -> list[EffectiveSpace]:
 def _decoded_parts(n_dims: int, fn: NatFun) -> tuple[NatFun, ...]:
     """The 3N functions an M_N code stream stands for.
 
-    Each coordinate's name projects one stream that decodes the code
-    once per index, so a reader takes the coordinate whole.
+    A constant code is decoded once, into constant coordinate names.
+    Otherwise each coordinate's name projects its own stream, and the
+    streams share one decode of the code per index, so a reader takes a
+    coordinate whole and reading every coordinate at an index walks the
+    code once.
     """
     width = 3 * n_dims
+    code = constant_values(fn)
+    if code is not None:
+        return tuple(NatFun.constant(v) for v in tuple_parts(width, code[0]))
+    last: list[tuple[int, tuple[int, ...]]] = [(-1, ())]
+
+    def walk(t: int) -> tuple[int, ...]:
+        entry = last[0]
+        if entry[0] != t:
+            entry = last[0] = (t, tuple_parts(width, fn(t)))
+        return entry[1]
+
     streams = [
-        TripleStream(lambda t, j=j: tuple_parts(width, fn(t))[j : j + 3], "decoded")
-        for j in range(0, width, 3)
+        TripleStream(lambda t, j=j: walk(t)[j : j + 3], "decoded") for j in range(0, width, 3)
     ]
     return tuple(part for stream in streams for part in stream.name())
 

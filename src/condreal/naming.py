@@ -39,6 +39,13 @@ manipulates these triples, so this module pins down the two ground types:
     construction, or by a ``NatFun``'s own evaluation; every reader
     still refuses an argument that is not a natural.
 
+``constant_values``
+    tells a consumer that its functions are ``NatFun.constant``s and
+    gives their values, so work that does not depend on the index (a
+    constant argument's decoding) is done once per application.  A
+    constant's label is spelled only when asked for, so a constant of
+    any size builds.
+
 Rationals are ``fractions.Fraction`` throughout: arbitrary-precision,
 kept in lowest terms with positive denominator, exactly the contract the
 approximation arithmetic needs.
@@ -58,6 +65,7 @@ __all__ = [
     "ValidationReport",
     "ValidationRow",
     "approx",
+    "constant_values",
     "format_rational",
     "parse_rational",
     "precision_index",
@@ -102,14 +110,25 @@ class NatFun:
     indices.
     """
 
-    __slots__ = ("_fn", "_memo", "label", "_source")
+    __slots__ = ("_fn", "_memo", "_label", "_source")
 
     def __init__(self, fn: Callable[[int], int], label: str = "", memoize: bool = True):
         self._fn = fn
         self._memo: dict[int, int] | None = {} if memoize else None
-        self.label = label
+        self._label = label
         # (stream, position) of a stream projection, (None, c) of a constant
         self._source: tuple[TripleStream | None, int] | None = None
+
+    @property
+    def label(self) -> str:
+        source = self._source
+        if self._label or source is None or source[0] is not None:
+            return self._label
+        # a constant's label is spelled when asked for
+        try:
+            return f"const {source[1]}"
+        except ValueError:  # more digits than int-to-str conversion allows
+            return f"const <{source[1].bit_length()}-bit natural>"
 
     def __call__(self, t: int) -> int:
         memo = self._memo
@@ -152,7 +171,7 @@ class NatFun:
         """The constant function t -> c."""
         if not _natural(c):
             raise ValueError(f"constant value must be a natural, got {c!r}")
-        fn = cls(lambda _t: c, label=f"const {c}", memoize=False)
+        fn = cls(lambda _t: c, memoize=False)
         fn._source = (None, c)
         return fn
 
@@ -233,6 +252,21 @@ class TripleStream:
         return NameTriple(*fns)
 
 
+def constant_values(*fns: NatFun) -> tuple[int, ...] | None:
+    """The values of ``fns`` when every one is a ``NatFun.constant``, else None.
+
+    A consumer that gets a tuple can decode it once per application
+    instead of once per index; the values were checked at construction.
+    """
+    values = []
+    for fn in fns:
+        source = getattr(fn, "_source", None)
+        if source is None or source[0] is not None:
+            return None
+        values.append(source[1])
+    return tuple(values)
+
+
 def triple_reader(f: NatFun, g: NatFun, h: NatFun) -> Callable[[int], tuple[int, int, int]]:
     """One call per index giving ``(f(t), g(t), h(t))``.
 
@@ -241,18 +275,18 @@ def triple_reader(f: NatFun, g: NatFun, h: NatFun) -> Callable[[int], tuple[int,
     read through its three functions.  The values are the same either
     way, and every reader refuses an argument that is not a natural.
     """
+    triple = constant_values(f, g, h)
+    if triple is not None:
+
+        def read(t: int) -> tuple[int, int, int]:
+            if t.__class__ is not int or t < 0:
+                _check_argument(t, "NatFun")
+            return triple
+
+        return read
     sources = [getattr(fn, "_source", None) for fn in (f, g, h)]
     if None not in sources:
         (a, i), (b, j), (c, k) = sources
-        if a is None and b is None and c is None:
-            triple = (i, j, k)
-
-            def read(t: int) -> tuple[int, int, int]:
-                if t.__class__ is not int or t < 0:
-                    _check_argument(t, "NatFun")
-                return triple
-
-            return read
         if a is b is c and (i, j, k) == (0, 1, 2):
             return a
     return lambda t: (f(t), g(t), h(t))
@@ -363,8 +397,16 @@ def recording(fns: Sequence[NatFun]) -> tuple[tuple[NatFun, ...], dict[int, set[
 
 
 def format_rational(q: Fraction) -> str:
-    """Lowest-terms p/q string; integers print without the denominator."""
-    return str(Fraction(q))
+    """Lowest-terms p/q string; integers print without the denominator.
+
+    Raises ``ValueError`` when the numerator or the denominator has more
+    digits than Python converts to a string (4300 by default).
+    """
+    q = Fraction(q)
+    try:
+        return str(q)
+    except ValueError:
+        raise ValueError("rational has too many digits to print") from None
 
 
 def parse_rational(text: str) -> Fraction:

@@ -108,6 +108,30 @@ def test_eval_budget_exhaustion_is_exit_three(capsys):
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["1e4400"],
+        ["(mul 1e3000 1e3000)"],
+        ["const_1e5000"],
+        ["(add 1 1)", "--eps", "1e-5000"],
+    ],
+)
+def test_eval_numbers_too_long_to_print_are_exit_two(capsys, argv):
+    code, out, err = run(capsys, "eval", *argv)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error: ") and "too many digits to print" in err
+
+
+def test_eval_decimal_beyond_the_float_range_still_prints(capsys):
+    code, out, _ = run(capsys, "eval", "(mul 1e400 -1)", "--decimal", "--eps", "1")
+    assert code == 0
+    assert out.splitlines()[0] == f"approx = {-10**400}"
+    assert out.splitlines()[-1].startswith("decimal ~ beyond the float range")
+
+
 def test_suite_pass_is_exit_zero(capsys):
     code, out, _ = run(capsys, "suite", "gadgets", "--t-max", "40")
     assert code == 0

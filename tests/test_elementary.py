@@ -3,7 +3,10 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from condreal import elementary
 from condreal.elementary import (
     DEFAULT_GRID,
     Entry,
@@ -16,7 +19,15 @@ from condreal.elementary import (
     registry_validate,
     uniform_from_rule,
 )
-from condreal.naming import NatFun, TripleStream, approx, rational_name, validate_name
+from condreal.naming import (
+    NameTriple,
+    NatFun,
+    TripleStream,
+    approx,
+    rational_name,
+    recording,
+    validate_name,
+)
 from condreal.realfns import (
     BudgetExhausted,
     ConditionalFn,
@@ -299,6 +310,107 @@ def test_exhausting_search_memory_does_not_grow_with_the_budget(registry):
 
     small, large = peak(20_000), peak(200_000)
     assert large < 2 * small
+
+
+# ---------------------------------------------------------------------------
+# constant arguments, decoded once per application
+# ---------------------------------------------------------------------------
+
+nonzero = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4).filter(
+    lambda q: q != 0
+)
+
+
+def _recorded(name):
+    # the same functions behind recording spies: read through the fallback
+    return NameTriple(*recording(tuple(name))[0])
+
+
+def _reads(name, t_max=200):
+    return [(name.f(t), name.g(t), name.h(t)) for t in range(t_max + 1)]
+
+
+@pytest.mark.parametrize("entry", sorted(default_functions().names()))
+@settings(max_examples=15, deadline=None)
+@given(st.lists(nonzero, min_size=2, max_size=2))
+def test_constant_arguments_give_what_the_fallback_reads_give(entry, point):
+    fn = default_functions().get(entry).fn
+    constants = [rational_name(q) for q in point[: fn.n_args]]
+    spied = [_recorded(name) for name in constants]
+    if isinstance(fn, ConditionalFn):
+        s = find_parameter(fn, constants, 10**5)
+        assert find_parameter(fn, spied, 10**5) == s
+        fast, slow = apply_conditional_at(fn, constants, s), apply_conditional_at(fn, spied, s)
+    else:
+        fast, slow = apply_uniform(fn, constants), apply_uniform(fn, spied)
+    assert _reads(fast) == _reads(slow)
+
+
+def test_reciprocal_finds_the_same_least_s_on_constant_and_spied_differences(registry):
+    sub, recip = registry.get("sub").fn, registry.get("recip").fn
+    rng = Random(606)
+    for _ in range(6):
+        a = Fraction(rng.randrange(-9999, 10**4), rng.randrange(1, 100))
+        b = a - Fraction(rng.choice((-1, 1)), rng.randrange(100, 1000))
+        constants = [rational_name(a), rational_name(b)]
+        fast = apply_uniform(sub, constants)
+        slow = apply_uniform(sub, [_recorded(name) for name in constants])
+        s = find_parameter(recip, [fast], 10**4)
+        assert s == find_parameter(recip, [slow], 10**4)
+        assert s > 100
+        assert _reads(apply_conditional_at(recip, [fast], s), 50) == _reads(
+            apply_conditional_at(recip, [slow], s), 50
+        )
+
+
+@pytest.mark.parametrize("bad", [-1, True, 1.0])
+def test_a_bad_schedule_over_constant_arguments_is_still_refused(bad):
+    for n_args in (1, 2):
+        fn = uniform_from_rule(n_args, lambda *qs: sum(qs), lambda t, names: bad, "bad")
+        out = apply_uniform(fn, [rational_name(Fraction(1, 3))] * n_args)
+        with pytest.raises(ValueError):
+            out.f(0)
+
+
+def test_constant_arguments_build_their_fraction_once_per_application(registry, monkeypatch):
+    decodes = []
+    decode = elementary._decode
+    monkeypatch.setattr(elementary, "_decode", lambda triple: decodes.append(triple) or decode(triple))
+    names = [rational_name(Fraction(1, 3)), rational_name(Fraction(-5, 2))]
+    for entry, args in (("sub", names), ("mul", names), ("negate", names[:1])):
+        del decodes[:]
+        out = apply_uniform(registry.get(entry).fn, args)
+        _reads(out)
+        assert len(decodes) == len(args), entry
+    recip = registry.get("recip").fn
+    s = find_parameter(recip, names[:1], 100)
+    del decodes[:]
+    _reads(apply_conditional_at(recip, names[:1], s))
+    assert len(decodes) == 1
+
+
+def test_multiplication_reads_index_zero_once_per_application(registry, monkeypatch):
+    mul = registry.get("mul").fn
+    a, b = rational_name(Fraction(7, 3)), rational_name(Fraction(-2, 9))
+    calls = []
+    approx_ = elementary.approx
+    monkeypatch.setattr(elementary, "approx", lambda name, t: calls.append(t) or approx_(name, t))
+    out = apply_uniform(mul, [a, b])
+    assert calls == []  # applying reads nothing
+    expected = _reads(out)
+    assert calls == [0, 0]  # one index-0 read per argument, for all 201 indices
+    # a name read through its functions is read at index 0 once as well
+    zeros = []
+
+    def counted(f):
+        def read(t):
+            zeros.append(t == 0)
+            return f(t)
+
+        return NatFun(read, memoize=False)
+
+    assert _reads(apply_uniform(mul, [NameTriple(*map(counted, a)), b])) == expected
+    assert sum(zeros) == 3
 
 
 # ---------------------------------------------------------------------------

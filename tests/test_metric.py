@@ -264,9 +264,26 @@ def test_translated_sum_decodes_each_coordinate_once_per_index(monkeypatch):
     walks = []
     walk = metric.tuple_parts
     monkeypatch.setattr(metric, "tuple_parts", lambda k, c: walks.append(k) or walk(k, c))
-    out = apply_uniform_ms(translate_uniform(add), mn_name(point))
+    # a code stream that is not a constant: decoded at every index read
+    stream = OrdinaryName(NatFun(lambda t: mn_code(point)), make_mn(2))
+    out = apply_uniform_ms(translate_uniform(add), stream)
     assert [out.f(t) for t in range(n + 1)] == expected
-    assert walks == [6] * 2 * (n + 1)
+    # both coordinates share one walk per argument index (2t + 1)
+    assert walks == [6] * (n + 1)
+
+
+def test_translated_sum_decodes_a_constant_code_once(monkeypatch):
+    add = default_functions().get("add").fn
+    point = (Fraction(-3, 7), Fraction(5, 2))
+    n = 100
+    expected = [mn_code((point[0] + point[1],))] * (n + 1)
+    walks = []
+    walk = metric.tuple_parts
+    monkeypatch.setattr(metric, "tuple_parts", lambda k, c: walks.append(k) or walk(k, c))
+    out = apply_uniform_ms(translate_uniform(add), mn_name(point))
+    assert walks == [6]  # at application, into constant coordinate names
+    assert [out.f(t) for t in range(n + 1)] == expected
+    assert walks == [6]
 
 
 def test_translation_back_requires_coordinate_spaces():

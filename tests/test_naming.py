@@ -10,6 +10,7 @@ from condreal.naming import (
     NatFun,
     TripleStream,
     approx,
+    constant_values,
     format_rational,
     parse_rational,
     precision_index,
@@ -256,3 +257,27 @@ def test_every_reader_refuses_non_natural_arguments():
                 read(bad)
             with pytest.raises(ValueError):
                 approx(name, bad)
+
+
+def test_constant_values_names_three_constants_and_nothing_else():
+    kinds = _names_of_every_kind()
+    assert constant_values(*kinds["constant"]) == (0, 7, 2)
+    assert constant_values(NatFun.constant(4)) == (4,)
+    for kind in ("stream", "spy", "mixed"):
+        assert constant_values(*kinds[kind]) is None, kind
+    assert constant_values(NatFun.constant(1), NatFun(lambda t: 1)) is None
+
+
+def test_a_constant_label_is_spelled_only_when_asked_for():
+    assert NatFun.constant(5).label == "const 5"
+    assert repr(NatFun.constant(5)) == "NatFun(const 5)"
+    # more digits than int-to-str conversion allows: still a constant name
+    big = 10**4400
+    name = rational_name(big)
+    assert approx(name, 3) == big
+    assert constant_values(*name) == (big, 0, 0)
+    assert name.f.label.startswith("const <") and "bit" in name.f.label
+    spied, _log = recording(tuple(name))
+    assert spied[0](0) == big
+    with pytest.raises(ValueError, match="too many digits"):
+        format_rational(Fraction(big))
