@@ -182,12 +182,13 @@ def _recip_certificate() -> ProcOperator:
     With triple values (x, y, z) at ``s`` the condition
     ``|x - y| / (z + 1) > 2/(s+1)`` is the same as
     ``(|x - y|(s+1)) / (z + 1) > 2``, a single ``gt`` gadget test on the
-    rescaled triple ``(|x-y|(s+1), 0, z)`` -- constant work per candidate.
+    rescaled triple ``(|x-y|(s+1), 0, z)`` -- constant work per candidate,
+    reading the argument without filling its memo.
     """
     test = gadgets.gt(2)
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
-        read = triple_reader(*fns)
+        read = triple_reader(*fns, cached=False)
 
         def ev(s: int) -> int:
             x, y, z = read(s)

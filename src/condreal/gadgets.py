@@ -9,7 +9,8 @@ three layers:
 * constructed families, built from the primitives by fixed recursions:
   ``delta_k`` (first-zero dispatch), ``mu`` (single-point override),
   ``gamma`` (sum comparison by repeated truncated subtraction), and from
-  ``gamma`` the sign tests ``lt``/``gt`` and the ``ball_indicator``;
+  ``gamma`` the sign tests ``lt``/``gt`` and the ``ball_indicator``,
+  in closed form (constant time and memory for any threshold);
 * the ``GadgetRegistry`` mapping names to entries, plus ``decency_check``
   which probes a registry for the behavior the rest of the package
   assumes (selector, successor and truncated subtraction present and
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from math import isqrt
 from random import Random
 from typing import Callable, Iterable, Sequence
@@ -153,37 +155,25 @@ def _mu_value(k: int, c: int, x: int, y: int) -> int:
 
 
 def _gamma_value(b: int, c: int, args: Sequence[int]) -> int:
-    """Sum comparison by truncated subtraction.
+    """Sum comparison by truncated subtraction, in closed form.
 
-    Positive exactly when x_1 + .. + x_b > y_1 + .. + y_c.  Each step
-    peels the last x against the last y and pushes back what remains of
-    the larger one, in the order of the paper's recursion on (b, c); the
-    x and y sides are kept as two stacks, so an evaluation takes at most
-    b + c - 1 steps and constant stack depth.  With a single x (every
-    integer-threshold sign test) the fold of the ys into it is one
-    truncated subtraction of their sum: the arguments are naturals.
+    Positive exactly when x_1 + .. + x_b > y_1 + .. + y_c.  The paper's
+    recursion on (b, c) peels the last x against the last y, so it ends
+    at ``P - Y`` for the shortest suffix of the xs whose sum ``P``
+    exceeds the ys' sum ``Y``, and at 0 when no suffix does.
     """
-    if b == 1:
-        x = args[0]
-        return monus(x, sum(args) - x)
-    xs, ys = list(args[:b]), list(args[b:])
-    while len(xs) > 1:
-        x, y = xs.pop(), ys.pop()
-        guard = monus(x, y)
-        if guard == 0:
-            # the last y absorbs the last x
-            ys.append(monus(y, x))
-        elif ys:
-            # the last x absorbs the last y
-            xs.append(guard)
-        else:
-            # the last x already exceeds the single y left
-            return guard
-    # a single x left: fold the ys into it, last first
-    (x,) = xs
-    for y in reversed(ys):
-        x = monus(x, y)
-    return x
+    excess = -sum(args[b:])
+    for i in range(b - 1, -1, -1):
+        excess += args[i]
+        if excess > 0:
+            return excess
+    return 0
+
+
+def _copies_gamma(b: int, x: int, total: int) -> int:
+    # gamma_{b,c} of b copies of x against ys summing to total: the
+    # shortest out-summing suffix has total // x + 1 copies
+    return (total // x + 1) * x - total if x and total // x < b else 0
 
 
 def delta_k(k: int) -> BaseFunction:
@@ -222,25 +212,18 @@ def gamma(b: int, c: int) -> BaseFunction:
 def lt(a: Fraction | int) -> BaseFunction:
     """Sign test: positive exactly when (x - y) / (z + 1) < a.
 
-    Realized without division.  For a = 0 the test is y - x truncated;
-    for positive a = b/c it compares b copies of z+1 against c copies of
-    x - y (truncated), and for negative a = -c/b the mirror image.
+    Realized without rational arithmetic.  For a = b/c > 0 it is
+    ``gamma_{b,c}`` of b copies of z+1 against c copies of x - y
+    (truncated), for a = -c/b <= 0 the mirror image, in closed form.
     """
     a = Fraction(a)
-    if a == 0:
-        fn: Callable[..., int] = lambda x, y, z: monus(y, x)
-    elif a > 0:
-        b, c = a.numerator, a.denominator
-
-        def fn(x: int, y: int, z: int, _b: int = b, _c: int = c) -> int:
-            return _gamma_value(_b, _c, (z + 1,) * _b + (monus(x, y),) * _c)
-
+    b, c = (a.numerator, a.denominator) if a > 0 else (a.denominator, -a.numerator)
+    # one truncated subtraction when b is 1, as for the reciprocal's gt(2)
+    excess = monus if b == 1 else partial(_copies_gamma, b)
+    if a > 0:
+        fn: Callable[..., int] = lambda x, y, z: excess(z + 1, c * monus(x, y))
     else:
-        c, b = -a.numerator, a.denominator
-
-        def fn(x: int, y: int, z: int, _b: int = b, _c: int = c) -> int:
-            return _gamma_value(_b, _c, (monus(y, x),) * _b + (z + 1,) * _c)
-
+        fn = lambda x, y, z: excess(monus(y, x), c * (z + 1))
     return BaseFunction(f"lt_{a}", 3, fn)
 
 

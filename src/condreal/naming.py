@@ -219,7 +219,7 @@ class TripleStream:
         self._memo: dict[int, tuple[int, int, int]] = {}
         self.label = label
 
-    def __call__(self, t: int) -> tuple[int, int, int]:
+    def __call__(self, t: int, store: bool = True) -> tuple[int, int, int]:
         memo = self._memo
         hit = memo.get(t)
         if hit is not None and t.__class__ is int:
@@ -238,8 +238,13 @@ class TripleStream:
                 f"TripleStream {self.label or '<anonymous>'} returned {value!r} at {t}; "
                 "values must be triples of naturals"
             )
-        _memo_put(memo, t, value)
+        if store:
+            _memo_put(memo, t, value)
         return value
+
+    def eval_uncached(self, t: int) -> tuple[int, int, int]:
+        """The value at ``t``, storing nothing in the memo table."""
+        return self(t, False)
 
     def name(self) -> NameTriple:
         """The three-function view: f, g and h project this stream."""
@@ -267,13 +272,17 @@ def constant_values(*fns: NatFun) -> tuple[int, ...] | None:
     return tuple(values)
 
 
-def triple_reader(f: NatFun, g: NatFun, h: NatFun) -> Callable[[int], tuple[int, int, int]]:
+def triple_reader(
+    f: NatFun, g: NatFun, h: NatFun, cached: bool = True
+) -> Callable[[int], tuple[int, int, int]]:
     """One call per index giving ``(f(t), g(t), h(t))``.
 
     The projections of one stream, in order, are read as the stream
     itself, and three constants as their fixed triple; anything else is
     read through its three functions.  The values are the same either
     way, and every reader refuses an argument that is not a natural.
+    With ``cached=False`` it reads through ``eval_uncached``, storing
+    nothing, for a search that reads each index once.
     """
     triple = constant_values(f, g, h)
     if triple is not None:
@@ -288,7 +297,9 @@ def triple_reader(f: NatFun, g: NatFun, h: NatFun) -> Callable[[int], tuple[int,
     if None not in sources:
         (a, i), (b, j), (c, k) = sources
         if a is b is c and (i, j, k) == (0, 1, 2):
-            return a
+            return a if cached else a.eval_uncached
+    if not cached:
+        f, g, h = f.eval_uncached, g.eval_uncached, h.eval_uncached
     return lambda t: (f(t), g(t), h(t))
 
 

@@ -32,7 +32,8 @@ real value the three functions of a name, projected from one
 Application, substitution, localization and gluing build a joint once
 wherever its components are used together, in order, so a
 procedure-backed name computes its rational once per index; used one
-at a time, a component gives the same values.
+at a time, a component gives the same values.  Term-backed F, G and H
+applied together run as one ``TermProgram`` behind one ``TripleStream``.
 
 Procedure-backed gluing picks its ball once per argument name and
 evaluates only that ball's local function.  Values are the same as
@@ -48,7 +49,7 @@ from typing import Callable, Sequence
 
 from . import gadgets
 from .gadgets import CORE
-from .naming import NameTriple, NatFun, recording
+from .naming import NameTriple, NatFun, TripleStream, recording
 from .terms import (
     Apply,
     ArityMismatch,
@@ -57,6 +58,7 @@ from .terms import (
     Node,
     OperatorTerm,
     Proj,
+    TermProgram,
     _subst_numeric,
     compose_terms,
     diagonalize,
@@ -127,8 +129,8 @@ class TermOperator:
         fns = tuple(fns)
         if len(fns) != self.arity:
             raise ArityMismatch(f"operator wants {self.arity} functions, got {len(fns)}")
-        term = self.term
-        return NatFun(lambda n: eval_term(term, fns, (n,)), label="term-op")
+        program = TermProgram((self.term,))
+        return NatFun(lambda n: eval_term(program, fns, (n,))[0], label="term-op")
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,7 +218,10 @@ def _joint_of(ops: Sequence[Operator]) -> JointOperator | None:
 
 
 def _apply_ops(ops: Sequence[Operator], fns: Sequence[NatFun]) -> list[NatFun]:
-    """Every operator applied to ``fns``; one joint's components build it once."""
+    """Every operator applied to ``fns``; a joint or a term F, G, H runs once."""
+    if len(ops) == 3 and all(map(_is_term, ops)):
+        program = TermProgram([op.term for op in ops])
+        return list(TripleStream(lambda n: eval_term(program, fns, (n,)), "term-op").name())
     out: list[NatFun] = []
     i = 0
     while i < len(ops):

@@ -28,11 +28,13 @@ independent evaluation.  The key rewrites:
 * ``representable_lift`` -- the pointwise lift of a base function:
   ``lift(f)(f_1..f_k)(n) = f(f_1(n), ..., f_k(n))``.
 
-Evaluation only ever *reads* the function arguments at finitely many
-points; ``eval_instrumented`` records that support, and
-``support_bound`` computes the structural bound on its size (projections
-contribute 0, each application 1 plus its subterm, base nodes the sum of
-theirs).
+Terms over the same slots (a real value's F, G, H) run as one
+``TermProgram``, a loop over their distinct nodes: a node shared by
+structure is evaluated once.  Evaluation only ever *reads* the function
+arguments at finitely many points; ``eval_instrumented`` records that
+support, and ``support_bound`` computes the structural bound on its size
+(projections contribute 0, each application 1 plus its subterm, base
+nodes the sum of theirs).
 """
 
 from __future__ import annotations
@@ -52,6 +54,7 @@ __all__ = [
     "OperatorTerm",
     "Proj",
     "SupportTrace",
+    "TermProgram",
     "compose_terms",
     "curry",
     "diagonalize",
@@ -70,7 +73,7 @@ class ArityMismatch(ValueError):
     pass
 
 
-# The term walks (evaluation, printing, composition, support bounds)
+# The term walks (validation, printing, composition, support bounds)
 # recurse once or twice per node level; terms parsed from text stay this
 # shallow, well inside the default recursion limit.
 MAX_TERM_DEPTH = 200
@@ -156,21 +159,68 @@ def _validate(node: Node, k: int, m: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def eval_term(term: OperatorTerm, fns: Sequence[NatFun], args: Sequence[int]) -> int:
-    """Evaluate ``term`` at function arguments ``fns`` and numeric ``args``."""
-    if len(fns) != term.k:
-        raise ArityMismatch(f"term wants {term.k} functions, got {len(fns)}")
-    if len(args) != term.m:
-        raise ArityMismatch(f"term wants {term.m} numeric arguments, got {len(args)}")
+class TermProgram:
+    """Terms over the same slots as one straight-line program.
 
-    def ev(node: Node) -> int:
-        if isinstance(node, Proj):
-            return args[node.index - 1]
-        if isinstance(node, Apply):
-            return fns[node.index - 1](ev(node.sub))
-        return node.fn.fn(*[ev(sub) for sub in node.subs])
+    ``steps`` are the terms' distinct application and base nodes, each
+    after its subterms; value ``m + i`` is step ``i``'s and values
+    ``0..m-1`` are the numeric arguments.  Structurally equal subterms
+    are one step.  A base node is keyed by its callable, not its name,
+    since a registry override keeps the name of the entry it replaces.
+    """
 
-    return ev(term.node)
+    __slots__ = ("k", "m", "steps", "roots")
+
+    def __init__(self, terms: Sequence[OperatorTerm]):
+        arities = {(term.k, term.m) for term in terms}
+        if len(arities) != 1:
+            raise ArityMismatch("a program needs terms that share their arities")
+        ((self.k, self.m),) = arities
+        value_of: dict[int, int] = {}  # id(node) -> value index
+        shared: dict[tuple, int] = {}  # structural key -> value index
+        steps: list[tuple] = []
+        for term in terms:
+            stack = [term.node]
+            while stack:
+                node = stack.pop()
+                if isinstance(node, Proj):
+                    value_of[id(node)] = node.index - 1
+                if id(node) in value_of:
+                    continue
+                subs = (node.sub,) if isinstance(node, Apply) else node.subs
+                pending = [sub for sub in subs if id(sub) not in value_of]
+                if pending:
+                    stack += [node, *pending]
+                    continue
+                ins = tuple(value_of[id(sub)] for sub in subs)
+                if isinstance(node, Apply):
+                    key, step = (node.index, ins), (node.index - 1, None, ins)
+                else:  # a negated id, unique while the terms hold the callable
+                    key, step = (-id(node.fn.fn), ins), (None, node.fn.fn, ins)
+                if key not in shared:
+                    shared[key] = self.m + len(steps)
+                    steps.append(step)
+                value_of[id(node)] = shared[key]
+        self.steps = tuple(steps)
+        self.roots = tuple(value_of[id(term.node)] for term in terms)
+
+
+def eval_term(
+    term: OperatorTerm | TermProgram, fns: Sequence[NatFun], args: Sequence[int]
+) -> int | tuple[int, ...]:
+    """Evaluate ``term`` at function arguments ``fns`` and numeric ``args``;
+    a ``TermProgram`` gives the tuple of its terms' values."""
+    program = term if isinstance(term, TermProgram) else TermProgram((term,))
+    if len(fns) != program.k:
+        raise ArityMismatch(f"term wants {program.k} functions, got {len(fns)}")
+    if len(args) != program.m:
+        raise ArityMismatch(f"term wants {program.m} numeric arguments, got {len(args)}")
+    values = list(args)
+    push = values.append
+    for slot, fn, ins in program.steps:
+        push(fns[slot](values[ins[0]]) if fn is None else fn(*[values[i] for i in ins]))
+    roots = [values[i] for i in program.roots]
+    return tuple(roots) if program is term else roots[0]
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,7 @@ from condreal.naming import (
     approx,
     rational_name,
     recording,
+    triple_reader,
     validate_name,
 )
 from condreal.realfns import (
@@ -310,6 +311,27 @@ def test_exhausting_search_memory_does_not_grow_with_the_budget(registry):
 
     small, large = peak(20_000), peak(200_000)
     assert large < 2 * small
+
+
+def test_a_search_fills_no_memo_of_its_argument_stream(registry):
+    sub, recip = registry.get("sub").fn, registry.get("recip").fn
+    zero = apply_uniform(sub, [rational_name(Fraction(1, 3))] * 2)
+    stream = triple_reader(*zero)
+    assert isinstance(stream, TripleStream)
+    with pytest.raises(BudgetExhausted):
+        find_parameter(recip, [zero], 20_000)
+    assert stream._memo == {}
+    rng = Random(707)
+    for _ in range(8):
+        a = Fraction(rng.randrange(-999, 1000), rng.randrange(1, 50))
+        q = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 40), rng.randrange(40, 4000))
+        names = [rational_name(a), rational_name(a - q)]
+        near = apply_uniform(sub, names)
+        s = find_parameter(recip, [near], 10**4)
+        # the least s with |q| (s + 1) > 2, and what the spied read finds
+        assert s == 2 * q.denominator // abs(q.numerator)
+        assert s == find_parameter(recip, [apply_uniform(sub, [_recorded(n) for n in names])], 10**4)
+        assert triple_reader(*near)._memo == {}
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from itertools import product
 
@@ -201,6 +202,90 @@ def test_gamma_matches_its_recursion_exhaustively():
 def test_gamma_matches_its_recursion_on_sampled_arguments(xs, ys):
     args = tuple(xs + ys)
     assert gamma(len(xs), len(ys)).fn(*args) == gamma_recursive(len(xs), len(ys), args)
+
+
+@given(
+    st.lists(small, min_size=1, max_size=40),
+    st.lists(small, min_size=1, max_size=40),
+)
+def test_closed_form_gamma_is_the_value_of_its_recursion(xs, ys):
+    args = tuple(xs + ys)
+    assert gamma(len(xs), len(ys)).fn(*args) == gamma_recursive(len(xs), len(ys), args)
+
+
+def lt_recursive(a, x, y, z):
+    # lt_a as the paper builds it: gamma_{b,c} of b copies of one side
+    # against c copies of the other, evaluated by the recursion
+    if a == 0:
+        return monus(y, x)
+    if a > 0:
+        b, c = a.numerator, a.denominator
+        return gamma_recursive(b, c, (z + 1,) * b + (monus(x, y),) * c)
+    c, b = -a.numerator, a.denominator
+    return gamma_recursive(b, c, (monus(y, x),) * b + (z + 1,) * c)
+
+
+@given(
+    st.integers(min_value=-40, max_value=40),
+    st.integers(min_value=1, max_value=40),
+    small,
+    small,
+    small,
+)
+def test_lt_gt_values_are_the_values_of_the_gamma_recursion(p, d, x, y, z):
+    a = Fraction(p, d)
+    assert lt(a).fn(x, y, z) == lt_recursive(a, x, y, z)
+    assert gt(a).fn(x, y, z) == lt_recursive(-a, y, x, z)
+
+
+def _sign_cases(a):
+    # triples on, just below and just above the threshold, and far off
+    p, d = a.numerator, a.denominator
+    cases = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (10**15, 0, 0), (0, 10**15, 2)]
+    for scale in (1, 3):
+        for delta in (-1, 0, 1):
+            num, den = scale * p + delta, scale * d
+            cases.append((max(num, 0), max(-num, 0), den - 1))
+    return cases
+
+
+@pytest.mark.parametrize(
+    "test, a",
+    [
+        (lt, Fraction(10**12)),
+        (gt, Fraction(-(10**12))),
+        (lt, Fraction(10**9 + 1, 10**9)),
+        (gt, Fraction(10**9 + 1, 10**9)),
+    ],
+)
+def test_sign_tests_with_huge_thresholds_run_in_constant_memory(test, a):
+    tracemalloc.start()
+    try:
+        fn = test(a).fn
+        values = [(fn(*xyz), xyz) for xyz in _sign_cases(a)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    for value, (x, y, z) in values:
+        q = Fraction(x - y, z + 1)
+        assert (value > 0) == (q < a if test is lt else q > a), (x, y, z)
+
+
+def test_a_ball_of_huge_radius_runs_in_constant_memory():
+    center, radius = Fraction(3, 7), Fraction(10**6)
+    tracemalloc.start()
+    try:
+        fn = ball_indicator((center,), radius).fn
+        cases = _sign_cases(center + radius) + _sign_cases(center - radius)
+        values = [(fn(*xyz), xyz) for xyz in cases]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    for value, (x, y, z) in values:
+        inside = abs(Fraction(x - y, z + 1) - center) < radius
+        assert (value == 0) == inside, (x, y, z)
 
 
 def test_gamma_evaluates_long_argument_lists():

@@ -155,6 +155,22 @@ def test_stream_checks_its_argument_and_its_triples():
         stream.name().f(-1)
 
 
+def test_stream_eval_uncached_gives_the_value_and_stores_nothing():
+    calls = []
+    stream = counted_stream(calls)
+    assert [stream.eval_uncached(t) for t in (4, 4, 9)] == [(4, 1, 1), (4, 1, 1), (9, 1, 0)]
+    assert calls == [4, 4, 9]
+    assert stream._memo == {}
+    stream(4)
+    assert stream.eval_uncached(4) == (4, 1, 1)  # a stored index is read
+    assert calls == [4, 4, 9, 4] and list(stream._memo) == [4]
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            stream.eval_uncached(bad)
+    with pytest.raises(ValueError):
+        TripleStream(lambda _t: (1, -1, 0), "broken").eval_uncached(0)
+
+
 def test_patched_switches_at_the_cutoff():
     patched = NatFun.patched(NatFun.constant(9), 3, NatFun.identity())
     assert [patched(t) for t in range(6)] == [9, 9, 9, 3, 4, 5]
@@ -246,6 +262,24 @@ def test_triple_reader_falls_back_for_swapped_or_foreign_projections():
     for t in range(50):
         assert swapped(t) == (2 * t, t, 3)
         assert mixed(t) == (t, t, 3)
+
+
+def test_an_uncached_reader_reads_the_same_values_and_fills_no_memo():
+    for kind, name in _names_of_every_kind().items():
+        read = triple_reader(*name, cached=False)
+        for t in range(60):
+            assert read(t) == (name.f(t), name.g(t), name.h(t)), kind
+    stream = TripleStream(lambda t: (t, 1, 2), "s")
+    assert triple_reader(*stream.name(), cached=False) == stream.eval_uncached
+    memoized = NameTriple(NatFun(lambda t: t), NatFun(lambda t: 2 * t), NatFun.constant(1))
+    read = triple_reader(*memoized, cached=False)
+    assert [read(t) for t in range(20)] == [(t, 2 * t, 1) for t in range(20)]
+    assert stream._memo == {} and memoized.f._memo == {} and memoized.g._memo == {}
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            triple_reader(*stream.name(), cached=False)(bad)
+        with pytest.raises(ValueError):
+            read(bad)
 
 
 def test_every_reader_refuses_non_natural_arguments():

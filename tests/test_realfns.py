@@ -12,6 +12,7 @@ from condreal.naming import (
     approx,
     rational_name,
     recording,
+    triple_reader,
     validate_name,
 )
 from condreal.realfns import (
@@ -574,6 +575,26 @@ def test_term_backed_cover_glues_to_a_term_backed_function():
         for t in range(0, 60, 7):
             assert abs(approx(term_out, t) - abs(q)) < Fraction(1, t + 1)
         assert validate_name(proc_out, abs(q), 60).passed
+
+
+def test_a_term_backed_name_reads_each_distinct_node_once_per_index():
+    # glued F, G, H share the three probes at k and the three branch
+    # reads: six argument reads per index, not one set per component
+    cover = BallCover(
+        (
+            Ball((Fraction(-1),), Fraction(3, 2), negate_term_fn()),
+            Ball((Fraction(1),), Fraction(3, 2), identity_uniform()),
+        ),
+        separation=3,
+    )
+    reads = []
+    name = [
+        NameTriple(*(NatFun(lambda t, c=c: reads.append(t) or c, memoize=False) for c in (0, 3, 3)))
+    ]
+    out = apply_uniform(glue_compact(cover), name)
+    assert isinstance(triple_reader(*out), TripleStream)
+    assert [(out.f(t), out.g(t), out.h(t)) for t in range(20)] == [(3, 0, 3)] * 20
+    assert sorted(reads) == sorted([3] * 3 * 20 + list(range(20)) * 3)
 
 
 def test_single_ball_cover_reduces_to_its_local_function():

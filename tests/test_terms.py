@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condreal.gadgets import CORE
-from condreal.naming import NatFun
+from condreal.gadgets import CORE, default_registry
+from condreal.naming import NatFun, recording
 from condreal.sampling import random_natfun, random_term
 from condreal.sexpr import SexprError
 from condreal.terms import (
@@ -15,6 +15,7 @@ from condreal.terms import (
     BaseFunction,
     OperatorTerm,
     Proj,
+    TermProgram,
     compose_terms,
     curry,
     diagonalize,
@@ -60,6 +61,69 @@ def test_eval_matches_naive_interpreter_on_random_terms():
         fns = sample_fns(rng, k)
         args = tuple(rng.randrange(10) for _ in range(m))
         assert eval_term(term, fns, args) == naive_eval(term, fns, args)
+
+
+def shared_triple(seed, k):
+    """Three terms sharing subterms, by identity and by structure only.
+
+    The third term is rebuilt from the same seed as the first, so it is
+    equal to it node for node without sharing any node object.
+    """
+    first = random_term(Random(seed), k, 1, 4)
+    again = random_term(Random(seed), k, 1, 4)
+    pair_fn = CORE.get("pair")
+    second = Base(pair_fn, (Apply(1, first.node), again.node))
+    return first, OperatorTerm(k, 1, second), again
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3))
+def test_one_program_for_terms_with_shared_subterms_matches_the_naive_interpreter(seed, k):
+    rng = Random(seed)
+    terms = shared_triple(seed, k)
+    program = TermProgram(terms)
+    # equal subterms are one step; the rebuilt copy is the first term's value
+    assert program.roots[0] == program.roots[2]
+    assert len(program.steps) == len(TermProgram(terms[:2]).steps)
+    fns = sample_fns(rng, k)
+    for n in range(6):
+        assert eval_term(program, fns, (n,)) == tuple(naive_eval(t, fns, (n,)) for t in terms)
+
+
+def test_a_program_evaluates_every_distinct_node_once():
+    calls = []
+    spy = NatFun(lambda t: calls.append(t) or t + 1, memoize=False)
+    succ = CORE.get("succ")
+    read = Apply(1, Proj(1))
+    terms = [
+        OperatorTerm(1, 1, read),
+        OperatorTerm(1, 1, Base(succ, (Apply(1, Proj(1)),))),
+        OperatorTerm(1, 1, Base(succ, (Apply(1, Proj(1)),))),
+    ]
+    program = TermProgram(terms)
+    assert len(program.steps) == 2
+    assert eval_term(program, (spy,), (4,)) == (5, 6, 6)
+    assert calls == [4]
+
+
+def test_a_program_keys_base_nodes_by_their_callable_not_their_name():
+    good = CORE.get("monus")
+    broken = default_registry().override("monus", lambda x, y: (x - y) % 2**16).get("monus")
+    assert broken == good  # equal as term nodes: the same name and arity
+    args = (Apply(1, Proj(1)), Apply(2, Proj(1)))
+    terms = [OperatorTerm(2, 1, Base(good, args)), OperatorTerm(2, 1, Base(broken, args))]
+    fns = (NatFun.constant(1), NatFun.constant(3))
+    assert eval_term(TermProgram(terms), fns, (0,)) == (0, 2**16 - 2)
+
+
+def test_a_program_checks_its_terms_and_arguments():
+    for terms in ([], [OperatorTerm(1, 1, Proj(1)), OperatorTerm(2, 1, Proj(1))]):
+        with pytest.raises(ArityMismatch):
+            TermProgram(terms)
+    program = TermProgram([OperatorTerm(1, 1, Apply(1, Proj(1)))] * 3)
+    with pytest.raises(ArityMismatch):
+        eval_term(program, (), (0,))
+    assert eval_term(program, (NatFun.identity(),), (7,)) == (7, 7, 7)
 
 
 def test_eval_checks_arities():
@@ -241,6 +305,29 @@ def test_mutations_outside_the_trace_cannot_change_the_value():
                 memoize=False,
             )
             assert eval_term(term, tuple(mutated), args) == value
+
+
+def naive_support_bound(node):
+    if isinstance(node, Proj):
+        return 0
+    if isinstance(node, Apply):
+        return 1 + naive_support_bound(node.sub)
+    return sum(naive_support_bound(sub) for sub in node.subs)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6), st.integers(min_value=1, max_value=3))
+def test_instrumented_trace_is_the_naive_recorded_support(seed, k):
+    rng = Random(seed)
+    for term in shared_triple(seed, k):
+        fns = sample_fns(rng, k)
+        args = (rng.randrange(12),)
+        wrapped, log = recording(fns)
+        expected = naive_eval(term, wrapped, args)
+        value, trace = eval_instrumented(term, fns, args)
+        assert value == expected
+        assert dict(trace.queried) == {i: frozenset(seen) for i, seen in log.items()}
+        assert support_bound(term) == naive_support_bound(term.node)
 
 
 def test_support_bound_structural_cases():
