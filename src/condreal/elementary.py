@@ -9,8 +9,14 @@ reads its arguments at ``2t+1``, so two input errors below ``1/(2t+2)``
 sum to under ``1/(t+1)``; multiplication additionally rescales the index
 by a magnitude bound read off the index-0 approximations.  What does not
 depend on the index is done once per application: a constant argument
-is decoded into its ``Fraction`` once and the product's magnitude bound
-is read once, while the rule itself still runs at every index.
+is decoded once and the product's magnitude bound is read once, while
+the rule itself still runs at every index.
+
+The builtins compute on integers: a triple is read as the unreduced pair
+``(x - y, z + 1)``, an exact kernel combines the pairs, and one ``gcd``
+reduces the result to the canonical triple.  A builtin's ``Fraction``
+rule is its entry's oracle, which registration and ``registry_validate``
+check the kernel against; ``uniform_from_rule`` runs on the same loop.
 
 Reciprocal is the genuinely conditional entry: its certificate at
 parameter ``s`` checks ``|approx(input, s)| > 2/(s+1)`` -- realized with
@@ -24,6 +30,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
+from math import gcd
 from typing import Callable, Iterator, Sequence
 
 from . import gadgets
@@ -68,8 +75,10 @@ class OutsideDomain(ValueError):
     """The requested point is outside the function's domain."""
 
 
-def _encode(q: Fraction) -> tuple[int, int, int]:
+def _encode(q: Fraction | int) -> tuple[int, int, int]:
     # canonical triple values for an exact rational p/d
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
     p, d = q.numerator, q.denominator
     return (p if p > 0 else 0, -p if p < 0 else 0, d - 1)
 
@@ -79,13 +88,54 @@ def _decode(triple: tuple[int, int, int]) -> Fraction:
     return Fraction(x - y, z + 1)
 
 
+def _pair(triple: tuple[int, int, int]) -> tuple[int, int]:
+    # the value (x - y) / (z + 1), unreduced; the denominator is positive
+    x, y, z = triple
+    return x - y, z + 1
+
+
+def _encode_pair(pair: tuple[int, int]) -> tuple[int, int, int]:
+    # what ``_encode`` gives for p/d (d > 0), reduced by one gcd
+    p, d = pair
+    g = gcd(p, d)
+    return (p // g, 0, d // g - 1) if p >= 0 else (0, -p // g, d // g - 1)
+
+
 Schedule = Callable[[int, Sequence[NameTriple]], int]
 
 
-def _argument(name: NameTriple) -> Fraction | Callable[[int], tuple[int, int, int]]:
-    """A constant name's exact value, decoded once; any other name's reader."""
+def _argument(name: NameTriple, decode: Callable[[tuple[int, int, int]], object]) -> object:
+    """A constant name's value, decoded once; any other name's reader."""
     triple = constant_values(*name)
-    return triple_reader(*name) if triple is None else _decode(triple)
+    return triple_reader(*name) if triple is None else decode(triple)
+
+
+def _pointwise(
+    n_args: int,
+    rule: Callable[..., object],
+    schedule: Schedule,
+    name: str,
+    decode: Callable[[tuple[int, int, int]], object],
+    encode: Callable[[object], tuple[int, int, int]],
+) -> UniformFn:
+    # the per-index loop of every uniform entry: ``decode`` turns a triple
+    # into the rule's argument, ``encode`` its result into the output triple
+    bind = getattr(schedule, "bind", None)
+
+    def build(fns: tuple[NatFun, ...]) -> NameTriple:
+        names = [NameTriple(*fns[3 * j : 3 * j + 3]) for j in range(n_args)]
+        args = [_argument(nm, decode) for nm in names]
+        at = bind(names) if bind is not None else lambda t: schedule(t, names)
+
+        def ev(t: int) -> tuple[int, int, int]:
+            tau = at(t)
+            if tau.__class__ is not int or tau < 0:
+                _check_argument(tau, "schedule")
+            return encode(rule(*[decode(a(tau)) if callable(a) else a for a in args]))
+
+        return TripleStream(ev, name).name()
+
+    return UniformFn(n_args, *JointOperator(3 * n_args, 3, build, name).components())
 
 
 def uniform_from_rule(
@@ -97,13 +147,14 @@ def uniform_from_rule(
     """A uniform function computed by exact rational arithmetic.
 
     At output index ``t`` every argument name is queried at
-    ``schedule(t, names)``, ``rule`` combines the exact approximations,
-    and the exact rational result is re-encoded canonically.  The caller
-    owns the error analysis: the schedule must be fine enough that the
-    rule's output is within ``1/(t+1)`` of the true value.  F, G and H
-    are the components of one ``JointOperator``, so an application
-    computes each index's rational once, and it reads each argument name
-    through one ``triple_reader``.
+    ``schedule(t, names)``, ``rule`` combines the exact approximations
+    as ``Fraction``s, and the exact rational result is re-encoded
+    canonically.  The caller owns the error analysis: the schedule must
+    be fine enough that the rule's output is within ``1/(t+1)`` of the
+    true value.  F, G and H are the components of one ``JointOperator``,
+    so an application computes each index's rational once, and it reads
+    each argument name through one ``triple_reader``.  The builtins run
+    on the same loop with integer kernels in place of ``Fraction`` rules.
 
     Work that does not depend on the index is done once per application:
     a constant argument is decoded into its ``Fraction`` once (the rule
@@ -112,23 +163,7 @@ def uniform_from_rule(
     its ``t -> index`` map, as the product schedule does to read its
     magnitude bound once.
     """
-    bind = getattr(schedule, "bind", None)
-
-    def build(fns: tuple[NatFun, ...]) -> NameTriple:
-        names = [NameTriple(*fns[3 * j : 3 * j + 3]) for j in range(n_args)]
-        args = [_argument(nm) for nm in names]
-        at = bind(names) if bind is not None else lambda t: schedule(t, names)
-
-        def ev(t: int) -> tuple[int, int, int]:
-            tau = at(t)
-            if tau.__class__ is not int or tau < 0:
-                _check_argument(tau, "schedule")
-            value = rule(*[a if a.__class__ is Fraction else _decode(a(tau)) for a in args])
-            return _encode(value if isinstance(value, Fraction) else Fraction(value))
-
-        return TripleStream(ev, name).name()
-
-    return UniformFn(n_args, *JointOperator(3 * n_args, 3, build, name).components())
+    return _pointwise(n_args, rule, schedule, name, _decode, _encode)
 
 
 def _at_t(t: int, _names: Sequence[NameTriple]) -> int:
@@ -208,14 +243,15 @@ def _recip_value() -> JointOperator:
     # 1/(t+1).  The q = 0 guard is unreachable for certified inputs and
     # only keeps the operator total.
     # A constant input is decoded once; tau is a natural by construction.
+    # The reciprocal of p/d is d/p with the sign moved to the numerator.
     def build(fns: tuple[NatFun, ...]) -> NameTriple:
-        arg, e = _argument(NameTriple(*fns[:3])), fns[3]
+        arg, e = _argument(NameTriple(*fns[:3]), _pair), fns[3]
 
         def ev(t: int) -> tuple[int, int, int]:
             s = e(t)
             tau = 2 * (s + 1) * (s + 1) * (t + 1) - 1
-            q = arg if arg.__class__ is Fraction else _decode(arg(tau))
-            return _encode(Fraction(0) if q == 0 else 1 / q)
+            p, d = _pair(arg(tau)) if callable(arg) else arg
+            return _encode_pair((d, p) if p > 0 else (-d, -p) if p < 0 else (0, 1))
 
         return TripleStream(ev, "recip").name()
 
@@ -352,19 +388,30 @@ def register_builtins(registry: FunctionRegistry | None = None) -> FunctionRegis
         name: str,
         n_args: int,
         rule: Callable[..., Fraction],
+        kernel: Callable[..., tuple[int, int]],
         schedule: Schedule,
         aliases: Sequence[str] = (),
     ) -> None:
-        entry = Entry(name, n_args, uniform_from_rule(n_args, rule, schedule, name), rule)
-        reg.register(entry, aliases=aliases)
+        # the kernel runs on (numerator, denominator > 0) pairs; the rule is its oracle
+        fn = _pointwise(n_args, kernel, schedule, name, _pair, _encode_pair)
+        reg.register(Entry(name, n_args, fn, rule), aliases=aliases)
 
-    uniform("negate", 1, lambda a: -a, _at_t, aliases=("neg",))
-    uniform("abs", 1, abs, _at_t)
-    uniform("add", 2, lambda a, b: a + b, _twice_plus_one)
-    uniform("sub", 2, lambda a, b: a - b, _twice_plus_one)
-    uniform("min", 2, min, _twice_plus_one)
-    uniform("max", 2, max, _twice_plus_one)
-    uniform("mul", 2, lambda a, b: a * b, _product_schedule)
+    uniform("negate", 1, lambda a: -a, lambda a: (-a[0], a[1]), _at_t, aliases=("neg",))
+    uniform("abs", 1, abs, lambda a: (abs(a[0]), a[1]), _at_t)
+    uniform(
+        "add", 2, lambda a, b: a + b,
+        lambda a, b: (a[0] * b[1] + b[0] * a[1], a[1] * b[1]), _twice_plus_one,
+    )
+    uniform(
+        "sub", 2, lambda a, b: a - b,
+        lambda a, b: (a[0] * b[1] - b[0] * a[1], a[1] * b[1]), _twice_plus_one,
+    )
+    uniform("min", 2, min, lambda a, b: a if a[0] * b[1] <= b[0] * a[1] else b, _twice_plus_one)
+    uniform("max", 2, max, lambda a, b: b if a[0] * b[1] <= b[0] * a[1] else a, _twice_plus_one)
+    uniform(
+        "mul", 2, lambda a, b: a * b,
+        lambda a, b: (a[0] * b[0], a[1] * b[1]), _product_schedule,
+    )
 
     def recip_oracle(a: Fraction) -> Fraction:
         if a == 0:

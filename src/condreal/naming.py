@@ -25,8 +25,9 @@ manipulates these triples, so this module pins down the two ground types:
     the three values ``(x, y, z)`` a name takes at each index, computed
     together by one function and memoized once, under the same cap.
     Its ``name()`` is the three-function view the paper and the term
-    layer use: ``f``, ``g`` and ``h`` project the one memo, so reading
-    all three at an index computes that index's rational once.
+    layer use: ``f``, ``g`` and ``h`` project the one memo (a hit is read
+    in one call), so reading all three at an index computes that index's
+    rational once.
 
 ``triple_reader``
     how a consumer reads a name: one ``(x, y, z)`` per index.  A stream's
@@ -251,10 +252,21 @@ class TripleStream:
         label = self.label or "stream"
         fns = []
         for i, c in enumerate("fgh"):
-            fn = NatFun(lambda t, _i=i: self(t)[_i], label=f"{label}.{c}", memoize=False)
+            fn = _Projection(lambda t, _i=i: self(t)[_i], label=f"{label}.{c}", memoize=False)
             fn._source = (self, i)
             fns.append(fn)
         return NameTriple(*fns)
+
+
+class _Projection(NatFun):
+    """One position of a stream's triple, read from the stream's memo on a hit."""
+
+    __slots__ = ()
+
+    def __call__(self, t: int) -> int:
+        stream, i = self._source
+        hit = stream._memo.get(t) if t.__class__ is int else None
+        return hit[i] if hit is not None else self._eval(t)
 
 
 def constant_values(*fns: NatFun) -> tuple[int, ...] | None:

@@ -394,10 +394,13 @@ def test_a_bad_schedule_over_constant_arguments_is_still_refused(bad):
             out.f(0)
 
 
-def test_constant_arguments_build_their_fraction_once_per_application(registry, monkeypatch):
+def test_constant_arguments_build_their_fraction_once_per_application(monkeypatch):
+    # the builtins decode a triple into an integer pair with ``_pair``; the
+    # registry is built after the spy is in place, since it keeps the decode
     decodes = []
-    decode = elementary._decode
-    monkeypatch.setattr(elementary, "_decode", lambda triple: decodes.append(triple) or decode(triple))
+    decode = elementary._pair
+    monkeypatch.setattr(elementary, "_pair", lambda triple: decodes.append(triple) or decode(triple))
+    registry = register_builtins()
     names = [rational_name(Fraction(1, 3)), rational_name(Fraction(-5, 2))]
     for entry, args in (("sub", names), ("mul", names), ("negate", names[:1])):
         del decodes[:]
@@ -463,3 +466,100 @@ def test_a_default_registry_still_rejects_a_drifted_entry():
     assert "add_drifted" not in reg.names()
     with pytest.raises(ValueError):
         register_builtins(reg)
+
+
+# ---------------------------------------------------------------------------
+# integer kernels against their Fraction oracles
+# ---------------------------------------------------------------------------
+
+_SCHEDULES = {
+    "negate": elementary._at_t,
+    "abs": elementary._at_t,
+    "add": elementary._twice_plus_one,
+    "sub": elementary._twice_plus_one,
+    "min": elementary._twice_plus_one,
+    "max": elementary._twice_plus_one,
+    "mul": elementary._product_schedule,
+}
+
+_HUGE = 10**40
+huge_rationals = st.builds(Fraction, st.integers(-_HUGE, _HUGE), st.integers(1, _HUGE))
+# two points, or one point twice: a tie for min and max
+huge_pairs = st.one_of(
+    st.tuples(huge_rationals, huge_rationals), huge_rationals.map(lambda q: (q, q))
+)
+KINDS = ("constant", "stream", "spy")
+
+
+def _name_of(kind, q, scale):
+    """A name of ``q``: canonical constants, a stream whose triples are
+    ``q``'s scaled by a factor that changes with the index (never in
+    lowest terms unless the factor is 1), or the constants behind spies."""
+    name = rational_name(q)
+    if kind == "spy":
+        return _recorded(name)
+    if kind == "stream":
+        x, y, z = name.f(0), name.g(0), name.h(0)
+
+        def scaled(t):
+            k = scale + t % 3
+            return (k * x, k * y, k * (z + 1) - 1)
+
+        return TripleStream(scaled, "scaled").name()
+    return name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=20, deadline=None)
+@given(point=huge_pairs, scale=st.integers(1, 10**6))
+def test_every_kernel_gives_what_its_fraction_oracle_gives(kind, point, scale):
+    for entry in default_functions():
+        if entry.kind != "uniform":
+            continue
+        # the two arguments differ in scale, so a tie is two spellings
+        names = [_name_of(kind, q, scale + j) for j, q in enumerate(point[: entry.n_args])]
+        oracle = uniform_from_rule(entry.n_args, entry.oracle, _SCHEDULES[entry.name], entry.name)
+        expected = _reads(apply_uniform(oracle, names))
+        assert _reads(apply_uniform(entry.fn, names)) == expected, entry.name
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@settings(max_examples=15, deadline=None)
+@given(
+    q=huge_rationals.filter(lambda q: abs(q) >= Fraction(1, 1000)),
+    scale=st.integers(1, 10**6),
+)
+def test_the_reciprocal_kernel_gives_what_its_oracle_gives_at_the_least_s(kind, q, scale):
+    recip = default_functions().get("recip")
+    names = [_name_of(kind, q, scale)]
+    s = find_parameter(recip.fn, names, 10**4)
+    # at a fixed s the reciprocal's value reads its input at this index
+    schedule = lambda t, _names: 2 * (s + 1) * (s + 1) * (t + 1) - 1  # noqa: E731
+    oracle = uniform_from_rule(1, recip.oracle, schedule, "recip")
+    expected = _reads(apply_uniform(oracle, names))
+    assert _reads(apply_conditional_at(recip.fn, names, s)) == expected
+
+
+def test_builtins_build_no_fraction_per_index(registry, monkeypatch):
+    builds = []
+    make = Fraction.__dict__["__new__"].__func__
+
+    def counting_new(cls, *args, **kwargs):
+        builds.append(args)
+        return make(cls, *args, **kwargs)
+
+    cases = (
+        ("sub", (Fraction(1, 3), Fraction(1, 3))),
+        ("mul", (Fraction(7, 3), Fraction(-2, 9))),
+    )
+    applications = [
+        (entry, [_name_of(kind, q, 2) for q in point])
+        for entry, point in cases
+        for kind in ("constant", "stream")
+    ]
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counting_new))
+    for entry, names in applications:
+        del builds[:]
+        _reads(apply_uniform(registry.get(entry).fn, names), 1000)
+        # mul's magnitude bound is read once; nothing is built per index
+        assert len(builds) <= 10, entry

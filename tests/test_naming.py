@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from condreal import naming
 from condreal.naming import (
     MEMO_CAP,
     NameTriple,
@@ -128,6 +129,11 @@ def test_stream_projections_share_one_evaluation_per_index():
         assert (name.h(t), name.f(t), name.g(t)) == (t % 3, t, 1)
     assert calls == list(range(30))
     assert [fn.label for fn in name] == ["counted.f", "counted.g", "counted.h"]
+    stream = name.f._source[0]
+    assert [fn._source for fn in name] == [(stream, 0), (stream, 1), (stream, 2)]
+    # eval_uncached goes through the stream, which keeps what it computes
+    assert name.g.eval_uncached(40) == 1 and calls[-1] == 40 and 40 in stream._memo
+    assert name.f.eval_uncached(40) == 40 and calls.count(40) == 1
 
 
 def test_stream_memo_is_bounded_and_keeps_values():
@@ -206,12 +212,17 @@ def test_parse_rational_rejects_garbage():
 def test_a_cached_index_admits_no_bool_or_float_argument():
     fn = NatFun(lambda t: t)
     stream = TripleStream(lambda t: (t, 0, 0))
-    assert fn(1) == 1 and stream(1) == (1, 0, 0)
+    projection = stream.name().f
+    assert fn(1) == 1 and stream(1) == (1, 0, 0) and projection(1) == 1
     for bad in (True, 1.0):
         with pytest.raises(ValueError):
             fn(bad)
         with pytest.raises(ValueError):
             stream(bad)
+    # a projection refuses with the NatFun message, cached index or not
+    for bad in (-1, True, 1.0, 2.0):
+        with pytest.raises(ValueError, match=r"^NatFun argument must be a natural"):
+            projection(bad)
 
 
 # ---------------------------------------------------------------------------
@@ -243,8 +254,10 @@ def test_triple_reader_takes_streams_and_constants_whole(monkeypatch):
     const = triple_reader(*rational_name(Fraction(5, 2)))
     spy = triple_reader(*_names_of_every_kind()["spy"])
     calls = []
-    call = NatFun.__call__
-    monkeypatch.setattr(NatFun, "__call__", lambda self, t: calls.append(t) or call(self, t))
+    # a stream's projections read its memo through their own ``__call__``
+    for cls in (NatFun, naming._Projection):
+        call = cls.__dict__["__call__"]
+        monkeypatch.setattr(cls, "__call__", lambda self, t, call=call: calls.append(t) or call(self, t))
     assert [const(t) for t in range(50)] == [(5, 0, 1)] * 50
     assert [stream(t) for t in range(50)] == [(t, 1, 2) for t in range(50)]
     assert calls == []
