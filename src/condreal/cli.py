@@ -4,7 +4,7 @@ Commands
 --------
 eval EXPR       evaluate an s-expression over the registered functions to
                 a requested precision, printing exact rationals
-suite NAME      run a named invariant suite
+suite NAME      run one suite of the check catalogue
 fns list        registered real functions
 gadgets list    available base functions
 gadgets eval    apply one base function to naturals
@@ -13,12 +13,14 @@ spaces list     built-in effective metric spaces
 Exit codes: 0 success, 2 usage or parse error (including an expression
 nested more than 100 levels deep, and a number, given or computed, with
 more digits than Python prints: 4300 by default), 3 search budget
-exhausted, 4 suite failure.
+exhausted, 4 suite failure, 141 output pipe closed by the reader (the
+shell's status for a process ended by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from fractions import Fraction
 from typing import Sequence
@@ -42,7 +44,6 @@ from .realfns import (
     find_parameter,
 )
 from .sexpr import SexprError, nesting, parse_sexpr
-from .suites import SUITE_NAMES, run_suite
 
 __all__ = ["main", "main_entry"]
 
@@ -91,8 +92,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="also print a decimal rendering (approximate, never authoritative)",
     )
 
-    p_suite = sub.add_parser("suite", help="run a named invariant suite")
-    p_suite.add_argument("name", help="one of: " + ", ".join(SUITE_NAMES))
+    p_suite = sub.add_parser("suite", help="run one suite of the check catalogue")
+    p_suite.add_argument("name", help="suite to run; an unknown name lists the choices")
     p_suite.add_argument("--seed", type=int, default=2021, help="sampling seed")
     p_suite.add_argument(
         "--t-max", dest="t_max", type=_natural, default=120,
@@ -228,8 +229,11 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
 
 def _cmd_suite(args: argparse.Namespace) -> int:
+    # imported here so that the other commands never load the catalogue
+    from .suites import SUITE_NAMES, run_suite
+
     try:
-        passed, lines = run_suite(args.name, seed=args.seed, t_max=args.t_max)
+        report = run_suite(args.name, seed=args.seed, t_max=args.t_max)
     except KeyError:
         print(
             f"error: unknown suite {args.name!r}; choose from: "
@@ -238,10 +242,10 @@ def _cmd_suite(args: argparse.Namespace) -> int:
         )
         return 2
     print(f"suite {args.name} (seed={args.seed}, t-max={args.t_max})")
-    for line in lines:
+    for line in report.lines:
         print(line)
-    print(f"result: {'PASS' if passed else 'FAIL'}")
-    return 0 if passed else 4
+    print(f"result: {'PASS' if report.passed else 'FAIL'}")
+    return 0 if report.passed else 4
 
 
 def _cmd_fns_list() -> int:
@@ -302,4 +306,14 @@ def main(argv: Sequence[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader went away (``condreal ... | head -1``).  As the Python
+        # docs recommend, point stdout at devnull so that the flush at
+        # interpreter exit cannot raise again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        sys.exit(141)
+    sys.exit(code)

@@ -1,27 +1,53 @@
-"""Named invariant suites backing ``condreal suite``.
+"""The check catalogue behind ``condreal suite`` and the acceptance criteria.
 
-Each suite re-checks a slice of the library's contracts at interactive
-scale and reports one line per check; the test suite runs the same
-properties at larger scale.  All sampling is driven by the caller's
-seed, so runs are reproducible.
+Every property the library promises about its gadgets, term rewrites,
+composition, localization, gluing and coded metric spaces is stated here
+once, as a named check in one of six suites.  A check yields one boolean
+per case it examines.  ``run_suite`` runs the checks of one suite and
+reports a line per check: ``ok: <label> (<n> cases)``, or ``FAIL:`` with
+the failing cases, or ``FAIL: <label> [raised <Type>: <message>]`` for a
+check that raises.
+
+The acceptance criteria 2, 3, 5, 6, 7 and 8 run these suites at
+``t_max=500``; ``condreal suite NAME`` runs the same checks at the same
+sizes, validating names to ``--t-max``.  Each check samples from its own
+generator, seeded by the caller's seed and the check's label, so its cases
+do not depend on which checks ran before it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 from random import Random
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple
 
-from . import gadgets
 from .elementary import default_functions, uniform_from_rule
-from .gadgets import CORE, decency_check, left, right, tuple_pack
+from .gadgets import (
+    CORE,
+    ball_indicator,
+    decency_check,
+    delta_1,
+    delta_k,
+    gamma,
+    gt,
+    left,
+    lt,
+    monus,
+    mu,
+    pair,
+    right,
+    tuple_pack,
+    tuple_part,
+)
 from .metric import (
     MsBall,
     MsBallCover,
     MsUniformFn,
     OrdinaryName,
     apply_conditional_ms,
+    apply_conditional_ms_at,
     apply_uniform_ms,
     code_ball_indicator,
     compose_conditional_ms,
@@ -37,24 +63,19 @@ from .metric import (
     mn_code,
     mn_name,
     translate_conditional,
+    translate_conditional_back,
     translate_uniform,
     translate_uniform_back,
     tuple_conditional,
     validate_ordinary_name,
 )
-from .naming import (
-    NameTriple,
-    NatFun,
-    approx,
-    format_rational,
-    rational_name,
-    validate_name,
-)
+from .naming import NatFun, approx, rational_name, validate_name
 from .realfns import (
     Ball,
     BallCover,
     ConditionalFn,
     ProcOperator,
+    TermOperator,
     UniformFn,
     apply_conditional_at,
     apply_uniform,
@@ -63,13 +84,16 @@ from .realfns import (
     embed_uniform,
     find_parameter,
     glue_compact,
+    identity_uniform,
     localize,
     separation_violations,
 )
 from .sampling import random_natfun, random_term
 from .terms import (
+    Apply,
     OperatorTerm,
     Proj,
+    compose_terms,
     curry,
     diagonalize,
     eval_term,
@@ -77,7 +101,7 @@ from .terms import (
     uncurry,
 )
 
-__all__ = ["SUITE_NAMES", "run_suite"]
+__all__ = ["SUITE_NAMES", "Check", "SuiteReport", "run_check", "run_suite"]
 
 SUITE_NAMES = (
     "gadgets",
@@ -95,52 +119,136 @@ _ALIASES = {
 }
 
 
-class _Recorder:
-    def __init__(self) -> None:
-        self.lines: list[str] = []
-        self.passed = True
+@dataclass(frozen=True)
+class Check:
+    """One catalogue entry: a label (``{t_max}`` is filled in) and its cases."""
 
-    def check(self, label: str, ok: bool, detail: str = "") -> None:
-        if not ok:
-            self.passed = False
-        suffix = f" [{detail}]" if detail and not ok else ""
-        self.lines.append(f"{'ok' if ok else 'FAIL'}: {label}{suffix}")
+    label: str
+    cases: Callable[[Random, int], Iterable[bool]]
 
-    def note(self, text: str) -> None:
-        self.lines.append(f"  {text}")
+
+class SuiteReport(NamedTuple):
+    passed: bool
+    lines: list[str]
+    cases: list[int]  # per check
+
+
+_CATALOGUE: dict[str, list[Check]] = {name: [] for name in SUITE_NAMES}
+
+
+def _check(suite: str, label: str) -> Callable[[Callable[[Random, int], Iterable[bool]]], Check]:
+    def register(cases: Callable[[Random, int], Iterable[bool]]) -> Check:
+        check = Check(label, cases)
+        _CATALOGUE[suite].append(check)
+        return check
+
+    return register
+
+
+def run_check(check: Check, seed: int, t_max: int) -> tuple[bool, str, int]:
+    """Run one check; returns (passed, report line, number of cases)."""
+    label = check.label.format(t_max=t_max)
+    rng = Random(f"{seed}:{check.label}")
+    try:
+        results = [bool(ok) for ok in check.cases(rng, t_max)]
+    except Exception as exc:  # a check that raises is a failed check
+        return False, f"FAIL: {label} [raised {type(exc).__name__}: {exc}]", 0
+    if results and all(results):
+        plural = "" if len(results) == 1 else "s"
+        return True, f"ok: {label} ({len(results)} case{plural})", len(results)
+    bad = results.count(False)
+    first = f", first is case {results.index(False)}" if bad else ""
+    return False, f"FAIL: {label} [{bad} of {len(results)} cases failed{first}]", len(results)
+
+
+def run_suite(name: str, seed: int = 2021, t_max: int = 120) -> SuiteReport:
+    """Run every check of one named suite (an alias is accepted)."""
+    canonical = _ALIASES.get(name, name)
+    if canonical not in _CATALOGUE:
+        raise KeyError(name)
+    results = [run_check(check, seed, t_max) for check in _CATALOGUE[canonical]]
+    return SuiteReport(
+        all(ok for ok, _, _ in results),
+        [line for _, line, _ in results],
+        [n for _, _, n in results],
+    )
 
 
 # ---------------------------------------------------------------------------
-# schedules and small uniform functions used by several suites
+# small uniform functions and covers shared by the suites and the tests
 # ---------------------------------------------------------------------------
 
 
-def _same_index(t: int, _names: Sequence[NameTriple]) -> int:
+def _same_index(t: int, _names: object) -> int:
     return t
 
 
-def _finer(t: int, _names: Sequence[NameTriple]) -> int:
+def _finer(t: int, _names: object) -> int:
     return 2 * t + 1
 
 
-def _negate_fn() -> UniformFn:
+def negate_fn() -> UniformFn:
     return uniform_from_rule(1, lambda a: -a, _same_index, "negate")
 
 
-def _identity_fn() -> UniformFn:
+def identity_fn() -> UniformFn:
     return uniform_from_rule(1, lambda a: a, _same_index, "identity")
 
 
-def _abs_fn() -> UniformFn:
+def abs_fn() -> UniformFn:
     return uniform_from_rule(1, abs, _same_index, "abs")
 
 
-def _double_fn() -> UniformFn:
+def double_fn() -> UniformFn:
     return uniform_from_rule(1, lambda a: 2 * a, _finer, "double")
 
 
-def _add_one_fn() -> UniformFn:
-    return uniform_from_rule(1, lambda a: a + 1, _same_index, "add_one")
+def add_one_fn() -> UniformFn:
+    return uniform_from_rule(1, lambda a: a + 1, _same_index, "add-one")
+
+
+def negate_term_fn() -> UniformFn:
+    """Negation as a term: swapping the positive and negative parts."""
+
+    def component(slot: int) -> TermOperator:
+        return TermOperator(OperatorTerm(3, 1, Apply(slot, Proj(1))))
+
+    return UniformFn(1, component(2), component(1), component(3))
+
+
+def two_ball_cover() -> BallCover:
+    """|q| on [-1, 1] from two balls; the first one's test fires up to 1/4."""
+    return BallCover(
+        (
+            Ball((Fraction(-1),), Fraction(3, 2), negate_fn()),
+            Ball((Fraction(1),), Fraction(3, 2), identity_fn()),
+        ),
+        separation=3,
+    )
+
+
+def three_ball_cover() -> BallCover:
+    """|q| on [-1, 1], correct everywhere: a third ball covers the kink."""
+    return BallCover(
+        (
+            Ball((Fraction(-1),), Fraction(1), negate_fn()),
+            Ball((Fraction(1),), Fraction(1), identity_fn()),
+            Ball((Fraction(0),), Fraction(1, 4), abs_fn()),
+        ),
+        separation=15,
+    )
+
+
+def _recip() -> ConditionalFn:
+    return default_functions().get("recip").fn
+
+
+def _validates(fn: UniformFn, q: Fraction, value: Fraction, t_max: int) -> bool:
+    return validate_name(apply_uniform(fn, [rational_name(q)]), value, t_max).passed
+
+
+def _fns(rng: Random, k: int) -> tuple[NatFun, ...]:
+    return tuple(random_natfun(rng) for _ in range(k))
 
 
 # ---------------------------------------------------------------------------
@@ -148,148 +256,168 @@ def _add_one_fn() -> UniformFn:
 # ---------------------------------------------------------------------------
 
 
-def _suite_gadgets(rng: Random, t_max: int) -> tuple[bool, list[str]]:
-    r = _Recorder()
-
-    report = decency_check(CORE)
-    for line in report.lines():
-        r.note(line)
-    r.check("core registry passes the decency checks", report.passed)
-
-    d2 = CORE.delta(2)
-    bad = sum(
-        1
-        for args in product(range(3), repeat=5)
-        if d2.fn(*args)
-        != (args[1] if args[0] == 0 else args[3] if args[2] == 0 else args[4])
-    )
-    r.check("delta_2 equals first-zero dispatch on 3^5 argument grids", bad == 0)
-
-    def mu_oracle(k: int, c: int, x: int, y: int) -> int:
-        return c if x == k else y
-
-    bad = 0
-    for k, c in ((1, 2), (3, 1), (2, 5)):
-        mu = CORE.mu(k, c)
-        for x in range(10):
-            for y in range(10):
-                formula = gadgets.delta_1(
-                    gadgets.monus(x, k),
-                    gadgets.delta_1(gadgets.monus(k, x), c, y),
-                    y,
-                )
-                if mu.fn(x, y) != mu_oracle(k, c, x, y) or mu.fn(x, y) != formula:
-                    bad += 1
-    r.check("mu agrees with its case rule and its delta_1 formula", bad == 0)
-
-    bad = 0
-    for b, c in ((1, 1), (2, 1), (1, 2), (2, 2)):
-        g = CORE.gamma(b, c)
-        for args in product(range(5), repeat=b + c):
-            positive = g.fn(*args) > 0
-            if positive != (sum(args[:b]) > sum(args[b:])):
-                bad += 1
-    r.check("gamma positivity encodes the sum comparison (exhaustive)", bad == 0)
-
-    bad = 0
-    for a in (Fraction(-3, 2), Fraction(0), Fraction(2, 3)):
-        lt_a, gt_a = CORE.lt(a), CORE.gt(a)
-        for x, y, z in product(range(6), repeat=3):
-            v = Fraction(x - y, z + 1)
-            if (lt_a.fn(x, y, z) > 0) != (v < a) or (gt_a.fn(x, y, z) > 0) != (v > a):
-                bad += 1
-    r.check("lt/gt sign tests match exact rational comparison", bad == 0)
-
-    ball = gadgets.ball_indicator((Fraction(1, 2),), Fraction(1))
-    bad = sum(
-        1
-        for x, y, z in product(range(5), repeat=3)
-        if (ball.fn(x, y, z) == 0) != (abs(Fraction(x - y, z + 1) - Fraction(1, 2)) < 1)
-    )
-    r.check("ball indicator matches the max-norm membership oracle", bad == 0)
-
-    bad = sum(
-        1
-        for u in range(25)
-        for v in range(25)
-        if gadgets.left(gadgets.pair(u, v)) != u or gadgets.right(gadgets.pair(u, v)) != v
-    )
-    packed = tuple_pack([4, 0, 7])
-    parts = tuple(gadgets.tuple_part(3, i, packed) for i in (1, 2, 3))
-    r.check("pairing projections invert packing", bad == 0 and parts == (4, 0, 7))
-
-    return r.passed, r.lines
+@_check("gadgets", "the core registry passes its decency checks")
+def decency(rng: Random, t_max: int) -> Iterator[bool]:
+    for check in decency_check(CORE).checks:
+        yield check.passed
 
 
-# ---------------------------------------------------------------------------
-# curry
-# ---------------------------------------------------------------------------
+def _first_zero(k: int, args: tuple[int, ...]) -> int:
+    for i in range(k):
+        if args[2 * i] == 0:
+            return args[2 * i + 1]
+    return args[-1]
 
 
-def _sample_fns(rng: Random, k: int) -> tuple[NatFun, ...]:
-    return tuple(random_natfun(rng) for _ in range(k))
+@_check("gadgets", "delta_k has arity 2k+1 and is first-zero dispatch (k <= 4, arguments < 3)")
+def delta_k_dispatch(rng: Random, t_max: int) -> Iterator[bool]:
+    for k in range(1, 5):
+        fn = delta_k(k)
+        yield fn.arity == 2 * k + 1
+        for args in product(range(3), repeat=2 * k + 1):
+            yield fn.fn(*args) == _first_zero(k, args)
 
 
-def _suite_curry(rng: Random, t_max: int) -> tuple[bool, list[str]]:
-    r = _Recorder()
-    terms = [random_term(rng, 2, 2, 3) for _ in range(30)]
+@_check("gadgets", "mu_k_c is its case rule and its delta_1 formula (k, c < 6; x, y < 13)")
+def mu_cases(rng: Random, t_max: int) -> Iterator[bool]:
+    for k, c in product(range(6), repeat=2):
+        fn = mu(k, c).fn
+        for x, y in product(range(13), repeat=2):
+            formula = delta_1(monus(x, k), delta_1(monus(k, x), c, y), y)
+            yield fn(x, y) == (c if x == k else y) == formula
 
-    bad = 0
-    for term in terms:
-        for _ in range(12):
-            fns = _sample_fns(rng, 2)
-            s, t1 = rng.randrange(12), rng.randrange(12)
-            lhs = eval_term(term, fns, (s, t1))
-            rhs = eval_term(curry(term), fns + (NatFun.constant(s),), (t1,))
-            if lhs != rhs:
-                bad += 1
-    r.check("currying satisfies its defining equality (30 terms x 12 samples)", bad == 0)
 
-    bad = sum(1 for term in terms if uncurry(curry(term)) != term)
-    r.check("uncurry inverts curry structurally", bad == 0)
+@_check("gadgets", "gamma_b_c has arity b+c, is positive iff the first b sum higher (b, c <= 3)")
+def gamma_sign(rng: Random, t_max: int) -> Iterator[bool]:
+    for b, c in product(range(1, 4), repeat=2):
+        fn = gamma(b, c)
+        yield fn.arity == b + c
+        for args in product(range(7), repeat=b + c):
+            yield (fn.fn(*args) > 0) == (sum(args[:b]) > sum(args[b:]))
 
-    # Un-currying forgets how the last function slot was probed, so the
-    # reverse round trip is only promised when that slot holds a constant.
-    bad = 0
-    for _ in range(20):
-        term = random_term(rng, 2, 1, 3)
-        back = curry(uncurry(term))
-        for _ in range(12):
-            fns = (_sample_fns(rng, 1)[0], NatFun.constant(rng.randrange(9)))
-            n = rng.randrange(12)
-            if eval_term(term, fns, (n,)) != eval_term(back, fns, (n,)):
-                bad += 1
-    r.check("curry inverts uncurry on constant final slots", bad == 0)
 
-    bad = 0
-    for _ in range(20):
-        term = random_term(rng, 2, 3, 3)
-        flat = multi_curry(term)
-        for _ in range(12):
-            fns = _sample_fns(rng, 2)
-            s1, s2, t1 = (rng.randrange(10) for _ in range(3))
-            lhs = eval_term(term, fns, (s1, s2, t1))
-            rhs = eval_term(
-                flat, fns + (NatFun.constant(s1), NatFun.constant(s2)), (t1,)
+_THRESHOLDS = tuple(
+    Fraction(a) for a in ("-2", "-3/2", "-1/2", "0", "1/3", "2/3", "1", "5/2")
+)
+
+
+@_check("gadgets", "lt_a, gt_a are positive iff (x-y)/(z+1) is below, above a (8 a; x, y, z < 9)")
+def sign_tests(rng: Random, t_max: int) -> Iterator[bool]:
+    for a in _THRESHOLDS:
+        below, above = lt(a).fn, gt(a).fn
+        for x, y, z in product(range(9), repeat=3):
+            q = Fraction(x - y, z + 1)
+            yield (below(x, y, z) > 0) == (q < a) and (above(x, y, z) > 0) == (q > a)
+
+
+_BALLS = (
+    ((Fraction(0),), Fraction(1)),
+    ((Fraction(1, 2),), Fraction(1)),
+    ((Fraction(-1, 2),), Fraction(3, 4)),
+    ((Fraction(1),), Fraction(1, 4)),
+    ((Fraction(1, 2), Fraction(-1)), Fraction(3, 4)),
+    ((Fraction(0), Fraction(2)), Fraction(3, 2)),
+)
+
+
+@_check("gadgets", "ball indicators take 3 arguments a coordinate, vanish exactly on the ball")
+def ball_membership(rng: Random, t_max: int) -> Iterator[bool]:
+    triples = list(product(range(5), repeat=3))
+    for center, radius in _BALLS:
+        ind = ball_indicator(center, radius)
+        yield ind.arity == 3 * len(center)
+        for point in product(triples, repeat=len(center)):
+            inside = all(
+                abs(Fraction(x - y, z + 1) - c) < radius
+                for (x, y, z), c in zip(point, center)
             )
-            if lhs != rhs:
-                bad += 1
-    r.check("iterated currying eliminates every numeric slot", bad == 0)
+            yield (ind.fn(*(n for triple in point for n in triple)) == 0) == inside
 
-    bad = 0
-    for _ in range(20):
-        term = random_term(rng, 3, 1, 3)
-        diag = diagonalize(term)
+
+@_check("gadgets", "left and right invert pair, tuple_part inverts tuple_pack")
+def pairing(rng: Random, t_max: int) -> Iterator[bool]:
+    for u, v in product(range(25), repeat=2):
+        yield (left(pair(u, v)), right(pair(u, v))) == (u, v)
+    packed = tuple_pack([4, 0, 7])
+    yield tuple(tuple_part(3, i, packed) for i in (1, 2, 3)) == (4, 0, 7)
+
+
+# ---------------------------------------------------------------------------
+# curry: the term-language rewrites
+# ---------------------------------------------------------------------------
+
+
+@_check("curry", "curry(T)(f, const s; t) = T(f; s, t), uncurry(curry(T)) is T (100 x 100)")
+def currying(rng: Random, t_max: int) -> Iterator[bool]:
+    for _ in range(100):
+        term = random_term(rng, 2, 2, 4)
+        curried = curry(term)
+        back = uncurry(curried)
+        yield back == term
+        for _ in range(100):
+            fns = _fns(rng, 2)
+            s, t = rng.randrange(12), rng.randrange(12)
+            direct = eval_term(term, fns, (s, t))
+            via_curry = eval_term(curried, fns + (NatFun.constant(s),), (t,))
+            yield direct == via_curry == eval_term(back, fns, (s, t))
+
+
+# Un-currying forgets how the last function slot was probed, so the
+# reverse round trip is only promised when that slot holds a constant.
+@_check("curry", "uncurry(T)(f; s, t) = T(f, const s; t) = curry(uncurry(T))(...) (100 x 10)")
+def uncurrying(rng: Random, t_max: int) -> Iterator[bool]:
+    for _ in range(100):
+        term = random_term(rng, 2, 1, 4)
+        flat = uncurry(term)
+        back = curry(flat)
+        for _ in range(10):
+            f1 = random_natfun(rng)
+            s, t = rng.randrange(12), rng.randrange(12)
+            fns = (f1, NatFun.constant(s))
+            value = eval_term(term, fns, (t,))
+            yield eval_term(flat, (f1,), (s, t)) == value == eval_term(back, fns, (t,))
+
+
+@_check("curry", "multi_curry(T) has 4 function slots, 1 numeric slot, agrees with T (100 x 12)")
+def iterated_currying(rng: Random, t_max: int) -> Iterator[bool]:
+    for _ in range(100):
+        term = random_term(rng, 2, 3, 4)
+        flat = multi_curry(term)
+        yield (flat.k, flat.m) == (4, 1)
         for _ in range(12):
-            fns = _sample_fns(rng, 2)
-            n = rng.randrange(12)
-            lhs = eval_term(diag, fns, (n,))
-            rhs = eval_term(term, fns + (NatFun.constant(n),), (n,))
-            if lhs != rhs:
-                bad += 1
-    r.check("diagonalization matches its direct definition", bad == 0)
+            fns = _fns(rng, 2)
+            s1, s2, t = (rng.randrange(10) for _ in range(3))
+            consts = (NatFun.constant(s1), NatFun.constant(s2))
+            yield eval_term(term, fns, (s1, s2, t)) == eval_term(flat, fns + consts, (t,))
 
-    return r.passed, r.lines
+
+@_check("curry", "diagonalize(T) has 2 function slots, equals T(f, const n; n) (100 x 12)")
+def diagonalization(rng: Random, t_max: int) -> Iterator[bool]:
+    for _ in range(100):
+        term = random_term(rng, 3, 1, 4)
+        diag = diagonalize(term)
+        yield diag.k == 2
+        for _ in range(12):
+            fns = _fns(rng, 2)
+            n = rng.randrange(12)
+            direct = eval_term(term, fns + (NatFun.constant(n),), (n,))
+            yield eval_term(diag, fns, (n,)) == direct
+
+
+@_check("curry", "compose_terms(T, S) evaluates as T over the staged S (100 x 10)")
+def grafting(rng: Random, t_max: int) -> Iterator[bool]:
+    for _ in range(100):
+        outer = random_term(rng, 2, 1, 3)
+        inners = [random_term(rng, 2, 1, 3) for _ in range(2)]
+        grafted = compose_terms(outer, inners)
+        for _ in range(10):
+            gs = _fns(rng, 2)
+            n = rng.randrange(10)
+            staged = tuple(
+                NatFun(lambda t, _i=inner, _g=gs: eval_term(_i, _g, (t,)), memoize=False)
+                for inner in inners
+            )
+            yield eval_term(grafted, gs, (n,)) == eval_term(outer, staged, (n,))
 
 
 # ---------------------------------------------------------------------------
@@ -297,47 +425,51 @@ def _suite_curry(rng: Random, t_max: int) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _suite_composition(rng: Random, t_max: int) -> tuple[bool, list[str]]:
-    r = _Recorder()
-    registry = default_functions()
-    recip = registry.get("recip").fn
-    add_one = embed_uniform(_add_one_fn())
-    double = embed_uniform(_double_fn())
+_PARTS: dict[str, Callable[[], ConditionalFn]] = {
+    "recip": _recip,
+    "add-one": lambda: embed_uniform(add_one_fn()),
+    "double": lambda: embed_uniform(double_fn()),
+    "identity": lambda: embed_uniform(identity_uniform()),
+    "negate": lambda: embed_uniform(negate_term_fn()),  # term-backed
+}
 
-    cases: list[tuple[str, ConditionalFn, ConditionalFn, Fraction, Fraction]] = [
-        ("add_one after double at 3", add_one, double, Fraction(3), Fraction(7)),
-        ("double after recip at 1/2", double, recip, Fraction(1, 2), Fraction(4)),
-        ("recip after add_one at 1", recip, add_one, Fraction(1), Fraction(1, 2)),
-        ("recip after recip at 2/3", recip, recip, Fraction(2, 3), Fraction(2, 3)),
-        ("add_one after add_one at 0", add_one, add_one, Fraction(0), Fraction(2)),
-    ]
+# outer, inner, point, value of the composite at the point
+COMPOSITES = (
+    ("recip", "recip", "2/3", "2/3"),
+    ("recip", "add-one", "1", "1/2"),
+    ("recip", "double", "-1/4", "-2"),
+    ("double", "recip", "1/2", "4"),
+    ("identity", "recip", "3", "1/3"),
+    ("negate", "negate", "5/7", "5/7"),
+    ("add-one", "double", "3", "7"),
+    ("add-one", "add-one", "0", "2"),
+)
 
-    for label, outer, inner, point, want in cases:
-        composite = compose_conditional(outer, inner)
-        name = rational_name(point)
+
+def composite_check(outer: str, inner: str, point: str, value: str) -> Check:
+    """The composite's least certificate s splits: right(s) certifies the
+    inner function, left(s) the outer one on the inner's output; and the
+    composite's output names the value."""
+
+    def cases(rng: Random, t_max: int) -> Iterator[bool]:
+        f, g = _PARTS[outer](), _PARTS[inner]()
+        composite = compose_conditional(f, g)
+        name = rational_name(Fraction(point))
         s = find_parameter(composite, [name], 10**6)
-        s0, s1 = left(s), right(s)
-        r.note(f"{label}: s={s} splits into (L,R)=({s0},{s1})")
+        yield g.E.apply(tuple(name)).eval_uncached(right(s)) == 0
+        mid = apply_conditional_at(g, [name], right(s))
+        yield f.E.apply(tuple(mid)).eval_uncached(left(s)) == 0
+        out = apply_conditional_at(composite, [name], s)
+        yield validate_name(out, Fraction(value), t_max).passed
 
-        fns = tuple(name)
-        inner_ok = inner.E.apply(fns).eval_uncached(s1) == 0
-        mid = tuple(
-            op.apply(fns + (NatFun.constant(s1),))
-            for op in (inner.F, inner.G, inner.H)
-        )
-        outer_ok = outer.E.apply(mid).eval_uncached(s0) == 0
-        r.check(f"{label}: both split parameters certify", inner_ok and outer_ok)
+    return Check(
+        f"{outer} after {inner} at {point}: the least certificate splits into"
+        f" certificates of both, the output names {value} (t <= {{t_max}})",
+        cases,
+    )
 
-        output = apply_conditional_at(composite, [name], s)
-        report = validate_name(output, want, t_max)
-        detail = "" if report.passed else f"first failure t={report.first_failure.t}"
-        r.check(
-            f"{label}: output names {format_rational(want)} for t <= {t_max}",
-            report.passed,
-            detail,
-        )
 
-    return r.passed, r.lines
+_CATALOGUE["composition"] += [composite_check(*case) for case in COMPOSITES]
 
 
 # ---------------------------------------------------------------------------
@@ -345,132 +477,100 @@ def _suite_composition(rng: Random, t_max: int) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _suite_localization(rng: Random, t_max: int) -> tuple[bool, list[str]]:
-    r = _Recorder()
-    registry = default_functions()
-    recip = registry.get("recip").fn
+def _localized() -> Iterator[tuple]:
+    """(fn, anchor name, neighborhood, local fn, value oracle, inside, outside)."""
+    recip = _recip()
+    near = Fraction(2, 3)
+    targets = [
+        (
+            recip,
+            Fraction(1),
+            lambda q: 1 / q,
+            list(map(Fraction, ("3/4", "4/5", "5/6", "9/10", "1", "9/8", "7/6", "5/4"))),
+            list(map(Fraction, ("0", "1/2", "2", "3"))),
+        ),
+        (
+            compose_conditional(recip, recip),
+            near,
+            lambda q: q,
+            [near + Fraction(d) for d in ("0", "1/128", "-1/128", "1/100", "-1/100")],
+            [near + 2],
+        ),
+        (embed_uniform(identity_fn()), Fraction(0), lambda q: q, [Fraction(1, 7)], [Fraction(2)]),
+    ]
+    for fn, at, value, inside, outside in targets:
+        anchor = rational_name(at)
+        hood, local = localize(fn, anchor, 1000)
+        yield fn, anchor, hood, local, value, inside, outside
 
-    anchor = rational_name(Fraction(1))
-    hood, local = localize(recip, anchor, budget=1000)
-    r.note(f"reciprocal at 1: cutoff u={hood.cutoff}")
 
-    inside = [Fraction(1), Fraction(5, 6), Fraction(7, 6), Fraction(9, 10)]
-    outside = [Fraction(1, 2), Fraction(2), Fraction(0)]
-    r.check(
-        "neighborhood membership is decided exactly",
-        all(hood.contains(q) for q in inside)
-        and not any(hood.contains(q) for q in outside),
-    )
+@_check("localization", "3 neighborhoods decide membership exactly, inside and outside")
+def membership(rng: Random, t_max: int) -> Iterator[bool]:
+    for _fn, _anchor, hood, _local, _value, inside, outside in _localized():
+        yield from (hood.contains(q) for q in inside)
+        yield from (not hood.contains(q) for q in outside)
 
-    ok = True
-    for q in inside:
-        output = apply_uniform(local, [rational_name(q)])
-        if not validate_name(output, 1 / q, t_max).passed:
-            ok = False
-    r.check(f"localized reciprocal names 1/q inside the neighborhood (t <= {t_max})", ok)
 
-    s0 = find_parameter(recip, [anchor], 1000)
-    cut = hood.cutoff + 1
-    ok = True
-    for _ in range(20):
-        patched = tuple(
-            NatFun.patched(anchor_fn, cut, random_natfun(rng))
-            for anchor_fn in anchor
-        )
-        if recip.E.apply(patched).eval_uncached(s0) != 0:
-            ok = False
-    r.check("patched perturbations keep the frozen certificate at zero", ok)
+@_check("localization", "localized functions name their values inside (t <= {t_max})")
+def local_values(rng: Random, t_max: int) -> Iterator[bool]:
+    for _fn, _anchor, _hood, local, value, inside, _outside in _localized():
+        yield from (_validates(local, q, value(q), t_max) for q in inside)
 
-    ident = embed_uniform(_identity_fn())
-    hood0, local0 = localize(ident, rational_name(Fraction(0)), budget=10)
-    inside0 = Fraction(1, 7)
-    ok = hood0.contains(inside0) and validate_name(
-        apply_uniform(local0, [rational_name(inside0)]), inside0, t_max
-    ).passed
-    r.check("localized embedded identity still names nearby points", ok)
 
-    return r.passed, r.lines
+@_check("localization", "patching anchors past the cutoff keeps certificates at 0 (3 x 60)")
+def frozen_certificates(rng: Random, t_max: int) -> Iterator[bool]:
+    for fn, anchor, hood, *_ in _localized():
+        s0 = find_parameter(fn, [anchor], 1000)
+        for _ in range(60):
+            noisy = tuple(
+                NatFun.patched(a, hood.cutoff + 1, random_natfun(rng)) for a in anchor
+            )
+            yield fn.E.apply(noisy).eval_uncached(s0) == 0
 
 
 # ---------------------------------------------------------------------------
 # gluing
 # ---------------------------------------------------------------------------
 
-
-def _two_ball_cover() -> BallCover:
-    return BallCover(
-        (
-            Ball((Fraction(-1),), Fraction(3, 2), _negate_fn()),
-            Ball((Fraction(1),), Fraction(3, 2), _identity_fn()),
-        ),
-        separation=3,
-    )
+# where the two-ball cover's dispatched rule is exact: not in (0, 1/4)
+_WARRANTED = [Fraction(n, 16) for n in range(-16, 1, 2)] + [Fraction(n, 16) for n in range(4, 17)]
+_SIXTEENTHS = [Fraction(n, 16) for n in range(-16, 17)]
 
 
-def _three_ball_cover() -> BallCover:
-    return BallCover(
-        (
-            Ball((Fraction(-1),), Fraction(1), _negate_fn()),
-            Ball((Fraction(1),), Fraction(1), _identity_fn()),
-            Ball((Fraction(0),), Fraction(1, 4), _abs_fn()),
-        ),
-        separation=15,
-    )
+@_check("gluing", "the two-ball glued |q| is right where it is warranted (t <= {t_max})")
+def two_ball_values(rng: Random, t_max: int) -> Iterator[bool]:
+    glued = glue_compact(two_ball_cover())
+    yield from (_validates(glued, q, abs(q), t_max) for q in _WARRANTED)
 
 
-def _suite_gluing(rng: Random, t_max: int) -> tuple[bool, list[str]]:
-    r = _Recorder()
+@_check("gluing", "two-ball dispatch picks the unique certifying ball")
+def two_ball_dispatch(rng: Random, t_max: int) -> Iterator[bool]:
+    cover = two_ball_cover()
+    for q in map(Fraction, ("-1", "-3/4", "-5/8", "-1/2", "1/2", "5/8", "3/4", "1")):
+        yield dispatch_index(cover, [rational_name(q)]) == (1 if q < 0 else 2)
 
-    cover = _two_ball_cover()
-    glued = glue_compact(cover)
-    warranted = [Fraction(n, 8) for n in range(-8, 1)] + [
-        Fraction(n, 8) for n in range(2, 9)
-    ]
-    ok = all(
-        validate_name(apply_uniform(glued, [rational_name(q)]), abs(q), t_max).passed
-        for q in warranted
-    )
-    r.check(
-        f"two-ball absolute value matches |q| on its warranted region (t <= {t_max})",
-        ok,
-    )
 
-    ok = all(
-        dispatch_index(cover, [rational_name(q)]) == 1
-        for q in (Fraction(-1), Fraction(-1, 2))
-    ) and all(
-        dispatch_index(cover, [rational_name(q)]) == 2
-        for q in (Fraction(1, 2), Fraction(1))
-    )
-    r.check("dispatch picks the unique certifying ball", ok)
+@_check("gluing", "in (0, 1/4) the first ball still wins: 1/8 glues to -1/8 (known limitation)")
+def two_ball_stray(rng: Random, t_max: int) -> Iterator[bool]:
+    stray = apply_uniform(glue_compact(two_ball_cover()), [rational_name(Fraction(1, 8))])
+    yield approx(stray, 40) == Fraction(-1, 8)
 
-    stray = approx(apply_uniform(glued, [rational_name(Fraction(1, 8))]), 40)
-    r.check(
-        "outside the warranted region the first ball wins (known limitation)",
-        stray == Fraction(-1, 8),
-    )
 
-    sound = _three_ball_cover()
-    glued3 = glue_compact(sound)
-    grid = [Fraction(n, 16) for n in range(-16, 17)]
-    ok = all(
-        validate_name(apply_uniform(glued3, [rational_name(q)]), abs(q), t_max).passed
-        for q in grid
-    )
-    r.check(f"three-ball absolute value matches |q| on all of [-1,1] (t <= {t_max})", ok)
+@_check("gluing", "the three-ball glued |q| is right on the sixteenths of [-1, 1] (t <= {t_max})")
+def three_ball_values(rng: Random, t_max: int) -> Iterator[bool]:
+    glued = glue_compact(three_ball_cover())
+    yield from (_validates(glued, q, abs(q), t_max) for q in _SIXTEENTHS)
 
-    violations = separation_violations(sound, [(q,) for q in grid])
-    r.check("three-ball separation holds on the sample grid", violations == [])
 
-    single = BallCover((Ball((Fraction(0),), Fraction(1), _identity_fn()),), 1)
-    glued1 = glue_compact(single)
-    ok = all(
-        validate_name(apply_uniform(glued1, [rational_name(q)]), q, t_max).passed
-        for q in (Fraction(0), Fraction(1, 4), Fraction(-1, 4))
-    )
-    r.check("one-ball cover reduces to its local function", ok)
+@_check("gluing", "the three-ball cover is separated on the sixteenths of [-1, 1]")
+def three_ball_separation(rng: Random, t_max: int) -> Iterator[bool]:
+    yield separation_violations(three_ball_cover(), [(q,) for q in _SIXTEENTHS]) == []
 
-    return r.passed, r.lines
+
+@_check("gluing", "a one-ball cover reduces to its local function (t <= {t_max})")
+def one_ball(rng: Random, t_max: int) -> Iterator[bool]:
+    glued = glue_compact(BallCover((Ball((Fraction(0),), Fraction(1), identity_fn()),), 1))
+    yield from (_validates(glued, q, q, t_max) for q in map(Fraction, ("0", "1/4", "-1/4")))
 
 
 # ---------------------------------------------------------------------------
@@ -478,31 +578,41 @@ def _suite_gluing(rng: Random, t_max: int) -> tuple[bool, list[str]]:
 # ---------------------------------------------------------------------------
 
 
-def _suite_metric(rng: Random, t_max: int) -> tuple[bool, list[str]]:
-    r = _Recorder()
-    m1, m2 = make_mn(1), make_mn(2)
+def _rational(rng: Random) -> Fraction:
+    return Fraction(rng.randrange(-40, 41), rng.randrange(1, 12))
 
-    code = tuple_pack([1, 0, 1])
-    r.check("a packed (1,0,1) code decodes to 1/2", m1.alpha(code) == (Fraction(1, 2),))
 
+def _nonzero(rng: Random) -> Fraction:
+    return Fraction(rng.choice((-1, 1)) * rng.randrange(1, 41), rng.randrange(1, 12))
+
+
+def _agree_in_m1(ms_out: OrdinaryName, real_out, ts: Iterable[int]) -> bool:
+    m1 = make_mn(1)
+    return all(m1.alpha(ms_out.f(t)) == (approx(real_out, t),) for t in ts)
+
+
+@_check("metric-spaces", "M_1 decodes the code (1, 0, 1) to 1/2, M_2 compares distances exactly")
+def codes(rng: Random, t_max: int) -> Iterator[bool]:
+    yield make_mn(1).alpha(tuple_pack([1, 0, 1])) == (Fraction(1, 2),)
+    m2 = make_mn(2)
     a, b = mn_code((Fraction(0), Fraction(0))), mn_code((Fraction(1, 2), Fraction(-1, 3)))
-    r.check(
-        "max-norm comparisons are exact",
-        m2.dist_lt(a, b, Fraction(3, 5)) and not m2.dist_lt(a, b, Fraction(1, 2)),
-    )
+    yield m2.dist_lt(a, b, Fraction(3, 5)) and not m2.dist_lt(a, b, Fraction(1, 2))
 
-    r.check(
-        "metric axioms hold on sampled codes",
-        metric_axiom_violations(m2, range(20)) == []
-        and metric_axiom_violations(make_discrete(5), range(5)) == [],
-    )
 
-    out = apply_uniform_ms(identity_ms(m1), mn_name((Fraction(2, 3),)))
-    r.check(
-        "identity map preserves names",
-        validate_ordinary_name(out, mn_code((Fraction(2, 3),)), t_max) == [],
-    )
+@_check("metric-spaces", "metric axioms hold on sampled codes of M_2 and discrete_5")
+def axioms(rng: Random, t_max: int) -> Iterator[bool]:
+    yield metric_axiom_violations(make_mn(2), range(20)) == []
+    yield metric_axiom_violations(make_discrete(5), range(5)) == []
 
+
+@_check("metric-spaces", "the identity of M_1 preserves names (t <= {t_max})")
+def identity_map(rng: Random, t_max: int) -> Iterator[bool]:
+    out = apply_uniform_ms(identity_ms(make_mn(1)), mn_name((Fraction(2, 3),)))
+    yield validate_ordinary_name(out, mn_code((Fraction(2, 3),)), t_max) == []
+
+
+@_check("metric-spaces", "permutations of discrete_5 compose pointwise")
+def discrete_permutations(rng: Random, t_max: int) -> Iterator[bool]:
     disc = make_discrete(5)
     perm1, perm2 = (1, 2, 3, 4, 0), (2, 0, 3, 1, 4)
 
@@ -515,75 +625,147 @@ def _suite_metric(rng: Random, t_max: int) -> tuple[bool, list[str]]:
     composed = compose_conditional_ms(
         embed_uniform_ms(perm_map(perm1)), embed_uniform_ms(perm_map(perm2))
     )
-    ok = True
     for start in range(5):
-        got = apply_conditional_ms(
-            composed, OrdinaryName(NatFun.constant(start), disc), budget=10
+        got = apply_conditional_ms(composed, OrdinaryName(NatFun.constant(start), disc), 10)
+        yield got.f(3) == perm1[perm2[start]]
+
+
+@_check("metric-spaces", "translated addition maps M_2 to M_1 and names 1/2 + 1/3 (t <= {t_max})")
+def translated_addition(rng: Random, t_max: int) -> Iterator[bool]:
+    add_ms = translate_uniform(default_functions().get("add").fn)
+    yield add_ms.domain is make_mn(2) and add_ms.codomain is make_mn(1)
+    out = apply_uniform_ms(add_ms, mn_name((Fraction(1, 2), Fraction(1, 3))))
+    yield validate_ordinary_name(out, mn_code((Fraction(5, 6),)), t_max) == []
+
+
+@_check("metric-spaces", "addition translated to M_2 and back gives the same names (100, t < 30)")
+def uniform_round_trip(rng: Random, t_max: int) -> Iterator[bool]:
+    add = default_functions().get("add").fn
+    back = translate_uniform_back(translate_uniform(add))
+    pairs = [(_rational(rng), _rational(rng)) for _ in range(99)]
+    for a, b in [(Fraction(1, 2), Fraction(1, 3))] + pairs:
+        names = [rational_name(a), rational_name(b)]
+        direct, routed = apply_uniform(add, names), apply_uniform(back, names)
+        yield all(
+            (routed.f(t), routed.g(t), routed.h(t))
+            == (direct.f(t), direct.g(t), direct.h(t))
+            for t in range(30)
         )
-        if got.f(3) != perm1[perm2[start]]:
-            ok = False
-    r.check("discrete permutations compose pointwise", ok)
 
-    registry = default_functions()
-    add = registry.get("add").fn
-    translated = translate_uniform(add)
-    out = apply_uniform_ms(translated, mn_name((Fraction(1, 2), Fraction(1, 3))))
-    r.check(
-        "translated addition names 5/6",
-        validate_ordinary_name(out, mn_code((Fraction(5, 6),)), t_max) == [],
+
+@_check("metric-spaces", "addition on M_2, back and forth, gives the same codes (100, t < 25)")
+def ms_uniform_round_trip(rng: Random, t_max: int) -> Iterator[bool]:
+    add_ms = translate_uniform(default_functions().get("add").fn)
+    again = translate_uniform(translate_uniform_back(add_ms))
+    pairs = [(_rational(rng), _rational(rng)) for _ in range(99)]
+    for point in [(Fraction(1, 5), Fraction(3, 4))] + pairs:
+        name = mn_name(point)
+        out, out_again = apply_uniform_ms(add_ms, name), apply_uniform_ms(again, name)
+        yield all(out.f(t) == out_again.f(t) for t in range(25))
+
+
+@_check("metric-spaces", "recip via M_1 and back: the same certificate and values (100, t < 25)")
+def conditional_round_trip(rng: Random, t_max: int) -> Iterator[bool]:
+    recip = _recip()
+    back = translate_conditional_back(translate_conditional(recip))
+    for q in [Fraction(2, 7)] + [_nonzero(rng) for _ in range(99)]:
+        names = [rational_name(q)]
+        s = find_parameter(recip, names, 10_000)
+        direct = apply_conditional_at(recip, names, s)
+        routed = apply_conditional_at(back, names, s)
+        yield find_parameter(back, names, 10_000) == s and all(
+            approx(routed, t) == approx(direct, t) for t in range(25)
+        )
+
+
+@_check("metric-spaces", "M_1 recip, also back and forth: the real certificate, same codes (100)")
+def ms_conditional_round_trip(rng: Random, t_max: int) -> Iterator[bool]:
+    recip = _recip()
+    recip_ms = translate_conditional(recip)
+    again = translate_conditional(translate_conditional_back(recip_ms))
+    for q in [Fraction(1, 3)] + [_nonzero(rng) for _ in range(99)]:
+        name = mn_name((q,))
+        s = find_parameter_ms(recip_ms, name, 10_000)
+        s_real = find_parameter(recip, [rational_name(q)], 10_000)
+        s_again = find_parameter_ms(again, name, 10_000)
+        out = apply_conditional_ms_at(recip_ms, name, s)
+        out_again = apply_conditional_ms_at(again, name, s)
+        yield s_real == s == s_again and all(out.f(t) == out_again.f(t) for t in range(25))
+
+
+@_check("metric-spaces", "composition via M_1 matches the real one: certificate 11 at 2/3, t < 60")
+def translated_composition(rng: Random, t_max: int) -> Iterator[bool]:
+    recip, q = _recip(), Fraction(2, 3)
+    real = compose_conditional(recip, recip)
+    ms = compose_conditional_ms(translate_conditional(recip), translate_conditional(recip))
+    s_real = find_parameter(real, [rational_name(q)], 1000)
+    s_ms = find_parameter_ms(ms, mn_name((q,)), 1000)
+    yield s_ms == s_real == 11
+    real_out = apply_conditional_at(real, [rational_name(q)], s_real)
+    ms_out = apply_conditional_ms_at(ms, mn_name((q,)), s_ms)
+    yield from (_agree_in_m1(ms_out, real_out, (t,)) for t in range(60))
+
+
+@_check("metric-spaces", "localization via M_1 matches the real one: cutoff 2, membership, values")
+def translated_localization(rng: Random, t_max: int) -> Iterator[bool]:
+    recip = _recip()
+    hood_real, local_real = localize(recip, rational_name(Fraction(1)), 100)
+    hood_ms, local_ms = localize_ms(translate_conditional(recip), mn_name((Fraction(1),)), 100)
+    yield hood_ms.cutoff == hood_real.cutoff == 2
+    for q in map(Fraction, ("3/4", "1", "9/8", "2/3", "7/5", "13/6")):
+        yield hood_ms.contains_code(mn_code((q,))) == hood_real.contains(q)
+    for q in (Fraction(3, 4), Fraction(1), Fraction(9, 8)):
+        ms_out = apply_uniform_ms(local_ms, mn_name((q,)))
+        real_out = apply_uniform(local_real, [rational_name(q)])
+        yield from (_agree_in_m1(ms_out, real_out, (t,)) for t in range(40))
+        yield validate_ordinary_name(ms_out, mn_code((1 / q,)), t_max) == []
+
+
+@_check("metric-spaces", "gluing via M_1 matches the real one: 16 points x 8 indices, dispatch")
+def translated_gluing(rng: Random, t_max: int) -> Iterator[bool]:
+    real_cover = two_ball_cover()
+    ms_cover = MsBallCover(
+        tuple(
+            MsBall(mn_code(ball.center), ball.radius, translate_uniform(ball.local))
+            for ball in real_cover.balls
+        ),
+        separation=real_cover.separation,
     )
+    real_glued, ms_glued = glue_compact(real_cover), glue_compact_ms(ms_cover)
+    for q in [Fraction(n, 8) for n in range(-8, 9) if n != 1]:
+        real_out = apply_uniform(real_glued, [rational_name(q)])
+        ms_out = apply_uniform_ms(ms_glued, mn_name((q,)))
+        yield from (_agree_in_m1(ms_out, real_out, (t,)) for t in range(0, 40, 5))
+        yield dispatch_index_ms(ms_cover, mn_name((q,))) == dispatch_index(
+            real_cover, [rational_name(q)]
+        ) == (1 if q <= 0 else 2)
 
-    back = translate_uniform_back(translated)
-    names = [rational_name(Fraction(1, 2)), rational_name(Fraction(1, 3))]
-    direct = apply_uniform(add, names)
-    recovered = apply_uniform(back, names)
-    ok = all(
-        getattr(direct, c)(t) == getattr(recovered, c)(t)
-        for c in ("f", "g", "h")
-        for t in range(25)
-    )
-    r.check("translating there and back is a pointwise identity", ok)
 
-    recip = registry.get("recip").fn
-    ms_recip = translate_conditional(recip)
-    s_real = find_parameter(recip, [rational_name(Fraction(1, 3))], 1000)
-    s_ms = find_parameter_ms(ms_recip, mn_name((Fraction(1, 3),)), 1000)
-    r.check("translated reciprocal finds the same parameter", s_real == s_ms)
-
+@_check("metric-spaces", "a bundle of identity and recip names the value pair (t <= {t_max})")
+def bundle(rng: Random, t_max: int) -> Iterator[bool]:
     two = tuple_conditional(
-        [embed_uniform_ms(identity_ms(m1)), translate_conditional(recip)]
+        [embed_uniform_ms(identity_ms(make_mn(1))), translate_conditional(_recip())]
     )
-    out = apply_conditional_ms(two, mn_name((Fraction(1, 2),)), budget=10**4)
-    r.check(
-        "a two-component bundle names the value pair",
-        validate_ordinary_name(out, mn_code((Fraction(1, 2), Fraction(2))), t_max)
-        == [],
-    )
+    out = apply_conditional_ms(two, mn_name((Fraction(1, 2),)), 10**4)
+    yield validate_ordinary_name(out, mn_code((Fraction(1, 2), Fraction(2))), t_max) == []
 
-    indicator = code_ball_indicator(1, mn_code((Fraction(0),)), Fraction(2, 3))
+
+@_check("metric-spaces", "tupling, then composing, substitutes: 1/q + 2q (t <= {t_max})")
+def substitution(rng: Random, t_max: int) -> Iterator[bool]:
+    registry = default_functions()
+    pieces = tuple_conditional(
+        [translate_conditional(_recip()), embed_uniform_ms(translate_uniform(double_fn()))]
+    )
+    outer = embed_uniform_ms(translate_uniform(registry.get("add").fn))
+    composed = compose_conditional_ms(outer, pieces)
+    for q in (Fraction(1, 2), Fraction(2), Fraction(-1, 3)):
+        out = apply_conditional_ms(composed, mn_name((q,)), 100_000)
+        yield validate_ordinary_name(out, mn_code((1 / q + 2 * q,)), t_max) == []
+
+
+@_check("metric-spaces", "the code-level ball indicator agrees with dist_lt on codes < 150")
+def code_balls(rng: Random, t_max: int) -> Iterator[bool]:
     center = mn_code((Fraction(0),))
-    ok = all(
-        (indicator(n) == 0) == m1.dist_lt(n, center, Fraction(2, 3))
-        for n in range(150)
-    )
-    r.check("code-level ball indicator agrees with dist_lt", ok)
-
-    return r.passed, r.lines
-
-
-_SUITES: dict[str, Callable[[Random, int], tuple[bool, list[str]]]] = {
-    "gadgets": _suite_gadgets,
-    "curry": _suite_curry,
-    "composition": _suite_composition,
-    "localization": _suite_localization,
-    "gluing": _suite_gluing,
-    "metric-spaces": _suite_metric,
-}
-
-
-def run_suite(name: str, seed: int = 2021, t_max: int = 120) -> tuple[bool, list[str]]:
-    """Run one named suite; returns (passed, report lines)."""
-    canonical = _ALIASES.get(name, name)
-    if canonical not in _SUITES:
-        raise KeyError(name)
-    return _SUITES[canonical](Random(seed), t_max)
+    indicator = code_ball_indicator(1, center, Fraction(2, 3))
+    for n in range(150):
+        yield (indicator(n) == 0) == make_mn(1).dist_lt(n, center, Fraction(2, 3))

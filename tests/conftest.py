@@ -2,16 +2,25 @@
 
 The acceptance module records one verdict per criterion; the terminal
 summary hook prints them as a block at the end of the run so the
-pass/fail lines survive pytest's output capture.
+pass/fail lines survive pytest's output capture.  ``assert_check`` runs
+one check of the ``condreal.suites`` catalogue as a unit test.
 """
 
 from __future__ import annotations
+
+from condreal.suites import run_check
 
 _CRITERIA: list[tuple[int, str, bool, str]] = []
 
 
 def record_criterion(number: int, title: str, passed: bool, detail: str = "") -> None:
     _CRITERIA.append((number, title, passed, detail))
+
+
+def assert_check(check):
+    """Run one catalogue check as a test, at the acceptance criteria's depth."""
+    passed, line, _cases = run_check(check, seed=2021, t_max=500)
+    assert passed, line
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -8,7 +8,6 @@ criterion after the run.
 import time
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import product
 from random import Random
 
 import pytest
@@ -21,71 +20,17 @@ from condreal.elementary import (
     registry_validate,
     uniform_from_rule,
 )
-from condreal.gadgets import (
-    ball_indicator,
-    decency_check,
-    default_registry,
-    delta_k,
-    gamma,
-    gt,
-    lt,
-    monus,
-    mu,
-)
-from condreal.metric import (
-    MsBall,
-    MsBallCover,
-    apply_conditional_ms,
-    apply_conditional_ms_at,
-    apply_uniform_ms,
-    compose_conditional_ms,
-    dispatch_index_ms,
-    embed_uniform_ms,
-    find_parameter_ms,
-    glue_compact_ms,
-    localize_ms,
-    make_mn,
-    mn_code,
-    mn_name,
-    translate_conditional,
-    translate_conditional_back,
-    translate_uniform,
-    translate_uniform_back,
-    tuple_conditional,
-    validate_ordinary_name,
-)
-from condreal.naming import NatFun, approx, rational_name, validate_name
-from condreal.realfns import (
-    Ball,
-    BallCover,
-    BudgetExhausted,
-    apply_conditional,
-    apply_conditional_at,
-    apply_uniform,
-    compose_conditional,
-    dispatch_index,
-    embed_uniform,
-    find_parameter,
-    glue_compact,
-    identity_uniform,
-    localize,
-)
+from condreal.gadgets import decency_check, default_registry
+from condreal.naming import NatFun, rational_name
+from condreal.realfns import BudgetExhausted, find_parameter
 from condreal.sampling import random_natfun, random_term
-from condreal.terms import (
-    curry,
-    compose_terms,
-    diagonalize,
-    eval_instrumented,
-    eval_term,
-    support_bound,
-    uncurry,
-)
+from condreal.suites import run_suite
+from condreal.terms import eval_instrumented, eval_term, support_bound
 
 from conftest import record_criterion
 
 REGISTRY = default_functions()
 RECIP = REGISTRY.get("recip").fn
-ADD = REGISTRY.get("add").fn
 
 
 @contextmanager
@@ -106,10 +51,6 @@ def criterion(number, title, limit_s):
     record_criterion(number, title, True, detail)
 
 
-def proc_fn(rule, schedule, label):
-    return uniform_from_rule(1, rule, schedule, label)
-
-
 def sample_fns(rng, k):
     return tuple(random_natfun(rng) for _ in range(k))
 
@@ -127,125 +68,26 @@ def test_criterion_1_grid_validation():
 
 
 # ---------------------------------------------------------------------------
-# 2. gadget equivalences, exhaustive
+# 2, 3, 5, 6, 7, 8: the check catalogue at full depth
 # ---------------------------------------------------------------------------
 
 
-def first_zero_oracle(k, args):
-    *pairs, default = args
-    for i in range(k):
-        if pairs[2 * i] == 0:
-            return pairs[2 * i + 1]
-    return default
+def catalogue_criterion(number, title, limit_s, suite, seed=2021):
+    with criterion(number, title, limit_s) as info:
+        report = run_suite(suite, seed=seed, t_max=500)
+        assert report.passed, "\n".join(line for line in report.lines if line.startswith("FAIL"))
+        counts = " + ".join(map(str, report.cases))
+        info["detail"] = f"{len(report.cases)} checks, {counts} cases, t <= 500"
 
 
 def test_criterion_2_gadget_equivalences():
-    with criterion(2, "selector and comparator gadgets match their oracles", 60) as info:
-        checks = 0
-
-        for k in range(1, 5):
-            fn = delta_k(k).fn
-            for args in product(range(3), repeat=2 * k + 1):
-                assert fn(*args) == first_zero_oracle(k, args)
-                checks += 1
-
-        d1 = delta_k(1).fn
-        for k, c in product(range(6), repeat=2):
-            fn = mu(k, c).fn
-            for x, y in product(range(13), repeat=2):
-                expected = c if x == k else y
-                assert fn(x, y) == expected
-                assert fn(x, y) == d1(monus(x, k), d1(monus(k, x), c, y), y)
-                checks += 1
-
-        for b, c in product(range(1, 4), repeat=2):
-            fn = gamma(b, c).fn
-            for args in product(range(7), repeat=b + c):
-                assert (fn(*args) > 0) == (sum(args[:b]) > sum(args[b:]))
-                checks += 1
-
-        thresholds = (Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2))
-        for a in thresholds:
-            below, above = lt(a).fn, gt(a).fn
-            for x, y, z in product(range(9), repeat=3):
-                q = Fraction(x - y, z + 1)
-                assert (below(x, y, z) > 0) == (q < a)
-                assert (above(x, y, z) > 0) == (q > a)
-                checks += 1
-
-        triples = list(product(range(4), range(4), range(3)))
-        for center, radius in (
-            ((Fraction(0),), Fraction(1)),
-            ((Fraction(-1, 2),), Fraction(3, 4)),
-            ((Fraction(1),), Fraction(1, 4)),
-        ):
-            ind = ball_indicator(center, radius).fn
-            for x, y, z in triples:
-                q = Fraction(x - y, z + 1)
-                assert (ind(x, y, z) == 0) == (abs(q - center[0]) < radius)
-                checks += 1
-        for center, radius in (
-            ((Fraction(1, 2), Fraction(-1)), Fraction(3, 4)),
-            ((Fraction(0), Fraction(2)), Fraction(3, 2)),
-        ):
-            ind = ball_indicator(center, radius).fn
-            for t1, t2 in product(triples, triples):
-                qs = (Fraction(t1[0] - t1[1], t1[2] + 1), Fraction(t2[0] - t2[1], t2[2] + 1))
-                inside = all(abs(q - c) < radius for q, c in zip(qs, center))
-                assert (ind(*t1, *t2) == 0) == inside
-                checks += 1
-
-        info["detail"] = f"{checks} exhaustive checks"
-
-
-# ---------------------------------------------------------------------------
-# 3. term-language laws
-# ---------------------------------------------------------------------------
+    catalogue_criterion(2, "selector and comparator gadgets match their oracles", 60, "gadgets")
 
 
 def test_criterion_3_term_language_laws():
-    with criterion(3, "currying laws, diagonalization and grafting hold pointwise", 60) as info:
-        rng = Random(101)
-        checks = 0
-
-        for _ in range(100):
-            term = random_term(rng, 2, 2, 4)
-            curried = curry(term)
-            back = uncurry(curried)
-            for _ in range(100):
-                fns = sample_fns(rng, 2)
-                s, t = rng.randrange(10), rng.randrange(10)
-                direct = eval_term(term, fns, (s, t))
-                assert direct == eval_term(curried, fns + (NatFun.constant(s),), (t,))
-                assert direct == eval_term(back, fns, (s, t))
-                checks += 1
-
-        for _ in range(100):
-            term = random_term(rng, 3, 1, 4)
-            diag = diagonalize(term)
-            for _ in range(10):
-                fns = sample_fns(rng, 2)
-                n = rng.randrange(10)
-                assert eval_term(diag, fns, (n,)) == eval_term(
-                    term, fns + (NatFun.constant(n),), (n,)
-                )
-                checks += 1
-
-        for _ in range(100):
-            outer = random_term(rng, 2, 1, 3)
-            inners = [random_term(rng, 2, 1, 3) for _ in range(2)]
-            grafted = compose_terms(outer, inners)
-            for _ in range(10):
-                gs = sample_fns(rng, 2)
-                n = rng.randrange(10)
-                staged = tuple(
-                    NatFun(lambda t, _i=inner, _g=gs: eval_term(_i, _g, (t,)), memoize=False)
-                    for inner in inners
-                )
-                assert eval_term(grafted, gs, (n,)) == eval_term(outer, staged, (n,))
-                checks += 1
-
-        info["detail"] = f"{checks} pointwise checks"
+    catalogue_criterion(
+        3, "currying laws, diagonalization and grafting hold pointwise", 60, "curry", seed=101
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -285,265 +127,27 @@ def test_criterion_4_stronger_continuity():
         info["detail"] = f"100 terms, {mutations} out-of-trace mutations"
 
 
-# ---------------------------------------------------------------------------
-# 5. conditional composition splits and validates
-# ---------------------------------------------------------------------------
 
 
 def test_criterion_5_composition():
-    with criterion(5, "composite certificates split and outputs validate", 60) as info:
-        from condreal.gadgets import left, right
-
-        double = proc_fn(lambda a: 2 * a, lambda t, names: 2 * t + 1, "double")
-        add_one = proc_fn(lambda a: a + 1, lambda t, names: t, "add-one")
-        cases = [
-            (RECIP, RECIP, Fraction(2, 3), Fraction(2, 3)),
-            (RECIP, embed_uniform(add_one), Fraction(1), Fraction(1, 2)),
-            (embed_uniform(double), RECIP, Fraction(1, 2), Fraction(4)),
-            (embed_uniform(identity_uniform()), RECIP, Fraction(3), Fraction(1, 3)),
-            (RECIP, embed_uniform(double), Fraction(-1, 4), Fraction(-2)),
-        ]
-        for outer, inner, point, expected in cases:
-            composed = compose_conditional(outer, inner)
-            name = rational_name(point)
-            s = find_parameter(composed, [name], 100_000)
-            fns = tuple(name)
-            assert inner.E.apply(fns).eval_uncached(right(s)) == 0
-            mid = apply_conditional_at(inner, [name], right(s))
-            assert outer.E.apply(tuple(mid)).eval_uncached(left(s)) == 0
-            out = apply_conditional_at(composed, [name], s)
-            assert validate_name(out, expected, 500).passed
-        info["detail"] = f"{len(cases)} composite pairs, t <= 500"
-
-
-# ---------------------------------------------------------------------------
-# 6. localization
-# ---------------------------------------------------------------------------
+    catalogue_criterion(5, "composite certificates split and outputs validate", 60, "composition")
 
 
 def test_criterion_6_localization():
-    with criterion(6, "localization freezes certificates on exact neighborhoods", 60) as info:
-        rng = Random(303)
-        perturbations = 0
-
-        targets = [
-            (RECIP, Fraction(1), lambda q: 1 / q,
-             (Fraction(3, 4), Fraction(4, 5), Fraction(1), Fraction(9, 8), Fraction(5, 4))),
-            (compose_conditional(RECIP, RECIP), Fraction(2, 3), lambda q: q,
-             (Fraction(2, 3), Fraction(2, 3) + Fraction(1, 128), Fraction(2, 3) - Fraction(1, 128),
-              Fraction(2, 3) + Fraction(1, 100), Fraction(2, 3) - Fraction(1, 100))),
-        ]
-        for fn, at, oracle, points in targets:
-            anchor = rational_name(at)
-            hood, local = localize(fn, anchor, 1000)
-            s0 = find_parameter(fn, [anchor], 1000)
-            for q in points:
-                assert hood.contains(q)
-                out = apply_uniform(local, [rational_name(q)])
-                assert validate_name(out, oracle(q), 500).passed
-            assert not hood.contains(at + 2)
-
-            anchor_fns = (anchor.f, anchor.g, anchor.h)
-            for _ in range(50):
-                noisy = tuple(
-                    NatFun.patched(a, hood.cutoff + 1, random_natfun(rng))
-                    for a in anchor_fns
-                )
-                assert fn.E.apply(noisy).eval_uncached(s0) == 0
-                perturbations += 1
-
-        info["detail"] = f"2 localizations, {perturbations} frozen-certificate perturbations"
-
-
-# ---------------------------------------------------------------------------
-# 7. gluing over ball covers
-# ---------------------------------------------------------------------------
+    catalogue_criterion(
+        6, "localization freezes certificates on exact neighborhoods", 60, "localization", seed=303
+    )
 
 
 def test_criterion_7_gluing():
-    with criterion(7, "glued absolute value matches |q| and dispatch is sound", 30) as info:
-        negate = proc_fn(lambda a: -a, lambda t, names: t, "negate")
-        identity = proc_fn(lambda a: a, lambda t, names: t, "identity")
-        absval = proc_fn(lambda a: abs(a), lambda t, names: t, "abs")
-
-        cover = BallCover(
-            (
-                Ball((Fraction(-1),), Fraction(3, 2), negate),
-                Ball((Fraction(1),), Fraction(3, 2), identity),
-            ),
-            separation=3,
-        )
-        glued = glue_compact(cover)
-        # the first ball's membership test fires for q < 1/4 but its rule
-        # (negation) is only correct for q <= 0, so the sampled points
-        # stay where the dispatched rule is exact
-        points = [Fraction(n, 8) for n in range(-8, 1)]
-        points += [Fraction(1, 4), Fraction(5, 16), Fraction(3, 8), Fraction(7, 16),
-                   Fraction(1, 2), Fraction(9, 16), Fraction(5, 8), Fraction(3, 4),
-                   Fraction(7, 8), Fraction(15, 16), Fraction(1)]
-        assert len(points) == 20
-        for q in points:
-            out = apply_uniform(glued, [rational_name(q)])
-            assert validate_name(out, abs(q), 500).passed
-
-        stray = apply_uniform(glued, [rational_name(Fraction(1, 8))])
-        assert approx(stray, 40) == Fraction(-1, 8)
-
-        for q in (Fraction(-1), Fraction(-3, 4), Fraction(-5, 8), Fraction(-1, 2)):
-            assert dispatch_index(cover, [rational_name(q)]) == 1
-        for q in (Fraction(1, 2), Fraction(5, 8), Fraction(3, 4), Fraction(1)):
-            assert dispatch_index(cover, [rational_name(q)]) == 2
-
-        sound = BallCover(
-            (
-                Ball((Fraction(-1),), Fraction(1), negate),
-                Ball((Fraction(1),), Fraction(1), identity),
-                Ball((Fraction(0),), Fraction(1, 4), absval),
-            ),
-            separation=15,
-        )
-        glued3 = glue_compact(sound)
-        for n in range(-16, 17):
-            q = Fraction(n, 16)
-            out = apply_uniform(glued3, [rational_name(q)])
-            assert validate_name(out, abs(q), 500).passed
-
-        info["detail"] = "20 + 33 glued evaluations, t <= 500"
-
-
-# ---------------------------------------------------------------------------
-# 8. metric-space translations
-# ---------------------------------------------------------------------------
+    catalogue_criterion(7, "glued absolute value matches |q| and dispatch is sound", 30, "gluing")
 
 
 def test_criterion_8_metric_space_translations():
-    with criterion(8, "coded-space translations round-trip and mirror the real layer", 90) as info:
-        rng = Random(404)
-        M1 = make_mn(1)
-        checks = 0
-
-        def sample_rational():
-            return Fraction(rng.randrange(-40, 41), rng.randrange(1, 12))
-
-        back_add = translate_uniform_back(translate_uniform(ADD))
-        for _ in range(100):
-            a, b = sample_rational(), sample_rational()
-            names = [rational_name(a), rational_name(b)]
-            direct = apply_uniform(ADD, names)
-            routed = apply_uniform(back_add, names)
-            t = rng.randrange(30)
-            assert (routed.f(t), routed.g(t), routed.h(t)) == (direct.f(t), direct.g(t), direct.h(t))
-            checks += 1
-
-        add_ms = translate_uniform(ADD)
-        again = translate_uniform(translate_uniform_back(add_ms))
-        for _ in range(100):
-            point = (sample_rational(), sample_rational())
-            name = mn_name(point)
-            t = rng.randrange(30)
-            assert apply_uniform_ms(add_ms, name).f(t) == apply_uniform_ms(again, name).f(t)
-            checks += 1
-
-        back_recip = translate_conditional_back(translate_conditional(RECIP))
-        for _ in range(100):
-            q = sample_rational()
-            if q == 0:
-                continue
-            names = [rational_name(q)]
-            s = find_parameter(RECIP, names, 10_000)
-            assert find_parameter(back_recip, names, 10_000) == s
-            t = rng.randrange(25)
-            direct = apply_conditional_at(RECIP, names, s)
-            routed = apply_conditional_at(back_recip, names, s)
-            assert approx(routed, t) == approx(direct, t)
-            checks += 1
-
-        recip_ms = translate_conditional(RECIP)
-        again_recip = translate_conditional(translate_conditional_back(recip_ms))
-        for _ in range(100):
-            q = sample_rational()
-            if q == 0:
-                continue
-            name = mn_name((q,))
-            s = find_parameter_ms(recip_ms, name, 10_000)
-            assert find_parameter_ms(again_recip, name, 10_000) == s
-            t = rng.randrange(25)
-            assert (
-                apply_conditional_ms_at(recip_ms, name, s).f(t)
-                == apply_conditional_ms_at(again_recip, name, s).f(t)
-            )
-            checks += 1
-
-        # composition through the translations
-        real = compose_conditional(RECIP, RECIP)
-        ms = compose_conditional_ms(recip_ms, translate_conditional(RECIP))
-        q = Fraction(2, 3)
-        s_real = find_parameter(real, [rational_name(q)], 1000)
-        s_ms = find_parameter_ms(ms, mn_name((q,)), 1000)
-        assert s_ms == s_real == 11
-        real_out = apply_conditional_at(real, [rational_name(q)], s_real)
-        ms_out = apply_conditional_ms_at(ms, mn_name((q,)), s_ms)
-        for t in range(60):
-            assert M1.alpha(ms_out.f(t)) == (approx(real_out, t),)
-            checks += 1
-
-        # localization through the translations
-        hood_real, local_real = localize(RECIP, rational_name(Fraction(1)), 100)
-        hood_ms, local_ms = localize_ms(recip_ms, mn_name((Fraction(1),)), 100)
-        assert hood_ms.cutoff == hood_real.cutoff
-        for q in (Fraction(3, 4), Fraction(1), Fraction(9, 8), Fraction(2, 3), Fraction(13, 6)):
-            assert hood_ms.contains_code(mn_code((q,))) == hood_real.contains(q)
-            checks += 1
-        for q in (Fraction(3, 4), Fraction(1), Fraction(9, 8)):
-            real_out = apply_uniform(local_real, [rational_name(q)])
-            ms_out = apply_uniform_ms(local_ms, mn_name((q,)))
-            for t in range(40):
-                assert M1.alpha(ms_out.f(t)) == (approx(real_out, t),)
-                checks += 1
-
-        # gluing through the translations
-        negate = proc_fn(lambda a: -a, lambda t, names: t, "negate")
-        identity = proc_fn(lambda a: a, lambda t, names: t, "identity")
-        real_cover = BallCover(
-            (
-                Ball((Fraction(-1),), Fraction(3, 2), negate),
-                Ball((Fraction(1),), Fraction(3, 2), identity),
-            ),
-            separation=3,
-        )
-        real_glued = glue_compact(real_cover)
-        ms_cover = MsBallCover(
-            (
-                MsBall(mn_code((Fraction(-1),)), Fraction(3, 2), translate_uniform(negate)),
-                MsBall(mn_code((Fraction(1),)), Fraction(3, 2), translate_uniform(identity)),
-            ),
-            separation=3,
-        )
-        ms_glued = glue_compact_ms(ms_cover)
-        for n in list(range(-8, 1)) + list(range(2, 9)):
-            q = Fraction(n, 8)
-            real_out = apply_uniform(real_glued, [rational_name(q)])
-            ms_out = apply_uniform_ms(ms_glued, mn_name((q,)))
-            for t in range(0, 40, 5):
-                assert M1.alpha(ms_out.f(t)) == (approx(real_out, t),)
-                checks += 1
-            assert dispatch_index_ms(ms_cover, mn_name((q,))) == dispatch_index(
-                real_cover, [rational_name(q)]
-            )
-
-        # a two-argument substitution assembled from unary pieces
-        double = proc_fn(lambda a: 2 * a, lambda t, names: 2 * t + 1, "double")
-        bundle = tuple_conditional(
-            [translate_conditional(RECIP), embed_uniform_ms(translate_uniform(double))]
-        )
-        composed = compose_conditional_ms(embed_uniform_ms(translate_uniform(ADD)), bundle)
-        for q in (Fraction(1, 2), Fraction(2), Fraction(-1, 3)):
-            out = apply_conditional_ms(composed, mn_name((q,)), 100_000)
-            expected = 1 / q + 2 * q
-            assert validate_ordinary_name(out, mn_code((expected,)), 150) == []
-            checks += 1
-
-        info["detail"] = f"{checks} cross-layer agreements"
+    catalogue_criterion(
+        8, "coded-space translations round-trip and mirror the real layer", 90, "metric-spaces",
+        seed=404,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,13 @@
+import sys
+from dataclasses import replace
+
 import pytest
 
-from condreal import cli
+from condreal import cli, suites
+from condreal.gadgets import tuple_pack
+from condreal.metric import find_parameter_ms
+from condreal.realfns import BallCover, find_parameter, glue_compact, localize
+from condreal.terms import compose_terms
 
 
 def run(capsys, *argv):
@@ -153,11 +160,68 @@ def test_suite_unknown_name_is_exit_two(capsys):
     assert "metric-spaces" in err
 
 
-def test_suite_failure_is_exit_four(capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run_suite", lambda name, seed, t_max: (False, ["FAIL: x"]))
-    code, out, _ = run(capsys, "suite", "gadgets")
+def off_by_one_localize(fn, at, budget):
+    hood, local = localize(fn, at, budget)
+    return replace(hood, cutoff=hood.cutoff - 1, anchor=hood.anchor[:-1]), local
+
+
+# one subtly wrong library function per suite, as the catalogue sees it
+SABOTAGE = {
+    "gadgets": ("tuple_pack", lambda values: tuple_pack(list(values)[::-1])),
+    "curry": ("compose_terms", lambda outer, inners: compose_terms(outer, inners[::-1])),
+    "composition": ("find_parameter", lambda fn, names, budget: find_parameter(fn, names, 1)),
+    "localization": ("localize", off_by_one_localize),
+    "gluing": (
+        "glue_compact",
+        lambda cover: glue_compact(BallCover(cover.balls[::-1], cover.separation)),
+    ),
+    "metric-spaces": (
+        "find_parameter_ms",
+        lambda fn, name, budget: find_parameter_ms(fn, name, budget) + 1,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", suites.SUITE_NAMES)
+def test_a_subtly_wrong_library_function_fails_its_suite(capsys, monkeypatch, name):
+    monkeypatch.setattr(suites, *SABOTAGE[name])
+    report = suites.run_suite(name, t_max=40)
+    assert not report.passed
+    assert any(line.startswith("FAIL: ") for line in report.lines)
+    code, out, _ = run(capsys, "suite", name, "--t-max", "40")
     assert code == 4
-    assert "result: FAIL" in out
+    assert "\nFAIL: " in out
+    assert out.rstrip().endswith("result: FAIL")
+
+
+def test_a_check_that_raises_is_a_fail_line(monkeypatch):
+    monkeypatch.setattr(suites, *SABOTAGE["composition"])
+    lines = suites.run_suite("composition").lines
+    assert any(line.startswith("ok: ") for line in lines)  # certified at s = 0
+    assert any(
+        line.startswith("FAIL: ") and "[raised BudgetExhausted: " in line for line in lines
+    )
+
+
+def test_a_closed_output_pipe_is_exit_141(monkeypatch, tmp_path):
+    class ClosedPipe:
+        def __init__(self):
+            self.file = open(tmp_path / "stdout", "w")
+
+        def write(self, text):
+            raise BrokenPipeError
+
+        def flush(self):
+            raise BrokenPipeError
+
+        def fileno(self):
+            return self.file.fileno()
+
+    monkeypatch.setattr(sys, "argv", ["condreal", "eval", "(recip 3)", "--decimal"])
+    monkeypatch.setattr(sys, "stdout", ClosedPipe())
+    with pytest.raises(SystemExit) as info:
+        cli.main_entry()
+    assert info.value.code == 141
 
 
 # ---------------------------------------------------------------------------

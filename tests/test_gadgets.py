@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from condreal import suites
 from condreal.gadgets import (
     CORE,
     GadgetRegistry,
@@ -21,7 +22,6 @@ from condreal.gadgets import (
     left,
     lt,
     monus,
-    mu,
     pair,
     right,
     succ,
@@ -29,6 +29,8 @@ from condreal.gadgets import (
     tuple_part,
     tuple_parts,
 )
+
+from conftest import assert_check
 
 nats = st.integers(min_value=0, max_value=10_000)
 small = st.integers(min_value=0, max_value=30)
@@ -110,20 +112,8 @@ def test_tuple_part_validates_indices():
 # ---------------------------------------------------------------------------
 
 
-def first_zero_oracle(k, args):
-    *pairs, default = args
-    for i in range(k):
-        if pairs[2 * i] == 0:
-            return pairs[2 * i + 1]
-    return default
-
-
 def test_delta_k_matches_first_zero_dispatch():
-    for k in (1, 2, 3):
-        fn = delta_k(k)
-        assert fn.arity == 2 * k + 1
-        for args in product(range(3), repeat=2 * k + 1):
-            assert fn.fn(*args) == first_zero_oracle(k, args)
+    assert_check(suites.delta_k_dispatch)
 
 
 def delta_recursive(k, args):
@@ -149,22 +139,11 @@ def test_delta_k_evaluates_long_argument_lists():
 
 
 def test_mu_matches_its_case_rule_and_its_dispatch_formula():
-    d1 = delta_k(1).fn
-    for k, c in product(range(1, 5), repeat=2):
-        fn = mu(k, c)
-        for x, y in product(range(10), repeat=2):
-            expected = c if x == k else y
-            assert fn.fn(x, y) == expected
-            assert fn.fn(x, y) == d1(monus(x, k), d1(monus(k, x), c, y), y)
+    assert_check(suites.mu_cases)
 
 
 def test_gamma_positivity_encodes_the_sum_comparison():
-    for b, c in product(range(1, 4), repeat=2):
-        fn = gamma(b, c)
-        assert fn.arity == b + c
-        for args in product(range(4), repeat=b + c):
-            xs, ys = args[:b], args[b:]
-            assert (fn.fn(*args) > 0) == (sum(xs) > sum(ys))
+    assert_check(suites.gamma_sign)
 
 
 def gamma_recursive(b, c, args):
@@ -302,29 +281,12 @@ def test_gamma_rejects_empty_sides():
         gamma(1, 0)
 
 
-THRESHOLDS = (Fraction(-2), Fraction(-1, 2), Fraction(0), Fraction(1, 3), Fraction(1), Fraction(5, 2))
-
-
 def test_lt_gt_match_exact_rational_comparison():
-    for a in THRESHOLDS:
-        below, above = lt(a), gt(a)
-        for x, y, z in product(range(5), repeat=3):
-            q = Fraction(x - y, z + 1)
-            assert (below.fn(x, y, z) > 0) == (q < a)
-            assert (above.fn(x, y, z) > 0) == (q > a)
+    assert_check(suites.sign_tests)
 
 
 def test_ball_indicator_matches_max_norm_membership():
-    center = (Fraction(1, 2), Fraction(-1))
-    radius = Fraction(3, 4)
-    ind = ball_indicator(center, radius)
-    assert ind.arity == 6
-    for args in product(range(3), range(3), range(2), range(3), range(3), range(2)):
-        x1, y1, z1, x2, y2, z2 = args
-        q1 = Fraction(x1 - y1, z1 + 1)
-        q2 = Fraction(x2 - y2, z2 + 1)
-        inside = abs(q1 - center[0]) < radius and abs(q2 - center[1]) < radius
-        assert (ind.fn(*args) == 0) == inside
+    assert_check(suites.ball_membership)
 
 
 def test_ball_indicator_with_nonpositive_radius_never_passes():

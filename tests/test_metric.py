@@ -1,30 +1,23 @@
 from fractions import Fraction
-from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condreal import metric
+from condreal import metric, suites
 from condreal.elementary import default_functions, uniform_from_rule
 from condreal.gadgets import tuple_pack, tuple_part
 from condreal.metric import (
     MsBall,
-    MsBallCover,
     OrdinaryName,
     SpaceMismatch,
-    apply_conditional_ms,
     apply_conditional_ms_at,
     apply_uniform_ms,
     builtin_spaces,
     code_ball_indicator,
-    compose_conditional_ms,
-    dispatch_index_ms,
     embed_uniform_ms,
     find_parameter_ms,
-    glue_compact_ms,
     identity_ms,
-    localize_ms,
     make_discrete,
     make_mn,
     metric_axiom_violations,
@@ -38,17 +31,11 @@ from condreal.metric import (
     tuple_conditional,
     validate_ordinary_name,
 )
-from condreal.naming import NatFun, approx, rational_name, validate_name
-from condreal.realfns import (
-    apply_conditional_at,
-    apply_uniform,
-    compose_conditional,
-    find_parameter,
-    glue_compact,
-    localize,
-    Ball,
-    BallCover,
-)
+from condreal.naming import NatFun, approx, rational_name
+from condreal.realfns import apply_conditional_at, find_parameter
+from condreal.suites import identity_fn
+
+from conftest import assert_check
 
 REGISTRY = default_functions()
 RECIP = REGISTRY.get("recip").fn
@@ -58,18 +45,6 @@ M1 = make_mn(1)
 M2 = make_mn(2)
 
 rational = st.fractions(min_value=-50, max_value=50, max_denominator=40)
-
-
-def proc_negate_fn():
-    return uniform_from_rule(1, lambda a: -a, lambda t, names: t, "negate")
-
-
-def proc_identity_fn():
-    return uniform_from_rule(1, lambda a: a, lambda t, names: t, "identity")
-
-
-def double_fn():
-    return uniform_from_rule(1, lambda a: 2 * a, lambda t, names: 2 * t + 1, "double")
 
 
 # ---------------------------------------------------------------------------
@@ -176,11 +151,7 @@ def test_embedded_uniform_certifies_at_zero():
 
 
 def test_translated_addition_names_the_sum():
-    add_ms = translate_uniform(ADD)
-    assert add_ms.domain is M2
-    name = mn_name((Fraction(1, 2), Fraction(1, 3)))
-    out = apply_uniform_ms(add_ms, name)
-    assert validate_ordinary_name(out, mn_code((Fraction(5, 6),)), 200) == []
+    assert_check(suites.translated_addition)
 
 
 def test_translated_reciprocal_finds_the_same_parameter():
@@ -196,40 +167,15 @@ def test_translated_reciprocal_finds_the_same_parameter():
 
 
 def test_uniform_translation_round_trip_is_pointwise_exact():
-    rng = Random(13)
-    back = translate_uniform_back(translate_uniform(ADD))
-    for _ in range(30):
-        a = Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
-        b = Fraction(rng.randrange(-20, 21), rng.randrange(1, 9))
-        names = [rational_name(a), rational_name(b)]
-        direct = apply_uniform(ADD, names)
-        routed = apply_uniform(back, names)
-        for t in range(0, 30, 3):
-            assert routed.f(t) == direct.f(t)
-            assert routed.g(t) == direct.g(t)
-            assert routed.h(t) == direct.h(t)
+    assert_check(suites.uniform_round_trip)
 
 
 def test_conditional_translation_round_trip_is_pointwise_exact():
-    back = translate_conditional_back(translate_conditional(RECIP))
-    name = [rational_name(Fraction(2, 7))]
-    s_direct = find_parameter(RECIP, name, 100)
-    s_routed = find_parameter(back, name, 100)
-    assert s_routed == s_direct
-    direct = apply_conditional_at(RECIP, name, s_direct)
-    routed = apply_conditional_at(back, name, s_routed)
-    for t in range(25):
-        assert approx(routed, t) == approx(direct, t)
+    assert_check(suites.conditional_round_trip)
 
 
 def test_ms_translation_round_trip_is_code_exact():
-    add_ms = translate_uniform(ADD)
-    again = translate_uniform(translate_uniform_back(add_ms))
-    name = mn_name((Fraction(1, 5), Fraction(3, 4)))
-    out1 = apply_uniform_ms(add_ms, name)
-    out2 = apply_uniform_ms(again, name)
-    for t in range(25):
-        assert out1.f(t) == out2.f(t)
+    assert_check(suites.ms_uniform_round_trip)
 
 
 def test_translations_run_a_joint_rule_once_per_index():
@@ -300,57 +246,15 @@ def test_translation_back_requires_coordinate_spaces():
 
 
 def test_composition_agrees_with_the_real_path():
-    real = compose_conditional(RECIP, RECIP)
-    ms = compose_conditional_ms(translate_conditional(RECIP), translate_conditional(RECIP))
-    q = Fraction(2, 3)
-    s_real = find_parameter(real, [rational_name(q)], 1000)
-    s_ms = find_parameter_ms(ms, mn_name((q,)), 1000)
-    assert s_ms == s_real == 11
-    real_out = apply_conditional_at(real, [rational_name(q)], s_real)
-    ms_out = apply_conditional_ms_at(ms, mn_name((q,)), s_ms)
-    for t in range(50):
-        assert M1.alpha(ms_out.f(t)) == (approx(real_out, t),)
+    assert_check(suites.translated_composition)
 
 
 def test_localization_agrees_with_the_real_path():
-    hood_real, local_real = localize(RECIP, rational_name(Fraction(1)), 100)
-    hood_ms, local_ms = localize_ms(translate_conditional(RECIP), mn_name((Fraction(1),)), 100)
-    assert hood_ms.cutoff == hood_real.cutoff == 2
-    for q in (Fraction(3, 4), Fraction(1), Fraction(9, 8), Fraction(2, 3), Fraction(7, 5)):
-        assert hood_ms.contains_code(mn_code((q,))) == hood_real.contains(q)
-    for q in (Fraction(3, 4), Fraction(1), Fraction(9, 8)):
-        ms_out = apply_uniform_ms(local_ms, mn_name((q,)))
-        real_out = apply_uniform(local_real, [rational_name(q)])
-        for t in range(40):
-            assert M1.alpha(ms_out.f(t)) == (approx(real_out, t),)
-        assert validate_ordinary_name(ms_out, mn_code((1 / q,)), 150) == []
+    assert_check(suites.translated_localization)
 
 
 def test_gluing_agrees_with_the_real_path():
-    negate, identity = proc_negate_fn(), proc_identity_fn()
-    real_cover = BallCover(
-        (
-            Ball((Fraction(-1),), Fraction(3, 2), negate),
-            Ball((Fraction(1),), Fraction(3, 2), identity),
-        ),
-        separation=3,
-    )
-    ms_cover = MsBallCover(
-        (
-            MsBall(mn_code((Fraction(-1),)), Fraction(3, 2), translate_uniform(negate)),
-            MsBall(mn_code((Fraction(1),)), Fraction(3, 2), translate_uniform(identity)),
-        ),
-        separation=3,
-    )
-    real_glued = glue_compact(real_cover)
-    ms_glued = glue_compact_ms(ms_cover)
-    points = [Fraction(n, 8) for n in range(-8, 1)] + [Fraction(n, 8) for n in range(2, 9)]
-    for q in points:
-        real_out = apply_uniform(real_glued, [rational_name(q)])
-        ms_out = apply_uniform_ms(ms_glued, mn_name((q,)))
-        for t in range(0, 40, 5):
-            assert M1.alpha(ms_out.f(t)) == (approx(real_out, t),)
-        assert dispatch_index_ms(ms_cover, mn_name((q,))) == (1 if q <= 0 else 2)
+    assert_check(suites.translated_gluing)
 
 
 def test_ms_ball_requires_positive_radius():
@@ -373,7 +277,7 @@ def test_single_component_tuple_behaves_like_the_component():
 
 
 def test_two_component_tuple_names_the_value_pair():
-    ident = embed_uniform_ms(translate_uniform(proc_identity_fn()))
+    ident = embed_uniform_ms(translate_uniform(identity_fn()))
     recip_ms = translate_conditional(RECIP)
     bundled = tuple_conditional([ident, recip_ms])
     assert bundled.codomain is M2
@@ -394,17 +298,7 @@ def test_tuple_components_must_share_their_domain():
 
 
 def test_tupling_then_composing_reproduces_two_argument_substitution():
-    # q  |->  add(recip(q), double(q)), assembled from unary pieces
-    bundle = tuple_conditional(
-        [translate_conditional(RECIP), embed_uniform_ms(translate_uniform(double_fn()))]
-    )
-    outer = embed_uniform_ms(translate_uniform(ADD))
-    composed = compose_conditional_ms(outer, bundle)
-    oracle = lambda q: 1 / q + 2 * q
-    for q in (Fraction(1, 2), Fraction(2), Fraction(-1, 3)):
-        name = mn_name((q,))
-        out = apply_conditional_ms(composed, name, 100_000)
-        assert validate_ordinary_name(out, mn_code((oracle(q),)), 150) == []
+    assert_check(suites.substitution)
 
 
 # ---------------------------------------------------------------------------

@@ -47,7 +47,24 @@ from condreal.realfns import (
 )
 from condreal.gadgets import ball_indicator
 from condreal.sampling import random_natfun, random_term
+from condreal.suites import (
+    COMPOSITES,
+    add_one_fn,
+    composite_check,
+    double_fn,
+    frozen_certificates,
+    identity_fn,
+    negate_fn,
+    negate_term_fn,
+    one_ball,
+    three_ball_cover,
+    three_ball_values,
+    two_ball_cover,
+    two_ball_values,
+)
 from condreal.terms import Apply, Base, OperatorTerm, Proj
+
+from conftest import assert_check
 
 REGISTRY = default_functions()
 RECIP = REGISTRY.get("recip").fn
@@ -55,11 +72,6 @@ RECIP = REGISTRY.get("recip").fn
 
 def term_component(slot):
     return TermOperator(OperatorTerm(3, 1, Apply(slot, Proj(1))))
-
-
-def negate_term_fn():
-    # swapping the positive and negative parts negates the named value
-    return UniformFn(1, term_component(2), term_component(1), term_component(3))
 
 
 def abs_term_fn():
@@ -76,26 +88,6 @@ def abs_term_fn():
         TermOperator(OperatorTerm(3, 1, zero)),
         term_component(3),
     )
-
-
-def double_fn():
-    return uniform_from_rule(1, lambda a: 2 * a, lambda t, names: 2 * t + 1, "double")
-
-
-def add_one_fn():
-    return uniform_from_rule(1, lambda a: a + 1, lambda t, names: t, "add-one")
-
-
-def proc_negate_fn():
-    return uniform_from_rule(1, lambda a: -a, lambda t, names: t, "negate")
-
-
-def proc_abs_fn():
-    return uniform_from_rule(1, lambda a: abs(a), lambda t, names: t, "abs")
-
-
-def proc_identity_fn():
-    return uniform_from_rule(1, lambda a: a, lambda t, names: t, "identity")
 
 
 def as_proc(op):
@@ -160,31 +152,9 @@ def test_budget_exhausted_carries_context():
 # ---------------------------------------------------------------------------
 
 
-def assert_split_certifies(outer, inner, names, s):
-    fns = tuple(fn for name in names for fn in name)
-    assert inner.E.apply(fns).eval_uncached(right(s)) == 0
-    mid = apply_conditional_at(inner, names, right(s))
-    mid_fns = tuple(mid)
-    assert outer.E.apply(mid_fns).eval_uncached(left(s)) == 0
-
-
-COMPOSE_CASES = [
-    ("recip after recip", RECIP, RECIP, Fraction(2, 3), Fraction(2, 3)),
-    ("recip after add-one", RECIP, embed_uniform(add_one_fn()), Fraction(1), Fraction(1, 2)),
-    ("double after recip", embed_uniform(double_fn()), RECIP, Fraction(1, 2), Fraction(4)),
-    ("identity after recip", embed_uniform(identity_uniform()), RECIP, Fraction(3), Fraction(1, 3)),
-    ("negate after negate", embed_uniform(negate_term_fn()), embed_uniform(negate_term_fn()), Fraction(5, 7), Fraction(5, 7)),
-]
-
-
-@pytest.mark.parametrize("label,outer,inner,point,expected", COMPOSE_CASES, ids=[c[0] for c in COMPOSE_CASES])
-def test_composition_splits_and_validates(label, outer, inner, point, expected):
-    composed = compose_conditional(outer, inner)
-    name = rational_name(point)
-    s = find_parameter(composed, [name], 10_000)
-    assert_split_certifies(outer, inner, [name], s)
-    out = apply_conditional_at(composed, [name], s)
-    assert validate_name(out, expected, 300).passed
+@pytest.mark.parametrize("case", COMPOSITES, ids=lambda case: f"{case[0]} after {case[1]}")
+def test_composition_splits_and_validates(case):
+    assert_check(composite_check(*case))
 
 
 def test_known_composite_parameter_decomposition():
@@ -391,8 +361,8 @@ def test_glued_procedure_picks_the_dispatched_ball():
 def test_glued_procedure_reads_its_arguments_only_when_read():
     cover = BallCover(
         (
-            Ball((Fraction(-1),), Fraction(3, 2), proc_negate_fn()),
-            Ball((Fraction(1),), Fraction(3, 2), proc_identity_fn()),
+            Ball((Fraction(-1),), Fraction(3, 2), negate_fn()),
+            Ball((Fraction(1),), Fraction(3, 2), identity_fn()),
         ),
         separation=3,
     )
@@ -403,7 +373,7 @@ def test_glued_procedure_reads_its_arguments_only_when_read():
     assert approx(out, 4) == Fraction(1, 2)
     assert any(log.values())
     # the composite's certificate never reads the glued value, so nothing is read
-    composed = compose_conditional(embed_uniform(proc_identity_fn()), embed_uniform(glued))
+    composed = compose_conditional(embed_uniform(identity_fn()), embed_uniform(glued))
     fns, log = recording(tuple(rational_name(Fraction(1, 2))))
     cert = composed.E.apply(fns)
     assert find_parameter(composed, [rational_name(Fraction(1, 2))], 10) == 0
@@ -442,17 +412,7 @@ def test_localize_cuts_off_a_stream_anchor_where_it_cuts_off_a_constant_anchor()
 
 
 def test_localize_keeps_the_certificate_frozen_under_patching():
-    at = rational_name(Fraction(1))
-    hood, _local = localize(RECIP, at, 100)
-    s0 = find_parameter(RECIP, [at], 100)
-    rng = Random(7)
-    anchor_fns = (at.f, at.g, at.h)
-    for _ in range(60):
-        noisy = tuple(
-            NatFun.patched(anchor, hood.cutoff + 1, random_natfun(rng))
-            for anchor in anchor_fns
-        )
-        assert RECIP.E.apply(noisy).eval_uncached(s0) == 0
+    assert_check(frozen_certificates)
 
 
 def test_localize_a_composed_function():
@@ -487,33 +447,8 @@ def test_localize_requires_a_certifiable_anchor():
 # ---------------------------------------------------------------------------
 
 
-def two_ball_cover():
-    return BallCover(
-        (
-            Ball((Fraction(-1),), Fraction(3, 2), proc_negate_fn()),
-            Ball((Fraction(1),), Fraction(3, 2), proc_identity_fn()),
-        ),
-        separation=3,
-    )
-
-
-def three_ball_cover():
-    return BallCover(
-        (
-            Ball((Fraction(-1),), Fraction(1), proc_negate_fn()),
-            Ball((Fraction(1),), Fraction(1), proc_identity_fn()),
-            Ball((Fraction(0),), Fraction(1, 4), proc_abs_fn()),
-        ),
-        separation=15,
-    )
-
-
 def test_two_ball_gluing_on_its_exactly_dispatched_region():
-    glued = glue_compact(two_ball_cover())
-    points = [Fraction(n, 8) for n in range(-8, 1)] + [Fraction(n, 8) for n in range(2, 9)]
-    for q in points:
-        out = apply_uniform(glued, [rational_name(q)])
-        assert validate_name(out, abs(q), 200).passed
+    assert_check(two_ball_values)
 
 
 def test_two_ball_gluing_misdispatches_between_zero_and_a_quarter():
@@ -535,11 +470,7 @@ def test_dispatch_picks_the_unique_deep_ball():
 
 
 def test_three_ball_gluing_is_correct_on_the_whole_interval():
-    glued = glue_compact(three_ball_cover())
-    for n in range(-16, 17):
-        q = Fraction(n, 16)
-        out = apply_uniform(glued, [rational_name(q)])
-        assert validate_name(out, abs(q), 200).passed
+    assert_check(three_ball_values)
 
 
 def test_separation_holds_on_the_sound_cover_and_fails_on_a_sparse_one():
@@ -548,8 +479,8 @@ def test_separation_holds_on_the_sound_cover_and_fails_on_a_sparse_one():
 
     sparse = BallCover(
         (
-            Ball((Fraction(-1),), Fraction(1, 2), proc_negate_fn()),
-            Ball((Fraction(1),), Fraction(1, 2), proc_identity_fn()),
+            Ball((Fraction(-1),), Fraction(1, 2), negate_fn()),
+            Ball((Fraction(1),), Fraction(1, 2), identity_fn()),
         ),
         separation=3,
     )
@@ -598,11 +529,7 @@ def test_a_term_backed_name_reads_each_distinct_node_once_per_index():
 
 
 def test_single_ball_cover_reduces_to_its_local_function():
-    cover = BallCover((Ball((Fraction(0),), Fraction(1), proc_identity_fn()),), 1)
-    glued = glue_compact(cover)
-    for q in (Fraction(0), Fraction(1, 4), Fraction(-1, 4)):
-        out = apply_uniform(glued, [rational_name(q)])
-        assert validate_name(out, q, 100).passed
+    assert_check(one_ball)
 
 
 @pytest.mark.parametrize(
@@ -620,7 +547,7 @@ def test_one_ball_cover_with_a_wide_separation_glues(local, sign):
 
 def test_ball_rejects_nonpositive_radius():
     with pytest.raises(ValueError):
-        Ball((Fraction(0),), Fraction(0), proc_identity_fn())
+        Ball((Fraction(0),), Fraction(0), identity_fn())
 
 
 # ---------------------------------------------------------------------------
@@ -693,7 +620,7 @@ def test_localized_and_composed_joint_functions_agree_with_their_components():
 
 def test_mixed_operators_are_applied_one_by_one():
     # F, G, H of two different joints: no joint build applies
-    a, b = proc_negate_fn(), proc_identity_fn()
+    a, b = negate_fn(), identity_fn()
     mixed = UniformFn(1, a.F, b.G, a.H)
     out = apply_uniform(mixed, [rational_name(Fraction(-3, 4))])
     assert read_whole(out, range(5)) == [(3, 3, 3)] * 5

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condreal import suites
 from condreal.gadgets import CORE, default_registry
 from condreal.naming import NatFun, recording
 from condreal.sampling import random_natfun, random_term
@@ -18,10 +19,8 @@ from condreal.terms import (
     TermProgram,
     compose_terms,
     curry,
-    diagonalize,
     eval_instrumented,
     eval_term,
-    multi_curry,
     MAX_TERM_DEPTH,
     parse_term,
     print_term,
@@ -29,6 +28,8 @@ from condreal.terms import (
     support_bound,
     uncurry,
 )
+
+from conftest import assert_check
 
 
 def naive_eval(term, fns, args):
@@ -157,26 +158,12 @@ def test_representable_lift_is_pointwise():
 
 
 def test_curry_defining_equality():
-    rng = Random(23)
-    for _ in range(60):
-        term = random_term(rng, 2, 2, 4)
-        fns = sample_fns(rng, 2)
-        s, t = rng.randrange(9), rng.randrange(9)
-        lhs = eval_term(term, fns, (s, t))
-        rhs = eval_term(curry(term), fns + (NatFun.constant(s),), (t,))
-        assert lhs == rhs
+    # also uncurry(curry(T)) == T, structurally and pointwise
+    assert_check(suites.currying)
 
 
 def test_uncurry_defining_equality():
-    rng = Random(29)
-    for _ in range(60):
-        term = random_term(rng, 2, 1, 4)
-        flat = uncurry(term)
-        f1 = sample_fns(rng, 1)[0]
-        s, t = rng.randrange(9), rng.randrange(9)
-        lhs = eval_term(flat, (f1,), (s, t))
-        rhs = eval_term(term, (f1, NatFun.constant(s)), (t,))
-        assert lhs == rhs
+    assert_check(suites.uncurrying)
 
 
 def test_uncurry_inverts_curry_structurally_and_pointwise():
@@ -211,45 +198,15 @@ def test_curry_inverts_uncurry_only_up_to_constant_slots():
 
 
 def test_multi_curry_eliminates_every_numeric_slot():
-    rng = Random(41)
-    for _ in range(40):
-        term = random_term(rng, 2, 3, 3)
-        flat = multi_curry(term)
-        assert flat.m == 1
-        assert flat.k == 4
-        fns = sample_fns(rng, 2)
-        s1, s2, t = (rng.randrange(8) for _ in range(3))
-        lhs = eval_term(term, fns, (s1, s2, t))
-        consts = (NatFun.constant(s1), NatFun.constant(s2))
-        assert lhs == eval_term(flat, fns + consts, (t,))
+    assert_check(suites.iterated_currying)
 
 
 def test_diagonalize_matches_direct_definition():
-    rng = Random(43)
-    for _ in range(60):
-        term = random_term(rng, 3, 1, 4)
-        diag = diagonalize(term)
-        assert diag.k == 2
-        fns = sample_fns(rng, 2)
-        n = rng.randrange(9)
-        lhs = eval_term(diag, fns, (n,))
-        rhs = eval_term(term, fns + (NatFun.constant(n),), (n,))
-        assert lhs == rhs
+    assert_check(suites.diagonalization)
 
 
 def test_compose_terms_matches_two_stage_evaluation():
-    rng = Random(47)
-    for _ in range(60):
-        outer = random_term(rng, 2, 1, 3)
-        inners = [random_term(rng, 2, 1, 3) for _ in range(2)]
-        grafted = compose_terms(outer, inners)
-        gs = sample_fns(rng, 2)
-        n = rng.randrange(9)
-        staged = tuple(
-            NatFun(lambda t, inner=inner: eval_term(inner, gs, (t,)), memoize=False)
-            for inner in inners
-        )
-        assert eval_term(grafted, gs, (n,)) == eval_term(outer, staged, (n,))
+    assert_check(suites.grafting)
 
 
 def test_compose_terms_arity_rules():
