@@ -311,9 +311,11 @@ class FunctionRegistry:
             if name in self._entries or name in self._aliases:
                 raise ValueError(f"function name already registered: {name}")
         if validate and entry.oracle is not None:
-            failure = _quick_check(entry)
-            if failure is not None:
-                raise ValueError(f"entry {entry.name} failed validation: {failure}")
+            # registration-time smoke test on a tiny grid; the full suite
+            # is registry_validate
+            for check in _grid_checks(entry, _QUICK_GRID, _QUICK_T_MAX, _QUICK_BUDGET):
+                if not check.passed:
+                    raise ValueError(f"entry {entry.name} failed validation: {_check_line(check)}")
         self._entries[entry.name] = entry
         for alias in aliases:
             self._aliases[alias] = entry.name
@@ -357,27 +359,6 @@ class FunctionRegistry:
                 self._aliases[name] = spelled
             return self._entries[spelled]
         raise KeyError(name)
-
-
-def _quick_check(entry: Entry) -> str | None:
-    # registration-time smoke test on a tiny grid; the full suite is
-    # registry_validate
-    for point in product(_QUICK_GRID, repeat=entry.n_args):
-        try:
-            reference = entry.oracle(*point)
-        except OutsideDomain:
-            continue
-        names = [rational_name(q) for q in point]
-        if isinstance(entry.fn, ConditionalFn):
-            output = apply_conditional(entry.fn, names, _QUICK_BUDGET)
-        else:
-            output = apply_uniform(entry.fn, names)
-        report = validate_name(output, reference, _QUICK_T_MAX)
-        if not report.passed:
-            row = report.first_failure
-            point_text = ", ".join(format_rational(q) for q in point)
-            return f"at ({point_text}): t={row.t} approx={row.approx}"
-    return None
 
 
 def register_builtins(registry: FunctionRegistry | None = None) -> FunctionRegistry:
@@ -459,6 +440,30 @@ class GridCheck:
     first_failure: int | None
 
 
+def _check_line(check: GridCheck) -> str:
+    status = "ok" if check.passed else f"FAIL at t={check.first_failure}"
+    point_text = ", ".join(format_rational(q) for q in check.point)
+    return f"{check.entry}({point_text}) -> {format_rational(check.reference)}: {status}"
+
+
+def _grid_checks(
+    entry: Entry, grid: Sequence[Fraction], t_max: int, budget: int
+) -> Iterator[GridCheck]:
+    """The entry's output against its oracle at each grid point of its domain."""
+    for point in product(tuple(grid), repeat=entry.n_args):
+        try:
+            reference = entry.oracle(*point)
+        except OutsideDomain:
+            continue
+        names = [rational_name(q) for q in point]
+        if isinstance(entry.fn, ConditionalFn):
+            output = apply_conditional(entry.fn, names, budget)
+        else:
+            output = apply_uniform(entry.fn, names)
+        row = validate_name(output, reference, t_max).first_failure
+        yield GridCheck(entry.name, point, reference, row is None, None if row is None else row.t)
+
+
 @dataclass(frozen=True)
 class RegistryReport:
     checks: tuple[GridCheck, ...]
@@ -471,13 +476,7 @@ class RegistryReport:
         return [check for check in self.checks if not check.passed]
 
     def lines(self) -> Iterator[str]:
-        for check in self.checks:
-            status = "ok" if check.passed else f"FAIL at t={check.first_failure}"
-            point_text = ", ".join(format_rational(q) for q in check.point)
-            yield (
-                f"{check.entry}({point_text}) ->"
-                f" {format_rational(check.reference)}: {status}"
-            )
+        return map(_check_line, self.checks)
 
 
 def registry_validate(
@@ -492,29 +491,11 @@ def registry_validate(
     must satisfy the strict 1/(t+1) bound for all t <= t_max, decided by
     exact rational comparison.
     """
-    checks: list[GridCheck] = []
-    for entry in registry:
-        if entry.oracle is None:
-            continue
-        for point in product(tuple(grid), repeat=entry.n_args):
-            try:
-                reference = entry.oracle(*point)
-            except OutsideDomain:
-                continue
-            names = [rational_name(q) for q in point]
-            if isinstance(entry.fn, ConditionalFn):
-                output = apply_conditional(entry.fn, names, budget)
-            else:
-                output = apply_uniform(entry.fn, names)
-            report = validate_name(output, reference, t_max)
-            row = report.first_failure
-            checks.append(
-                GridCheck(
-                    entry.name,
-                    point,
-                    reference,
-                    report.passed,
-                    None if row is None else row.t,
-                )
-            )
-    return RegistryReport(tuple(checks))
+    return RegistryReport(
+        tuple(
+            check
+            for entry in registry
+            if entry.oracle is not None
+            for check in _grid_checks(entry, grid, t_max, budget)
+        )
+    )

@@ -41,6 +41,7 @@ __all__ = [
     "DecencyReport",
     "ball_indicator",
     "conj",
+    "constant",
     "decency_check",
     "default_registry",
     "delta_1",
@@ -191,6 +192,13 @@ def delta_k(k: int) -> BaseFunction:
     return BaseFunction(f"delta_{k}", 2 * k + 1, fn)
 
 
+def constant(c: int) -> BaseFunction:
+    """The constant function c."""
+    if c < 0:
+        raise ValueError("constant must be a natural")
+    return BaseFunction(f"const_{c}", 1, lambda _x: c)
+
+
 def mu(k: int, c: int) -> BaseFunction:
     """Override at one point: value c when x == k, else y."""
     if k < 0 or c < 0:
@@ -301,12 +309,13 @@ def _core_entries() -> dict[str, BaseFunction]:
 
 
 class GadgetRegistry:
-    """Named base functions, with memoized on-demand construction.
+    """Named base functions, and the families' members by their spellings.
 
-    Core entries are fixed at construction; the family constructors
-    (``delta``, ``constant``, ``mu``, ``gamma``, ``lt``, ``gt``,
-    ``ball``) build on demand, cache by name, and are observationally
-    pure, so the registry stays a stable naming environment for terms.
+    The entries are fixed at construction.  ``resolve`` also builds the
+    members of the constructed families from their names, fresh on each
+    call and never stored: the family constructors are observationally
+    pure, so the registry stays a stable naming environment for terms
+    and does not grow with the parameters it is asked for.
     """
 
     def __init__(self, entries: dict[str, BaseFunction] | None = None):
@@ -326,34 +335,6 @@ class GadgetRegistry:
         except KeyError:
             raise KeyError(f"no gadget named {name!r}") from None
 
-    def _remember(self, fn: BaseFunction) -> BaseFunction:
-        return self._entries.setdefault(fn.name, fn)
-
-    def delta(self, k: int) -> BaseFunction:
-        if k == 1 and "delta_1" in self._entries:
-            return self._entries["delta_1"]
-        return self._remember(delta_k(k))
-
-    def constant(self, c: int) -> BaseFunction:
-        if c < 0:
-            raise ValueError("constant must be a natural")
-        return self._remember(BaseFunction(f"const_{c}", 1, lambda _x, _c=c: _c))
-
-    def mu(self, k: int, c: int) -> BaseFunction:
-        return self._remember(mu(k, c))
-
-    def gamma(self, b: int, c: int) -> BaseFunction:
-        return self._remember(gamma(b, c))
-
-    def lt(self, a: Fraction | int) -> BaseFunction:
-        return self._remember(lt(a))
-
-    def gt(self, a: Fraction | int) -> BaseFunction:
-        return self._remember(gt(a))
-
-    def ball(self, centers: Sequence[Fraction | int], radius: Fraction | int) -> BaseFunction:
-        return self._remember(ball_indicator(centers, radius))
-
     def resolve(self, name: str) -> BaseFunction:
         """Look a name up, constructing family members on demand.
 
@@ -365,16 +346,15 @@ class GadgetRegistry:
         parts = name.split("_")
         try:
             if parts[0] == "delta" and len(parts) == 2:
-                return self.delta(int(parts[1]))
+                return delta_k(int(parts[1]))
             if parts[0] == "const" and len(parts) == 2:
-                return self.constant(int(parts[1]))
+                return constant(int(parts[1]))
             if parts[0] == "mu" and len(parts) == 3:
-                return self.mu(int(parts[1]), int(parts[2]))
+                return mu(int(parts[1]), int(parts[2]))
             if parts[0] == "gamma" and len(parts) == 3:
-                return self.gamma(int(parts[1]), int(parts[2]))
+                return gamma(int(parts[1]), int(parts[2]))
             if parts[0] in ("lt", "gt") and len(parts) == 2:
-                a = Fraction(parts[1])
-                return self.lt(a) if parts[0] == "lt" else self.gt(a)
+                return (lt if parts[0] == "lt" else gt)(Fraction(parts[1]))
         except (ValueError, ZeroDivisionError):
             pass
         raise KeyError(f"no gadget named {name!r}")

@@ -369,7 +369,7 @@ def _slot(k: int, i: int, term: bool) -> Operator:
 def _constant(k: int, c: int, term: bool) -> Operator:
     """The k-ary operator returning the constant function c."""
     if term:
-        return TermOperator(OperatorTerm(k, 1, Base(CORE.constant(c), (Proj(1),))))
+        return TermOperator(OperatorTerm(k, 1, Base(gadgets.constant(c), (Proj(1),))))
     return ProcOperator(k, lambda _fns: NatFun.constant(c), f"const {c}")
 
 
@@ -383,7 +383,7 @@ def _patch(k: int, i: int, values: Sequence[int], term: bool) -> Operator:
     if term:
         node: Node = Apply(i, Proj(1))
         for j, value in enumerate(values):
-            node = Base(CORE.mu(j, value), (Proj(1), node))
+            node = Base(gadgets.mu(j, value), (Proj(1), node))
         return TermOperator(OperatorTerm(k, 1, node))
     cut = len(values)
 
@@ -478,10 +478,10 @@ def _select(
     """
     n = components[0][0].arity
     if term:
-        const_k = Base(CORE.constant(k), (Proj(1),))
+        const_k = Base(gadgets.constant(k), (Proj(1),))
         probes = tuple(Apply(i, const_k) for i in range(1, n + 1))
-        zero = Base(CORE.constant(0), (Proj(1),))
-        selector = CORE.delta(len(indicators))
+        zero = Base(gadgets.constant(0), (Proj(1),))
+        selector = gadgets.delta_k(len(indicators))
 
         def select_term(branches: Sequence[Operator]) -> Operator:
             subs = [

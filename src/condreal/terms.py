@@ -13,9 +13,16 @@ are built from exactly three node shapes:
     apply a fixed base function to the values of ``subs``.
 
 Terms are immutable; every transformation below is a pure structural
-rewrite returning a fresh term, and each rewrite is justified by a
-pointwise evaluation identity that the test-suite checks against
-independent evaluation.  The key rewrites:
+rewrite, and each rewrite is justified by a pointwise evaluation
+identity that the test-suite checks against independent evaluation.
+Every walk over a term -- validation, the rewrites, support bounds,
+compilation -- is one ``_fold``: an explicit-stack, bottom-up pass over
+the term's distinct node objects, so no walk recurses and a subterm
+shared by identity is visited once.  A rewrite returns a node itself
+when none of its children changed, so shared and untouched subterms
+stay shared in the result.  ``print_term`` emits from its own stack;
+only ``parse_term``'s reader recurses, on depth-checked input.  The key
+rewrites:
 
 * ``compose_terms`` -- substitution: plug k inner operators into an outer
   operator's function slots.
@@ -39,8 +46,9 @@ nodes the sum of theirs).
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, TypeVar, Union
 
 from .naming import NatFun, recording
 from .sexpr import SexprError, nesting, parse_sexpr
@@ -73,9 +81,9 @@ class ArityMismatch(ValueError):
     pass
 
 
-# The term walks (validation, printing, composition, support bounds)
-# recurse once or twice per node level; terms parsed from text stay this
-# shallow, well inside the default recursion limit.
+# Only parse_term's reader recurses once per node level (every other
+# walk is iterative); terms parsed from text stay this shallow, well
+# inside the default recursion limit.
 MAX_TERM_DEPTH = 200
 
 
@@ -135,23 +143,81 @@ class OperatorTerm:
         _validate(self.node, self.k, self.m)
 
 
+_EXIT = object()  # on the fold's stack above a node whose children come first
+_R = TypeVar("_R")
+
+
+def _fold(
+    node: Node,
+    proj: Callable[[Proj], _R],
+    apply: Callable[[Apply, _R], _R],
+    base: Callable[[Base, list[_R]], _R],
+    done: dict[int, _R] | None = None,
+) -> _R:
+    """Fold a term bottom-up over its distinct nodes, without recursion.
+
+    A node's result is ``proj(node)``, ``apply(node, sub_result)`` or
+    ``base(node, sub_results)``, computed once per node object after its
+    children's.  ``done`` maps ``id(node)`` to results; passing one dict
+    to several folds shares the work between terms with common nodes.
+    This is the only walk that knows a node's children.
+    """
+    done = {} if done is None else done
+    stack = [node]
+    pop, push = stack.pop, stack.append
+    while stack:
+        top = pop()
+        if top is _EXIT:
+            top = pop()
+            if isinstance(top, Apply):
+                done[id(top)] = apply(top, done[id(top.sub)])
+            else:
+                done[id(top)] = base(top, [done[id(sub)] for sub in top.subs])
+        elif id(top) in done:
+            continue
+        elif isinstance(top, Proj):
+            done[id(top)] = proj(top)
+        elif isinstance(top, Apply):
+            push(top)
+            push(_EXIT)
+            push(top.sub)
+        elif isinstance(top, Base):
+            push(top)
+            push(_EXIT)
+            stack += top.subs
+        else:
+            raise TypeError(f"not a term node: {top!r}")
+    return done[id(node)]
+
+
 def _validate(node: Node, k: int, m: int) -> None:
-    if isinstance(node, Proj):
+    def proj(node: Proj) -> None:
         if not 1 <= node.index <= m:
             raise ArityMismatch(f"projection index {node.index} outside 1..{m}")
-    elif isinstance(node, Apply):
+
+    def apply(node: Apply, _sub: None) -> None:
         if not 1 <= node.index <= k:
             raise ArityMismatch(f"function index {node.index} outside 1..{k}")
-        _validate(node.sub, k, m)
-    elif isinstance(node, Base):
+
+    def base(node: Base, _subs: list) -> None:
         if len(node.subs) != node.fn.arity:
             raise ArityMismatch(
                 f"base {node.fn.name} wants {node.fn.arity} arguments, got {len(node.subs)}"
             )
-        for sub in node.subs:
-            _validate(sub, k, m)
-    else:
-        raise TypeError(f"not a term node: {node!r}")
+
+    _fold(node, proj, apply, base)
+
+
+def _rebuild_apply(node: Apply, sub: Node) -> Node:
+    # the rewritten application, the node itself when its subterm is
+    return node if sub is node.sub else Apply(node.index, sub)
+
+
+def _rebuild_base(node: Base, subs: list[Node]) -> Node:
+    # the rewritten base node, the node itself when all its subterms are
+    if all(map(operator.is_, subs, node.subs)):
+        return node
+    return Base(node.fn, tuple(subs))
 
 
 # ---------------------------------------------------------------------------
@@ -176,33 +242,22 @@ class TermProgram:
         if len(arities) != 1:
             raise ArityMismatch("a program needs terms that share their arities")
         ((self.k, self.m),) = arities
-        value_of: dict[int, int] = {}  # id(node) -> value index
-        shared: dict[tuple, int] = {}  # structural key -> value index
-        steps: list[tuple] = []
-        for term in terms:
-            stack = [term.node]
-            while stack:
-                node = stack.pop()
-                if isinstance(node, Proj):
-                    value_of[id(node)] = node.index - 1
-                if id(node) in value_of:
-                    continue
-                subs = (node.sub,) if isinstance(node, Apply) else node.subs
-                pending = [sub for sub in subs if id(sub) not in value_of]
-                if pending:
-                    stack += [node, *pending]
-                    continue
-                ins = tuple(value_of[id(sub)] for sub in subs)
-                if isinstance(node, Apply):
-                    key, step = (node.index, ins), (node.index - 1, None, ins)
-                else:  # a negated id, unique while the terms hold the callable
-                    key, step = (-id(node.fn.fn), ins), (None, node.fn.fn, ins)
-                if key not in shared:
-                    shared[key] = self.m + len(steps)
-                    steps.append(step)
-                value_of[id(node)] = shared[key]
+        steps: dict[tuple, int] = {}  # (slot, callable, ins) -> value index
+
+        def step(*key) -> int:
+            return steps.setdefault(key, self.m + len(steps))
+
+        def apply(node: Apply, sub: int) -> int:
+            return step(node.index - 1, None, (sub,))
+
+        def base(node: Base, subs: list[int]) -> int:
+            return step(None, node.fn.fn, tuple(subs))
+
+        value_of: dict[int, int] = {}  # id(node) -> value index, across the terms
+        self.roots = tuple(
+            _fold(term.node, lambda node: node.index - 1, apply, base, value_of) for term in terms
+        )
         self.steps = tuple(steps)
-        self.roots = tuple(value_of[id(term.node)] for term in terms)
 
 
 def eval_term(
@@ -259,15 +314,7 @@ def support_bound(term: OperatorTerm) -> int:
     """
     if term.m != 1:
         raise ArityMismatch("support_bound is defined for single-argument terms")
-
-    def bound(node: Node) -> int:
-        if isinstance(node, Proj):
-            return 0
-        if isinstance(node, Apply):
-            return 1 + bound(node.sub)
-        return sum(bound(sub) for sub in node.subs)
-
-    return bound(term.node)
+    return _fold(term.node, lambda _p: 0, lambda _a, sub: 1 + sub, lambda _b, subs: sum(subs))
 
 
 # ---------------------------------------------------------------------------
@@ -277,11 +324,10 @@ def support_bound(term: OperatorTerm) -> int:
 
 def _subst_numeric(node: Node, replacement: Node) -> Node:
     # replace the (single) numeric argument -- every Proj(1) -- by a node
-    if isinstance(node, Proj):
-        return replacement
-    if isinstance(node, Apply):
-        return Apply(node.index, _subst_numeric(node.sub, replacement))
-    return Base(node.fn, tuple(_subst_numeric(sub, replacement) for sub in node.subs))
+    def proj(leaf: Proj) -> Node:
+        return leaf if leaf == replacement else replacement
+
+    return _fold(node, proj, _rebuild_apply, _rebuild_base)
 
 
 def compose_terms(
@@ -310,15 +356,18 @@ def compose_terms(
     else:
         l = result_arity
 
-    def graft(node: Node) -> Node:
-        if isinstance(node, Proj):
-            return node
-        if isinstance(node, Apply):
-            # f_i(sub) becomes inners[i-1] evaluated at the rewritten sub
-            return _subst_numeric(inners[node.index - 1].node, graft(node.sub))
-        return Base(node.fn, tuple(graft(sub) for sub in node.subs))
+    def graft(node: Apply, sub: Node) -> Node:
+        # f_i(sub) becomes inners[i-1] evaluated at the rewritten sub
+        return _subst_numeric(inners[node.index - 1].node, sub)
 
-    return OperatorTerm(l, 1, graft(outer.node))
+    return OperatorTerm(l, 1, _fold(outer.node, lambda leaf: leaf, graft, _rebuild_base))
+
+
+def _read_constant(slot: int) -> Callable[[Apply, Node], Node]:
+    # the apply case of a slot that holds a constant function: any
+    # application of it is the (new) first numeric argument
+    arg = Proj(1)
+    return lambda node, sub: arg if node.index == slot else _rebuild_apply(node, sub)
 
 
 def diagonalize(term: OperatorTerm) -> OperatorTerm:
@@ -333,19 +382,9 @@ def diagonalize(term: OperatorTerm) -> OperatorTerm:
         raise ArityMismatch("diagonalize needs a single-argument term")
     if term.k < 1:
         raise ArityMismatch("diagonalize needs at least one function slot")
-    last = term.k
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Proj):
-            return node
-        if isinstance(node, Apply):
-            if node.index == last:
-                # const_n applied to anything is n
-                return Proj(1)
-            return Apply(node.index, walk(node.sub))
-        return Base(node.fn, tuple(walk(sub) for sub in node.subs))
-
-    return OperatorTerm(term.k - 1, 1, walk(term.node))
+    # const_n applied to anything is n
+    node = _fold(term.node, lambda leaf: leaf, _read_constant(term.k), _rebuild_base)
+    return OperatorTerm(term.k - 1, 1, node)
 
 
 def curry(term: OperatorTerm) -> OperatorTerm:
@@ -357,20 +396,15 @@ def curry(term: OperatorTerm) -> OperatorTerm:
     """
     if term.m < 2:
         raise ArityMismatch("curry needs at least two numeric arguments")
-    new_slot = term.k + 1
+    # the old first argument is now delivered by the constant function in
+    # the new slot, probed at any point
+    first = Apply(term.k + 1, Proj(1))
 
-    def walk(node: Node) -> Node:
-        if isinstance(node, Proj):
-            if node.index == 1:
-                # the old first argument is now delivered by the constant
-                # function in the new slot, probed at any point
-                return Apply(new_slot, Proj(1))
-            return Proj(node.index - 1)
-        if isinstance(node, Apply):
-            return Apply(node.index, walk(node.sub))
-        return Base(node.fn, tuple(walk(sub) for sub in node.subs))
+    def proj(node: Proj) -> Node:
+        return first if node.index == 1 else Proj(node.index - 1)
 
-    return OperatorTerm(term.k + 1, term.m - 1, walk(term.node))
+    node = _fold(term.node, proj, _rebuild_apply, _rebuild_base)
+    return OperatorTerm(term.k + 1, term.m - 1, node)
 
 
 def uncurry(term: OperatorTerm) -> OperatorTerm:
@@ -382,19 +416,11 @@ def uncurry(term: OperatorTerm) -> OperatorTerm:
     """
     if term.k < 1:
         raise ArityMismatch("uncurry needs at least one function slot")
-    last = term.k
-
-    def walk(node: Node) -> Node:
-        if isinstance(node, Proj):
-            return Proj(node.index + 1)
-        if isinstance(node, Apply):
-            if node.index == last:
-                # const_s applied to anything is s, the new first argument
-                return Proj(1)
-            return Apply(node.index, walk(node.sub))
-        return Base(node.fn, tuple(walk(sub) for sub in node.subs))
-
-    return OperatorTerm(term.k - 1, term.m + 1, walk(term.node))
+    # const_s applied to anything is s, the new first argument
+    node = _fold(
+        term.node, lambda leaf: Proj(leaf.index + 1), _read_constant(term.k), _rebuild_base
+    )
+    return OperatorTerm(term.k - 1, term.m + 1, node)
 
 
 def multi_curry(term: OperatorTerm) -> OperatorTerm:
@@ -425,16 +451,24 @@ def representable_lift(fn: BaseFunction) -> OperatorTerm:
 
 def print_term(term: OperatorTerm) -> str:
     """Render as an s-expression: (proj i), (apply i SUB), (base NAME SUB...)."""
-
-    def render(node: Node) -> str:
-        if isinstance(node, Proj):
-            return f"(proj {node.index})"
-        if isinstance(node, Apply):
-            return f"(apply {node.index} {render(node.sub)})"
-        inner = " ".join(render(sub) for sub in node.subs)
-        return f"(base {node.fn.name} {inner})" if inner else f"(base {node.fn.name})"
-
-    return render(term.node)
+    # pre-order from a stack of nodes and closing text, joined once
+    out: list[str] = []
+    stack: list[Node | str] = [term.node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, str):
+            out.append(node)
+        elif isinstance(node, Proj):
+            out.append(f"(proj {node.index})")
+        elif isinstance(node, Apply):
+            out.append(f"(apply {node.index} ")
+            stack += [")", node.sub]
+        else:
+            out.append(f"(base {node.fn.name}")
+            stack.append(")")
+            for sub in reversed(node.subs):
+                stack += [sub, " "]
+    return "".join(out)
 
 
 def parse_term(

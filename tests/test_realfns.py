@@ -4,7 +4,7 @@ from random import Random
 import pytest
 
 from condreal.elementary import default_functions, uniform_from_rule
-from condreal.gadgets import CORE, left, right
+from condreal.gadgets import CORE, constant, left, right
 from condreal.naming import (
     NameTriple,
     NatFun,
@@ -81,7 +81,7 @@ def abs_term_fn():
         CORE.get("conj"),
         (Base(CORE.get("monus"), (f, g)), Base(CORE.get("monus"), (g, f))),
     )
-    zero = Base(CORE.constant(0), (Proj(1),))
+    zero = Base(constant(0), (Proj(1),))
     return UniformFn(
         1,
         TermOperator(OperatorTerm(3, 1, spread)),
@@ -174,6 +174,16 @@ def test_term_backed_composition_stays_term_backed():
     name = rational_name(Fraction(-9, 5))
     out = apply_conditional(composed, [name], 100)
     assert validate_name(out, Fraction(9, 5), 200).passed
+
+
+def test_a_300_fold_term_backed_negation_chain_composes_and_evaluates():
+    negate = embed_uniform(negate_term_fn())
+    chain = embed_uniform(identity_uniform())
+    for _ in range(300):
+        chain = compose_conditional(negate, chain)
+    assert isinstance(chain.F, TermOperator)
+    out = apply_conditional(chain, [rational_name(Fraction(-9, 5))], 100)
+    assert validate_name(out, Fraction(-9, 5), 20).passed
 
 
 def test_composition_is_associative_at_the_value_level():
@@ -321,6 +331,18 @@ def test_localization_procedure_form_agrees_with_the_term_form():
     agree_on_names(term_form, proc_form, points)
 
 
+def test_localizations_leave_the_gadget_registry_as_it_was():
+    # the mu and const gadgets of each anchor are built per localization
+    names = CORE.names()
+    identity = embed_uniform(identity_uniform())
+    composed = compose_conditional(identity, identity)
+    for i in range(200):
+        _, local = localize(composed, rational_name(Fraction(i, 7)), 100)
+        assert isinstance(local.F, TermOperator)
+    assert CORE.resolve("mu_3_9").fn(3, 0) == 9
+    assert CORE.names() == names
+
+
 def test_gluing_procedure_form_agrees_with_the_term_form():
     negate = negate_term_fn()
     balls = lambda first: (  # noqa: E731
@@ -336,8 +358,8 @@ def test_gluing_procedure_form_agrees_with_the_term_form():
 
 
 def constant_term_fn(c):
-    zero = TermOperator(OperatorTerm(3, 1, Base(CORE.constant(0), (Proj(1),))))
-    return UniformFn(1, TermOperator(OperatorTerm(3, 1, Base(CORE.constant(c), (Proj(1),)))), zero, zero)
+    zero = TermOperator(OperatorTerm(3, 1, Base(constant(0), (Proj(1),))))
+    return UniformFn(1, TermOperator(OperatorTerm(3, 1, Base(constant(c), (Proj(1),)))), zero, zero)
 
 
 def test_glued_procedure_picks_the_dispatched_ball():

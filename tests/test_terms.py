@@ -17,8 +17,10 @@ from condreal.terms import (
     OperatorTerm,
     Proj,
     TermProgram,
+    _subst_numeric,
     compose_terms,
     curry,
+    diagonalize,
     eval_instrumented,
     eval_term,
     MAX_TERM_DEPTH,
@@ -209,6 +211,55 @@ def test_compose_terms_matches_two_stage_evaluation():
     assert_check(suites.grafting)
 
 
+def distinct_nodes(node):
+    seen, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen.add(id(node))
+            stack += [node.sub] if isinstance(node, Apply) else getattr(node, "subs", ())
+    return len(seen)
+
+
+def test_a_600_fold_composition_chain_composes_and_evaluates():
+    step = OperatorTerm(1, 1, Base(CORE.get("succ"), (Apply(1, Proj(1)),)))
+    chain = step
+    for _ in range(600):
+        chain = compose_terms(step, [chain])
+    assert eval_term(chain, (NatFun.identity(),), (0,)) == 601
+    assert support_bound(chain) == 1  # the argument is read once, at n
+
+
+def test_self_composition_keeps_shared_subterms_shared():
+    step = OperatorTerm(1, 1, Base(CORE.get("conj"), (Apply(1, Proj(1)), Apply(1, Proj(1)))))
+    doubled = step
+    for _ in range(14):
+        doubled = compose_terms(step, [doubled])
+    assert distinct_nodes(doubled.node) < 100
+    assert support_bound(doubled) == 2**15
+    assert eval_term(doubled, (NatFun(lambda t: t + 1),), (0,)) == 2**15
+
+
+def test_a_20000_deep_term_goes_through_every_walk():
+    depth = 20_000
+    node = Apply(2, Proj(1))
+    for _ in range(depth - 1):
+        node = Apply(1, node)
+    term = OperatorTerm(2, 1, node)
+    fns = (NatFun(lambda t: t + 1), NatFun(lambda t: t + 2))
+    assert support_bound(term) == depth
+    assert print_term(term) == "(apply 1 " * (depth - 1) + "(apply 2 (proj 1))" + ")" * (depth - 1)
+    assert eval_term(term, fns, (0,)) == depth + 1
+    assert eval_term(TermProgram([term, term]), fns, (3,)) == (depth + 4, depth + 4)
+    assert eval_term(diagonalize(term), fns[:1], (5,)) == depth - 1 + 5
+    flat = uncurry(term)
+    assert eval_term(flat, fns[:1], (7, 0)) == depth - 1 + 7
+    assert print_term(curry(flat)) == print_term(term)
+    succ_read = Base(CORE.get("succ"), (Apply(1, Proj(1)),))
+    inners = [OperatorTerm(1, 1, Apply(1, Proj(1))), OperatorTerm(1, 1, succ_read)]
+    assert eval_term(compose_terms(term, inners), fns[:1], (0,)) == depth + 1
+
+
 def test_compose_terms_arity_rules():
     outer = OperatorTerm(1, 1, Apply(1, Proj(1)))
     inner = OperatorTerm(2, 1, Apply(2, Proj(1)))
@@ -264,12 +315,137 @@ def test_mutations_outside_the_trace_cannot_change_the_value():
             assert eval_term(term, tuple(mutated), args) == value
 
 
+# Recursive oracles: the term walks as plain structural recursion, one
+# call per node occurrence, checked against the package's iterative folds.
+
+
 def naive_support_bound(node):
     if isinstance(node, Proj):
         return 0
     if isinstance(node, Apply):
         return 1 + naive_support_bound(node.sub)
     return sum(naive_support_bound(sub) for sub in node.subs)
+
+
+def naive_rewrite(node, proj, apply):
+    """Rebuild ``node`` bottom-up; ``apply(node, rewrite)`` may drop the subterm."""
+
+    def walk(node):
+        if isinstance(node, Proj):
+            return proj(node)
+        if isinstance(node, Apply):
+            return apply(node, walk)
+        return Base(node.fn, tuple(walk(sub) for sub in node.subs))
+
+    return walk(node)
+
+
+def naive_subst_numeric(node, replacement):
+    return naive_rewrite(node, lambda _p: replacement, lambda a, walk: Apply(a.index, walk(a.sub)))
+
+
+def naive_graft(node, inners):
+    # f_i(sub) becomes inners[i-1] evaluated at the rewritten sub
+    def apply(a, walk):
+        return naive_subst_numeric(inners[a.index - 1].node, walk(a.sub))
+
+    return naive_rewrite(node, lambda p: p, apply)
+
+
+def naive_diagonalize(node, last):
+    # const_n applied to anything is n
+    def apply(a, walk):
+        return Proj(1) if a.index == last else Apply(a.index, walk(a.sub))
+
+    return naive_rewrite(node, lambda p: p, apply)
+
+
+def naive_curry(node, new_slot):
+    return naive_rewrite(
+        node,
+        lambda p: Apply(new_slot, Proj(1)) if p.index == 1 else Proj(p.index - 1),
+        lambda a, walk: Apply(a.index, walk(a.sub)),
+    )
+
+
+def naive_uncurry(node, last):
+    return naive_rewrite(
+        node,
+        lambda p: Proj(p.index + 1),
+        lambda a, walk: Proj(1) if a.index == last else Apply(a.index, walk(a.sub)),
+    )
+
+
+def naive_print(node):
+    if isinstance(node, Proj):
+        return f"(proj {node.index})"
+    if isinstance(node, Apply):
+        return f"(apply {node.index} {naive_print(node.sub)})"
+    inner = " ".join(naive_print(sub) for sub in node.subs)
+    return f"(base {node.fn.name} {inner})" if inner else f"(base {node.fn.name})"
+
+
+def with_sharing(rng, term):
+    """``term`` with some of its subterms reused by identity."""
+    node = term.node
+    for _ in range(rng.randrange(3)):
+        pair_fn = CORE.get(rng.choice(["pair", "monus", "conj"]))
+        node = Base(pair_fn, (node, Apply(1, node) if term.k and rng.random() < 0.5 else node))
+    return OperatorTerm(term.k, term.m, node)
+
+
+def random_shared_term(rng, k, m):
+    return with_sharing(rng, random_term(rng, k, m, rng.randrange(5)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_every_fold_based_walk_matches_its_recursive_oracle(seed):
+    rng = Random(seed)
+    k, m = rng.randrange(1, 4), rng.randrange(1, 4)
+    term = random_shared_term(rng, k, m)
+    assert print_term(term) == naive_print(term.node)
+    assert uncurry(term).node == naive_uncurry(term.node, k)
+    if m > 1:
+        assert curry(term).node == naive_curry(term.node, k + 1)
+    single = random_shared_term(rng, k, 1)
+    assert diagonalize(single).node == naive_diagonalize(single.node, k)
+    assert support_bound(single) == naive_support_bound(single.node)
+    replacement = random_term(rng, k, 1, 2).node
+    assert _subst_numeric(single.node, replacement) == naive_subst_numeric(single.node, replacement)
+    assert _subst_numeric(single.node, Proj(1)) is single.node
+    inners = [random_shared_term(rng, 2, 1) for _ in range(k)]
+    assert compose_terms(single, inners).node == naive_graft(single.node, inners)
+
+
+def malformed(rng, k, m):
+    """A random term with one malformed node, and the exception it raises."""
+    succ = CORE.get("succ")
+    defect, error = rng.choice(
+        [
+            (Proj(m + 1), ArityMismatch),
+            (Apply(k + 1, Proj(1)), ArityMismatch),
+            (Base(succ, (Proj(1), Proj(1))), ArityMismatch),
+            ("(proj 1)", TypeError),
+            (Base(succ, (None,)), TypeError),
+        ]
+    )
+    node = defect
+    for _ in range(rng.randrange(4)):
+        sibling = random_term(rng, k, m, 2).node
+        wrapped = [Apply(rng.randrange(1, k + 1), node), Base(CORE.get("pair"), (sibling, node))]
+        node = rng.choice(wrapped)
+    return node, error
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_a_malformed_node_raises_as_it_did_under_recursive_validation(seed):
+    rng = Random(seed)
+    k, m = rng.randrange(1, 4), rng.randrange(1, 4)
+    node, error = malformed(rng, k, m)
+    with pytest.raises(error):
+        OperatorTerm(k, m, node)
 
 
 @settings(max_examples=80, deadline=None)
