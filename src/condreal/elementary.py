@@ -296,8 +296,10 @@ class FunctionRegistry:
     """Unique-named elementary functions, validated on registration.
 
     Rational constants are a family rather than finitely many rows:
-    ``get("const_p/q")`` resolves (and caches) the exact constant on
-    demand.
+    ``get("const_p/q")`` builds the exact constant on demand, fresh on
+    each call and never stored, so lookups and membership tests leave
+    the registry as it was.  A constant too long to spell raises
+    ``ValueError`` from ``get`` and is not ``in`` the registry.
     """
 
     def __init__(self) -> None:
@@ -334,7 +336,7 @@ class FunctionRegistry:
     def __contains__(self, name: str) -> bool:
         try:
             self.get(name)
-        except KeyError:
+        except (KeyError, ValueError):
             return False
         return True
 
@@ -342,8 +344,7 @@ class FunctionRegistry:
         return iter([self._entries[name] for name in self.names()])
 
     def get(self, name: str) -> Entry:
-        if name in self._aliases:
-            name = self._aliases[name]
+        name = self._aliases.get(name, name)
         if name in self._entries:
             return self._entries[name]
         if name.startswith("const_"):
@@ -351,13 +352,7 @@ class FunctionRegistry:
                 value = parse_rational(name[len("const_") :])
             except ValueError:
                 raise KeyError(name) from None
-            spelled = f"const_{format_rational(value)}"
-            if spelled not in self._entries:
-                entry = Entry(spelled, 0, constant_fn(value), lambda _v=value: _v)
-                self.register(entry)
-            if spelled != name:
-                self._aliases[name] = spelled
-            return self._entries[spelled]
+            return Entry(f"const_{format_rational(value)}", 0, constant_fn(value), lambda: value)
         raise KeyError(name)
 
 

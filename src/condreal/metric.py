@@ -13,23 +13,24 @@ names of values, and *conditionally computable* when a certificate
 operator E must first vanish at a searched parameter ``s``, after which
 ``T(f, const_s)`` names the value.
 
-Composition, localization and gluing are the constructions of
-``condreal.realfns``: one implementation, generic over the number of
-functions in a name, serves real names (three functions) and ordinary
-names (one).  The spaces ``M_N`` (rational N-tuples coded by nested
-pairing, max-norm distance) translate real-function computability back
-and forth losslessly.
+Embedding, identity, composition, localization, gluing and tupling are
+built from the operator code of ``condreal.realfns``: one
+implementation, generic over the number of functions in a name, serves
+real names (three functions) and ordinary names (one), and term-backed
+ingredients give term-backed results.  The spaces ``M_N`` (rational
+N-tuples coded by nested pairing, max-norm distance) translate
+real-function computability back and forth losslessly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial, reduce
 from typing import Callable, Sequence
 
 from . import gadgets
-from .gadgets import conj, tuple_pack, tuple_part, tuple_parts
+from .gadgets import tuple_pack, tuple_part, tuple_parts
 from .naming import NatFun, TripleStream, constant_values, triple_reader
 from .realfns import (
     BudgetExhausted,
@@ -38,11 +39,19 @@ from .realfns import (
     Operator,
     ProcOperator,
     UniformFn,
+    _CONJ,
     _apply_ops,
     _compose_ops,
+    _embed_ops,
     _first_passing,
     _glue_ops,
+    _identity_ops,
+    _is_term,
+    _lift,
     _localize_ops,
+    _reindex,
+    _slot,
+    _subst,
 )
 from .terms import ArityMismatch, BaseFunction
 
@@ -148,14 +157,6 @@ def _same_space(a: EffectiveSpace, b: EffectiveSpace, what: str) -> None:
         raise SpaceMismatch(f"{what}: {a.name} vs {b.name}")
 
 
-def _part_lift(width: int, index: int, fn: NatFun) -> NatFun:
-    return NatFun(
-        lambda t: tuple_part(width, index, fn(t)),
-        label=f"part{index}/{width}",
-        memoize=False,
-    )
-
-
 def _pack_lift(fns: Sequence[NatFun]) -> NatFun:
     # the code stream of names given as consecutive f, g, h triples
     fns = tuple(fns)
@@ -200,14 +201,12 @@ def apply_conditional_ms(
 
 
 def identity_ms(space: EffectiveSpace) -> MsUniformFn:
-    return MsUniformFn(space, space, ProcOperator(1, lambda fns: fns[0], "identity"))
+    return MsUniformFn(space, space, *_identity_ops(1))
 
 
 def embed_uniform_ms(fn: MsUniformFn) -> MsConditionalFn:
     """View a uniform map as conditional; s = 0 always certifies."""
-    cert = ProcOperator(1, lambda _fns: NatFun.identity(), "embedded-cert")
-    value = ProcOperator(2, lambda args, _fn=fn: _fn.T.apply(args[:1]), "embedded")
-    return MsConditionalFn(fn.domain, fn.codomain, cert, value)
+    return MsConditionalFn(fn.domain, fn.codomain, *_embed_ops((fn.T,)))
 
 
 def validate_ordinary_name(
@@ -572,11 +571,12 @@ def translate_conditional_back(fn: MsConditionalFn) -> ConditionalFn:
 def tuple_conditional(fns: Sequence[MsConditionalFn]) -> MsConditionalFn:
     """Bundle K conditional maps into M_1 into one map into M_K.
 
-    The parameter decodes into K component parameters; the certificate
-    conjoins the component certificates at their slots, and the value
-    operator interleaves the decoded component outputs into M_K codes
-    (each component carries full index-t precision, so the max-norm
-    error stays under 1/(t+1)).
+    The parameter decodes into K component parameters ``part_i(s)``; the
+    certificate conjoins each component certificate read at its part,
+    and the value operator interleaves the component outputs at their
+    parts into M_K codes (each component carries full index-t precision,
+    so the max-norm error stays under 1/(t+1)).  Term-backed components
+    give a term-backed result.
     """
     fns = tuple(fns)
     if not fns:
@@ -585,42 +585,21 @@ def tuple_conditional(fns: Sequence[MsConditionalFn]) -> MsConditionalFn:
     for fn in fns:
         _same_space(fn.domain, domain, "components must share their domain")
         _same_space(fn.codomain, make_mn(1), "components must map into M_1")
+    term = all(_is_term(op) for fn in fns for op in (fn.E, fn.T))
     k = len(fns)
-
-    def build_cert(args: tuple[NatFun, ...]) -> NatFun:
-        (f,) = args
-        certs = [fn.E.apply((f,)) for fn in fns]
-
-        def ev(s: int) -> int:
-            total = 0
-            for i, cert in enumerate(certs, start=1):
-                total = conj(total, cert(tuple_part(k, i, s)))
-            return total
-
-        return NatFun(ev, label="tupled-cert")
-
-    def build_value(args: tuple[NatFun, ...]) -> NatFun:
-        f, e = args
-        outs = [
-            fn.T.apply((f, _part_lift(k, i, e)))
-            for i, fn in enumerate(fns, start=1)
-        ]
-
-        def ev(t: int) -> int:
-            comps: list[int] = []
-            for out in outs:
-                code = out(t)
-                comps.extend(tuple_parts(3, code))
-            return tuple_pack(comps)
-
-        return NatFun(ev, label="tupled-value")
-
-    return MsConditionalFn(
-        domain,
-        make_mn(k),
-        ProcOperator(1, build_cert, "tupled-cert"),
-        ProcOperator(2, build_value, "tupled-value"),
+    parts = [BaseFunction(f"part_{i}_{k}", 1, partial(tuple_part, k, i)) for i in range(1, k + 1)]
+    cert = reduce(
+        lambda a, b: _lift(_CONJ, [a, b], term),
+        [_reindex(fn.E, part, term) for fn, part in zip(fns, parts)],
     )
+    f, e = _slot(2, 1, term), _slot(2, 2, term)
+    outs = [
+        _subst([fn.T], [f, _lift(part, [e], term)], term)[0] for fn, part in zip(fns, parts)
+    ]
+    interleave = BaseFunction(
+        f"interleave_{k}", k, lambda *cs: tuple_pack([v for c in cs for v in tuple_parts(3, c)])
+    )
+    return MsConditionalFn(domain, make_mn(k), cert, _lift(interleave, outs, term))
 
 
 def code_ball_indicator(

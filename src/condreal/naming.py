@@ -189,6 +189,7 @@ class NatFun:
         return cls(
             lambda t: anchor(t) if t < cutoff else inner(t),
             label=f"patch<{cutoff}",
+            memoize=False,
         )
 
 

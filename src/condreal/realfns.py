@@ -21,10 +21,12 @@ their function arguments only by evaluation.  The constructions below --
 composition of conditionals, localization of a conditional to a uniform
 function near a point, and gluing of local uniform functions over a
 finite ball cover -- are each written once, over a few operator
-combinators and for names of any width, and ``condreal.metric`` uses
-the same code for one-function names of coded points.  A construction
-stays inside the term language whenever every ingredient is
-term-backed, and otherwise builds the equivalent procedure form.
+combinators and for names of any width, and so are the identity and
+the embedding of uniform functions.  ``condreal.metric`` uses the same
+code for one-function names of coded points, and builds its tupling
+from the same combinators.  A construction stays inside the term
+language whenever every ingredient is term-backed, and otherwise
+builds the equivalent procedure form.
 
 A ``JointOperator`` builds several value functions at once -- for a
 real value the three functions of a name, projected from one
@@ -317,31 +319,13 @@ def apply_conditional(
 
 
 def embed_uniform(fn: UniformFn) -> ConditionalFn:
-    """View a uniform function as conditional.
-
-    The certificate operator returns the identity regardless of its
-    arguments, so s = 0 certifies; the value operators ignore the extra
-    parameter slot.
-    """
-    k = 3 * fn.n_args
-    cert = TermOperator(OperatorTerm(k, 1, Proj(1)))
-    values = (fn.F, fn.G, fn.H)
-    if all(map(_is_term, values)):
-        widened = [TermOperator(OperatorTerm(k + 1, 1, op.term.node)) for op in values]
-    else:
-        # the parameter slot k + 1 goes unread
-        widened = _subst(values, [_slot(k + 1, i, False) for i in range(1, k + 1)], False)
-    return ConditionalFn(fn.n_args, cert, *widened)
+    """View a uniform function as conditional: s = 0 certifies."""
+    return ConditionalFn(fn.n_args, *_embed_ops((fn.F, fn.G, fn.H)))
 
 
 def identity_uniform() -> UniformFn:
     """The identity on reals, term-backed: passes the name straight through."""
-    return UniformFn(
-        1,
-        TermOperator(OperatorTerm(3, 1, Apply(1, Proj(1)))),
-        TermOperator(OperatorTerm(3, 1, Apply(2, Proj(1)))),
-        TermOperator(OperatorTerm(3, 1, Apply(3, Proj(1)))),
-    )
+    return UniformFn(1, *_identity_ops(3))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +361,7 @@ def _patch(k: int, i: int, values: Sequence[int], term: bool) -> Operator:
     """Slot i with its values below ``len(values)`` replaced by ``values``.
 
     The term form chains one ``mu`` override per replaced index; the
-    procedure form looks the prefix up in constant time.
+    procedure form is ``NatFun.patched`` over the prefix.
     """
     values = tuple(values)
     if term:
@@ -385,15 +369,10 @@ def _patch(k: int, i: int, values: Sequence[int], term: bool) -> Operator:
         for j, value in enumerate(values):
             node = Base(gadgets.mu(j, value), (Proj(1), node))
         return TermOperator(OperatorTerm(k, 1, node))
-    cut = len(values)
-
-    def build(fns: tuple[NatFun, ...]) -> NatFun:
-        fn = fns[i - 1]
-        return NatFun(
-            lambda t: values[t] if t < cut else fn(t), label=f"patch<{cut}", memoize=False
-        )
-
-    return ProcOperator(k, build, f"patch<{cut}")
+    anchor = NatFun(values.__getitem__, label="prefix", memoize=False)
+    return ProcOperator(
+        k, lambda fns: NatFun.patched(anchor, len(values), fns[i - 1]), f"patch<{len(values)}"
+    )
 
 
 def _lift(base: BaseFunction, ops: Sequence[Operator], term: bool) -> Operator:
@@ -522,6 +501,26 @@ def _select(
 # A unary conditional function is passed as the tuple (E, V_1, ..., V_w) of
 # its certificate and its value operators, where w is the number of
 # functions in a name: 3 for reals (F, G, H), 1 for coded points (T).
+
+
+def _identity_ops(w: int) -> list[Operator]:
+    """The identity on names of width ``w``, term-backed."""
+    return [_slot(w, i, True) for i in range(1, w + 1)]
+
+
+def _embed_ops(values: Sequence[Operator]) -> tuple[Operator, ...]:
+    """A uniform function's value operators as a conditional's (E, V_1, ..., V_w).
+
+    The certificate returns the identity whatever its arguments, so
+    s = 0 certifies; the value operators leave the parameter slot unread.
+    """
+    term = all(map(_is_term, values))
+    k = values[0].arity
+    if term:
+        cert = TermOperator(OperatorTerm(k, 1, Proj(1)))
+        return (cert, *(TermOperator(OperatorTerm(k + 1, 1, op.term.node)) for op in values))
+    cert = ProcOperator(k, lambda _fns: NatFun.identity(), "embedded-cert")
+    return (cert, *_subst(values, [_slot(k + 1, i, False) for i in range(1, k + 1)], False))
 
 
 def _compose_ops(

@@ -128,11 +128,27 @@ def test_constant_family_resolves_on_demand(registry):
     entry = registry.get("const_2/4")
     assert entry.name == "const_1/2"
     assert entry.n_args == 0
-    assert registry.get("const_1/2") is entry
+    again = registry.get("const_1/2")
+    assert again.name == "const_1/2"
+    assert again.oracle() == entry.oracle() == Fraction(1, 2)
     out = apply_uniform(entry.fn, [])
     assert approx(out, 17) == Fraction(1, 2)
     with pytest.raises(KeyError):
         registry.get("const_one")
+
+
+def test_constant_lookups_leave_the_registry_unchanged():
+    registry = default_functions()
+    names = registry.names()
+    for i in range(2000):
+        assert registry.get(f"const_{i}/7").oracle() == Fraction(i, 7)
+        assert f"const_{i}/13" in registry
+    assert registry.names() == names
+    assert "const_1e5000" not in registry
+    with pytest.raises(ValueError):
+        registry.get("const_1e5000")
+    assert "const_one" not in registry
+    assert registry.names() == names
 
 
 def test_duplicate_registration_is_rejected(registry):
@@ -447,10 +463,11 @@ def test_default_registries_are_fresh_and_do_not_share_constants():
     first, second = default_functions(), default_functions()
     assert first is not second
     assert first.get("add") is second.get("add")
-    first.get("const_5/3")
-    assert "const_5/3" in first.names()
-    assert "const_5/3" not in second.names()
-    assert "const_5/3" not in default_functions().names()
+    entry = first.get("const_10/6")
+    assert entry.name == "const_5/3"
+    assert entry.oracle() == Fraction(5, 3)
+    assert approx(apply_uniform(entry.fn, []), 9) == Fraction(5, 3)
+    assert first.names() == second.names() == default_functions().names()
 
 
 def test_a_default_registry_still_rejects_a_drifted_entry():

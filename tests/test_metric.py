@@ -6,18 +6,23 @@ from hypothesis import strategies as st
 
 from condreal import metric, suites
 from condreal.elementary import default_functions, uniform_from_rule
-from condreal.gadgets import tuple_pack, tuple_part
+from condreal.gadgets import conj, tuple_pack, tuple_part, tuple_parts
 from condreal.metric import (
     MsBall,
+    MsBallCover,
+    MsUniformFn,
     OrdinaryName,
     SpaceMismatch,
     apply_conditional_ms_at,
     apply_uniform_ms,
     builtin_spaces,
     code_ball_indicator,
+    compose_conditional_ms,
     embed_uniform_ms,
     find_parameter_ms,
+    glue_compact_ms,
     identity_ms,
+    localize_ms,
     make_discrete,
     make_mn,
     metric_axiom_violations,
@@ -32,8 +37,9 @@ from condreal.metric import (
     validate_ordinary_name,
 )
 from condreal.naming import NatFun, approx, rational_name
-from condreal.realfns import apply_conditional_at, find_parameter
+from condreal.realfns import TermOperator, apply_conditional_at, find_parameter
 from condreal.suites import identity_fn
+from condreal.terms import Apply, Base, BaseFunction, OperatorTerm, Proj
 
 from conftest import assert_check
 
@@ -43,6 +49,14 @@ ADD = REGISTRY.get("add").fn
 
 M1 = make_mn(1)
 M2 = make_mn(2)
+
+# negation on M_1 codes: swap the first two parts of the code's triple
+NEGATE_CODE = BaseFunction(
+    "negate_code", 1, lambda c: (lambda x, y, z: tuple_pack([y, x, z]))(*tuple_parts(3, c))
+)
+NEGATE_MS = MsUniformFn(
+    M1, M1, TermOperator(OperatorTerm(1, 1, Base(NEGATE_CODE, (Apply(1, Proj(1)),))))
+)
 
 rational = st.fractions(min_value=-50, max_value=50, max_denominator=40)
 
@@ -143,6 +157,35 @@ def test_embedded_uniform_certifies_at_zero():
     embedded = embed_uniform_ms(identity_ms(M1))
     name = mn_name((Fraction(4),))
     assert find_parameter_ms(embedded, name, 5) == 0
+
+
+def test_term_backed_inputs_give_term_backed_results():
+    negate = embed_uniform_ms(NEGATE_MS)
+    ident = embed_uniform_ms(identity_ms(M1))
+    point = mn_name((Fraction(3, 4),))
+    _hood, local = localize_ms(negate, point, 10)
+    one = mn_code((Fraction(1),))
+    cover = MsBallCover(
+        (
+            MsBall(mn_code((Fraction(-1),)), Fraction(1), NEGATE_MS),
+            MsBall(one, Fraction(1), identity_ms(M1), code_ball_indicator(1, one, Fraction(1, 2))),
+        ),
+        separation=4,
+    )
+    built = {
+        "identity_ms": identity_ms(M1),
+        "embed_uniform_ms": ident,
+        "compose_conditional_ms": compose_conditional_ms(negate, ident),
+        "localize_ms": local,
+        "glue_compact_ms": glue_compact_ms(cover),
+        "tuple_conditional": tuple_conditional([negate, ident, negate]),
+    }
+    for label, fn in built.items():
+        ops = [getattr(fn, op) for op in ("E", "T") if hasattr(fn, op)]
+        assert all(isinstance(op, TermOperator) for op in ops), label
+    out = apply_conditional_ms_at(built["tuple_conditional"], point, 0)
+    target = mn_code((Fraction(-3, 4), Fraction(3, 4), Fraction(-3, 4)))
+    assert validate_ordinary_name(out, target, 100) == []
 
 
 # ---------------------------------------------------------------------------
@@ -299,6 +342,60 @@ def test_tuple_components_must_share_their_domain():
 
 def test_tupling_then_composing_reproduces_two_argument_substitution():
     assert_check(suites.substitution)
+
+
+def _tupled_cert_oracle(fns, f):
+    # the hand-written tupled certificate: component i read at part i of s
+    k = len(fns)
+    certs = [fn.E.apply((f,)) for fn in fns]
+
+    def ev(s):
+        total = 0
+        for i, cert in enumerate(certs, start=1):
+            total = conj(total, cert(tuple_part(k, i, s)))
+        return total
+
+    return NatFun(ev, label="tupled-cert")
+
+
+def _tupled_value_oracle(fns, f, e):
+    # the hand-written tupled value: the components' code triples, interleaved
+    k = len(fns)
+    outs = [
+        fn.T.apply((f, NatFun(lambda t, i=i: tuple_part(k, i, e(t)), memoize=False)))
+        for i, fn in enumerate(fns, start=1)
+    ]
+    return NatFun(lambda t: tuple_pack([v for out in outs for v in tuple_parts(3, out(t))]))
+
+
+TUPLE_COMPONENTS = {
+    "recip": translate_conditional(RECIP),
+    "double": embed_uniform_ms(
+        translate_uniform(
+            uniform_from_rule(1, lambda a: 2 * a, lambda t, names: 2 * t + 1, "double")
+        )
+    ),
+    "identity": embed_uniform_ms(identity_ms(M1)),
+    "negate": embed_uniform_ms(NEGATE_MS),
+}
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    st.lists(st.sampled_from(sorted(TUPLE_COMPONENTS)), min_size=1, max_size=3),
+    st.fractions(min_value=Fraction(1, 2), max_value=5, max_denominator=9),
+    st.booleans(),
+)
+def test_tupling_agrees_with_the_hand_written_builders(labels, q, negative):
+    fns = [TUPLE_COMPONENTS[label] for label in labels]
+    bundled = tuple_conditional(fns)
+    name = mn_name((-q if negative else q,))
+    cert, oracle = bundled.E.apply((name.f,)), _tupled_cert_oracle(fns, name.f)
+    assert [cert(s) for s in range(200)] == [oracle(s) for s in range(200)]
+    s = find_parameter_ms(bundled, name, 5000)
+    out = apply_conditional_ms_at(bundled, name, s).f
+    expected = _tupled_value_oracle(fns, name.f, NatFun.constant(s))
+    assert [out(t) for t in range(100)] == [expected(t) for t in range(100)]
 
 
 # ---------------------------------------------------------------------------
