@@ -39,6 +39,7 @@ from .naming import (
     NatFun,
     TripleStream,
     _check_argument,
+    _rational_triple,
     approx,
     constant_values,
     format_rational,
@@ -75,14 +76,6 @@ class OutsideDomain(ValueError):
     """The requested point is outside the function's domain."""
 
 
-def _encode(q: Fraction | int) -> tuple[int, int, int]:
-    # canonical triple values for an exact rational p/d
-    if not isinstance(q, Fraction):
-        q = Fraction(q)
-    p, d = q.numerator, q.denominator
-    return (p if p > 0 else 0, -p if p < 0 else 0, d - 1)
-
-
 def _decode(triple: tuple[int, int, int]) -> Fraction:
     x, y, z = triple
     return Fraction(x - y, z + 1)
@@ -95,7 +88,7 @@ def _pair(triple: tuple[int, int, int]) -> tuple[int, int]:
 
 
 def _encode_pair(pair: tuple[int, int]) -> tuple[int, int, int]:
-    # what ``_encode`` gives for p/d (d > 0), reduced by one gcd
+    # what ``_rational_triple`` gives for p/d (d > 0), reduced by one gcd
     p, d = pair
     g = gcd(p, d)
     return (p // g, 0, d // g - 1) if p >= 0 else (0, -p // g, d // g - 1)
@@ -163,7 +156,7 @@ def uniform_from_rule(
     its ``t -> index`` map, as the product schedule does to read its
     magnitude bound once.
     """
-    return _pointwise(n_args, rule, schedule, name, _decode, _encode)
+    return _pointwise(n_args, rule, schedule, name, _decode, _rational_triple)
 
 
 def _at_t(t: int, _names: Sequence[NameTriple]) -> int:

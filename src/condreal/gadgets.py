@@ -27,13 +27,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import partial
+from itertools import product
 from math import isqrt
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from . import terms
 from .naming import NatFun
-from .terms import Apply, Base, BaseFunction, OperatorTerm, Proj
+from .terms import (
+    Apply,
+    Base,
+    BaseFunction,
+    OperatorTerm,
+    Proj,
+    compose_terms,
+    diagonalize,
+    eval_term,
+)
 
 __all__ = [
     "GadgetRegistry",
@@ -338,25 +347,20 @@ class GadgetRegistry:
     def resolve(self, name: str) -> BaseFunction:
         """Look a name up, constructing family members on demand.
 
-        Understands the generated spellings: ``delta_K``, ``const_C``,
-        ``mu_K_C``, ``gamma_B_C``, ``lt_A`` and ``gt_A`` (A a rational).
+        Understands the spellings the family constructors generate:
+        ``delta_K``, ``const_C``, ``mu_K_C``, ``gamma_B_C``, ``lt_A``,
+        ``gt_A`` and ``ball_A1_..._An_r_R`` (A and R rationals).
         """
         if name in self._entries:
             return self._entries[name]
-        parts = name.split("_")
-        try:
-            if parts[0] == "delta" and len(parts) == 2:
-                return delta_k(int(parts[1]))
-            if parts[0] == "const" and len(parts) == 2:
-                return constant(int(parts[1]))
-            if parts[0] == "mu" and len(parts) == 3:
-                return mu(int(parts[1]), int(parts[2]))
-            if parts[0] == "gamma" and len(parts) == 3:
-                return gamma(int(parts[1]), int(parts[2]))
-            if parts[0] in ("lt", "gt") and len(parts) == 2:
-                return (lt if parts[0] == "lt" else gt)(Fraction(parts[1]))
-        except (ValueError, ZeroDivisionError):
-            pass
+        prefix, _, rest = name.partition("_")
+        if prefix in _FAMILIES:
+            make, separator, readers = _FAMILIES[prefix]
+            spelled = rest.split(separator)
+            try:
+                return make(*[read(p) for read, p in zip(readers, spelled, strict=True)])
+            except (ValueError, ZeroDivisionError):
+                pass
         raise KeyError(f"no gadget named {name!r}")
 
     def without(self, name: str) -> "GadgetRegistry":
@@ -369,6 +373,20 @@ class GadgetRegistry:
         old = self.get(name)
         entries[name] = BaseFunction(old.name, old.arity, fn)
         return GadgetRegistry(entries)
+
+
+# family prefix -> constructor, the separator between its parameters'
+# spellings and one reader per parameter
+_FAMILIES = {
+    "delta": (delta_k, "_", (int,)),
+    "const": (constant, "_", (int,)),
+    "mu": (mu, "_", (int, int)),
+    "gamma": (gamma, "_", (int, int)),
+    "lt": (lt, "_", (Fraction,)),
+    "gt": (gt, "_", (Fraction,)),
+    # ball_A1_..._An_r_R: the centers, then the radius
+    "ball": (ball_indicator, "_r_", (lambda text: list(map(Fraction, text.split("_"))), Fraction)),
+}
 
 
 def default_registry() -> GadgetRegistry:
@@ -405,6 +423,15 @@ class DecencyReport:
             yield f"{c.name}: {status}" + (f" ({c.detail})" if c.detail else "")
 
 
+# the entries the term machinery relies on: each one's rule and the
+# small domain, one range per argument, it is checked on
+_REQUIRED: tuple[tuple[str, Callable[..., int], tuple[range, ...]], ...] = (
+    ("succ", lambda x: x + 1, (range(60),)),
+    ("monus", lambda x, y: max(x - y, 0), (range(21),) * 2),
+    ("delta_1", lambda x, y, z: y if x == 0 else z, (range(4),) * 3),
+)
+
+
 def decency_check(registry: GadgetRegistry) -> DecencyReport:
     """Probe a registry for the behavior the term machinery relies on.
 
@@ -412,107 +439,44 @@ def decency_check(registry: GadgetRegistry) -> DecencyReport:
     subtraction and the selector, then the four closure witnesses of the
     term language (slot projection, chained application, substitution,
     diagonal collapse) evaluated over sampled functions using terms built
-    from the registry's own entries.
+    from the registry's own entries.  Each stage runs only when every
+    check before it passed.
     """
-    checks: list[DecencyCheck] = []
-
-    def record(name: str, passed: bool, detail: str = "") -> bool:
-        checks.append(DecencyCheck(name, passed, detail))
-        return passed
-
-    present = True
-    for name in ("succ", "monus", "delta_1"):
-        if name not in registry:
-            record(f"entry {name}", False, "missing")
-            present = False
-        else:
-            record(f"entry {name}", True)
-    if not present:
-        return DecencyReport(tuple(checks))
-
-    s, sub, sel = registry.get("succ"), registry.get("monus"), registry.get("delta_1")
-
-    bad = next((x for x in range(60) if s.fn(x) != x + 1), None)
-    record("succ behavior", bad is None, "" if bad is None else f"succ({bad})")
-
-    bad_pair = next(
-        (
-            (x, y)
-            for x in range(21)
-            for y in range(21)
-            if sub.fn(x, y) != max(x - y, 0)
-        ),
-        None,
-    )
-    record(
-        "monus behavior",
-        bad_pair is None,
-        "" if bad_pair is None else f"monus{bad_pair} != {max(bad_pair[0]-bad_pair[1],0)}",
-    )
-
-    bad_sel = next(
-        (
-            (x, y, z)
-            for x in range(4)
-            for y in range(4)
-            for z in range(4)
-            if sel.fn(x, y, z) != (y if x == 0 else z)
-        ),
-        None,
-    )
-    record("delta_1 behavior", bad_sel is None, "" if bad_sel is None else str(bad_sel))
-
+    checks = [
+        DecencyCheck(f"entry {name}", name in registry, "" if name in registry else "missing")
+        for name, _rule, _domain in _REQUIRED
+    ]
     if not all(c.passed for c in checks):
         return DecencyReport(tuple(checks))
 
-    # closure witnesses, evaluated over sampled functions
+    for name, rule, domain in _REQUIRED:
+        fn = registry.get(name).fn
+        bad = next((args for args in product(*domain) if fn(*args) != rule(*args)), None)
+        detail = "" if bad is None else f"{name}({', '.join(map(str, bad))}) != {rule(*bad)}"
+        checks.append(DecencyCheck(f"{name} behavior", bad is None, detail))
+    if not all(c.passed for c in checks):
+        return DecencyReport(tuple(checks))
+
+    # closure witnesses: a term over the registry's entries, its function
+    # arguments and its expected value at n, checked at sampled n over
+    # sampled functions
     rng = Random(20210)
-    fns = [
+    f, g = [
         NatFun(lambda t, a=rng.randrange(1, 5), b=rng.randrange(7): a * t + b)
-        for _ in range(3)
+        for _ in range(2)
     ]
     samples = [rng.randrange(40) for _ in range(12)]
-
-    proj_term = OperatorTerm(2, 1, Apply(2, Proj(1)))
-    record(
-        "projection witness",
-        all(_eval_ok(proj_term, fns[:2], n, fns[1](n)) for n in samples),
-    )
-
-    chain_term = OperatorTerm(2, 1, Apply(1, Apply(2, Proj(1))))
-    record(
-        "composition witness",
-        all(_eval_ok(chain_term, fns[:2], n, fns[0](fns[1](n))) for n in samples),
-    )
-
-    outer = OperatorTerm(1, 1, Base(s, (Apply(1, Proj(1)),)))
-    inner = OperatorTerm(2, 1, Base(sub, (Apply(1, Proj(1)), Apply(2, Proj(1)))))
-    substituted = terms.compose_terms(outer, [inner])
-    record(
-        "substitution witness",
-        all(
-            _eval_ok(substituted, fns[:2], n, terms.eval_term(outer, [_as_fn(inner, fns[:2])], [n]))
-            for n in samples
-        ),
-    )
-
-    diag_input = OperatorTerm(2, 1, Base(sub, (Apply(1, Proj(1)), Apply(2, Proj(1)))))
-    diag = terms.diagonalize(diag_input)
-    record(
-        "diagonalization witness",
-        all(
-            terms.eval_term(diag, fns[:1], [n])
-            == terms.eval_term(diag_input, [fns[0], NatFun.constant(n)], [n])
-            for n in samples
-        ),
-    )
-
+    s, sub = registry.get("succ"), registry.get("monus")
+    f_n, g_n = Apply(1, Proj(1)), Apply(2, Proj(1))
+    outer = OperatorTerm(1, 1, Base(s, (f_n,)))
+    inner = OperatorTerm(2, 1, Base(sub, (f_n, g_n)))
+    witnesses = [
+        ("projection", OperatorTerm(2, 1, g_n), [f, g], g),
+        ("composition", OperatorTerm(2, 1, Apply(1, g_n)), [f, g], lambda n: f(g(n))),
+        ("substitution", compose_terms(outer, [inner]), [f, g], lambda n: s(sub(f(n), g(n)))),
+        ("diagonalization", diagonalize(inner), [f], lambda n: sub(f(n), n)),
+    ]
+    for name, term, args, expected in witnesses:
+        holds = all(eval_term(term, args, [n]) == expected(n) for n in samples)
+        checks.append(DecencyCheck(f"{name} witness", holds))
     return DecencyReport(tuple(checks))
-
-
-def _eval_ok(term: OperatorTerm, fns: Sequence[NatFun], n: int, expected: int) -> bool:
-    return terms.eval_term(term, fns, [n]) == expected
-
-
-def _as_fn(term: OperatorTerm, fns: Sequence[NatFun]) -> NatFun:
-    return NatFun(lambda n: terms.eval_term(term, fns, [n]), label="term-closure")

@@ -31,7 +31,7 @@ from typing import Callable, Sequence
 
 from . import gadgets
 from .gadgets import tuple_pack, tuple_part, tuple_parts
-from .naming import NatFun, TripleStream, constant_values, triple_reader
+from .naming import NatFun, TripleStream, _rational_triple, constant_values, triple_reader
 from .realfns import (
     BudgetExhausted,
     ConditionalFn,
@@ -438,11 +438,7 @@ def mn_decode(n_dims: int, code: int) -> tuple[Fraction, ...]:
 
 def mn_code(point: Sequence[Fraction | int]) -> int:
     """A canonical code for a rational tuple (decodes back exactly)."""
-    values: list[int] = []
-    for q in map(Fraction, point):
-        p, d = q.numerator, q.denominator
-        values.extend((p if p > 0 else 0, -p if p < 0 else 0, d - 1))
-    return tuple_pack(values)
+    return tuple_pack([v for q in point for v in _rational_triple(q)])
 
 
 def mn_name(point: Sequence[Fraction | int]) -> OrdinaryName:

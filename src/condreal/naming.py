@@ -322,6 +322,14 @@ def approx(name: NameTriple, t: int) -> Fraction:
     return Fraction(x - y, z + 1)
 
 
+def _rational_triple(q: Fraction | int) -> tuple[int, int, int]:
+    # the canonical triple of a rational p/d in lowest terms
+    if not isinstance(q, Fraction):
+        q = Fraction(q)
+    p, d = q.numerator, q.denominator
+    return (p if p > 0 else 0, -p if p < 0 else 0, d - 1)
+
+
 def rational_name(q: Fraction | int) -> NameTriple:
     """The canonical name of a rational: exact at every index.
 
@@ -329,13 +337,7 @@ def rational_name(q: Fraction | int) -> NameTriple:
     ``(max(p,0), max(-p,0), d-1)``, so the encoded approximation equals
     ``q`` exactly everywhere.
     """
-    q = Fraction(q)
-    p, d = q.numerator, q.denominator
-    return NameTriple(
-        NatFun.constant(p if p > 0 else 0),
-        NatFun.constant(-p if p < 0 else 0),
-        NatFun.constant(d - 1),
-    )
+    return NameTriple(*map(NatFun.constant, _rational_triple(q)))
 
 
 def precision_index(eps: Fraction) -> int:

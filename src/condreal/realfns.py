@@ -32,10 +32,10 @@ A ``JointOperator`` builds several value functions at once -- for a
 real value the three functions of a name, projected from one
 ``TripleStream`` -- and ``components()`` gives its F, G and H.
 Application, substitution, localization and gluing build a joint once
-wherever its components are used together, in order, so a
-procedure-backed name computes its rational once per index; used one
-at a time, a component gives the same values.  Term-backed F, G and H
-applied together run as one ``TermProgram`` behind one ``TripleStream``.
+wherever its components are used together, so a procedure-backed name
+computes its rational once per index; used one at a time, a component
+gives the same values.  Term-backed F, G and H applied together run as
+one ``TermProgram`` behind one ``TripleStream``.
 
 Procedure-backed gluing picks its ball once per argument name and
 evaluates only that ball's local function.  Values are the same as
@@ -113,6 +113,14 @@ class BudgetExhausted(RuntimeError):
 # ---------------------------------------------------------------------------
 
 
+def _arguments(arity: int, fns: Sequence[NatFun]) -> tuple[NatFun, ...]:
+    """The function arguments of an ``arity``-ary operator, counted."""
+    fns = tuple(fns)
+    if len(fns) != arity:
+        raise ArityMismatch(f"operator wants {arity} functions, got {len(fns)}")
+    return fns
+
+
 @dataclass(frozen=True, eq=False)
 class TermOperator:
     """An operator denoted by a single-argument operator term."""
@@ -128,9 +136,7 @@ class TermOperator:
         return self.term.k
 
     def apply(self, fns: Sequence[NatFun]) -> NatFun:
-        fns = tuple(fns)
-        if len(fns) != self.arity:
-            raise ArityMismatch(f"operator wants {self.arity} functions, got {len(fns)}")
+        fns = _arguments(self.arity, fns)
         program = TermProgram((self.term,))
         return NatFun(lambda n: eval_term(program, fns, (n,))[0], label="term-op")
 
@@ -148,10 +154,7 @@ class ProcOperator:
     label: str = ""
 
     def apply(self, fns: Sequence[NatFun]) -> NatFun:
-        fns = tuple(fns)
-        if len(fns) != self.arity:
-            raise ArityMismatch(f"operator wants {self.arity} functions, got {len(fns)}")
-        return self.build(fns)
+        return self.build(_arguments(self.arity, fns))
 
 
 class JointOperator:
@@ -161,8 +164,8 @@ class JointOperator:
     for a real value (width 3) that is typically the ``name()`` of a
     ``TripleStream``, which computes each index's rational once.
     ``components()`` is the view of one operator each that functions,
-    constructions and terms work with.  Wherever a joint's components
-    are applied together, in order, the joint is built once.
+    constructions and terms work with.  Wherever any of a joint's
+    components are applied together, the joint is built once.
     """
 
     __slots__ = ("arity", "width", "build", "label")
@@ -177,10 +180,7 @@ class JointOperator:
         self.arity, self.width, self.build, self.label = arity, width, build, label
 
     def apply(self, fns: Sequence[NatFun]) -> tuple[NatFun, ...]:
-        fns = tuple(fns)
-        if len(fns) != self.arity:
-            raise ArityMismatch(f"operator wants {self.arity} functions, got {len(fns)}")
-        return tuple(self.build(fns))
+        return tuple(self.build(_arguments(self.arity, fns)))
 
     def components(self) -> tuple["JointComponent", ...]:
         return tuple(JointComponent(self, pick) for pick in range(self.width))
@@ -206,35 +206,25 @@ def _is_term(op: Operator) -> bool:
     return isinstance(op, TermOperator)
 
 
-def _joint_of(ops: Sequence[Operator]) -> JointOperator | None:
-    """The joint whose components ``ops`` are, all of them in order, if any."""
-    first = ops[0]
-    if not isinstance(first, JointComponent) or len(ops) != first.joint.width:
-        return None
-    if all(
-        isinstance(op, JointComponent) and op.joint is first.joint and op.pick == i
-        for i, op in enumerate(ops)
-    ):
-        return first.joint
-    return None
-
-
 def _apply_ops(ops: Sequence[Operator], fns: Sequence[NatFun]) -> list[NatFun]:
-    """Every operator applied to ``fns``; a joint or a term F, G, H runs once."""
+    """Every operator applied to ``fns``, sharing builds.
+
+    The one place that decides which operators build together: each
+    joint among the components, in any order and of any subset, is
+    built once, and term F, G, H run as one program behind one stream.
+    """
     if len(ops) == 3 and all(map(_is_term, ops)):
         program = TermProgram([op.term for op in ops])
         return list(TripleStream(lambda n: eval_term(program, fns, (n,)), "term-op").name())
+    built: dict[JointOperator, tuple[NatFun, ...]] = {}
     out: list[NatFun] = []
-    i = 0
-    while i < len(ops):
-        op = ops[i]
-        joint = _joint_of(ops[i : i + op.joint.width]) if isinstance(op, JointComponent) else None
-        if joint is not None:
-            out.extend(joint.apply(fns))
-            i += joint.width
+    for op in ops:
+        if isinstance(op, JointComponent):
+            if op.joint not in built:
+                built[op.joint] = op.joint.apply(fns)
+            out.append(built[op.joint][op.pick])
         else:
             out.append(op.apply(fns))
-            i += 1
     return out
 
 
@@ -383,7 +373,7 @@ def _lift(base: BaseFunction, ops: Sequence[Operator], term: bool) -> Operator:
     fn = base.fn
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
-        outs = [op.apply(fns) for op in ops]
+        outs = _apply_ops(ops, fns)
         return NatFun(lambda t: fn(*[out(t) for out in outs]), label=base.name, memoize=False)
 
     return ProcOperator(k, build, base.name)

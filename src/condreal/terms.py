@@ -16,12 +16,13 @@ Terms are immutable; every transformation below is a pure structural
 rewrite, and each rewrite is justified by a pointwise evaluation
 identity that the test-suite checks against independent evaluation.
 Every walk over a term -- validation, the rewrites, support bounds,
-compilation -- is one ``_fold``: an explicit-stack, bottom-up pass over
-the term's distinct node objects, so no walk recurses and a subterm
-shared by identity is visited once.  A rewrite returns a node itself
-when none of its children changed, so shared and untouched subterms
-stay shared in the result.  ``print_term`` emits from its own stack;
-only ``parse_term``'s reader recurses, on depth-checked input.  The key
+compilation, equality and hashing -- is one ``_fold``: an explicit-stack,
+bottom-up pass over the term's distinct node objects, so no walk
+recurses and a subterm shared by identity is visited once.  A rewrite
+returns a node itself when none of its children changed, so shared and
+untouched subterms stay shared in the result.  ``print_term`` and a
+node's ``repr`` emit from their own stack; only ``parse_term``'s reader
+recurses, on depth-checked input.  The key
 rewrites:
 
 * ``compose_terms`` -- substitution: plug k inner operators into an outer
@@ -107,19 +108,44 @@ class BaseFunction:
         return f"BaseFunction({self.name}/{self.arity})"
 
 
-@dataclass(frozen=True)
-class Proj:
+class _Node:
+    """Structural equality, hashing and printing of terms of any depth.
+
+    Equality and hashing are folds, so they visit each distinct node
+    once; equality numbers the structurally distinct subterms of both
+    sides and compares the roots' numbers.
+    """
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, _Node):
+            return NotImplemented
+        numbers: dict[tuple, int] = {}
+        shapes = _shapes(lambda shape: numbers.setdefault(shape, len(numbers)))
+        done: dict[int, int] = {}
+        return self is other or _fold(self, *shapes, done) == _fold(other, *shapes, done)
+
+    def __hash__(self) -> int:
+        return _fold(self, *_shapes(hash))
+
+    def __repr__(self) -> str:
+        return _emit(self)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
+class Proj(_Node):
     index: int
 
 
-@dataclass(frozen=True)
-class Apply:
+@dataclass(frozen=True, eq=False, repr=False)
+class Apply(_Node):
     index: int
     sub: "Node"
 
 
-@dataclass(frozen=True)
-class Base:
+@dataclass(frozen=True, eq=False, repr=False)
+class Base(_Node):
     fn: BaseFunction
     subs: tuple["Node", ...]
 
@@ -188,6 +214,16 @@ def _fold(
         else:
             raise TypeError(f"not a term node: {top!r}")
     return done[id(node)]
+
+
+def _shapes(combine: Callable[[tuple], _R]) -> tuple[Callable, Callable, Callable]:
+    # the fold callbacks combining each node's shape: its kind, its own
+    # data and its children's results
+    return (
+        lambda node: combine((Proj, node.index)),
+        lambda node, sub: combine((Apply, node.index, sub)),
+        lambda node, subs: combine((Base, node.fn, *subs)),
+    )
 
 
 def _validate(node: Node, k: int, m: int) -> None:
@@ -324,10 +360,9 @@ def support_bound(term: OperatorTerm) -> int:
 
 def _subst_numeric(node: Node, replacement: Node) -> Node:
     # replace the (single) numeric argument -- every Proj(1) -- by a node
-    def proj(leaf: Proj) -> Node:
-        return leaf if leaf == replacement else replacement
-
-    return _fold(node, proj, _rebuild_apply, _rebuild_base)
+    if isinstance(replacement, Proj) and replacement.index == 1:
+        return node
+    return _fold(node, lambda _leaf: replacement, _rebuild_apply, _rebuild_base)
 
 
 def compose_terms(
@@ -451,9 +486,13 @@ def representable_lift(fn: BaseFunction) -> OperatorTerm:
 
 def print_term(term: OperatorTerm) -> str:
     """Render as an s-expression: (proj i), (apply i SUB), (base NAME SUB...)."""
+    return _emit(term.node)
+
+
+def _emit(node: Node) -> str:
     # pre-order from a stack of nodes and closing text, joined once
     out: list[str] = []
-    stack: list[Node | str] = [term.node]
+    stack: list[Node | str] = [node]
     while stack:
         node = stack.pop()
         if isinstance(node, str):

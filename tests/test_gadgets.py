@@ -1,6 +1,7 @@
 import tracemalloc
 from fractions import Fraction
 from itertools import product
+from random import Random
 
 import pytest
 from hypothesis import given
@@ -12,6 +13,7 @@ from condreal.gadgets import (
     GadgetRegistry,
     ball_indicator,
     conj,
+    constant,
     decency_check,
     default_registry,
     delta_1,
@@ -22,6 +24,7 @@ from condreal.gadgets import (
     left,
     lt,
     monus,
+    mu,
     pair,
     right,
     succ,
@@ -332,6 +335,40 @@ def test_resolve_is_consistent_with_direct_constructors():
         assert got.fn(*args) == gamma(2, 2).fn(*args)
 
 
+FAMILY_MEMBERS = [
+    *(delta_k(k) for k in (0, 1, 2, 3)),
+    *(constant(c) for c in (0, 7, 10**30)),
+    mu(0, 0),
+    mu(3, 9),
+    gamma(1, 1),
+    gamma(2, 3),
+    *(make(a) for make in (lt, gt) for a in (0, 2, -3, Fraction(5, 7), Fraction(-1, 2))),
+    ball_indicator((0,), 1),
+    ball_indicator((Fraction(-1),), Fraction(5, 4)),
+    ball_indicator((Fraction(1, 2), Fraction(-3)), Fraction(1, 3)),
+    ball_indicator((Fraction(0), Fraction(0)), Fraction(-1, 2)),
+]
+
+
+@pytest.mark.parametrize("member", FAMILY_MEMBERS, ids=lambda fn: fn.name)
+def test_resolve_rebuilds_every_family_member_from_its_name(member):
+    got = CORE.resolve(member.name)
+    assert (got.name, got.arity) == (member.name, member.arity)
+    rng = Random(member.name)
+    for _ in range(300):
+        args = [rng.randrange(5) for _ in range(member.arity)]
+        assert got.fn(*args) == member.fn(*args)
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["ball_0", "ball_r_1", "ball__r_1", "ball_0_1", "ball_0_r", "ball_0_r_1_r_2", "ball_0_r_x"],
+)
+def test_resolve_refuses_malformed_ball_spellings(name):
+    with pytest.raises(KeyError):
+        CORE.resolve(name)
+
+
 def test_registry_without_drops_a_name():
     reg = default_registry().without("mul")
     assert "mul" not in reg.names()
@@ -357,6 +394,39 @@ def test_decency_check_fails_on_wrapping_subtraction():
     report = decency_check(wrapped)
     assert not report.passed
     assert any("monus" in line for line in report.lines() if "FAIL" in line)
+
+
+ENTRIES = ["entry succ", "entry monus", "entry delta_1"]
+BEHAVIOR = ["succ behavior", "monus behavior", "delta_1 behavior"]
+WITNESSES = [
+    f"{w} witness" for w in ("projection", "composition", "substitution", "diagonalization")
+]
+
+
+@pytest.mark.parametrize(
+    "registry,verdicts",
+    [
+        (CORE, dict.fromkeys(ENTRIES + BEHAVIOR + WITNESSES, True)),
+        (CORE.without("delta_1"), {**dict.fromkeys(ENTRIES, True), "entry delta_1": False}),
+        (
+            default_registry().override("succ", lambda x: x + 2),
+            {**dict.fromkeys(ENTRIES + BEHAVIOR, True), "succ behavior": False},
+        ),
+        (
+            default_registry().override("monus", lambda x, y: (x - y) % 2**16),
+            {**dict.fromkeys(ENTRIES + BEHAVIOR, True), "monus behavior": False},
+        ),
+        (
+            default_registry().override("delta_1", lambda x, y, z: 0),
+            {**dict.fromkeys(ENTRIES + BEHAVIOR, True), "delta_1 behavior": False},
+        ),
+    ],
+    ids=["core", "no-delta_1", "succ+2", "wrapping-monus", "constant-delta_1"],
+)
+def test_decency_check_names_order_and_verdicts(registry, verdicts):
+    # a stage runs only when every check before it passed
+    report = decency_check(registry)
+    assert [(c.name, c.passed) for c in report.checks] == list(verdicts.items())
 
 
 def test_decency_check_fails_on_broken_dispatch():

@@ -22,6 +22,7 @@ from condreal.realfns import (
     BudgetExhausted,
     ConditionalFn,
     JointComponent,
+    JointOperator,
     TermOperator,
     UniformFn,
     apply_conditional,
@@ -34,6 +35,7 @@ from condreal.realfns import (
     glue_compact,
     identity_uniform,
     localize,
+    _apply_ops,
     _constant,
     _diagonal,
     _lift,
@@ -62,7 +64,7 @@ from condreal.suites import (
     two_ball_cover,
     two_ball_values,
 )
-from condreal.terms import Apply, Base, OperatorTerm, Proj
+from condreal.terms import Apply, Base, OperatorTerm, Proj, parse_term, print_term
 
 from conftest import assert_check
 
@@ -530,6 +532,43 @@ def test_term_backed_cover_glues_to_a_term_backed_function():
         assert validate_name(proc_out, abs(q), 60).passed
 
 
+def slot_uniform(n_args, slot):
+    # the term-backed n-ary function whose value is its slot-th argument
+    k = 3 * n_args
+    ops = [TermOperator(OperatorTerm(k, 1, Apply(3 * slot - 2 + c, Proj(1)))) for c in range(3)]
+    return UniformFn(n_args, *ops)
+
+
+@pytest.mark.parametrize(
+    "cover",
+    [
+        BallCover(
+            (
+                Ball((Fraction(-1),), Fraction(5, 4), negate_term_fn()),
+                Ball((Fraction(1, 3),), Fraction(3, 2), identity_uniform()),
+            ),
+            separation=3,
+        ),
+        BallCover(
+            (
+                Ball((Fraction(-1, 2), Fraction(0)), Fraction(1), slot_uniform(2, 1)),
+                Ball((Fraction(1), Fraction(-2, 3)), Fraction(7, 5), slot_uniform(2, 2)),
+            ),
+            separation=4,
+        ),
+    ],
+    ids=["1-D", "2-D"],
+)
+def test_term_backed_glued_functions_print_and_parse_back_equal(cover):
+    glued = glue_compact(cover)
+    for op in (glued.F, glued.G, glued.H):
+        text = print_term(op.term)
+        assert "ball_" in text
+        again = parse_term(text, op.term.k, 1, CORE.resolve)
+        assert again == op.term
+        assert print_term(again) == text
+
+
 def test_a_term_backed_name_reads_each_distinct_node_once_per_index():
     # glued F, G, H share the three probes at k and the three branch
     # reads: six argument reads per index, not one set per component
@@ -646,3 +685,37 @@ def test_mixed_operators_are_applied_one_by_one():
     mixed = UniformFn(1, a.F, b.G, a.H)
     out = apply_uniform(mixed, [rational_name(Fraction(-3, 4))])
     assert read_whole(out, range(5)) == [(3, 3, 3)] * 5
+
+
+def counting_joint(builds, width=3):
+    # results t -> f(t) + pick of one function argument; logs every build
+    def build(fns):
+        builds.append(fns)
+        return [NatFun(lambda t, p=p: fns[0](t) + p) for p in range(width)]
+
+    return JointOperator(1, width, build, "counted")
+
+
+@pytest.mark.parametrize("picks", [(0, 1, 2), (2, 0, 1), (1,), (2, 0), (1, 1, 0, 2)])
+def test_apply_ops_builds_a_joint_once_for_any_order_and_subset(picks):
+    builds = []
+    parts = counting_joint(builds).components()
+    out = _apply_ops([parts[p] for p in picks], (NatFun(lambda t: 10 * t),))
+    assert len(builds) == 1
+    assert [fn(3) for fn in out] == [30 + p for p in picks]
+
+
+def test_apply_ops_builds_each_of_two_interleaved_joints_once():
+    a_builds, b_builds = [], []
+    a, b = counting_joint(a_builds).components(), counting_joint(b_builds, 2).components()
+    out = _apply_ops([b[1], a[2], b[0], a[0]], (NatFun(lambda t: t),))
+    assert (len(a_builds), len(b_builds)) == (1, 1)
+    assert [fn(5) for fn in out] == [6, 7, 5, 5]
+
+
+def test_a_procedure_lift_builds_the_joint_of_its_inputs_once():
+    builds = []
+    f, g, _ = counting_joint(builds).components()
+    lifted = _lift(CORE.get("conj"), [g, f], False).apply((NatFun(lambda t: t),))
+    assert [lifted(t) for t in range(4)] == [2 * t + 1 for t in range(4)]
+    assert len(builds) == 1

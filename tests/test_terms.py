@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condreal import suites
+from condreal import suites, terms
 from condreal.gadgets import CORE, default_registry
 from condreal.naming import NatFun, recording
 from condreal.sampling import random_natfun, random_term
@@ -258,6 +258,64 @@ def test_a_20000_deep_term_goes_through_every_walk():
     succ_read = Base(CORE.get("succ"), (Apply(1, Proj(1)),))
     inners = [OperatorTerm(1, 1, Apply(1, Proj(1))), OperatorTerm(1, 1, succ_read)]
     assert eval_term(compose_terms(term, inners), fns[:1], (0,)) == depth + 1
+
+
+def test_a_20000_deep_node_compares_hashes_and_prints():
+    def chain(bottom):
+        node = Apply(bottom, Proj(1))
+        for _ in range(19_999):
+            node = Apply(1, node)
+        return node
+
+    a, b, c = chain(2), chain(2), chain(1)
+    assert a == b and hash(a) == hash(b)
+    assert a != c  # they differ only at the deepest node
+    assert OperatorTerm(2, 1, a) == OperatorTerm(2, 1, b)
+    assert hash(OperatorTerm(2, 1, a)) == hash(OperatorTerm(2, 1, b))
+    assert repr(a) == print_term(OperatorTerm(2, 1, a))
+
+
+def test_equality_and_hashing_visit_shared_nodes_once():
+    # 2**60 leaves as a tree, about 60 distinct nodes
+    def doubled():
+        step = OperatorTerm(1, 1, Base(CORE.get("conj"), (Apply(1, Proj(1)), Apply(1, Proj(1)))))
+        term = step
+        for _ in range(60):
+            term = compose_terms(step, [term])
+        return term
+
+    a, b = doubled(), doubled()
+    assert a.node is not b.node
+    assert a == b and hash(a) == hash(b)
+
+
+def naive_equal(a, b):
+    if type(a) is not type(b):
+        return False
+    if isinstance(a, Proj):
+        return a.index == b.index
+    if isinstance(a, Apply):
+        return a.index == b.index and naive_equal(a.sub, b.sub)
+    return (a.fn, len(a.subs)) == (b.fn, len(b.subs)) and all(map(naive_equal, a.subs, b.subs))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_node_equality_and_hash_match_the_structural_definition(seed):
+    rng = Random(seed)
+    found = [random_term(rng, 2, 1, 3).node for _ in range(80)]
+    for a in found:
+        copy = parse_term(print_term(OperatorTerm(2, 1, a)), 2, 1, CORE.get).node
+        assert a == copy and hash(a) == hash(copy)
+        b = rng.choice(found)
+        assert (a == b) is naive_equal(a, b)
+        assert a != b or hash(a) == hash(b)
+    assert repr(Base(CORE.get("succ"), (Apply(1, Proj(1)),))) == "(base succ (apply 1 (proj 1)))"
+
+
+def test_substituting_the_bare_argument_does_not_walk_the_term(monkeypatch):
+    node = Base(CORE.get("succ"), (Apply(1, Proj(1)),))
+    monkeypatch.setattr(terms, "_fold", lambda *args: pytest.fail("the term was walked"))
+    assert _subst_numeric(node, Proj(1)) is node
 
 
 def test_compose_terms_arity_rules():
