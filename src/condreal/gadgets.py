@@ -349,7 +349,8 @@ class GadgetRegistry:
 
         Understands the spellings the family constructors generate:
         ``delta_K``, ``const_C``, ``mu_K_C``, ``gamma_B_C``, ``lt_A``,
-        ``gt_A`` and ``ball_A1_..._An_r_R`` (A and R rationals).
+        ``gt_A`` and ``ball_A1_..._An_r_R`` (A and R rationals), and only
+        as they spell them: ``lt_2/4`` or ``const_007`` is no name.
         """
         if name in self._entries:
             return self._entries[name]
@@ -358,7 +359,9 @@ class GadgetRegistry:
             make, separator, readers = _FAMILIES[prefix]
             spelled = rest.split(separator)
             try:
-                return make(*[read(p) for read, p in zip(readers, spelled, strict=True)])
+                fn = make(*[read(p) for read, p in zip(readers, spelled, strict=True)])
+                if fn.name == name:
+                    return fn
             except (ValueError, ZeroDivisionError):
                 pass
         raise KeyError(f"no gadget named {name!r}")

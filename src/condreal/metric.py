@@ -19,7 +19,9 @@ implementation, generic over the number of functions in a name, serves
 real names (three functions) and ordinary names (one), and term-backed
 ingredients give term-backed results.  The spaces ``M_N`` (rational
 N-tuples coded by nested pairing, max-norm distance) translate
-real-function computability back and forth losslessly.
+real-function computability back and forth losslessly: the coding is
+two operators, decode and pack, and each translation substitutes the
+translated function's operators between them.
 """
 
 from __future__ import annotations
@@ -40,7 +42,6 @@ from .realfns import (
     ProcOperator,
     UniformFn,
     _CONJ,
-    _apply_ops,
     _compose_ops,
     _embed_ops,
     _first_passing,
@@ -155,17 +156,6 @@ class MsConditionalFn:
 def _same_space(a: EffectiveSpace, b: EffectiveSpace, what: str) -> None:
     if a is not b:
         raise SpaceMismatch(f"{what}: {a.name} vs {b.name}")
-
-
-def _pack_lift(fns: Sequence[NatFun]) -> NatFun:
-    # the code stream of names given as consecutive f, g, h triples
-    fns = tuple(fns)
-    readers = [triple_reader(*fns[i : i + 3]) for i in range(0, len(fns), 3)]
-    return NatFun(
-        lambda t: tuple_pack([v for read in readers for v in read(t)]),
-        label="pack",
-        memoize=False,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -497,6 +487,38 @@ def _decoded_parts(n_dims: int, fn: NatFun) -> tuple[NatFun, ...]:
     return tuple(part for stream in streams for part in stream.name())
 
 
+def _decode(n_dims: int, arity: int) -> list[Operator]:
+    """The M_N decoding: slot 1's code stream as its 3N coordinate functions.
+
+    The other slots pass through.  The coordinates are one joint's
+    components, so applied together they share one decode per index.
+    """
+    joint = JointOperator(arity, 3 * n_dims, lambda fns: _decoded_parts(n_dims, fns[0]), "decode")
+    return [*joint.components(), *(_slot(arity, i, False) for i in range(2, arity + 1))]
+
+
+def _pack(n_dims: int, arity: int) -> list[Operator]:
+    """The M_N coding: slots 1..3N, as f, g, h triples, packed into one code stream.
+
+    The other slots pass through.
+    """
+    width = 3 * n_dims
+
+    def build(fns: tuple[NatFun, ...]) -> NatFun:
+        readers = [triple_reader(*fns[i : i + 3]) for i in range(0, width, 3)]
+        return NatFun(lambda t: tuple_pack([v for read in readers for v in read(t)]), "pack", False)
+
+    rest = (_slot(arity, i, False) for i in range(width + 1, arity + 1))
+    return [ProcOperator(arity, build, "pack"), *rest]
+
+
+def _coded_dimension(fn: MsUniformFn | MsConditionalFn) -> int:
+    """N, for a map from M_N to M_1."""
+    if fn.domain.dimension is None or fn.codomain.dimension != 1:
+        raise SpaceMismatch("translation expects a map from M_N to M_1")
+    return fn.domain.dimension
+
+
 def translate_uniform(fn: UniformFn) -> MsUniformFn:
     """A uniform real function as a uniform map from M_N to M_1.
 
@@ -506,62 +528,29 @@ def translate_uniform(fn: UniformFn) -> MsUniformFn:
     Operators that are one joint's components run once per index.
     """
     n = fn.n_args
-
-    def build(fns: tuple[NatFun, ...]) -> NatFun:
-        return _pack_lift(_apply_ops((fn.F, fn.G, fn.H), _decoded_parts(n, fns[0])))
-
-    return MsUniformFn(
-        make_mn(n), make_mn(1), ProcOperator(1, build, "translated-uniform")
-    )
+    (T,) = _subst(_pack(1, 3), _subst((fn.F, fn.G, fn.H), _decode(n, 1), False), False)
+    return MsUniformFn(make_mn(n), make_mn(1), T)
 
 
 def translate_uniform_back(fn: MsUniformFn) -> UniformFn:
     """The inverse packaging, for maps between the rational-tuple spaces."""
-    n = fn.domain.dimension
-    if n is None or fn.codomain.dimension != 1:
-        raise SpaceMismatch("translation expects a map from M_N to M_1")
-
-    def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
-        return _decoded_parts(1, fn.T.apply((_pack_lift(fns),)))
-
-    return UniformFn(n, *JointOperator(3 * n, 3, build, "translated-back").components())
+    n = _coded_dimension(fn)
+    return UniformFn(n, *_subst(_decode(1, 1), _subst([fn.T], _pack(n, 3 * n), False), False))
 
 
 def translate_conditional(fn: ConditionalFn) -> MsConditionalFn:
     """A conditional real function as a conditional map from M_N to M_1."""
     n = fn.n_args
-
-    def build_cert(fns: tuple[NatFun, ...]) -> NatFun:
-        return fn.E.apply(_decoded_parts(n, fns[0]))
-
-    def build_value(args: tuple[NatFun, ...]) -> NatFun:
-        f, e = args
-        return _pack_lift(_apply_ops((fn.F, fn.G, fn.H), _decoded_parts(n, f) + (e,)))
-
-    return MsConditionalFn(
-        make_mn(n),
-        make_mn(1),
-        ProcOperator(1, build_cert, "translated-cert"),
-        ProcOperator(2, build_value, "translated-value"),
-    )
+    (E,) = _subst([fn.E], _decode(n, 1), False)
+    (T,) = _subst(_pack(1, 3), _subst((fn.F, fn.G, fn.H), _decode(n, 2), False), False)
+    return MsConditionalFn(make_mn(n), make_mn(1), E, T)
 
 
 def translate_conditional_back(fn: MsConditionalFn) -> ConditionalFn:
-    n = fn.domain.dimension
-    if n is None or fn.codomain.dimension != 1:
-        raise SpaceMismatch("translation expects a map from M_N to M_1")
-
-    def build_cert(fns: tuple[NatFun, ...]) -> NatFun:
-        return fn.E.apply((_pack_lift(fns),))
-
-    def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
-        return _decoded_parts(1, fn.T.apply((_pack_lift(fns[:-1]), fns[-1])))
-
-    return ConditionalFn(
-        n,
-        ProcOperator(3 * n, build_cert, "translated-back-cert"),
-        *JointOperator(3 * n + 1, 3, build, "translated-back-value").components(),
-    )
+    n = _coded_dimension(fn)
+    (E,) = _subst([fn.E], _pack(n, 3 * n), False)
+    values = _subst(_decode(1, 1), _subst([fn.T], _pack(n, 3 * n + 1), False), False)
+    return ConditionalFn(n, E, *values)
 
 
 def tuple_conditional(fns: Sequence[MsConditionalFn]) -> MsConditionalFn:
@@ -606,11 +595,5 @@ def code_ball_indicator(
     Composes the triple-level ball indicator with the tuple decodes, so
     it agrees with dist_lt(n, center_code, radius) on every code.
     """
-    center = mn_decode(n_dims, center_code)
-    base = gadgets.ball_indicator(center, radius)
-    width = 3 * n_dims
-
-    def fn(n: int) -> int:
-        return base.fn(*tuple_parts(width, n))
-
-    return fn
+    base = gadgets.ball_indicator(mn_decode(n_dims, center_code), radius)
+    return lambda n: base.fn(*tuple_parts(3 * n_dims, n))

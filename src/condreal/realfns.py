@@ -269,22 +269,21 @@ class ConditionalFn:
                 )
 
 
-def _flatten(names: Sequence[NameTriple]) -> tuple[NatFun, ...]:
+def _flatten(n_args: int, names: Sequence[NameTriple]) -> tuple[NatFun, ...]:
+    """The functions of ``n_args`` argument names, counted, in order."""
+    if len(names) != n_args:
+        raise ArityMismatch(f"{n_args} argument names expected, got {len(names)}")
     return tuple(fn for name in names for fn in name)
 
 
 def apply_uniform(fn: UniformFn, names: Sequence[NameTriple]) -> NameTriple:
     """Transform argument names into a (lazily evaluated) value name."""
-    if len(names) != fn.n_args:
-        raise ArityMismatch(f"{fn.n_args} argument names expected, got {len(names)}")
-    return NameTriple(*_apply_ops((fn.F, fn.G, fn.H), _flatten(names)))
+    return NameTriple(*_apply_ops((fn.F, fn.G, fn.H), _flatten(fn.n_args, names)))
 
 
 def find_parameter(fn: ConditionalFn, names: Sequence[NameTriple], budget: int) -> int:
     """Linear scan for the least certifying parameter s < budget."""
-    if len(names) != fn.n_args:
-        raise ArityMismatch(f"{fn.n_args} argument names expected, got {len(names)}")
-    certificate = fn.E.apply(_flatten(names))
+    certificate = fn.E.apply(_flatten(fn.n_args, names))
     for s in range(budget):
         if certificate.eval_uncached(s) == 0:
             return s
@@ -295,9 +294,7 @@ def apply_conditional_at(
     fn: ConditionalFn, names: Sequence[NameTriple], s: int
 ) -> NameTriple:
     """Apply at an already-found parameter (any certified s is valid)."""
-    if len(names) != fn.n_args:
-        raise ArityMismatch(f"{fn.n_args} argument names expected, got {len(names)}")
-    fns = _flatten(names) + (NatFun.constant(s),)
+    fns = _flatten(fn.n_args, names) + (NatFun.constant(s),)
     return NameTriple(*_apply_ops((fn.F, fn.G, fn.H), fns))
 
 
@@ -737,9 +734,7 @@ def glue_compact(cover: BallCover) -> UniformFn:
 
 def dispatch_index(cover: BallCover, names: Sequence[NameTriple]) -> int | None:
     """Which ball (1-based) the glued function would source from, if any."""
-    if len(names) != cover.n_args:
-        raise ArityMismatch(f"{cover.n_args} argument names expected")
-    probes = [fn(cover.separation) for name in names for fn in name]
+    probes = [fn(cover.separation) for fn in _flatten(cover.n_args, names)]
     return _first_passing(_cover_indicators(cover), probes)
 
 

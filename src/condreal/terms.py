@@ -162,11 +162,11 @@ class OperatorTerm:
     node: Node
 
     def __post_init__(self) -> None:
-        if self.k < 0:
-            raise ArityMismatch("function arity k must be >= 0")
-        if self.m < 1:
-            raise ArityMismatch("numeric arity m must be >= 1")
-        _validate(self.node, self.k, self.m)
+        if self.k < 0 or self.m < 1:
+            raise ArityMismatch(f"arities must be k >= 0 and m >= 1, got {self.k} and {self.m}")
+        k, m = _reach(self.node)
+        if k > self.k or m > self.m:
+            raise ArityMismatch(f"term reads slots up to {k} and {m}, got k={self.k}, m={self.m}")
 
 
 _EXIT = object()  # on the fold's stack above a node whose children come first
@@ -179,6 +179,7 @@ def _fold(
     apply: Callable[[Apply, _R], _R],
     base: Callable[[Base, list[_R]], _R],
     done: dict[int, _R] | None = None,
+    kept: Callable[[Node], _R | None] | None = None,
 ) -> _R:
     """Fold a term bottom-up over its distinct nodes, without recursion.
 
@@ -186,7 +187,8 @@ def _fold(
     ``base(node, sub_results)``, computed once per node object after its
     children's.  ``done`` maps ``id(node)`` to results; passing one dict
     to several folds shares the work between terms with common nodes.
-    This is the only walk that knows a node's children.
+    A node for which ``kept`` returns a result is not entered.  This is
+    the only walk that knows a node's children.
     """
     done = {} if done is None else done
     stack = [node]
@@ -201,6 +203,8 @@ def _fold(
                 done[id(top)] = base(top, [done[id(sub)] for sub in top.subs])
         elif id(top) in done:
             continue
+        elif kept is not None and (result := kept(top)) is not None:
+            done[id(top)] = result
         elif isinstance(top, Proj):
             done[id(top)] = proj(top)
         elif isinstance(top, Apply):
@@ -226,22 +230,34 @@ def _shapes(combine: Callable[[tuple], _R]) -> tuple[Callable, Callable, Callabl
     )
 
 
-def _validate(node: Node, k: int, m: int) -> None:
-    def proj(node: Proj) -> None:
-        if not 1 <= node.index <= m:
-            raise ArityMismatch(f"projection index {node.index} outside 1..{m}")
+def _reach(node: Node) -> tuple[int, int]:
+    """A well-formed term's largest function slot and largest numeric slot.
 
-    def apply(node: Apply, _sub: None) -> None:
-        if not 1 <= node.index <= k:
-            raise ArityMismatch(f"function index {node.index} outside 1..{k}")
+    Each node keeps its reach once computed, so checking a term built on
+    checked subterms visits only its new nodes.
+    """
 
-    def base(node: Base, _subs: list) -> None:
+    def keep(node: Node, reach: tuple[int, int]) -> tuple[int, int]:
+        if getattr(node, "index", 1) < 1:  # a projection's or an application's slot
+            raise ArityMismatch(f"slot index {node.index} below 1")
+        object.__setattr__(node, "_reach", reach)
+        return reach
+
+    def base(node: Base, subs: list[tuple[int, int]]) -> tuple[int, int]:
         if len(node.subs) != node.fn.arity:
             raise ArityMismatch(
                 f"base {node.fn.name} wants {node.fn.arity} arguments, got {len(node.subs)}"
             )
+        ks, ms = zip((0, 0), *subs)
+        return keep(node, (max(ks), max(ms)))
 
-    _fold(node, proj, apply, base)
+    return _fold(
+        node,
+        lambda node: keep(node, (0, node.index)),
+        lambda node, sub: keep(node, (max(node.index, sub[0]), sub[1])),
+        base,
+        kept=lambda node: getattr(node, "_reach", None),
+    )
 
 
 def _rebuild_apply(node: Apply, sub: Node) -> Node:
@@ -502,11 +518,13 @@ def _emit(node: Node) -> str:
         elif isinstance(node, Apply):
             out.append(f"(apply {node.index} ")
             stack += [")", node.sub]
-        else:
+        elif isinstance(node, Base):
             out.append(f"(base {node.fn.name}")
             stack.append(")")
             for sub in reversed(node.subs):
                 stack += [sub, " "]
+        else:
+            raise TypeError(f"not a term node: {node!r}")
     return "".join(out)
 
 

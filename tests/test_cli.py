@@ -1,7 +1,12 @@
+import io
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
+from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condreal import cli, suites
 from condreal.gadgets import tuple_pack
@@ -108,6 +113,41 @@ def test_eval_budget_exhaustion_is_exit_three(capsys):
     code, _, err = run(capsys, "eval", "(recip 0)", "--budget", "1000")
     assert code == 3
     assert "budget exhausted" in err
+
+
+ARITY = {"abs": 1, "neg": 1, "recip": 1, "add": 2, "max": 2, "min": 2, "mul": 2, "sub": 2}
+NUMBERS = ["0", "1/3", "-2/7", "5", "-1", "const_22/7", "1e3000", "1e-4000"]
+GARBAGE = ["nosuch", "x", "()", "(", ")", "const_1/0", "(add 1)"]
+
+
+def random_expression(rng, depth):
+    """Mostly well-formed: garbage and a wrong argument count are rare."""
+    if rng.random() < 0.02:
+        return rng.choice(GARBAGE)
+    if depth == 0 or rng.random() < 0.3:
+        return rng.choice(NUMBERS)
+    name = rng.choice(sorted(ARITY))
+    n_args = ARITY[name] if rng.random() < 0.97 else rng.randrange(4)
+    return "(" + " ".join([name, *(random_expression(rng, depth - 1) for _ in range(n_args))]) + ")"
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_eval_of_random_input_exits_with_a_documented_code(seed):
+    rng = Random(seed)
+    argv = [
+        "eval",
+        f"--budget={rng.randrange(10**4 + 1)}",
+        "--eps=" + rng.choice(["1/1000", "1/7", "1", "1e-30"] * 3 + ["0", "-1/2", "abc"]),
+        "--",
+        random_expression(rng, 4),
+    ]
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(argv)
+    assert code in (0, 2, 3), (argv, err.getvalue())
+    assert "Traceback" not in out.getvalue() + err.getvalue()
+    assert (code == 0) == out.getvalue().startswith("approx = ")
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,9 @@ from condreal.gadgets import (
     tuple_parts,
 )
 
+from condreal.sexpr import SexprError
+from condreal.terms import parse_term
+
 from conftest import assert_check
 
 nats = st.integers(min_value=0, max_value=10_000)
@@ -367,6 +370,27 @@ def test_resolve_rebuilds_every_family_member_from_its_name(member):
 def test_resolve_refuses_malformed_ball_spellings(name):
     with pytest.raises(KeyError):
         CORE.resolve(name)
+
+
+NON_CANONICAL = {
+    "lt_2/4": "lt_1/2",
+    "lt_0.5": "lt_1/2",
+    "const_007": "const_7",
+    "delta_+3": "delta_3",
+    "delta_00": "delta_0",
+    "mu_1_ 2": "mu_1_2",
+    "ball_0/2_r_1": "ball_0_r_1",
+}
+
+
+@pytest.mark.parametrize("spelling", sorted(NON_CANONICAL))
+def test_resolve_refuses_spellings_the_constructors_never_produce(spelling):
+    # the same parameters in their canonical spelling resolve
+    assert CORE.resolve(NON_CANONICAL[spelling]).name == NON_CANONICAL[spelling]
+    with pytest.raises(KeyError):
+        CORE.resolve(spelling)
+    with pytest.raises(SexprError):
+        parse_term(f"(base {spelling} (proj 1))", 1, 1, CORE.resolve)
 
 
 def test_registry_without_drops_a_name():

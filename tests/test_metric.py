@@ -37,7 +37,13 @@ from condreal.metric import (
     validate_ordinary_name,
 )
 from condreal.naming import NatFun, approx, rational_name
-from condreal.realfns import TermOperator, apply_conditional_at, find_parameter
+from condreal.realfns import (
+    TermOperator,
+    apply_conditional_at,
+    apply_uniform,
+    embed_uniform,
+    find_parameter,
+)
 from condreal.suites import identity_fn
 from condreal.terms import Apply, Base, BaseFunction, OperatorTerm, Proj
 
@@ -237,6 +243,24 @@ def test_translations_run_a_joint_rule_once_per_index():
     del calls[:]
     out = apply_conditional_ms_at(recip_ms, argument, s)
     assert validate_ordinary_name(out, mn_code((Fraction(4, 3),)), 39) == []
+    assert len(calls) == 40
+
+
+def test_translations_back_run_a_joint_rule_once_per_index():
+    calls = []
+    counted = uniform_from_rule(
+        1, lambda a: calls.append(a) or 3 * a, lambda t, names: t, "triple"
+    )
+    argument = [rational_name(Fraction(-2, 9))]
+    out = apply_uniform(translate_uniform_back(translate_uniform(counted)), argument)
+    assert [approx(out, t) for t in range(50)] == [Fraction(-2, 3)] * 50
+    assert len(calls) == 50
+
+    del calls[:]
+    back = translate_conditional_back(translate_conditional(embed_uniform(counted)))
+    assert find_parameter(back, argument, 10) == 0
+    out = apply_conditional_at(back, argument, 0)
+    assert [approx(out, t) for t in range(40)] == [Fraction(-2, 3)] * 40
     assert len(calls) == 40
 
 

@@ -230,6 +230,36 @@ def test_a_600_fold_composition_chain_composes_and_evaluates():
     assert support_bound(chain) == 1  # the argument is read once, at n
 
 
+def test_a_chained_composition_checks_only_its_new_nodes(monkeypatch):
+    # validation keeps each node's reach, so the 2,000th composition in a
+    # chain does the work of the 1st: linear chains, not quadratic ones
+    step = OperatorTerm(1, 1, Base(CORE.get("succ"), (Apply(1, Proj(1)),)))
+    chains = [step]
+    for _ in range(1999):
+        chains.append(compose_terms(step, [chains[-1]]))
+    visited = []
+    fold = terms._fold
+
+    def counting(node, *callbacks, **options):
+        # every fold, with its node callbacks recording the nodes they see
+        def counted(call):
+            return lambda node, *subs: visited.append(node) or call(node, *subs)
+
+        return fold(node, *map(counted, callbacks[:3]), *callbacks[3:], **options)
+
+    monkeypatch.setattr(terms, "_fold", counting)
+    per_composition = []
+    for chain in (chains[0], chains[-1]):
+        del visited[:]
+        compose_terms(step, [chain])
+        per_composition.append(len(visited))
+    assert per_composition[0] == per_composition[1]
+    del visited[:]
+    root = Base(CORE.get("succ"), (chains[-1].node,))
+    OperatorTerm(1, 1, root)
+    assert visited == [root]
+
+
 def test_self_composition_keeps_shared_subterms_shared():
     step = OperatorTerm(1, 1, Base(CORE.get("conj"), (Apply(1, Proj(1)), Apply(1, Proj(1)))))
     doubled = step
@@ -504,6 +534,72 @@ def test_a_malformed_node_raises_as_it_did_under_recursive_validation(seed):
     node, error = malformed(rng, k, m)
     with pytest.raises(error):
         OperatorTerm(k, m, node)
+
+
+DOCUMENTED = (ArityMismatch, TypeError, SexprError)
+
+
+def deep_chain(rng, k, m, length):
+    """A term ``length`` levels deep over a small random one."""
+    node = random_term(rng, k, m, 2).node
+    unary = [CORE.get(name) for name in ("succ", "left", "right")]
+    for _ in range(length):
+        roll = rng.randrange(3)
+        if roll == 0:
+            node = Apply(rng.randrange(1, k + 1), node)
+        elif roll == 1:
+            node = Base(rng.choice(unary), (node,))
+        else:
+            node = Base(CORE.get("monus"), (node, Proj(rng.randrange(1, m + 1))))
+    return OperatorTerm(k, m, node)
+
+
+def any_node(rng, k, m):
+    """A node with shared subterms, a deep chain or a malformed node."""
+    kind = rng.randrange(3)
+    if kind == 0:
+        return random_shared_term(rng, k, m).node
+    if kind == 1:
+        return deep_chain(rng, k, m, rng.choice([10, 300, 3000])).node
+    return malformed(rng, k, m)[0]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=10**6))
+def test_every_public_term_function_returns_or_raises_a_documented_error(seed):
+    # never RecursionError, whatever the depth, the sharing or the defect
+    rng = Random(seed)
+    k, m = rng.randrange(1, 4), rng.randrange(1, 4)
+    node, other = any_node(rng, k, m), any_node(rng, k, m)
+    calls = [lambda: hash(node), lambda: node == other, lambda: repr(node)]
+    try:
+        # the claimed arities may be too small
+        term = OperatorTerm(k - rng.randrange(2), m - rng.randrange(2), node)
+    except DOCUMENTED:
+        term = None
+    if term is not None:
+        fns = sample_fns(rng, term.k + rng.randrange(2))
+        args = [rng.randrange(9) for _ in range(term.m + rng.randrange(2))]
+        inners = [random_term(rng, 2, 1, 2) for _ in range(term.k + rng.randrange(2))]
+        outer = random_term(rng, 1, 1, 2)
+        calls += [
+            lambda: eval_term(term, fns, args),
+            lambda: print_term(term),
+            lambda: parse_term(print_term(term), term.k, term.m, CORE.resolve) == term or 1 / 0,
+            lambda: compose_terms(term, inners),
+            lambda: compose_terms(outer, [term]),
+            lambda: diagonalize(term),
+            lambda: curry(term),
+            lambda: uncurry(term),
+            lambda: support_bound(term),
+            lambda: term == OperatorTerm(term.k, term.m, other),
+            lambda: hash(term),
+        ]
+    for call in calls:
+        try:
+            call()
+        except DOCUMENTED:
+            pass
 
 
 @settings(max_examples=80, deadline=None)
