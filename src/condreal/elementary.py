@@ -211,7 +211,7 @@ def _recip_certificate() -> ProcOperator:
     ``|x - y| / (z + 1) > 2/(s+1)`` is the same as
     ``(|x - y|(s+1)) / (z + 1) > 2``, a single ``gt`` gadget test on the
     rescaled triple ``(|x-y|(s+1), 0, z)`` -- constant work per candidate,
-    reading the argument without filling its memo.
+    reading a stream argument without filling its memo.
     """
     test = gadgets.gt(2)
 
@@ -223,7 +223,7 @@ def _recip_certificate() -> ProcOperator:
             d = x - y if x >= y else y - x
             return 0 if test.fn(d * (s + 1), 0, z) else 1
 
-        return NatFun(ev, label="recip.cert", memoize=False)
+        return NatFun(ev, label="recip.cert")
 
     return ProcOperator(3, build, "recip-E")
 

@@ -506,7 +506,7 @@ def _pack(n_dims: int, arity: int) -> list[Operator]:
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
         readers = [triple_reader(*fns[i : i + 3]) for i in range(0, width, 3)]
-        return NatFun(lambda t: tuple_pack([v for read in readers for v in read(t)]), "pack", False)
+        return NatFun(lambda t: tuple_pack([v for read in readers for v in read(t)]), "pack")
 
     rest = (_slot(arity, i, False) for i in range(width + 1, arity + 1))
     return [ProcOperator(arity, build, "pack"), *rest]

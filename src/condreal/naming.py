@@ -14,20 +14,19 @@ manipulates these triples, so this module pins down the two ground types:
     a total, deterministic function on the naturals.  Instances are built
     from a small closed set of constructors (constants, the identity,
     patching, term-evaluation closures and vouched-for pure callables).
-    A memoizing instance keeps the values it computed in a plain dict of
-    at most ``MEMO_CAP`` indices, emptied when full, so repeated
-    evaluation at a recent index is cheap and a sweep over many indices
-    holds bounded memory.  The values are the same either way: the
-    function is pure.  Under CPython's GIL concurrent readers at worst
-    recompute the same (deterministic) value.
+    It keeps no values: every call checks its argument, evaluates and
+    checks the result.
 
 ``TripleStream``
     the three values ``(x, y, z)`` a name takes at each index, computed
-    together by one function and memoized once, under the same cap.
-    Its ``name()`` is the three-function view the paper and the term
-    layer use: ``f``, ``g`` and ``h`` project the one memo (a hit is read
-    in one call), so reading all three at an index computes that index's
-    rational once.
+    together by one function.  The stream is the package's one memo: a
+    plain dict of at most ``MEMO_CAP`` indices, emptied when full, so
+    re-reading a recent index is cheap and a sweep over many indices
+    holds bounded memory.  Under CPython's GIL concurrent readers at
+    worst recompute the same (deterministic) triple.  Its ``name()`` is
+    the three-function view the paper and the term layer use: ``f``,
+    ``g`` and ``h`` project the one memo (a hit is read in one call), so
+    reading all three at an index computes that index's rational once.
 
 ``triple_reader``
     how a consumer reads a name: one ``(x, y, z)`` per index.  A stream's
@@ -77,8 +76,8 @@ __all__ = [
 ]
 
 
-# Most indices a memo table holds; a full table is emptied before the
-# next value goes in.  An output index reads each argument at one or two
+# Most indices a stream's memo holds; a full memo is emptied before the
+# next triple goes in.  An output index reads each argument at one or two
 # indices (t, 2t+1, a schedule fixed by a certified s), so reading a
 # result to t in the hundreds never evicts, while a certificate sweep
 # over 10^6 indices keeps at most this many (under a megabyte).
@@ -94,28 +93,19 @@ def _check_argument(t: object, kind: str) -> None:
         raise ValueError(f"{kind} argument must be a natural, got {t!r}")
 
 
-def _memo_put(memo: dict, t: int, value: object) -> None:
-    """Store ``value`` at ``t``, emptying a table that holds ``MEMO_CAP`` indices."""
-    if len(memo) >= MEMO_CAP:
-        memo.clear()
-    memo[t] = value
-
-
 class NatFun:
-    """A total function on the naturals with per-instance memoization.
+    """A checked total function on the naturals; it keeps no values.
 
     ``fn`` must be pure: total on the naturals, deterministic, and
     returning a natural.  Both the argument and the result are checked on
     every evaluation so contract violations surface at the offending
-    call, not three layers later.  The memo holds at most ``MEMO_CAP``
-    indices.
+    call, not three layers later.
     """
 
-    __slots__ = ("_fn", "_memo", "_label", "_source")
+    __slots__ = ("_fn", "_label", "_source")
 
-    def __init__(self, fn: Callable[[int], int], label: str = "", memoize: bool = True):
+    def __init__(self, fn: Callable[[int], int], label: str = ""):
         self._fn = fn
-        self._memo: dict[int, int] | None = {} if memoize else None
         self._label = label
         # (stream, position) of a stream projection, (None, c) of a constant
         self._source: tuple[TripleStream | None, int] | None = None
@@ -132,23 +122,14 @@ class NatFun:
             return f"const <{source[1].bit_length()}-bit natural>"
 
     def __call__(self, t: int) -> int:
-        memo = self._memo
-        if memo is not None:
-            hit = memo.get(t)
-            # True and 1.0 find the entry of 1; only an int may take it
-            if hit is not None and t.__class__ is int:
-                return hit
-        value = self._eval(t)
-        if memo is not None:
-            _memo_put(memo, t, value)
-        return value
+        return self._eval(t)
 
     def eval_uncached(self, t: int) -> int:
-        """Evaluate without touching the memo table.
+        """The value at ``t``, the same as ``__call__``'s.
 
-        Same value as ``__call__`` (the function is pure); used by search
-        loops that sweep millions of indices exactly once and would only
-        bloat the cache.
+        The certificate searches probe through this name, so a profile
+        tells their probes from other reads.  A stream's projection
+        evaluates here without first looking in the stream's memo.
         """
         return self._eval(t)
 
@@ -172,25 +153,21 @@ class NatFun:
         """The constant function t -> c."""
         if not _natural(c):
             raise ValueError(f"constant value must be a natural, got {c!r}")
-        fn = cls(lambda _t: c, memoize=False)
+        fn = cls(lambda _t: c)
         fn._source = (None, c)
         return fn
 
     @classmethod
     def identity(cls) -> "NatFun":
         """The identity function t -> t."""
-        return cls(lambda t: t, label="id", memoize=False)
+        return cls(lambda t: t, label="id")
 
     @classmethod
     def patched(cls, anchor: "NatFun", cutoff: int, inner: "NatFun") -> "NatFun":
         """Take values from ``anchor`` below ``cutoff``, from ``inner`` at or above."""
         if cutoff < 0:
             raise ValueError("cutoff must be a natural")
-        return cls(
-            lambda t: anchor(t) if t < cutoff else inner(t),
-            label=f"patch<{cutoff}",
-            memoize=False,
-        )
+        return cls(lambda t: anchor(t) if t < cutoff else inner(t), label=f"patch<{cutoff}")
 
 
 @dataclass(frozen=True)
@@ -224,6 +201,7 @@ class TripleStream:
     def __call__(self, t: int, store: bool = True) -> tuple[int, int, int]:
         memo = self._memo
         hit = memo.get(t)
+        # True and 1.0 find the entry of 1; only an int may take it
         if hit is not None and t.__class__ is int:
             return hit
         if t.__class__ is not int or t < 0:
@@ -241,7 +219,9 @@ class TripleStream:
                 "values must be triples of naturals"
             )
         if store:
-            _memo_put(memo, t, value)
+            if len(memo) >= MEMO_CAP:
+                memo.clear()
+            memo[t] = value
         return value
 
     def eval_uncached(self, t: int) -> tuple[int, int, int]:
@@ -253,7 +233,7 @@ class TripleStream:
         label = self.label or "stream"
         fns = []
         for i, c in enumerate("fgh"):
-            fn = _Projection(lambda t, _i=i: self(t)[_i], label=f"{label}.{c}", memoize=False)
+            fn = _Projection(lambda t, _i=i: self(t)[_i], label=f"{label}.{c}")
             fn._source = (self, i)
             fns.append(fn)
         return NameTriple(*fns)
@@ -294,8 +274,10 @@ def triple_reader(
     itself, and three constants as their fixed triple; anything else is
     read through its three functions.  The values are the same either
     way, and every reader refuses an argument that is not a natural.
-    With ``cached=False`` it reads through ``eval_uncached``, storing
-    nothing, for a search that reads each index once.
+    With ``cached=False``, for a search that reads each index once, a
+    stream read whole stores nothing; other functions are read as they
+    are, so projections of other streams, or of one stream out of
+    order, still fill those streams' memos.
     """
     triple = constant_values(f, g, h)
     if triple is not None:
@@ -311,8 +293,6 @@ def triple_reader(
         (a, i), (b, j), (c, k) = sources
         if a is b is c and (i, j, k) == (0, 1, 2):
             return a if cached else a.eval_uncached
-    if not cached:
-        f, g, h = f.eval_uncached, g.eval_uncached, h.eval_uncached
     return lambda t: (f(t), g(t), h(t))
 
 
@@ -404,8 +384,8 @@ def recording(fns: Sequence[NatFun]) -> tuple[tuple[NatFun, ...], dict[int, set[
     """Wrap functions so every query is logged.
 
     Returns the wrapped functions and a live log mapping 1-based slot to
-    the set of queried indices.  The wrappers are unmemoized so the log
-    sees each distinct query; values pass through unchanged.
+    the set of queried indices.  The wrappers evaluate on every call, so
+    the log sees each query; values pass through unchanged.
     """
     log: dict[int, set[int]] = {i: set() for i in range(1, len(fns) + 1)}
 
@@ -416,7 +396,7 @@ def recording(fns: Sequence[NatFun]) -> tuple[tuple[NatFun, ...], dict[int, set[
             seen.add(t)
             return fn(t)
 
-        return NatFun(spy, label=f"spy{slot}:{fn.label}", memoize=False)
+        return NatFun(spy, label=f"spy{slot}:{fn.label}")
 
     wrapped = tuple(wrap(i + 1, fn) for i, fn in enumerate(fns))
     return wrapped, log

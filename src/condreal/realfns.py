@@ -356,7 +356,7 @@ def _patch(k: int, i: int, values: Sequence[int], term: bool) -> Operator:
         for j, value in enumerate(values):
             node = Base(gadgets.mu(j, value), (Proj(1), node))
         return TermOperator(OperatorTerm(k, 1, node))
-    anchor = NatFun(values.__getitem__, label="prefix", memoize=False)
+    anchor = NatFun(values.__getitem__, label="prefix")
     return ProcOperator(
         k, lambda fns: NatFun.patched(anchor, len(values), fns[i - 1]), f"patch<{len(values)}"
     )
@@ -371,7 +371,7 @@ def _lift(base: BaseFunction, ops: Sequence[Operator], term: bool) -> Operator:
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
         outs = _apply_ops(ops, fns)
-        return NatFun(lambda t: fn(*[out(t) for out in outs]), label=base.name, memoize=False)
+        return NatFun(lambda t: fn(*[out(t) for out in outs]), label=base.name)
 
     return ProcOperator(k, build, base.name)
 
@@ -400,7 +400,7 @@ def _reindex(op: Operator, base: BaseFunction, term: bool) -> Operator:
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
         out = op.apply(fns)
-        return NatFun(lambda n: out(fn(n)), label=f"{base.name}-indexed", memoize=False)
+        return NatFun(lambda n: out(fn(n)), label=f"{base.name}-indexed")
 
     return ProcOperator(op.arity, build, f"{base.name}-indexed")
 
@@ -411,9 +411,7 @@ def _diagonal(op: Operator, term: bool) -> Operator:
         return TermOperator(diagonalize(op.term))
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
-        return NatFun(
-            lambda n: op.apply(fns + (NatFun.constant(n),))(n), label="diagonal", memoize=False
-        )
+        return NatFun(lambda n: op.apply(fns + (NatFun.constant(n),))(n), label="diagonal")
 
     return ProcOperator(op.arity - 1, build, "diagonal")
 
@@ -473,10 +471,7 @@ def _select(
                     chosen.extend(_apply_ops([branches[i - 1] for branches in components], fns))
             return chosen[j]
 
-        return [
-            NatFun(lambda t, _j=j: branch(_j)(t), label="glued", memoize=False)
-            for j in range(width)
-        ]
+        return [NatFun(lambda t, _j=j: branch(_j)(t), label="glued") for j in range(width)]
 
     return list(JointOperator(n, width, build, "glued").components())
 

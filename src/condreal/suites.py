@@ -414,7 +414,7 @@ def grafting(rng: Random, t_max: int) -> Iterator[bool]:
             gs = _fns(rng, 2)
             n = rng.randrange(10)
             staged = tuple(
-                NatFun(lambda t, _i=inner, _g=gs: eval_term(_i, _g, (t,)), memoize=False)
+                NatFun(lambda t, _i=inner, _g=gs: eval_term(_i, _g, (t,)))
                 for inner in inners
             )
             yield eval_term(grafted, gs, (n,)) == eval_term(outer, staged, (n,))

@@ -118,8 +118,7 @@ def test_criterion_4_stronger_continuity():
                 mutated = list(fns)
                 original = fns[slot - 1]
                 mutated[slot - 1] = NatFun(
-                    lambda t, _o=original, _a=at: _o(t) + 17 if t == _a else _o(t),
-                    memoize=False,
+                    lambda t, _o=original, _a=at: _o(t) + 17 if t == _a else _o(t)
                 )
                 assert eval_term(term, tuple(mutated), args) == value
                 done += 1

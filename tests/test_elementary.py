@@ -448,7 +448,7 @@ def test_multiplication_reads_index_zero_once_per_application(registry, monkeypa
             zeros.append(t == 0)
             return f(t)
 
-        return NatFun(read, memoize=False)
+        return NatFun(read)
 
     assert _reads(apply_uniform(mul, [NameTriple(*map(counted, a)), b])) == expected
     assert sum(zeros) == 3

@@ -386,7 +386,7 @@ def _tupled_value_oracle(fns, f, e):
     # the hand-written tupled value: the components' code triples, interleaved
     k = len(fns)
     outs = [
-        fn.T.apply((f, NatFun(lambda t, i=i: tuple_part(k, i, e(t)), memoize=False)))
+        fn.T.apply((f, NatFun(lambda t, i=i: tuple_part(k, i, e(t)))))
         for i, fn in enumerate(fns, start=1)
     ]
     return NatFun(lambda t: tuple_pack([v for out in outs for v in tuple_parts(3, out(t))]))

@@ -46,7 +46,7 @@ def test_validate_name_accepts_exact_names():
 
 def test_validate_name_bound_is_strict():
     # approximation off by exactly 1/(t+1) at t=3 must be rejected
-    hits = NatFun(lambda t: 5 if t == 3 else 4, memoize=False)
+    hits = NatFun(lambda t: 5 if t == 3 else 4)
     name = NameTriple(hits, NatFun.constant(0), NatFun.constant(3))
     report = validate_name(name, Fraction(1), 10)
     assert not report.passed
@@ -91,7 +91,7 @@ def test_natfun_rejects_bad_arguments_and_values():
     assert fn(7) == 2
 
 
-def test_natfun_memoization_is_per_instance():
+def test_natfun_evaluates_on_every_call():
     calls = []
 
     def body(t):
@@ -101,17 +101,13 @@ def test_natfun_memoization_is_per_instance():
     fn = NatFun(body)
     assert fn(4) == 4
     assert fn(4) == 4
-    assert calls == [4]
     assert fn.eval_uncached(4) == 4
-    assert calls == [4, 4]
-
-
-def test_natfun_memo_is_bounded():
-    fn = NatFun(lambda t: 2 * t)
-    for t in range(MEMO_CAP + 10):
-        assert fn(t) == 2 * t
-    assert len(fn._memo) <= MEMO_CAP
-    assert [fn(t) for t in range(5)] == [0, 2, 4, 6, 8]
+    assert calls == [4, 4, 4]
+    assert fn(1) == 1
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            fn(bad)
+    assert calls == [4, 4, 4, 1]
 
 
 def counted_stream(calls):
@@ -284,10 +280,10 @@ def test_an_uncached_reader_reads_the_same_values_and_fills_no_memo():
             assert read(t) == (name.f(t), name.g(t), name.h(t)), kind
     stream = TripleStream(lambda t: (t, 1, 2), "s")
     assert triple_reader(*stream.name(), cached=False) == stream.eval_uncached
-    memoized = NameTriple(NatFun(lambda t: t), NatFun(lambda t: 2 * t), NatFun.constant(1))
-    read = triple_reader(*memoized, cached=False)
+    plain = NameTriple(NatFun(lambda t: t), NatFun(lambda t: 2 * t), NatFun.constant(1))
+    read = triple_reader(*plain, cached=False)
     assert [read(t) for t in range(20)] == [(t, 2 * t, 1) for t in range(20)]
-    assert stream._memo == {} and memoized.f._memo == {} and memoized.g._memo == {}
+    assert stream._memo == {}
     for bad in (-1, True, 1.0):
         with pytest.raises(ValueError):
             triple_reader(*stream.name(), cached=False)(bad)

@@ -204,7 +204,7 @@ def test_composition_is_associative_at_the_value_level():
 
 
 def test_patch_operator_freezes_a_prefix():
-    anchor = NatFun(lambda t: 100 + t, memoize=False)
+    anchor = NatFun(lambda t: 100 + t)
     inner = NatFun.identity()
     patched = patch_operator(anchor, 3).apply((inner,))
     assert [patched(t) for t in range(6)] == [100, 101, 102, 3, 4, 5]
@@ -581,7 +581,7 @@ def test_a_term_backed_name_reads_each_distinct_node_once_per_index():
     )
     reads = []
     name = [
-        NameTriple(*(NatFun(lambda t, c=c: reads.append(t) or c, memoize=False) for c in (0, 3, 3)))
+        NameTriple(*(NatFun(lambda t, c=c: reads.append(t) or c) for c in (0, 3, 3)))
     ]
     out = apply_uniform(glue_compact(cover), name)
     assert isinstance(triple_reader(*out), TripleStream)
@@ -680,7 +680,8 @@ def test_localized_and_composed_joint_functions_agree_with_their_components():
 
 
 def test_mixed_operators_are_applied_one_by_one():
-    # F, G, H of two different joints: no joint build applies
+    # F and H are negate's joint, which ``_apply_ops`` builds once for both;
+    # G is identity's joint, built on its own
     a, b = negate_fn(), identity_fn()
     mixed = UniformFn(1, a.F, b.G, a.H)
     out = apply_uniform(mixed, [rational_name(Fraction(-3, 4))])

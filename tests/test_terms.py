@@ -95,7 +95,7 @@ def test_one_program_for_terms_with_shared_subterms_matches_the_naive_interprete
 
 def test_a_program_evaluates_every_distinct_node_once():
     calls = []
-    spy = NatFun(lambda t: calls.append(t) or t + 1, memoize=False)
+    spy = NatFun(lambda t: calls.append(t) or t + 1)
     succ = CORE.get("succ")
     read = Apply(1, Proj(1))
     terms = [
@@ -149,7 +149,7 @@ def test_term_constructor_rejects_out_of_range_slots():
 def test_representable_lift_is_pointwise():
     mul = CORE.get("mul")
     lift = representable_lift(mul)
-    fns = (NatFun.identity(), NatFun(lambda t: t + 3, memoize=False))
+    fns = (NatFun.identity(), NatFun(lambda t: t + 3))
     for n in range(8):
         assert eval_term(lift, fns, (n,)) == n * (n + 3)
 
@@ -194,7 +194,7 @@ def test_curry_inverts_uncurry_only_up_to_constant_slots():
 
     probing = OperatorTerm(1, 1, Apply(1, Apply(1, Proj(1))))
     collapsed = curry(uncurry(probing))
-    fns = (NatFun(lambda t: t + 1, memoize=False),)
+    fns = (NatFun(lambda t: t + 1),)
     assert eval_term(probing, fns, (0,)) == 2
     assert eval_term(collapsed, fns, (0,)) == 1
 
@@ -397,8 +397,7 @@ def test_mutations_outside_the_trace_cannot_change_the_value():
             mutated = list(fns)
             original = fns[slot - 1]
             mutated[slot - 1] = NatFun(
-                lambda t, orig=original, at=at: orig(t) + 17 if t == at else orig(t),
-                memoize=False,
+                lambda t, orig=original, at=at: orig(t) + 17 if t == at else orig(t)
             )
             assert eval_term(term, tuple(mutated), args) == value
 
