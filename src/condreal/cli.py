@@ -54,6 +54,8 @@ _MAX_NESTING = 100
 
 _TOO_DEEP = "error: expression nested too deeply (at most {} levels)"
 
+_parser: argparse.ArgumentParser | None = None  # built on the first ``main`` call
+
 
 class _UsageError(Exception):
     """Bad expression or unknown name; maps to exit code 2."""
@@ -293,7 +295,9 @@ def _cmd_spaces_list() -> int:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    global _parser
+    _parser = _parser or build_parser()
+    args = _parser.parse_args(argv)
     if args.command == "eval":
         return _cmd_eval(args)
     if args.command == "suite":

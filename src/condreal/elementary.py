@@ -8,9 +8,9 @@ component.  The error budget is the standard split -- a binary function
 reads its arguments at ``2t+1``, so two input errors below ``1/(2t+2)``
 sum to under ``1/(t+1)``; multiplication additionally rescales the index
 by a magnitude bound read off the index-0 approximations.  What does not
-depend on the index is done once per application: a constant argument
-is decoded once and the product's magnitude bound is read once, while
-the rule itself still runs at every index.
+depend on the index is done once per application: the schedule and the
+arguments are bound (a constant decoded, the product's magnitude bound
+read), while the rule itself still runs at every index.
 
 The builtins compute on integers: a triple is read as the unreduced pair
 ``(x - y, z + 1)``, an exact kernel combines the pairs, and one ``gcd``
@@ -119,12 +119,18 @@ def _pointwise(
         names = [NameTriple(*fns[3 * j : 3 * j + 3]) for j in range(n_args)]
         args = [_argument(nm, decode) for nm in names]
         at = bind(names) if bind is not None else lambda t: schedule(t, names)
+        a, b = (args + [None, None])[:2]
+        a_on, b_on = callable(a), callable(b)  # read per index, else a constant's value
 
         def ev(t: int) -> tuple[int, int, int]:
             tau = at(t)
             if tau.__class__ is not int or tau < 0:
                 _check_argument(tau, "schedule")
-            return encode(rule(*[decode(a(tau)) if callable(a) else a for a in args]))
+            if n_args == 2:
+                return encode(rule(decode(a(tau)) if a_on else a, decode(b(tau)) if b_on else b))
+            if n_args == 1:
+                return encode(rule(decode(a(tau)) if a_on else a))
+            return encode(rule(*[decode(x(tau)) if callable(x) else x for x in args]))
 
         return TripleStream(ev, name).name()
 
@@ -153,46 +159,46 @@ def uniform_from_rule(
     a constant argument is decoded into its ``Fraction`` once (the rule
     still runs at every index, and the queried index is still checked),
     and a schedule with a ``bind(names)`` method gives the application
-    its ``t -> index`` map, as the product schedule does to read its
-    magnitude bound once.
+    its ``t -> index`` map, as every builtin schedule does (the product
+    schedule to read its magnitude bound once).
     """
     return _pointwise(n_args, rule, schedule, name, _decode, _rational_triple)
 
 
-def _at_t(t: int, _names: Sequence[NameTriple]) -> int:
-    return t
+class _Schedule:
+    """A schedule ``(t, names) -> index`` whose ``bind(names)`` is one application's map."""
 
-
-def _twice_plus_one(t: int, _names: Sequence[NameTriple]) -> int:
-    return 2 * t + 1
-
-
-class _ProductSchedule:
-    """|ab - a'b'| <= |a||b - b'| + |b'||a - a'| < (2M+1)/(tau+1) where M
-    bounds |a'| + 1 and |b'| + 1 via the index-0 approximations; making
-    tau + 1 = ceil((2M+1)(t+1)) brings the output under 1/(t+1).
-
-    ``bind`` reads the index-0 approximations on the first index asked
-    for and keeps the bound for the rest of the application.
-    """
-
-    @staticmethod
-    def bind(names: Sequence[NameTriple]) -> Callable[[int], int]:
-        bound: list[Fraction | None] = [None]
-
-        def at(t: int) -> int:
-            need = bound[0]
-            if need is None:
-                need = bound[0] = 2 * (max(abs(approx(nm, 0)) for nm in names) + 1) + 1
-            return -(-need.numerator * (t + 1) // need.denominator) - 1
-
-        return at
+    def __init__(self, bind: Callable[[Sequence[NameTriple]], Callable[[int], int]]):
+        self.bind = bind
 
     def __call__(self, t: int, names: Sequence[NameTriple]) -> int:
         return self.bind(names)(t)
 
 
-_product_schedule = _ProductSchedule()
+_at_t = _Schedule(lambda _names: lambda t: t)
+_twice_plus_one = _Schedule(lambda _names: lambda t: 2 * t + 1)
+
+
+def _product_bind(names: Sequence[NameTriple]) -> Callable[[int], int]:
+    """|ab - a'b'| <= |a||b - b'| + |b'||a - a'| < (2M+1)/(tau+1) where M
+    bounds |a'| + 1 and |b'| + 1 via the index-0 approximations; making
+    tau + 1 = ceil((2M+1)(t+1)) brings the output under 1/(t+1).
+
+    The index-0 approximations are read on the first index asked for and
+    the bound is kept for the rest of the application.
+    """
+    bound: list[Fraction | None] = [None]
+
+    def at(t: int) -> int:
+        need = bound[0]
+        if need is None:
+            need = bound[0] = 2 * (max(abs(approx(nm, 0)) for nm in names) + 1) + 1
+        return -(-need.numerator * (t + 1) // need.denominator) - 1
+
+    return at
+
+
+_product_schedule = _Schedule(_product_bind)
 
 
 def constant_fn(q: Fraction | int) -> UniformFn:

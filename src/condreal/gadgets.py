@@ -247,8 +247,8 @@ def lt(a: Fraction | int) -> BaseFunction:
 def gt(a: Fraction | int) -> BaseFunction:
     """Sign test: positive exactly when (x - y) / (z + 1) > a."""
     a = Fraction(a)
-    mirror = lt(-a)
-    return BaseFunction(f"gt_{a}", 3, lambda x, y, z: mirror.fn(y, x, z))
+    mirror = lt(-a).fn
+    return BaseFunction(f"gt_{a}", 3, lambda x, y, z: mirror(y, x, z))
 
 
 def ball_indicator(centers: Sequence[Fraction | int], radius: Fraction | int) -> BaseFunction:

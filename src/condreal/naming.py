@@ -25,8 +25,9 @@ manipulates these triples, so this module pins down the two ground types:
     holds bounded memory.  Under CPython's GIL concurrent readers at
     worst recompute the same (deterministic) triple.  Its ``name()`` is
     the three-function view the paper and the term layer use: ``f``,
-    ``g`` and ``h`` project the one memo (a hit is read in one call), so
-    reading all three at an index computes that index's rational once.
+    ``g`` and ``h`` project the one memo (a hit is read in one call, a
+    miss reads the stream directly), so reading all three at an index
+    computes that index's rational once and checks it once.
 
 ``triple_reader``
     how a consumer reads a name: one ``(x, y, z)`` per index.  A stream's
@@ -55,7 +56,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Iterator, Sequence
 
 __all__ = [
     "MEMO_CAP",
@@ -212,7 +213,7 @@ class TripleStream:
             value.__class__ is tuple
             and len(value) == 3
             and value[0].__class__ is value[1].__class__ is value[2].__class__ is int
-            and min(value) >= 0
+            and value[0] >= 0 and value[1] >= 0 and value[2] >= 0
         ) and not (isinstance(value, tuple) and len(value) == 3 and all(map(_natural, value))):
             raise ValueError(
                 f"TripleStream {self.label or '<anonymous>'} returned {value!r} at {t}; "
@@ -240,14 +241,16 @@ class TripleStream:
 
 
 class _Projection(NatFun):
-    """One position of a stream's triple, read from the stream's memo on a hit."""
+    """One position of a stream's triple: the memo's on a hit, the stream's on a miss."""
 
     __slots__ = ()
 
     def __call__(self, t: int) -> int:
+        if t.__class__ is not int or t < 0:
+            _check_argument(t, "NatFun")
         stream, i = self._source
-        hit = stream._memo.get(t) if t.__class__ is int else None
-        return hit[i] if hit is not None else self._eval(t)
+        hit = stream._memo.get(t)
+        return hit[i] if hit is not None else stream(t)[i]
 
 
 def constant_values(*fns: NatFun) -> tuple[int, ...] | None:
@@ -274,10 +277,10 @@ def triple_reader(
     itself, and three constants as their fixed triple; anything else is
     read through its three functions.  The values are the same either
     way, and every reader refuses an argument that is not a natural.
-    With ``cached=False``, for a search that reads each index once, a
-    stream read whole stores nothing; other functions are read as they
-    are, so projections of other streams, or of one stream out of
-    order, still fill those streams' memos.
+    With ``cached=False``, for a search that reads each index once,
+    nothing is stored: each stream that ``f, g, h`` project, in order or
+    not, is read once per index without storing and its positions picked
+    from that triple; other functions are read as they are.
     """
     triple = constant_values(f, g, h)
     if triple is not None:
@@ -288,12 +291,19 @@ def triple_reader(
             return triple
 
         return read
-    sources = [getattr(fn, "_source", None) for fn in (f, g, h)]
-    if None not in sources:
-        (a, i), (b, j), (c, k) = sources
-        if a is b is c and (i, j, k) == (0, 1, 2):
-            return a if cached else a.eval_uncached
-    return lambda t: (f(t), g(t), h(t))
+    sources = [getattr(fn, "_source", None) or (None, 0) for fn in (f, g, h)]
+    (a, i), (b, j), (c, k) = sources
+    if a is not None and a is b is c and (i, j, k) == (0, 1, 2):
+        return a if cached else a.eval_uncached
+    streams = set() if cached else {s for s, _ in sources} - {None}
+    if not streams:
+        return lambda t: (f(t), g(t), h(t))
+
+    def read_uncached(t: int) -> tuple[int, int, int]:
+        got = {s: s.eval_uncached(t) for s in streams}
+        return tuple(got[s][i] if s in got else fn(t) for fn, (s, i) in zip((f, g, h), sources))
+
+    return read_uncached
 
 
 def approx(name: NameTriple, t: int) -> Fraction:

@@ -334,3 +334,31 @@ def test_argparse_usage_errors_exit_two():
     with pytest.raises(SystemExit) as info:
         cli.main(["nosuchcommand"])
     assert info.value.code == 2
+
+
+def test_one_parser_per_process_parses_each_call_as_a_fresh_one_would(capsys, monkeypatch):
+    # options set by one call (--eps, --decimal, --budget) must not carry over
+    calls = [
+        ["eval", "(add 1/2 (recip 3))", "--eps", "1/10", "--decimal"],
+        ["fns", "list"],
+        ["eval", "(add 1/2 (recip 3))"],
+        ["gadgets", "eval", "lt_2", "1", "0", "0"],
+        ["eval", "(recip 7/3)", "--budget", "5"],
+        ["spaces", "list"],
+    ]
+    fresh = []
+    for argv in calls:
+        monkeypatch.setattr(cli, "_parser", None)
+        fresh.append(run(capsys, *argv))
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda: built.append(1) or build())
+    monkeypatch.setattr(cli, "_parser", None)
+    assert [run(capsys, *argv) for argv in calls] == fresh
+    assert built == [1]
+    assert fresh[0][1] != fresh[2][1] and fresh[4][0] == 0
+    # a usage error on a later call still exits 2
+    with pytest.raises(SystemExit) as info:
+        cli.main(["eval", "(recip 3)", "--budget", "-1"])
+    assert info.value.code == 2
+    assert built == [1]

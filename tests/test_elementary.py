@@ -1,12 +1,14 @@
+import sys
 import tracemalloc
 from fractions import Fraction
+from itertools import product
 from random import Random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condreal import elementary
+from condreal import elementary, naming
 from condreal.elementary import (
     DEFAULT_GRID,
     Entry,
@@ -580,3 +582,84 @@ def test_builtins_build_no_fraction_per_index(registry, monkeypatch):
         _reads(apply_uniform(registry.get(entry).fn, names), 1000)
         # mul's magnitude bound is read once; nothing is built per index
         assert len(builds) <= 10, entry
+
+
+# ---------------------------------------------------------------------------
+# the per-index read path
+# ---------------------------------------------------------------------------
+
+
+def _drifting(live, q):
+    """A name of ``q + 1/(t+2)`` at index t: a stream whose triples are not
+    in lowest terms, or the same behind spies; a constant names ``q``."""
+    if live is None:
+        return rational_name(q)
+
+    def triple(t):
+        x, y, z = naming._rational_triple(q + Fraction(1, t + 2))
+        k = 1 + t % 3
+        return (k * x, k * y, k * (z + 1) - 1)
+
+    name = TripleStream(triple, "drifting").name()
+    return _recorded(name) if live == "spy" else name
+
+
+_RULE_SCHEDULES = {
+    "at_t": elementary._at_t,
+    "twice_plus_one": elementary._twice_plus_one,
+    "plain": lambda t, _names: 3 * t + 2,
+}
+_MIXES = [mix for n_args in range(4) for mix in product((False, True), repeat=n_args)]
+
+
+@pytest.mark.parametrize("mix", _MIXES, ids=lambda mix: "".join("lc"[not m] for m in mix) or "none")
+@settings(max_examples=8, deadline=None)
+@given(
+    points=st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=30), min_size=3, max_size=3),
+    live=st.sampled_from(("stream", "spy")),
+    schedule=st.sampled_from(sorted(_RULE_SCHEDULES)),
+)
+def test_a_rule_gives_its_exact_value_of_the_approximations_for_every_constant_live_mix(
+    mix, points, live, schedule
+):
+    def rule(*qs):
+        # a different power per position, so a swapped argument shows
+        return sum(((j + 2) * q) ** (j + 1) for j, q in enumerate(qs)) - Fraction(1, 7)
+
+    index = _RULE_SCHEDULES[schedule]
+    names = [_drifting(live if on else None, q) for on, q in zip(mix, points)]
+    out = apply_uniform(uniform_from_rule(len(mix), rule, index, "rule"), names)
+    for t in range(201):
+        exact = rule(*(approx(name, index(t, names)) for name in names))
+        assert (out.f(t), out.g(t), out.h(t)) == naming._rational_triple(exact)
+
+
+def _python_calls(thunk):
+    """How many Python functions ``thunk`` calls (profile "call" events)."""
+    calls = 0
+
+    def profile(frame, event, arg):
+        nonlocal calls
+        calls += event == "call"
+
+    sys.setprofile(profile)
+    try:
+        thunk()
+    finally:
+        sys.setprofile(None)
+    return calls - 1  # the thunk's own call
+
+
+def test_a_probe_and_an_index_read_stay_within_their_call_counts(registry):
+    # a deterministic guard on the per-index read path: a recip certificate
+    # probe on (sub 1/3 1/3), and one (f, g, h) read of add(2/7, sub(1/3, 1/5))
+    sub, add, recip = (registry.get(entry).fn for entry in ("sub", "add", "recip"))
+    third = rational_name(Fraction(1, 3))
+    certificate = recip.E.apply(tuple(apply_uniform(sub, [third, third])))
+    probes = [_python_calls(lambda: certificate.eval_uncached(s)) for s in range(100)]
+    assert max(probes) <= 13, probes
+    inner = apply_uniform(sub, [third, rational_name(Fraction(1, 5))])
+    out = apply_uniform(add, [rational_name(Fraction(2, 7)), inner])
+    reads = [_python_calls(lambda: (out.f(t), out.g(t), out.h(t))) for t in range(100)]
+    assert max(reads) <= 14, reads
+    assert approx(out, 99) == Fraction(2, 7) + Fraction(1, 3) - Fraction(1, 5)

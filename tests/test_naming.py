@@ -221,6 +221,33 @@ def test_a_cached_index_admits_no_bool_or_float_argument():
             projection(bad)
 
 
+def test_a_projection_refuses_with_the_natfun_message_on_a_hit_and_on_a_miss():
+    # True and 1.0 hash as 1, 2.0 as 2: with 1 and 2 stored, they would hit
+    for stored in ((), (1, 2)):
+        calls = []
+        stream = counted_stream(calls)
+        for t in stored:
+            stream(t)
+        for fn in stream.name():
+            for bad in (-1, True, 1.0, 2.0):
+                with pytest.raises(ValueError, match=r"^NatFun argument must be a natural"):
+                    fn(bad)
+        assert calls == list(stored)  # a refused argument computes nothing
+        assert [fn(2) for fn in stream.name()] == [2, 1, 2]
+
+
+def test_a_projection_miss_reads_the_stream_which_checks_the_triple():
+    calls = []
+    name = counted_stream(calls).name()
+    stream = name.f._source[0]
+    assert name.h(5) == 2 and calls == [5] and stream._memo == {5: (5, 1, 2)}
+    assert (name.f(5), name.g(5)) == (5, 1) and calls == [5]
+    for broken in ((1, 2), (1, -1, 0), (1, 0, 0.5), [1, 0, 0], (True, 0, 0)):
+        for fn in TripleStream(lambda _t, b=broken: b, "broken").name():
+            with pytest.raises(ValueError, match=r"^TripleStream broken returned"):
+                fn(0)
+
+
 # ---------------------------------------------------------------------------
 # the triple reader
 # ---------------------------------------------------------------------------
@@ -289,6 +316,29 @@ def test_an_uncached_reader_reads_the_same_values_and_fills_no_memo():
             triple_reader(*stream.name(), cached=False)(bad)
         with pytest.raises(ValueError):
             read(bad)
+
+
+def test_an_uncached_reader_reads_each_source_stream_once_and_stores_nothing():
+    a_calls, b_calls = [], []
+    a = TripleStream(lambda t: a_calls.append(t) or (t, 2 * t, 3), "a")
+    b = TripleStream(lambda t: b_calls.append(t) or (7, t, t + 1), "b")
+    fns = (a.name().f, b.name().g, a.name().h)
+    read = triple_reader(*fns, cached=False)
+    assert [read(t) for t in range(3)] == [(t, t, 3) for t in range(3)]
+    assert a._memo == {} and b._memo == {}
+    assert a_calls == [0, 1, 2] and b_calls == [0, 1, 2]  # once per index each
+    # swapped positions of one stream, and projections beside other functions
+    f, g, h = a.name()
+    for triple in ((g, f, h), (h, NatFun(lambda t: t + 5), f), (NatFun.constant(4), g, g)):
+        del a_calls[:]
+        read = triple_reader(*triple, cached=False)
+        values = [read(t) for t in range(4)]
+        assert a._memo == {} and a_calls == [0, 1, 2, 3]
+        assert values == [tuple(fn(t) for fn in triple) for t in range(4)]
+        a._memo.clear()
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            triple_reader(*fns, cached=False)(bad)
 
 
 def test_every_reader_refuses_non_natural_arguments():
