@@ -42,6 +42,7 @@ from .realfns import (
     ProcOperator,
     UniformFn,
     _CONJ,
+    _candidates,
     _compose_ops,
     _embed_ops,
     _first_passing,
@@ -169,9 +170,10 @@ def apply_uniform_ms(fn: MsUniformFn, name: OrdinaryName) -> OrdinaryName:
 
 
 def find_parameter_ms(fn: MsConditionalFn, name: OrdinaryName, budget: int) -> int:
+    """The least certifying parameter s < budget, searched as ``find_parameter`` does."""
     _same_space(name.space, fn.domain, "argument name lives in the wrong space")
     certificate = fn.E.apply((name.f,))
-    for s in range(budget):
+    for s in _candidates(fn.E, (name.f,), budget):
         if certificate.eval_uncached(s) == 0:
             return s
     raise BudgetExhausted(budget, "searching for a certifying parameter")

@@ -37,6 +37,10 @@ computes its rational once per index; used one at a time, a component
 gives the same values.  Term-backed F, G and H applied together run as
 one ``TermProgram`` behind one ``TripleStream``.
 
+A composite's certificate search walks the pairing diagonals, probing
+the inner certificate once per diagonal: it finds the linear scan's least
+parameter at a cost near-linear, not quadratic, in the inner certificate.
+
 Procedure-backed gluing picks its ball once per argument name and
 evaluates only that ball's local function.  Values are the same as
 under the term form, which evaluates every branch at every index, so
@@ -47,11 +51,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
+from weakref import WeakKeyDictionary
 
 from . import gadgets
 from .gadgets import CORE
-from .naming import NameTriple, NatFun, TripleStream, recording
+from .naming import NameTriple, NatFun, TripleStream, _natural, recording
 from .terms import (
     Apply,
     ArityMismatch,
@@ -281,10 +286,45 @@ def apply_uniform(fn: UniformFn, names: Sequence[NameTriple]) -> NameTriple:
     return NameTriple(*_apply_ops((fn.F, fn.G, fn.H), _flatten(fn.n_args, names)))
 
 
+_INNER_CERT: WeakKeyDictionary[Operator, Operator] = WeakKeyDictionary()  # filled by _compose_ops
+
+
+def _candidates(certificate: Operator, fns: tuple[NatFun, ...], budget: int) -> Iterable[int]:
+    """The s < budget a search probes: all, or a composite's diagonal walk.
+
+    A composite certificate at s = pair(s0, s1) is conj(inner(s1), ...) > 0
+    wherever the inner one fails at s1.  The walk probes that once per
+    diagonal d = s0 + s1, at s1 = d, and yields on diagonal d the s of
+    every kept s1, largest s1 (least s) first.
+    """
+    if not _natural(budget):
+        raise ValueError(f"search budget must be a natural, got {budget!r}")
+    e_inner = _INNER_CERT.get(certificate)
+    return range(budget) if e_inner is None else _diagonal_walk(e_inner.apply(fns), budget)
+
+
+def _diagonal_walk(inner: NatFun, budget: int) -> Iterator[int]:
+    kept: list[int] = []
+    d = first = 0  # first = pair(0, d), the least s on diagonal d
+    while first < budget:
+        if inner(d) == 0:
+            kept.append(d)
+        yield from (s for s in (first + d - s1 for s1 in reversed(kept)) if s < budget)
+        d += 1
+        first += d
+
+
 def find_parameter(fn: ConditionalFn, names: Sequence[NameTriple], budget: int) -> int:
-    """Linear scan for the least certifying parameter s < budget."""
-    certificate = fn.E.apply(_flatten(fn.n_args, names))
-    for s in range(budget):
+    """The least certifying parameter s < budget, the one a linear scan finds.
+
+    A composite's search walks the pairing diagonals (``_candidates``) and
+    skips only s whose inner half fails, which cannot certify: the first
+    hit, and the budgets that raise BudgetExhausted, are the scan's.
+    Raises ValueError unless ``budget`` is a natural.
+    """
+    fns = _flatten(fn.n_args, names)
+    certificate = fn.E.apply(fns)
+    for s in _candidates(fn.E, fns, budget):
         if certificate.eval_uncached(s) == 0:
             return s
     raise BudgetExhausted(budget, "searching for a certifying parameter")
@@ -535,6 +575,8 @@ def _compose_ops(
         ],
         term,
     )
+    # a term certificate in a fresh wrapper, so nested levels' records can go
+    _INNER_CERT[cert] = TermOperator(e_inner.term) if term else e_inner
     outer_args = inner_value + [_lift(_LEFT, [param], term)]
     return (cert, *_subst(v_outer, outer_args, term))
 
@@ -588,12 +630,8 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
     """
     if outer.n_args != 1 or inner.n_args != 1:
         raise ArityMismatch("composition is defined for unary conditional functions")
-    return ConditionalFn(
-        1,
-        *_compose_ops(
-            (outer.E, outer.F, outer.G, outer.H), (inner.E, inner.F, inner.G, inner.H)
-        ),
-    )
+    outer_ops, inner_ops = ((fn.E, fn.F, fn.G, fn.H) for fn in (outer, inner))
+    return ConditionalFn(1, *_compose_ops(outer_ops, inner_ops))
 
 
 def patch_operator(anchor: NatFun, k: int) -> ProcOperator:

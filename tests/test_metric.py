@@ -13,6 +13,7 @@ from condreal.metric import (
     MsUniformFn,
     OrdinaryName,
     SpaceMismatch,
+    apply_conditional_ms,
     apply_conditional_ms_at,
     apply_uniform_ms,
     builtin_spaces,
@@ -38,16 +39,17 @@ from condreal.metric import (
 )
 from condreal.naming import NatFun, approx, rational_name
 from condreal.realfns import (
+    BudgetExhausted,
     TermOperator,
     apply_conditional_at,
     apply_uniform,
     embed_uniform,
     find_parameter,
 )
-from condreal.suites import identity_fn
+from condreal.suites import identity_fn, negate_fn
 from condreal.terms import Apply, Base, BaseFunction, OperatorTerm, Proj
 
-from conftest import assert_check
+from conftest import assert_check, linear_scan
 
 REGISTRY = default_functions()
 RECIP = REGISTRY.get("recip").fn
@@ -420,6 +422,72 @@ def test_tupling_agrees_with_the_hand_written_builders(labels, q, negative):
     out = apply_conditional_ms_at(bundled, name, s).f
     expected = _tupled_value_oracle(fns, name.f, NatFun.constant(s))
     assert [out(t) for t in range(100)] == [expected(t) for t in range(100)]
+
+
+# ---------------------------------------------------------------------------
+# composite search: the diagonal walk against the linear scan
+# ---------------------------------------------------------------------------
+
+
+def _least_or_none(fn, name, budget):
+    try:
+        return find_parameter_ms(fn, name, budget)
+    except BudgetExhausted:
+        return None
+
+
+# the building blocks of random nestings on M_1, procedure- and term-backed
+NESTED_PARTS = {
+    "recip": translate_conditional(RECIP),
+    "negate": translate_conditional(embed_uniform(negate_fn())),
+    "negate-term": embed_uniform_ms(NEGATE_MS),
+    "double": TUPLE_COMPONENTS["double"],
+    "identity": translate_conditional(embed_uniform(identity_fn())),
+    "identity-term": embed_uniform_ms(identity_ms(M1)),
+}
+# up to three compositions deep, recip drawn about half the time
+nestings = st.recursive(
+    st.one_of(st.just("recip"), st.sampled_from(sorted(NESTED_PARTS))),
+    lambda kids: st.tuples(kids, kids),
+    max_leaves=4,
+)
+
+
+def _nested(tree):
+    if isinstance(tree, str):
+        return NESTED_PARTS[tree]
+    outer, inner = tree
+    return compose_conditional_ms(_nested(outer), _nested(inner))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    tree=nestings,
+    point=st.sampled_from(["0", "1", "-2/3", "3/2", "1/4", "-5"]).map(Fraction),
+    budget=st.integers(0, 1000),
+)
+def test_a_nested_coded_composite_search_returns_the_linear_scans_s(tree, point, budget):
+    fn, name = _nested(tree), mn_name((point,))
+    assert _least_or_none(fn, name, budget) == linear_scan(fn.E, (name.f,), budget)
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(2), Fraction(-1, 3), Fraction(1, 9)])
+def test_a_substitution_search_returns_the_linear_scans_s(q):
+    pieces = tuple_conditional([NESTED_PARTS["recip"], NESTED_PARTS["double"]])
+    composed = compose_conditional_ms(embed_uniform_ms(translate_uniform(ADD)), pieces)
+    name = mn_name((q,))
+    s = linear_scan(composed.E, (name.f,), 10**5)
+    assert find_parameter_ms(composed, name, 10**5) == s
+    with pytest.raises(BudgetExhausted):
+        find_parameter_ms(composed, name, s)
+
+
+@pytest.mark.parametrize("budget", [-1, False, 3.0])
+def test_a_coded_budget_that_is_not_a_natural_is_refused(budget):
+    recip_ms, name = NESTED_PARTS["recip"], mn_name((Fraction(1, 2),))
+    for search in (find_parameter_ms, apply_conditional_ms, localize_ms):
+        with pytest.raises(ValueError, match="budget must be a natural"):
+            search(recip_ms, name, budget)
 
 
 # ---------------------------------------------------------------------------

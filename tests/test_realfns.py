@@ -2,9 +2,11 @@ from fractions import Fraction
 from random import Random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from condreal.elementary import default_functions, uniform_from_rule
-from condreal.gadgets import CORE, constant, left, right
+from condreal.gadgets import CORE, constant, left, pair, right
 from condreal.naming import (
     NameTriple,
     NatFun,
@@ -51,6 +53,7 @@ from condreal.gadgets import ball_indicator
 from condreal.sampling import random_natfun, random_term
 from condreal.suites import (
     COMPOSITES,
+    _PARTS,
     add_one_fn,
     composite_check,
     double_fn,
@@ -66,7 +69,7 @@ from condreal.suites import (
 )
 from condreal.terms import Apply, Base, OperatorTerm, Proj, parse_term, print_term
 
-from conftest import assert_check
+from conftest import assert_check, linear_scan
 
 REGISTRY = default_functions()
 RECIP = REGISTRY.get("recip").fn
@@ -196,6 +199,129 @@ def test_composition_is_associative_at_the_value_level():
     for composed in (lhs, rhs):
         out = apply_conditional(composed, [name], 100_000)
         assert validate_name(out, Fraction(2), 120).passed
+
+
+# ---------------------------------------------------------------------------
+# composite search: the diagonal walk against the linear scan
+# ---------------------------------------------------------------------------
+
+
+def _least_or_none(fn, names, budget):
+    try:
+        return find_parameter(fn, names, budget)
+    except BudgetExhausted:
+        return None
+
+
+@pytest.mark.parametrize("case", COMPOSITES, ids=lambda case: f"{case[0]} after {case[1]}")
+def test_a_catalogue_composite_search_returns_the_linear_scans_s(case):
+    outer, inner, point, _value = case
+    composite = compose_conditional(_PARTS[outer](), _PARTS[inner]())
+    names = [rational_name(Fraction(point))]
+    s = linear_scan(composite.E, tuple(names[0]), 10**6)
+    assert find_parameter(composite, names, 10**6) == s
+    assert find_parameter(composite, names, s + 1) == s
+    with pytest.raises(BudgetExhausted):
+        find_parameter(composite, names, s)
+
+
+# the building blocks of random nestings, procedure- and term-backed
+NESTED_PARTS = {
+    "recip": RECIP,
+    "negate": embed_uniform(negate_fn()),
+    "negate-term": embed_uniform(negate_term_fn()),
+    "double": embed_uniform(double_fn()),
+    "identity": embed_uniform(identity_fn()),
+    "identity-term": embed_uniform(identity_uniform()),
+}
+# a part, or an (outer, inner) pair of nestings: up to three compositions
+# deep, recip drawn about half the time so that searches go past s = 0
+nested_parts = st.one_of(st.just("recip"), st.sampled_from(sorted(NESTED_PARTS)))
+nestings = st.recursive(nested_parts, lambda kids: st.tuples(kids, kids), max_leaves=4)
+search_points = st.sampled_from(["0", "1", "-2/3", "3/2", "1/4", "-5"]).map(Fraction)
+
+
+def _nested(tree, parts, compose):
+    if isinstance(tree, str):
+        return parts[tree]
+    outer, inner = tree
+    return compose(_nested(outer, parts, compose), _nested(inner, parts, compose))
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree=nestings, point=search_points, budget=st.integers(0, 1500))
+def test_a_nested_composite_search_returns_the_linear_scans_s(tree, point, budget):
+    fn = _nested(tree, NESTED_PARTS, compose_conditional)
+    name = rational_name(point)
+    assert _least_or_none(fn, [name], budget) == linear_scan(fn.E, tuple(name), budget)
+
+
+def _by_table(certifies):
+    """A unary conditional function searched by a table, naming its parameter.
+
+    ``certifies(s, x)`` says whether s certifies the argument whose f reads
+    x at index 0; the value name's f is the parameter, so an outer table
+    sees which inner parameter fed it.
+    """
+    cert = ProcOperator(3, lambda fns: NatFun(lambda s: 0 if certifies(s, fns[0](0)) else 1))
+    zero = ProcOperator(4, lambda _fns: NatFun.constant(0))
+    return ConditionalFn(1, cert, ProcOperator(4, lambda fns: fns[3]), zero, zero)
+
+
+row = st.lists(st.booleans(), min_size=8, max_size=8)
+
+
+@settings(max_examples=60, deadline=None)
+@given(inner=row, outer=st.lists(row, min_size=8, max_size=8), budget=st.integers(0, 60))
+def test_a_composite_search_over_tables_returns_the_linear_scans_s(inner, outer, budget):
+    # the outer table depends on the inner parameter, so that several s on
+    # one diagonal can certify and only the least may be returned
+    fn = compose_conditional(
+        _by_table(lambda s0, s1: s0 < 8 and s1 < 8 and outer[s0][s1]),
+        _by_table(lambda s1, _x: s1 < 8 and inner[s1]),
+    )
+    name = rational_name(Fraction(1, 3))
+    assert _least_or_none(fn, [name], budget) == linear_scan(fn.E, tuple(name), budget)
+
+
+def test_a_composite_search_stops_at_the_same_budget_as_the_linear_scan():
+    composite = compose_conditional(RECIP, RECIP)
+    names = [rational_name(Fraction(1, 50))]
+    with pytest.raises(BudgetExhausted):
+        find_parameter(composite, names, 5050)
+    assert find_parameter(composite, names, 5051) == 5050 == pair(0, 100)
+
+
+def test_a_composite_search_probes_the_inner_certificate_once_per_diagonal():
+    # every evaluation of the composite certificate reads its inner one once,
+    # so inner reads count the walk's probes plus its candidates
+    reads = 0
+
+    def counted(fns):
+        certificate = RECIP.E.apply(fns)
+
+        def probe(s):
+            nonlocal reads
+            reads += 1
+            return certificate(s)
+
+        return NatFun(probe)
+
+    inner = ConditionalFn(1, ProcOperator(3, counted), RECIP.F, RECIP.G, RECIP.H)
+    composite = compose_conditional(RECIP, inner)
+    s = find_parameter(composite, [rational_name(Fraction(1, 800))], 2 * 10**6)
+    assert s == 1_280_800 == pair(0, 1600)
+    assert reads <= 1602  # 1,601 inner probes on diagonals 0..1600, 1 candidate
+
+
+@pytest.mark.parametrize("budget", [-3, True, 2.5, Fraction(10)])
+def test_a_budget_that_is_not_a_natural_is_refused(budget):
+    name = rational_name(Fraction(1, 2))
+    for search in (find_parameter, apply_conditional, localize):
+        with pytest.raises(ValueError, match="budget must be a natural"):
+            search(RECIP, [name] if search is not localize else name, budget)
+    with pytest.raises(ValueError, match="budget must be a natural"):
+        find_parameter(compose_conditional(RECIP, RECIP), [name], budget)
 
 
 # ---------------------------------------------------------------------------
