@@ -198,6 +198,7 @@ def delta_k(k: int) -> BaseFunction:
     def fn(*args: int) -> int:
         return _delta_k_value(k, args)
 
+    fn.select_guards = k  # marks a select that a bound term program can settle
     return BaseFunction(f"delta_{k}", 2 * k + 1, fn)
 
 
@@ -205,7 +206,9 @@ def constant(c: int) -> BaseFunction:
     """The constant function c."""
     if c < 0:
         raise ValueError("constant must be a natural")
-    return BaseFunction(f"const_{c}", 1, lambda _x: c)
+    fn = lambda _x: c  # noqa: E731
+    fn.constant_value = c  # marks a value that a bound term program computes once
+    return BaseFunction(f"const_{c}", 1, fn)
 
 
 def mu(k: int, c: int) -> BaseFunction:

@@ -41,16 +41,17 @@ A composite's certificate search walks the pairing diagonals, probing
 the inner certificate once per diagonal: it finds the linear scan's least
 parameter at a cost near-linear, not quadratic, in the inner certificate.
 
-Procedure-backed gluing picks its ball once per argument name and
-evaluates only that ball's local function.  Values are the same as
-under the term form, which evaluates every branch at every index, so
-support traces shrink and ``support_bound`` stays an upper bound.
+Gluing picks its ball once per argument name and evaluates only that
+ball's local function, in procedure form and in a bound term program
+alike.  Support traces shrink and ``support_bound`` stays an upper bound.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import inf
 from typing import Callable, Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
@@ -69,7 +70,6 @@ from .terms import (
     _subst_numeric,
     compose_terms,
     diagonalize,
-    eval_term,
 )
 
 __all__ = [
@@ -141,9 +141,8 @@ class TermOperator:
         return self.term.k
 
     def apply(self, fns: Sequence[NatFun]) -> NatFun:
-        fns = _arguments(self.arity, fns)
-        program = TermProgram((self.term,))
-        return NatFun(lambda n: eval_term(program, fns, (n,))[0], label="term-op")
+        read = TermProgram((self.term,)).bind(_arguments(self.arity, fns))
+        return NatFun(lambda n: read(n)[0], label="term-op")
 
 
 @dataclass(frozen=True, eq=False)
@@ -219,8 +218,8 @@ def _apply_ops(ops: Sequence[Operator], fns: Sequence[NatFun]) -> list[NatFun]:
     built once, and term F, G, H run as one program behind one stream.
     """
     if len(ops) == 3 and all(map(_is_term, ops)):
-        program = TermProgram([op.term for op in ops])
-        return list(TripleStream(lambda n: eval_term(program, fns, (n,)), "term-op").name())
+        read = TermProgram([op.term for op in ops]).bind(fns)
+        return list(TripleStream(read, "term-op").name())
     built: dict[JointOperator, tuple[NatFun, ...]] = {}
     out: list[NatFun] = []
     for op in ops:
@@ -474,11 +473,11 @@ def _select(
 
     Every indicator reads all function arguments at index ``k``; the
     default when none passes is the constant zero.  The term form keeps
-    the selector ``delta_m`` inside the term, so every guard and branch is
-    evaluated at every index.  The procedure form is one joint over all
-    components: the first read of any of its results picks the ball for
-    that argument tuple, and only that ball's branches are applied,
-    together.  Values are the same, the support read is smaller.
+    the selector ``delta_m`` inside the term; its guards are index-free,
+    so a bound program picks the branch once and evaluates it alone.  The
+    procedure form is one joint over all components: the first read of
+    any of its results picks the ball for that argument tuple, and only
+    that ball's branches are applied, together.  The support read shrinks.
     """
     n = components[0][0].arity
     if term:
@@ -649,18 +648,23 @@ class Neighborhood:
 
     A rational (or real) ``xi`` belongs when, for every ``t <= cutoff``,
     the anchor's index-t approximation is within 1/(t+1) of ``xi``.
-    Membership for rationals is decided exactly.
+    Membership for rationals is decided exactly, by two comparisons.
     """
 
     cutoff: int
     anchor: tuple[tuple[int, int, int], ...]
 
+    def interval(self) -> tuple[Fraction | float, Fraction | float]:
+        """The members' exact open interval, ``(max_t(a_t - 1/(t+1)),
+        min_t(a_t + 1/(t+1)))`` over the anchor's ``a_t``; infinite without any."""
+        points = [Fraction(x - y, z + 1) for x, y, z in self.anchor]
+        low = max((a - Fraction(1, t) for t, a in enumerate(points, 1)), default=-inf)
+        return low, min((a + Fraction(1, t) for t, a in enumerate(points, 1)), default=inf)
+
+    _interval = cached_property(interval)
+
     def contains(self, q: Fraction | int) -> bool:
-        q = Fraction(q)
-        for t, (x, y, z) in enumerate(self.anchor):
-            if abs(Fraction(x - y, z + 1) - q) >= Fraction(1, t + 1):
-                return False
-        return True
+        return self._interval[0] < q < self._interval[1]
 
 
 def localize(
@@ -756,8 +760,8 @@ def glue_compact(cover: BallCover) -> UniformFn:
     first passing ball's local output at ``t`` (a constant-zero name if
     none passes).  With the warranted separation, some ball always
     certifies and the point provably lies inside every certifying ball.
-    The procedure form makes that choice once per argument name and
-    evaluates only the chosen ball's local function.
+    Either form makes that choice once per argument name and evaluates
+    only the chosen ball's local function.
     """
     locals_ = [ball.local for ball in cover.balls]
     components = [[getattr(loc, c) for loc in locals_] for c in "FGH"]

@@ -38,11 +38,12 @@ rewrites:
 
 Terms over the same slots (a real value's F, G, H) run as one
 ``TermProgram``, a loop over their distinct nodes: a node shared by
-structure is evaluated once.  Evaluation only ever *reads* the function
-arguments at finitely many points; ``eval_instrumented`` records that
-support, and ``support_bound`` computes the structural bound on its size
-(projections contribute 0, each application 1 plus its subterm, base
-nodes the sum of theirs).
+structure is evaluated once; bound to function arguments, it runs as a
+smaller *residual* program (``TermProgram.bind``).  Evaluation only ever
+*reads* the function arguments at finitely many points;
+``eval_instrumented`` records that support, and ``support_bound``
+computes the structural bound on its size (projections contribute 0,
+each application 1 plus its subterm, base nodes the sum of theirs).
 """
 
 from __future__ import annotations
@@ -285,6 +286,13 @@ class TermProgram:
     ``0..m-1`` are the numeric arguments.  Structurally equal subterms
     are one step.  A base node is keyed by its callable, not its name,
     since a registry override keeps the name of the entry it replaces.
+
+    The first read of ``bind(fns)`` builds the *residual* program at
+    ``fns``: index-free steps (a ``gadgets.constant`` base, or inputs all
+    index-free) are computed once into extra numeric arguments, a
+    ``gadgets.delta_k`` select with index-free guards becomes its chosen
+    branch, and dead steps go.  Both bases are known by what their
+    callable carries, not by name, so an override of either is not folded.
     """
 
     __slots__ = ("k", "m", "steps", "roots")
@@ -310,6 +318,51 @@ class TermProgram:
             _fold(term.node, lambda node: node.index - 1, apply, base, value_of) for term in terms
         )
         self.steps = tuple(steps)
+
+    def bind(self, fns: Sequence[NatFun]) -> Callable[[int], tuple[int, ...]]:
+        """``n -> eval_term(self, fns, (n,))``, through the residual program."""
+        # the first index-free step is a constant or has no inputs
+        if not any(hasattr(fn, "constant_value") or not ins for _slot, fn, ins in self.steps):
+            return lambda n: eval_term(self, fns, (n,))
+        bound: list = []  # the residual program and its preset values, once read
+
+        def read(n: int) -> tuple[int, ...]:
+            if not bound:
+                bound.extend(self._residual(fns))
+            return eval_term(bound[0], fns, (n, *bound[1]))
+
+        return read
+
+    def _residual(self, fns: Sequence[NatFun]) -> tuple[TermProgram, tuple[int, ...]]:
+        # index-free values, then liveness back from the roots, then the rest
+        m, steps, free, values = self.m, self.steps, [False] * self.m, {}
+        for v, (slot, fn, ins) in enumerate(steps, m):
+            free.append(hasattr(fn, "constant_value") or all(free[i] for i in ins))
+            if free[v]:  # a constant ignores its input, which may be unknown
+                values[v] = (fns[slot] if fn is None else fn)(*[values.get(i) for i in ins])
+        live = [v in self.roots for v in range(len(free))]
+        chosen: dict[int, tuple[int]] = {}  # settled select -> its chosen value
+        for v in range(len(free) - 1, m - 1, -1):
+            if live[v] and not free[v]:
+                _slot, fn, ins = steps[v - m]
+                if hasattr(fn, "select_guards") and all(free[x] for x in ins[:-1:2]):
+                    picks = (y for x, y in zip(ins[::2], ins[1::2]) if values[x] == 0)
+                    ins = chosen[v] = (next(picks, ins[-1]),)
+                for i in ins:
+                    live[i] = True
+        # residual values: the numeric arguments, the presets, the kept steps
+        presets = [v for v in values if live[v]]
+        index, kept = {v: i for i, v in enumerate([*range(m), *presets])}, []
+        for v, (slot, fn, ins) in enumerate(steps, m):
+            if v in chosen:
+                index[v] = index[chosen[v][0]]
+            elif live[v] and not free[v]:
+                index[v] = m + len(presets) + len(kept)
+                kept.append((slot, fn, tuple(index[i] for i in ins)))
+        residual = object.__new__(TermProgram)
+        residual.k, residual.m = self.k, m + len(presets)
+        residual.steps, residual.roots = tuple(kept), tuple(index[r] for r in self.roots)
+        return residual, tuple(values[v] for v in presets)
 
 
 def eval_term(

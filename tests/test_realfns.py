@@ -1,4 +1,6 @@
+import re
 from fractions import Fraction
+from math import inf
 from random import Random
 
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from condreal.elementary import default_functions, uniform_from_rule
-from condreal.gadgets import CORE, constant, left, pair, right
+from condreal.gadgets import CORE, GadgetRegistry, constant, left, pair, right
 from condreal.naming import (
     NameTriple,
     NatFun,
@@ -25,6 +27,7 @@ from condreal.realfns import (
     ConditionalFn,
     JointComponent,
     JointOperator,
+    Neighborhood,
     TermOperator,
     UniformFn,
     apply_conditional,
@@ -67,7 +70,17 @@ from condreal.suites import (
     two_ball_cover,
     two_ball_values,
 )
-from condreal.terms import Apply, Base, OperatorTerm, Proj, parse_term, print_term
+from condreal.terms import (
+    Apply,
+    Base,
+    OperatorTerm,
+    Proj,
+    TermProgram,
+    eval_term,
+    parse_term,
+    print_term,
+    support_bound,
+)
 
 from conftest import assert_check, linear_scan
 
@@ -565,6 +578,39 @@ def test_localize_keeps_the_certificate_frozen_under_patching():
     assert_check(frozen_certificates)
 
 
+def contains_by_index(hood, q):
+    # the definition: within 1/(t+1) of the anchor's approximation at each t
+    return all(
+        abs(Fraction(x - y, z + 1) - q) < Fraction(1, t + 1)
+        for t, (x, y, z) in enumerate(hood.anchor)
+    )
+
+
+@st.composite
+def neighborhoods(draw):
+    # approximations of one center, each with a jitter that may leave its
+    # ball around the center: the interval may be empty
+    center = draw(st.fractions(-3, 3, max_denominator=8))
+    anchor = []
+    for t in range(draw(st.integers(0, 6))):
+        z = draw(st.integers(0, 4 * (t + 1)))
+        x = round(center * (z + 1)) + draw(st.integers(-1, 1))
+        anchor.append((max(x, 0), max(-x, 0), z))
+    return Neighborhood(len(anchor) - 1, tuple(anchor))
+
+
+@settings(max_examples=300, deadline=None)
+@given(hood=neighborhoods(), points=st.lists(st.fractions(-4, 4, max_denominator=24), max_size=6))
+def test_a_neighborhood_decides_membership_by_its_interval_as_the_index_loop_does(hood, points):
+    low, high = hood.interval()
+    ends = [end for end in (low, high) if end not in (-inf, inf)]
+    if len(ends) == 2:
+        ends.append((low + high) / 2)
+    for q in [*points, *ends]:
+        assert hood.contains(q) == contains_by_index(hood, q)
+    assert not any(hood.contains(end) for end in ends[:2])
+
+
 def test_localize_a_composed_function():
     composed = compose_conditional(RECIP, RECIP)
     at = rational_name(Fraction(2, 3))
@@ -696,8 +742,9 @@ def test_term_backed_glued_functions_print_and_parse_back_equal(cover):
 
 
 def test_a_term_backed_name_reads_each_distinct_node_once_per_index():
-    # glued F, G, H share the three probes at k and the three branch
-    # reads: six argument reads per index, not one set per component
+    # glued F, G, H share one bound program: its three probes at k are
+    # index-free, read once per application, and the settled select
+    # keeps one branch, which reads the three arguments once per index
     cover = BallCover(
         (
             Ball((Fraction(-1),), Fraction(3, 2), negate_term_fn()),
@@ -712,7 +759,110 @@ def test_a_term_backed_name_reads_each_distinct_node_once_per_index():
     out = apply_uniform(glue_compact(cover), name)
     assert isinstance(triple_reader(*out), TripleStream)
     assert [(out.f(t), out.g(t), out.h(t)) for t in range(20)] == [(3, 0, 3)] * 20
-    assert sorted(reads) == sorted([3] * 3 * 20 + list(range(20)) * 3)
+    assert sorted(reads) == sorted([3] * 3 + list(range(20)) * 3)
+
+
+def reads_its_parameter() -> ConditionalFn:
+    """A term-backed conditional whose values read the parameter slot.
+
+    s certifies from f(2) on, so localizing it patches the argument below
+    index 3; F reads f at the parameter and G multiplies g by it.
+    """
+    param = Apply(4, Proj(1))
+    values = (Apply(1, param), Base(CORE.get("mul"), (Apply(2, Proj(1)), param)), Apply(3, Proj(1)))
+    cert = Base(CORE.get("monus"), (Apply(1, Base(constant(2), (Proj(1),))), Proj(1)))
+    return ConditionalFn(
+        1,
+        TermOperator(OperatorTerm(3, 1, cert)),
+        *(TermOperator(OperatorTerm(4, 1, node)) for node in values),
+    )
+
+
+@st.composite
+def term_locals(draw) -> UniformFn:
+    kind = draw(st.sampled_from(["identity", "negate", "constant"]))
+    if kind == "identity":
+        return identity_uniform()
+    if kind == "negate":
+        return negate_term_fn()
+    return UniformFn(1, *(_constant(3, draw(st.integers(0, 9)), True) for _ in range(3)))
+
+
+halves = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
+
+
+@st.composite
+def glued_term_fns(draw) -> UniformFn:
+    balls = draw(
+        st.lists(
+            st.builds(Ball, st.tuples(halves), halves.filter(lambda r: r > 0), term_locals()),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    return glue_compact(BallCover(tuple(balls), separation=draw(st.integers(0, 50))))
+
+
+@st.composite
+def localized_term_fns(draw) -> UniformFn:
+    fn = draw(
+        st.sampled_from(
+            [
+                reads_its_parameter(),
+                compose_conditional(embed_uniform(negate_term_fn()), reads_its_parameter()),
+            ]
+        )
+    )
+    anchor = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+    return localize(fn, rational_name(anchor), 10**4)[1]
+
+
+@st.composite
+def overridden_term_fns(draw) -> UniformFn:
+    # a const_c or delta_k entry replaced under its own name by a callable
+    # that carries nothing to fold, re-parsed into the same terms
+    fn = draw(st.one_of(glued_term_fns(), localized_term_fns()))
+    terms = [op.term for op in (fn.F, fn.G, fn.H)]
+    spelled = re.compile(r"(?:const|delta)_\d+")
+    names = {name for term in terms for name in spelled.findall(print_term(term))}
+    name = draw(st.sampled_from(sorted(names)))
+    entry = CORE.resolve(name)
+    if name.startswith("const"):
+        registry = GadgetRegistry({name: entry}).override(name, lambda x: (x + 1) % 4)
+    else:
+        registry = GadgetRegistry({name: entry}).override(name, lambda *args: max(args) % 5)
+
+    def resolve(spelled):
+        return registry.get(spelled) if spelled in registry else CORE.resolve(spelled)
+
+    return UniformFn(1, *(TermOperator(parse_term(print_term(t), 3, 1, resolve)) for t in terms))
+
+
+def _recorded(fns, log):
+    return tuple(NatFun(lambda t, i=i, f=f: log.add((i, t)) or f(t)) for i, f in enumerate(fns))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    fn=st.one_of(glued_term_fns(), localized_term_fns(), overridden_term_fns()),
+    seed=st.integers(0, 2**16),
+)
+def test_a_bound_program_agrees_with_full_evaluation_and_reads_less(fn, seed):
+    rng = Random(seed)
+    fns = tuple(random_natfun(rng) for _ in range(3))
+    terms = [op.term for op in (fn.F, fn.G, fn.H)]
+    # the three together, as an applied name runs them, and each alone
+    for group in (terms, *([term] for term in terms)):
+        program = TermProgram(group)
+        bound_log, full_log = set(), set()
+        read = program.bind(_recorded(fns, bound_log))
+        full = _recorded(fns, full_log)
+        for t in range(201):
+            bound_log.clear()
+            full_log.clear()
+            assert read(t) == eval_term(program, full, (t,))
+            assert bound_log <= full_log
+            assert len(full_log) <= sum(map(support_bound, group))
 
 
 def test_single_ball_cover_reduces_to_its_local_function():
