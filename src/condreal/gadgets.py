@@ -198,7 +198,7 @@ def delta_k(k: int) -> BaseFunction:
     def fn(*args: int) -> int:
         return _delta_k_value(k, args)
 
-    fn.select_guards = k  # marks a select that a bound term program can settle
+    fn.select_guards = range(0, 2 * k, 2)  # positions a bound term program settles on
     return BaseFunction(f"delta_{k}", 2 * k + 1, fn)
 
 
@@ -207,7 +207,7 @@ def constant(c: int) -> BaseFunction:
     if c < 0:
         raise ValueError("constant must be a natural")
     fn = lambda _x: c  # noqa: E731
-    fn.constant_value = c  # marks a value that a bound term program computes once
+    fn.constant_value = c  # read by a bound term program instead of the input
     return BaseFunction(f"const_{c}", 1, fn)
 
 

@@ -41,9 +41,8 @@ A composite's certificate search walks the pairing diagonals, probing
 the inner certificate once per diagonal: it finds the linear scan's least
 parameter at a cost near-linear, not quadratic, in the inner certificate.
 
-Gluing picks its ball once per argument name and evaluates only that
-ball's local function, in procedure form and in a bound term program
-alike.  Support traces shrink and ``support_bound`` stays an upper bound.
+Gluing, in either form, picks its ball once per argument name and
+evaluates only that ball's local function; ``support_bound`` still holds.
 """
 
 from __future__ import annotations
@@ -51,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import inf
 from typing import Callable, Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
@@ -473,11 +471,10 @@ def _select(
 
     Every indicator reads all function arguments at index ``k``; the
     default when none passes is the constant zero.  The term form keeps
-    the selector ``delta_m`` inside the term; its guards are index-free,
-    so a bound program picks the branch once and evaluates it alone.  The
-    procedure form is one joint over all components: the first read of
-    any of its results picks the ball for that argument tuple, and only
-    that ball's branches are applied, together.  The support read shrinks.
+    the selector ``delta_m`` in the term, where a bound program settles
+    it once.  The procedure form is one joint over all components: the
+    first read of any of its results picks the ball for that argument
+    tuple, and only that ball's branches are applied, together.
     """
     n = components[0][0].arity
     if term:
@@ -654,17 +651,15 @@ class Neighborhood:
     cutoff: int
     anchor: tuple[tuple[int, int, int], ...]
 
+    @cached_property
     def interval(self) -> tuple[Fraction | float, Fraction | float]:
-        """The members' exact open interval, ``(max_t(a_t - 1/(t+1)),
-        min_t(a_t + 1/(t+1)))`` over the anchor's ``a_t``; infinite without any."""
-        points = [Fraction(x - y, z + 1) for x, y, z in self.anchor]
-        low = max((a - Fraction(1, t) for t, a in enumerate(points, 1)), default=-inf)
-        return low, min((a + Fraction(1, t) for t, a in enumerate(points, 1)), default=inf)
-
-    _interval = cached_property(interval)
+        """The members' open interval, ``max_t(a_t - 1/(t+1)) < xi < min_t(a_t + 1/(t+1))``."""
+        at = [Fraction(x - y, z + 1) for x, y, z in self.anchor]  # the a_t
+        low = max((a - Fraction(1, t) for t, a in enumerate(at, 1)), default=-float("inf"))
+        return low, min((a + Fraction(1, t) for t, a in enumerate(at, 1)), default=float("inf"))
 
     def contains(self, q: Fraction | int) -> bool:
-        return self._interval[0] < q < self._interval[1]
+        return self.interval[0] < q < self.interval[1]
 
 
 def localize(

@@ -38,12 +38,11 @@ rewrites:
 
 Terms over the same slots (a real value's F, G, H) run as one
 ``TermProgram``, a loop over their distinct nodes: a node shared by
-structure is evaluated once; bound to function arguments, it runs as a
-smaller *residual* program (``TermProgram.bind``).  Evaluation only ever
-*reads* the function arguments at finitely many points;
-``eval_instrumented`` records that support, and ``support_bound``
-computes the structural bound on its size (projections contribute 0,
-each application 1 plus its subterm, base nodes the sum of theirs).
+structure is evaluated once, and ``bind`` runs it as a smaller residual
+program.  Evaluation reads the function arguments at finitely many
+points; ``eval_instrumented`` records that support, and ``support_bound``
+computes its structural bound (projections contribute 0, each
+application 1 plus its subterm, base nodes the sum of theirs).
 """
 
 from __future__ import annotations
@@ -287,12 +286,10 @@ class TermProgram:
     are one step.  A base node is keyed by its callable, not its name,
     since a registry override keeps the name of the entry it replaces.
 
-    The first read of ``bind(fns)`` builds the *residual* program at
-    ``fns``: index-free steps (a ``gadgets.constant`` base, or inputs all
-    index-free) are computed once into extra numeric arguments, a
-    ``gadgets.delta_k`` select with index-free guards becomes its chosen
-    branch, and dead steps go.  Both bases are known by what their
-    callable carries, not by name, so an override of either is not folded.
+    ``bind(fns)`` reads through a *residual* program built on the first
+    read: index-free steps become preset arguments, a ``gadgets.delta_k``
+    with index-free guards its chosen branch, and dead steps go.  Constants
+    and selects are known by what their callables carry, never by name.
     """
 
     __slots__ = ("k", "m", "steps", "roots")
@@ -321,9 +318,6 @@ class TermProgram:
 
     def bind(self, fns: Sequence[NatFun]) -> Callable[[int], tuple[int, ...]]:
         """``n -> eval_term(self, fns, (n,))``, through the residual program."""
-        # the first index-free step is a constant or has no inputs
-        if not any(hasattr(fn, "constant_value") or not ins for _slot, fn, ins in self.steps):
-            return lambda n: eval_term(self, fns, (n,))
         bound: list = []  # the residual program and its preset values, once read
 
         def read(n: int) -> tuple[int, ...]:
@@ -334,35 +328,46 @@ class TermProgram:
         return read
 
     def _residual(self, fns: Sequence[NatFun]) -> tuple[TermProgram, tuple[int, ...]]:
-        # index-free values, then liveness back from the roots, then the rest
+        # liveness back from the roots; index-free values computed on demand
         m, steps, free, values = self.m, self.steps, [False] * self.m, {}
-        for v, (slot, fn, ins) in enumerate(steps, m):
+        for _slot, fn, ins in steps:
             free.append(hasattr(fn, "constant_value") or all(free[i] for i in ins))
-            if free[v]:  # a constant ignores its input, which may be unknown
-                values[v] = (fns[slot] if fn is None else fn)(*[values.get(i) for i in ins])
-        live = [v in self.roots for v in range(len(free))]
-        chosen: dict[int, tuple[int]] = {}  # settled select -> its chosen value
+        if True not in free:  # nothing is index-free: the residual is the program
+            return self, ()
+
+        def value(v: int) -> int:  # inputs first, each once, without recursion
+            stack = [v]
+            while stack:
+                slot, fn, ins = steps[(u := stack.pop()) - m]
+                if hasattr(fn, "constant_value"):
+                    values[u] = fn.constant_value
+                elif u not in values and all(i in values for i in ins):
+                    values[u] = (fns[slot] if fn is None else fn)(*[values[i] for i in ins])
+                elif u not in values:
+                    stack += [u, *ins]
+            return values[v]
+
+        live, chosen = set(self.roots), {}  # settled select -> (its chosen value,)
         for v in range(len(free) - 1, m - 1, -1):
-            if live[v] and not free[v]:
-                _slot, fn, ins = steps[v - m]
-                if hasattr(fn, "select_guards") and all(free[x] for x in ins[:-1:2]):
-                    picks = (y for x, y in zip(ins[::2], ins[1::2]) if values[x] == 0)
-                    ins = chosen[v] = (next(picks, ins[-1]),)
-                for i in ins:
-                    live[i] = True
-        # residual values: the numeric arguments, the presets, the kept steps
-        presets = [v for v in values if live[v]]
+            _slot, fn, ins = steps[v - m]
+            guards = getattr(fn, "select_guards", ()) if v in live else ()
+            if guards and all(free[ins[i]] for i in guards):  # guard values pick a branch index
+                args = [value(x) if i in guards else x for i, x in enumerate(ins)]
+                ins = chosen[v] = (fn(*args),)
+            if v in chosen or v in live and not free[v]:
+                live.update(ins)
+        presets = [v for v in range(m, len(free)) if v in live and free[v] and v not in chosen]
         index, kept = {v: i for i, v in enumerate([*range(m), *presets])}, []
         for v, (slot, fn, ins) in enumerate(steps, m):
             if v in chosen:
                 index[v] = index[chosen[v][0]]
-            elif live[v] and not free[v]:
+            elif v in live and not free[v]:
                 index[v] = m + len(presets) + len(kept)
                 kept.append((slot, fn, tuple(index[i] for i in ins)))
         residual = object.__new__(TermProgram)
-        residual.k, residual.m = self.k, m + len(presets)
-        residual.steps, residual.roots = tuple(kept), tuple(index[r] for r in self.roots)
-        return residual, tuple(values[v] for v in presets)
+        residual.k, residual.m, residual.steps = self.k, m + len(presets), tuple(kept)
+        residual.roots = tuple(index[r] for r in self.roots)
+        return residual, tuple(map(value, presets))
 
 
 def eval_term(

@@ -602,7 +602,7 @@ def neighborhoods(draw):
 @settings(max_examples=300, deadline=None)
 @given(hood=neighborhoods(), points=st.lists(st.fractions(-4, 4, max_denominator=24), max_size=6))
 def test_a_neighborhood_decides_membership_by_its_interval_as_the_index_loop_does(hood, points):
-    low, high = hood.interval()
+    low, high = hood.interval
     ends = [end for end in (low, high) if end not in (-inf, inf)]
     if len(ends) == 2:
         ends.append((low + high) / 2)
@@ -760,6 +760,38 @@ def test_a_term_backed_name_reads_each_distinct_node_once_per_index():
     assert isinstance(triple_reader(*out), TripleStream)
     assert [(out.f(t), out.g(t), out.h(t)) for t in range(20)] == [(3, 0, 3)] * 20
     assert sorted(reads) == sorted([3] * 3 + list(range(20)) * 3)
+
+
+def reads_at(index: int) -> UniformFn:
+    """The argument's approximation at a fixed index, at every output index."""
+    at = Base(constant(index), (Proj(1),))
+    return UniformFn(1, *(TermOperator(OperatorTerm(3, 1, Apply(j, at))) for j in (1, 2, 3)))
+
+
+@pytest.mark.parametrize(
+    "triple, value, branch_reads",
+    [
+        # at -3/4, in the first ball: the second ball's reads at 7 never happen
+        ((0, 3, 3), (3, 0, 3), list(range(20)) * 3),
+        # at 3/4, in the second ball: its reads at 7 are index-free, made once
+        ((3, 0, 3), (3, 0, 3), [7] * 3),
+    ],
+)
+def test_a_bound_glued_name_reads_only_the_chosen_branch_even_at_a_constant_index(
+    triple, value, branch_reads
+):
+    cover = BallCover(
+        (
+            Ball((Fraction(-1),), Fraction(3, 2), negate_term_fn()),
+            Ball((Fraction(1),), Fraction(3, 2), reads_at(7)),
+        ),
+        separation=3,
+    )
+    reads = []
+    name = [NameTriple(*(NatFun(lambda t, c=c: reads.append(t) or c) for c in triple))]
+    out = apply_uniform(glue_compact(cover), name)
+    assert [(out.f(t), out.g(t), out.h(t)) for t in range(20)] == [value] * 20
+    assert sorted(reads) == sorted([3] * 3 + branch_reads)
 
 
 def reads_its_parameter() -> ConditionalFn:
