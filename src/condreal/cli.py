@@ -321,3 +321,7 @@ def main_entry() -> None:
         os.dup2(devnull, sys.stdout.fileno())
         sys.exit(141)
     sys.exit(code)
+
+
+if __name__ == "__main__":
+    main_entry()

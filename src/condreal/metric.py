@@ -13,15 +13,20 @@ names of values, and *conditionally computable* when a certificate
 operator E must first vanish at a searched parameter ``s``, after which
 ``T(f, const_s)`` names the value.
 
-Embedding, identity, composition, localization, gluing and tupling are
-built from the operator code of ``condreal.realfns``: one
-implementation, generic over the number of functions in a name, serves
-real names (three functions) and ordinary names (one), and term-backed
-ingredients give term-backed results.  The spaces ``M_N`` (rational
-N-tuples coded by nested pairing, max-norm distance) translate
-real-function computability back and forth losslessly: the coding is
-two operators, decode and pack, and each translation substitutes the
-translated function's operators between them.
+The constructions are written once, in ``condreal.realfns``: an
+``EffectiveSpace`` is a space there as ``Reals(n)`` is (width 1, one
+space-checked ``OrdinaryName``, ``MsNeighborhood``, ball indicators from
+``dist_lt``), so search, application, identity, embedding, composition,
+localization, gluing and dispatch take coded maps as they take real
+functions, and term-backed ingredients give term-backed results.  This
+module keeps the spaces, the records ``MsUniformFn`` and
+``MsConditionalFn``, the translations and tupling; its ``_ms`` names,
+``MsBall`` and ``MsBallCover`` are aliases of the ``realfns`` objects,
+kept for their callers.  The spaces ``M_N`` (rational N-tuples coded by
+nested pairing, max-norm distance) translate real-function
+computability back and forth losslessly: the coding is two operators,
+decode and pack, and each translation substitutes the translated
+function's operators between them.
 """
 
 from __future__ import annotations
@@ -35,25 +40,31 @@ from . import gadgets
 from .gadgets import tuple_pack, tuple_part, tuple_parts
 from .naming import NatFun, TripleStream, _rational_triple, constant_values, triple_reader
 from .realfns import (
-    BudgetExhausted,
+    Ball,
+    BallCover,
     ConditionalFn,
     JointOperator,
     Operator,
     ProcOperator,
+    SpaceMismatch,
     UniformFn,
     _CONJ,
-    _candidates,
-    _compose_ops,
-    _embed_ops,
-    _first_passing,
-    _glue_ops,
-    _identity_ops,
     _is_term,
     _lift,
-    _localize_ops,
     _reindex,
+    _same_space,
     _slot,
     _subst,
+    apply_conditional,
+    apply_conditional_at,
+    apply_uniform,
+    compose_conditional,
+    dispatch_index,
+    embed_uniform,
+    find_parameter,
+    glue_compact,
+    identity,
+    localize,
 )
 from .terms import ArityMismatch, BaseFunction
 
@@ -93,10 +104,6 @@ __all__ = [
 ]
 
 
-class SpaceMismatch(ValueError):
-    """Two constructions were wired across different spaces."""
-
-
 @dataclass(frozen=True, eq=False)
 class EffectiveSpace:
     """A metric space presented through a coded dense subset.
@@ -113,8 +120,42 @@ class EffectiveSpace:
     dist_lt: Callable[[int, int, Fraction | int], bool]
     dimension: int | None = None
 
+    width = 1  # a point's name is one function
+
     def __repr__(self) -> str:
         return f"EffectiveSpace({self.name})"
+
+    def functions(self, name: OrdinaryName) -> tuple[NatFun]:
+        _same_space(name.space, self, "argument name lives in the wrong space")
+        return (name.f,)
+
+    def name_of(self, fns: Sequence[NatFun]) -> OrdinaryName:
+        return OrdinaryName(*fns, self)
+
+    def point(self, name: OrdinaryName) -> OrdinaryName:
+        return name
+
+    def center(self, code: int) -> int:
+        return code
+
+    def indicator(self, center: int, radius: Fraction) -> BaseFunction:
+        """Zero exactly on the codes within ``radius`` of the centre."""
+        return BaseFunction(
+            f"{self.name}_ball_{center}_r_{radius}",
+            1,
+            lambda n: 0 if self.dist_lt(n, center, radius) else 1,
+        )
+
+    def neighborhood(self, prefix: tuple[tuple[int], ...]) -> MsNeighborhood:
+        return MsNeighborhood(self, len(prefix) - 1, tuple(code for (code,) in prefix))
+
+    def record(
+        self, codomain: EffectiveSpace, values: Sequence[Operator], cert: Operator | None = None
+    ) -> MsUniformFn | MsConditionalFn:
+        """The uniform map, or given a certificate the conditional one."""
+        if cert is None:
+            return MsUniformFn(self, codomain, *values)
+        return MsConditionalFn(self, codomain, cert, *values)
 
 
 @dataclass(frozen=True, eq=False)
@@ -137,6 +178,10 @@ class MsUniformFn:
         if self.T.arity != 1:
             raise ArityMismatch("uniform metric-space operator must be unary")
 
+    @property
+    def values(self) -> tuple[Operator]:
+        return (self.T,)
+
 
 @dataclass(frozen=True, eq=False)
 class MsConditionalFn:
@@ -153,52 +198,14 @@ class MsConditionalFn:
         if self.T.arity != 2:
             raise ArityMismatch("conditional value operator must be binary")
 
-
-def _same_space(a: EffectiveSpace, b: EffectiveSpace, what: str) -> None:
-    if a is not b:
-        raise SpaceMismatch(f"{what}: {a.name} vs {b.name}")
+    @property
+    def values(self) -> tuple[Operator]:
+        return (self.T,)
 
 
 # ---------------------------------------------------------------------------
-# application
+# name checks
 # ---------------------------------------------------------------------------
-
-
-def apply_uniform_ms(fn: MsUniformFn, name: OrdinaryName) -> OrdinaryName:
-    _same_space(name.space, fn.domain, "argument name lives in the wrong space")
-    return OrdinaryName(fn.T.apply((name.f,)), fn.codomain)
-
-
-def find_parameter_ms(fn: MsConditionalFn, name: OrdinaryName, budget: int) -> int:
-    """The least certifying parameter s < budget, searched as ``find_parameter`` does."""
-    _same_space(name.space, fn.domain, "argument name lives in the wrong space")
-    certificate = fn.E.apply((name.f,))
-    for s in _candidates(fn.E, (name.f,), budget):
-        if certificate.eval_uncached(s) == 0:
-            return s
-    raise BudgetExhausted(budget, "searching for a certifying parameter")
-
-
-def apply_conditional_ms_at(
-    fn: MsConditionalFn, name: OrdinaryName, s: int
-) -> OrdinaryName:
-    _same_space(name.space, fn.domain, "argument name lives in the wrong space")
-    return OrdinaryName(fn.T.apply((name.f, NatFun.constant(s))), fn.codomain)
-
-
-def apply_conditional_ms(
-    fn: MsConditionalFn, name: OrdinaryName, budget: int
-) -> OrdinaryName:
-    return apply_conditional_ms_at(fn, name, find_parameter_ms(fn, name, budget))
-
-
-def identity_ms(space: EffectiveSpace) -> MsUniformFn:
-    return MsUniformFn(space, space, *_identity_ops(1))
-
-
-def embed_uniform_ms(fn: MsUniformFn) -> MsConditionalFn:
-    """View a uniform map as conditional; s = 0 always certifies."""
-    return MsConditionalFn(fn.domain, fn.codomain, *_embed_ops((fn.T,)))
 
 
 def validate_ordinary_name(
@@ -243,26 +250,6 @@ def metric_axiom_violations(space: EffectiveSpace, codes: Sequence[int]) -> list
     return bad
 
 
-# ---------------------------------------------------------------------------
-# composition, localization, gluing
-# ---------------------------------------------------------------------------
-
-
-def compose_conditional_ms(
-    outer: MsConditionalFn, inner: MsConditionalFn
-) -> MsConditionalFn:
-    """Composite map; the parameter packs the component parameters.
-
-    At candidate s the certificate conjoins the inner test at right(s)
-    with the outer test, over the inner value name at that frozen inner
-    parameter, at left(s); the value operator routes the found parameter
-    through the same split.
-    """
-    _same_space(inner.codomain, outer.domain, "composition space mismatch")
-    E, T = _compose_ops((outer.E, outer.T), (inner.E, inner.T))
-    return MsConditionalFn(inner.domain, outer.codomain, E, T)
-
-
 @dataclass(frozen=True, eq=False)
 class MsNeighborhood:
     """Intersection of the metric balls cut out by the anchor's codes.
@@ -283,105 +270,20 @@ class MsNeighborhood:
         )
 
 
-def localize_ms(
-    fn: MsConditionalFn, at: OrdinaryName, budget: int
-) -> tuple[MsNeighborhood, MsUniformFn]:
-    """Trade conditionality for locality around a named point.
-
-    Finds the least certificate s0 for the anchor, instruments that
-    evaluation to obtain the largest queried index u, and returns the
-    neighborhood cut out by the anchor's first u+1 codes together with
-    the uniform map patching every argument name below u+1 with the
-    anchor and applying T at the frozen parameter.
-    """
-    _same_space(at.space, fn.domain, "anchor name lives in the wrong space")
-    s0 = find_parameter_ms(fn, at, budget)
-    prefix, (T,) = _localize_ops((fn.E, fn.T), (at.f,), s0)
-    hood = MsNeighborhood(fn.domain, len(prefix) - 1, tuple(code for (code,) in prefix))
-    return hood, MsUniformFn(fn.domain, fn.codomain, T)
-
-
-@dataclass(frozen=True, eq=False)
-class MsBall:
-    """Coded center, rational radius, the local map valid on the ball.
-
-    ``indicator`` (zero exactly on codes within radius - 1/(k+1) of the
-    center, for the cover's separation k) may be supplied; otherwise it
-    is derived from the space's dist_lt at gluing time.
-    """
-
-    center_code: int
-    radius: Fraction
-    local: MsUniformFn
-    indicator: Callable[[int], int] | None = None
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "radius", Fraction(self.radius))
-        if self.radius <= 0:
-            raise ValueError("ball radius must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class MsBallCover:
-    balls: tuple[MsBall, ...]
-    separation: int
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "balls", tuple(self.balls))
-        if not self.balls:
-            raise ValueError("a cover needs at least one ball")
-        if self.separation < 0:
-            raise ValueError("separation index must be a natural")
-        first = self.balls[0].local
-        for ball in self.balls:
-            _same_space(ball.local.domain, first.domain, "cover domain mismatch")
-            _same_space(ball.local.codomain, first.codomain, "cover codomain mismatch")
-
-    @property
-    def domain(self) -> EffectiveSpace:
-        return self.balls[0].local.domain
-
-    @property
-    def codomain(self) -> EffectiveSpace:
-        return self.balls[0].local.codomain
-
-
-def _cover_indicators_ms(cover: MsBallCover) -> list[BaseFunction]:
-    margin = Fraction(1, cover.separation + 1)
-    space = cover.domain
-    out: list[BaseFunction] = []
-    for i, ball in enumerate(cover.balls, start=1):
-        indicator = ball.indicator
-        if indicator is None:
-
-            def indicator(
-                n: int, _c: int = ball.center_code, _q: Fraction = ball.radius - margin
-            ) -> int:
-                return 0 if space.dist_lt(n, _c, _q) else 1
-
-        out.append(BaseFunction(f"ms_ball_{i}", 1, indicator))
-    return out
-
-
-def glue_compact_ms(cover: MsBallCover) -> MsUniformFn:
-    """One uniform map dispatching among the cover's local maps.
-
-    At output index t the glued operator probes the argument name at the
-    separation index k, asks each ball's indicator about that code, and
-    emits the first passing ball's local output at t (code 0 if none
-    passes).  The procedure form makes that choice once per argument
-    name.  The caller warrants the covering and separation hypotheses,
-    as for the real-number gluing.
-    """
-    branches = [ball.local.T for ball in cover.balls]
-    (T,) = _glue_ops(_cover_indicators_ms(cover), cover.separation, [branches])
-    return MsUniformFn(cover.domain, cover.codomain, T)
-
-
-def dispatch_index_ms(cover: MsBallCover, name: OrdinaryName) -> int | None:
-    """Which ball (1-based) the glued map would source from, if any."""
-    _same_space(name.space, cover.domain, "name lives in the wrong space")
-    return _first_passing(_cover_indicators_ms(cover), [name.f(cover.separation)])
+# The constructions are ``condreal.realfns``'s, which take a coded space as
+# they take the reals; these names are aliases kept for their callers.
+find_parameter_ms = find_parameter
+apply_uniform_ms = apply_uniform
+apply_conditional_ms = apply_conditional
+apply_conditional_ms_at = apply_conditional_at
+identity_ms = identity
+embed_uniform_ms = embed_uniform
+compose_conditional_ms = compose_conditional
+localize_ms = localize
+glue_compact_ms = glue_compact
+dispatch_index_ms = dispatch_index
+MsBall = Ball
+MsBallCover = BallCover
 
 
 # ---------------------------------------------------------------------------

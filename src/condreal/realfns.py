@@ -1,4 +1,4 @@
-"""Uniformly and conditionally computable real functions.
+"""Uniformly and conditionally computable functions, for the reals and for coded spaces.
 
 An N-argument real function is *uniformly computable* when three 3N-ary
 operators F, G, H transform any name triples of the arguments into a name
@@ -17,16 +17,18 @@ a certificate that accepts exactly s = 0.
 
 Operators are either operator terms (single numeric argument) or direct
 procedures honoring the same contract: total, deterministic, reading
-their function arguments only by evaluation.  The constructions below --
-composition of conditionals, localization of a conditional to a uniform
-function near a point, and gluing of local uniform functions over a
-finite ball cover -- are each written once, over a few operator
-combinators and for names of any width, and so are the identity and
-the embedding of uniform functions.  ``condreal.metric`` uses the same
-code for one-function names of coded points, and builds its tupling
-from the same combinators.  A construction stays inside the term
-language whenever every ingredient is term-backed, and otherwise
-builds the equivalent procedure form.
+their function arguments only by evaluation.
+
+Search, application, ``identity``, the embedding of uniform functions,
+composition of conditionals (the inner one of any arity), localization
+of a conditional to a uniform function near a point, and gluing of
+local uniform functions over a finite ball cover are each written once,
+generic over a *space*: ``Reals(n)`` for n real arguments named by name
+triples, or a coded ``condreal.metric.EffectiveSpace`` (``metric``'s
+``_ms`` names are aliases of the functions here).  Wiring a construction across
+different spaces raises ``SpaceMismatch``, an ``ArityMismatch``.  A
+construction whose ingredients are all term-backed stays inside the
+term language, and otherwise builds the equivalent procedure form.
 
 A ``JointOperator`` builds several value functions at once -- for a
 real value the three functions of a name, projected from one
@@ -80,6 +82,8 @@ __all__ = [
     "Neighborhood",
     "Operator",
     "ProcOperator",
+    "Reals",
+    "SpaceMismatch",
     "TermOperator",
     "UniformFn",
     "apply_conditional",
@@ -90,6 +94,7 @@ __all__ = [
     "embed_uniform",
     "find_parameter",
     "glue_compact",
+    "identity",
     "identity_uniform",
     "localize",
     "patch_operator",
@@ -231,12 +236,95 @@ def _apply_ops(ops: Sequence[Operator], fns: Sequence[NatFun]) -> list[NatFun]:
 
 
 # ---------------------------------------------------------------------------
-# function records
+# spaces and function records
 # ---------------------------------------------------------------------------
 
 
+class SpaceMismatch(ArityMismatch):
+    """Two constructions were wired across different spaces."""
+
+
+def _same_space(a: object, b: object, what: str) -> None:
+    if a != b:
+        raise SpaceMismatch(f"{what}: {a} vs {b}")
+
+
+@dataclass(frozen=True)
+class Reals:
+    """R^n, a point named by one name triple per coordinate: a space.
+
+    A space tells the constructions what they need of a domain or
+    codomain: ``width``, the number of functions naming a point;
+    ``functions(names)``, those functions in order; ``name_of(fns)``, the
+    name made of value functions; ``point(name)``, the names of a point
+    given by one name, as ``localize`` takes its anchor; ``center`` and
+    ``indicator``, a ball's centre and membership test; ``neighborhood``,
+    what a localization's certified prefix cuts out; and ``record``, the
+    function record over the space, which has ``domain``, ``codomain``,
+    ``values`` (the value operators) and, if conditional, ``E``.  Real
+    functions take their values in ``Reals(1)``; balls are max-norm balls
+    around rational centres.
+    """
+
+    n: int
+
+    @property
+    def width(self) -> int:
+        return 3 * self.n
+
+    def functions(self, names: Sequence[NameTriple]) -> tuple[NatFun, ...]:
+        """The functions of ``n`` argument names, counted, in order."""
+        if len(names) != self.n:
+            raise ArityMismatch(f"{self.n} argument names expected, got {len(names)}")
+        return tuple(fn for name in names for fn in name)
+
+    def name_of(self, fns: Sequence[NatFun]) -> NameTriple:
+        return NameTriple(*fns)
+
+    def point(self, name: NameTriple) -> list[NameTriple]:
+        if self.n != 1:
+            raise ArityMismatch("localization is defined for unary real functions")
+        return [name]
+
+    def center(self, center: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+        center = tuple(map(Fraction, center))
+        if len(center) != self.n:
+            raise ArityMismatch("ball center dimension must match the local function")
+        return center
+
+    indicator = staticmethod(gadgets.ball_indicator)
+
+    def neighborhood(self, prefix: tuple[tuple[int, int, int], ...]) -> Neighborhood:
+        return Neighborhood(len(prefix) - 1, prefix)
+
+    def record(
+        self, codomain: Reals, values: Sequence[Operator], cert: Operator | None = None
+    ) -> UniformFn | ConditionalFn:
+        """The uniform function, or given a certificate the conditional one."""
+        _same_space(codomain, Reals(1), "real functions take real values")
+        if cert is None:
+            return UniformFn(self.n, *values)
+        return ConditionalFn(self.n, cert, *values)
+
+
+class _RealFn:
+    """The space view of a real function record."""
+
+    @property
+    def domain(self) -> Reals:
+        return Reals(self.n_args)
+
+    @property
+    def codomain(self) -> Reals:
+        return Reals(1)
+
+    @property
+    def values(self) -> tuple[Operator, Operator, Operator]:
+        return (self.F, self.G, self.H)
+
+
 @dataclass(frozen=True, eq=False)
-class UniformFn:
+class UniformFn(_RealFn):
     """N real arguments; F, G, H are 3N-ary operators."""
 
     n_args: int
@@ -252,7 +340,7 @@ class UniformFn:
 
 
 @dataclass(frozen=True, eq=False)
-class ConditionalFn:
+class ConditionalFn(_RealFn):
     """N real arguments; E is 3N-ary, F, G, H are (3N+1)-ary."""
 
     n_args: int
@@ -271,19 +359,17 @@ class ConditionalFn:
                 )
 
 
-def _flatten(n_args: int, names: Sequence[NameTriple]) -> tuple[NatFun, ...]:
-    """The functions of ``n_args`` argument names, counted, in order."""
-    if len(names) != n_args:
-        raise ArityMismatch(f"{n_args} argument names expected, got {len(names)}")
-    return tuple(fn for name in names for fn in name)
+# ---------------------------------------------------------------------------
+# application and search
+# ---------------------------------------------------------------------------
 
 
 def apply_uniform(fn: UniformFn, names: Sequence[NameTriple]) -> NameTriple:
     """Transform argument names into a (lazily evaluated) value name."""
-    return NameTriple(*_apply_ops((fn.F, fn.G, fn.H), _flatten(fn.n_args, names)))
+    return fn.codomain.name_of(_apply_ops(fn.values, fn.domain.functions(names)))
 
 
-_INNER_CERT: WeakKeyDictionary[Operator, Operator] = WeakKeyDictionary()  # filled by _compose_ops
+_INNER_CERT: WeakKeyDictionary[Operator, Operator] = WeakKeyDictionary()  # see compose_conditional
 
 
 def _candidates(certificate: Operator, fns: tuple[NatFun, ...], budget: int) -> Iterable[int]:
@@ -319,7 +405,7 @@ def find_parameter(fn: ConditionalFn, names: Sequence[NameTriple], budget: int) 
     hit, and the budgets that raise BudgetExhausted, are the scan's.
     Raises ValueError unless ``budget`` is a natural.
     """
-    fns = _flatten(fn.n_args, names)
+    fns = fn.domain.functions(names)
     certificate = fn.E.apply(fns)
     for s in _candidates(fn.E, fns, budget):
         if certificate.eval_uncached(s) == 0:
@@ -331,8 +417,8 @@ def apply_conditional_at(
     fn: ConditionalFn, names: Sequence[NameTriple], s: int
 ) -> NameTriple:
     """Apply at an already-found parameter (any certified s is valid)."""
-    fns = _flatten(fn.n_args, names) + (NatFun.constant(s),)
-    return NameTriple(*_apply_ops((fn.F, fn.G, fn.H), fns))
+    fns = fn.domain.functions(names) + (NatFun.constant(s),)
+    return fn.codomain.name_of(_apply_ops(fn.values, fns))
 
 
 def apply_conditional(
@@ -343,13 +429,29 @@ def apply_conditional(
 
 
 def embed_uniform(fn: UniformFn) -> ConditionalFn:
-    """View a uniform function as conditional: s = 0 certifies."""
-    return ConditionalFn(fn.n_args, *_embed_ops((fn.F, fn.G, fn.H)))
+    """View a uniform function as conditional: s = 0 certifies.
+
+    The certificate returns the identity whatever its arguments; the
+    value operators leave the parameter slot unread.
+    """
+    k, values = fn.domain.width, fn.values
+    if all(map(_is_term, values)):
+        cert: Operator = TermOperator(OperatorTerm(k, 1, Proj(1)))
+        values = [TermOperator(OperatorTerm(k + 1, 1, op.term.node)) for op in values]
+    else:
+        cert = ProcOperator(k, lambda _fns: NatFun.identity(), "embedded-cert")
+        values = _subst(values, [_slot(k + 1, i, False) for i in range(1, k + 1)], False)
+    return fn.domain.record(fn.codomain, values, cert)
+
+
+def identity(space: Reals) -> UniformFn:
+    """The identity on ``space``, term-backed: passes the name straight through."""
+    return space.record(space, [_slot(space.width, i, True) for i in range(1, space.width + 1)])
 
 
 def identity_uniform() -> UniformFn:
-    """The identity on reals, term-backed: passes the name straight through."""
-    return UniformFn(1, *_identity_ops(3))
+    """The identity on reals, ``identity(Reals(1))``."""
+    return identity(Reals(1))
 
 
 # ---------------------------------------------------------------------------
@@ -513,121 +615,39 @@ def _select(
 
 
 # ---------------------------------------------------------------------------
-# the three constructions, for names of any width
+# composition, patching and localization
 # ---------------------------------------------------------------------------
-#
-# A unary conditional function is passed as the tuple (E, V_1, ..., V_w) of
-# its certificate and its value operators, where w is the number of
-# functions in a name: 3 for reals (F, G, H), 1 for coded points (T).
 
 
-def _identity_ops(w: int) -> list[Operator]:
-    """The identity on names of width ``w``, term-backed."""
-    return [_slot(w, i, True) for i in range(1, w + 1)]
+def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> ConditionalFn:
+    """Composite of two conditional functions, ``outer`` after ``inner``.
 
+    The inner function may take any number of arguments; its values must
+    lie in the outer function's domain (else SpaceMismatch).  The
+    composite's parameter packs the component parameters through the
+    diagonal pairing.  At candidate ``s`` the certificate is
 
-def _embed_ops(values: Sequence[Operator]) -> tuple[Operator, ...]:
-    """A uniform function's value operators as a conditional's (E, V_1, ..., V_w).
-
-    The certificate returns the identity whatever its arguments, so
-    s = 0 certifies; the value operators leave the parameter slot unread.
-    """
-    term = all(map(_is_term, values))
-    k = values[0].arity
-    if term:
-        cert = TermOperator(OperatorTerm(k, 1, Proj(1)))
-        return (cert, *(TermOperator(OperatorTerm(k + 1, 1, op.term.node)) for op in values))
-    cert = ProcOperator(k, lambda _fns: NatFun.identity(), "embedded-cert")
-    return (cert, *_subst(values, [_slot(k + 1, i, False) for i in range(1, k + 1)], False))
-
-
-def _compose_ops(
-    outer: Sequence[Operator], inner: Sequence[Operator]
-) -> tuple[Operator, ...]:
-    """Certificate and value operators of ``outer`` after ``inner``.
-
-    At candidate ``s`` the certificate is
-
-        conj(E_inner(name)(right(s)),
+        conj(E_inner(names)(right(s)),
              E_outer(inner value name at parameter right(s))(left(s)))
 
     which vanishes exactly when ``right(s)`` certifies the inner function
     and ``left(s)`` the outer one at the inner output.  The value
     operators feed the packed parameter through the same split.
+    Term-backed ingredients yield term-backed results.
     """
-    e_outer, *v_outer = outer
-    e_inner, *v_inner = inner
-    term = all(_is_term(op) for op in (*outer, *inner))
-    w = e_inner.arity
+    _same_space(inner.codomain, outer.domain, "composition space mismatch")
+    term = all(_is_term(op) for fn in (outer, inner) for op in (fn.E, *fn.values))
+    w = inner.domain.width
     slots = [_slot(w + 1, i, term) for i in range(1, w + 1)]
     param = _slot(w + 1, w + 1, term)
     # the inner value name, its parameter slot read through `right`
-    inner_value = _subst(v_inner, slots + [_lift(_RIGHT, [param], term)], term)
-    cert = _lift(
-        _CONJ,
-        [
-            _reindex(e_inner, _RIGHT, term),
-            _diagonal(_reindex(_subst([e_outer], inner_value, term)[0], _LEFT, term), term),
-        ],
-        term,
-    )
+    inner_value = _subst(inner.values, slots + [_lift(_RIGHT, [param], term)], term)
+    outer_cert = _reindex(_subst([outer.E], inner_value, term)[0], _LEFT, term)
+    cert = _lift(_CONJ, [_reindex(inner.E, _RIGHT, term), _diagonal(outer_cert, term)], term)
     # a term certificate in a fresh wrapper, so nested levels' records can go
-    _INNER_CERT[cert] = TermOperator(e_inner.term) if term else e_inner
-    outer_args = inner_value + [_lift(_LEFT, [param], term)]
-    return (cert, *_subst(v_outer, outer_args, term))
-
-
-def _localize_ops(
-    fn: Sequence[Operator], anchor: Sequence[NatFun], s0: int
-) -> tuple[tuple[tuple[int, ...], ...], list[Operator]]:
-    """The anchor's certified prefix and the value operators patched to it.
-
-    Instruments the certificate at the certified ``s0`` to find the
-    largest queried index ``u`` (a continuity modulus: the certificate
-    cannot tell apart names agreeing up to ``u``).  Returns the anchor's
-    values at ``t <= u`` and the value operators that patch every argument
-    function below ``u + 1`` with the anchor and read the parameter slot
-    as the constant ``s0``.
-    """
-    e, *values = fn
-    wrapped, log = recording(anchor)
-    if e.apply(wrapped)(s0) != 0:
-        raise AssertionError("certificate changed value under instrumentation")
-    u = max((t for seen in log.values() for t in seen), default=0)
-    prefix = tuple(tuple(f(t) for f in anchor) for t in range(u + 1))
-
-    term = all(_is_term(op) for op in values)
-    w = len(anchor)
-    inners = [_patch(w, i, [point[i - 1] for point in prefix], term) for i in range(1, w + 1)]
-    inners.append(_constant(w, s0, term))
-    return prefix, _subst(values, inners, term)
-
-
-def _glue_ops(
-    indicators: Sequence[BaseFunction], k: int, components: Sequence[Sequence[Operator]]
-) -> list[Operator]:
-    """One glued operator per component of the balls' local functions."""
-    term = all(_is_term(op) for branches in components for op in branches)
-    return _select(indicators, k, components, term)
-
-
-# ---------------------------------------------------------------------------
-# composition, patching and localization of real functions
-# ---------------------------------------------------------------------------
-
-
-def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> ConditionalFn:
-    """Composite of two conditional unary functions.
-
-    The composite's parameter packs the component parameters through the
-    diagonal pairing: ``right(s)`` certifies the inner function and
-    ``left(s)`` the outer one at the inner output.  Term-backed
-    ingredients yield term-backed results.
-    """
-    if outer.n_args != 1 or inner.n_args != 1:
-        raise ArityMismatch("composition is defined for unary conditional functions")
-    outer_ops, inner_ops = ((fn.E, fn.F, fn.G, fn.H) for fn in (outer, inner))
-    return ConditionalFn(1, *_compose_ops(outer_ops, inner_ops))
+    _INNER_CERT[cert] = TermOperator(inner.E.term) if term else inner.E
+    values = _subst(outer.values, inner_value + [_lift(_LEFT, [param], term)], term)
+    return inner.domain.record(outer.codomain, values, cert)
 
 
 def patch_operator(anchor: NatFun, k: int) -> ProcOperator:
@@ -667,10 +687,11 @@ def localize(
 ) -> tuple[Neighborhood, UniformFn]:
     """Trade conditionality for locality around a named point.
 
-    Finds the least certificate ``s0`` for the anchor name, instruments
-    that certificate evaluation to get the largest queried index ``u``
-    (a continuity modulus: the certificate cannot distinguish functions
-    agreeing up to ``u``), and returns
+    ``at`` is one name of the anchor point (for reals, of a unary
+    function's argument).  Finds the least certificate ``s0`` for it,
+    instruments that certificate evaluation to get the largest queried
+    index ``u`` (a continuity modulus: the certificate cannot distinguish
+    functions agreeing up to ``u``), and returns
 
     * the neighborhood cut out by the anchor's first ``u+1``
       approximations, and
@@ -681,11 +702,21 @@ def localize(
     For any point of the neighborhood, patched names still name it, so
     the frozen certificate stays valid and the output names the value.
     """
-    if fn.n_args != 1:
-        raise ArityMismatch("localization is defined for unary conditional functions")
-    s0 = find_parameter(fn, [at], budget)
-    prefix, (F, G, H) = _localize_ops((fn.E, fn.F, fn.G, fn.H), tuple(at), s0)
-    return Neighborhood(len(prefix) - 1, prefix), UniformFn(1, F, G, H)
+    names = fn.domain.point(at)
+    s0 = find_parameter(fn, names, budget)
+    anchor = fn.domain.functions(names)
+    wrapped, log = recording(anchor)
+    if fn.E.apply(wrapped)(s0) != 0:
+        raise AssertionError("certificate changed value under instrumentation")
+    u = max((t for seen in log.values() for t in seen), default=0)
+    prefix = tuple(tuple(f(t) for f in anchor) for t in range(u + 1))
+
+    term = all(map(_is_term, fn.values))
+    w = len(anchor)
+    inners = [_patch(w, i, [point[i - 1] for point in prefix], term) for i in range(1, w + 1)]
+    inners.append(_constant(w, s0, term))
+    local = fn.domain.record(fn.codomain, _subst(fn.values, inners, term))
+    return fn.domain.neighborhood(prefix), local
 
 
 # ---------------------------------------------------------------------------
@@ -695,19 +726,25 @@ def localize(
 
 @dataclass(frozen=True, eq=False)
 class Ball:
-    """Open max-norm ball with the uniform function valid on it."""
+    """Open ball of the local function's domain, with the uniform function valid on it.
 
-    center: tuple[Fraction, ...]
+    The domain reads the centre: rationals, one per coordinate, for
+    ``Reals`` (a max-norm ball), a code for a coded space.  ``indicator``
+    (zero exactly when the argument functions' values at the cover's
+    separation index k lie within radius - 1/(k+1) of the centre) may be
+    supplied; otherwise the domain derives it at gluing time.
+    """
+
+    center: object
     radius: Fraction
     local: UniformFn
+    indicator: Callable[..., int] | None = None
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", tuple(Fraction(c) for c in self.center))
         object.__setattr__(self, "radius", Fraction(self.radius))
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")
-        if len(self.center) != self.local.n_args:
-            raise ArityMismatch("ball center dimension must match the local function")
+        object.__setattr__(self, "center", self.local.domain.center(self.center))
 
 
 @dataclass(frozen=True, eq=False)
@@ -729,44 +766,51 @@ class BallCover:
             raise ValueError("a cover needs at least one ball")
         if self.separation < 0:
             raise ValueError("separation index must be a natural")
-        n = self.balls[0].local.n_args
-        if any(b.local.n_args != n for b in self.balls):
-            raise ArityMismatch("all local functions must share one arity")
+        for ball in self.balls:
+            _same_space(ball.local.domain, self.domain, "cover domain mismatch")
+            _same_space(ball.local.codomain, self.codomain, "cover codomain mismatch")
 
     @property
-    def n_args(self) -> int:
-        return self.balls[0].local.n_args
+    def domain(self) -> Reals:
+        return self.balls[0].local.domain
+
+    @property
+    def codomain(self) -> Reals:
+        return self.balls[0].local.codomain
 
 
 def _cover_indicators(cover: BallCover) -> list[BaseFunction]:
     margin = Fraction(1, cover.separation + 1)
+    space = cover.domain
     return [
-        gadgets.ball_indicator(ball.center, ball.radius - margin)
-        for ball in cover.balls
+        space.indicator(ball.center, ball.radius - margin)
+        if ball.indicator is None
+        else BaseFunction(f"indicator_{i}", space.width, ball.indicator)
+        for i, ball in enumerate(cover.balls, start=1)
     ]
 
 
 def glue_compact(cover: BallCover) -> UniformFn:
     """One uniform function dispatching among the cover's local functions.
 
-    At output index ``t`` the glued operator reads every argument name at
-    the separation index ``k``, asks each ball's indicator whether those
-    approximations certify membership with margin 1/(k+1), and emits the
-    first passing ball's local output at ``t`` (a constant-zero name if
+    At output index ``t`` the glued operator reads every argument function
+    at the separation index ``k``, asks each ball's indicator whether those
+    values certify membership with margin 1/(k+1), and emits the first
+    passing ball's local output at ``t`` (the constant-zero functions if
     none passes).  With the warranted separation, some ball always
     certifies and the point provably lies inside every certifying ball.
     Either form makes that choice once per argument name and evaluates
     only the chosen ball's local function.
     """
-    locals_ = [ball.local for ball in cover.balls]
-    components = [[getattr(loc, c) for loc in locals_] for c in "FGH"]
-    F, G, H = _glue_ops(_cover_indicators(cover), cover.separation, components)
-    return UniformFn(cover.n_args, F, G, H)
+    components = [list(branches) for branches in zip(*(b.local.values for b in cover.balls))]
+    term = all(_is_term(op) for branches in components for op in branches)
+    glued = _select(_cover_indicators(cover), cover.separation, components, term)
+    return cover.domain.record(cover.codomain, glued)
 
 
 def dispatch_index(cover: BallCover, names: Sequence[NameTriple]) -> int | None:
     """Which ball (1-based) the glued function would source from, if any."""
-    probes = [fn(cover.separation) for fn in _flatten(cover.n_args, names)]
+    probes = [fn(cover.separation) for fn in cover.domain.functions(names)]
     return _first_passing(_cover_indicators(cover), probes)
 
 
@@ -775,14 +819,17 @@ def separation_violations(
 ) -> list[tuple[Fraction, ...]]:
     """Sample points whose depth inside every ball is below 2/(k+1).
 
-    Exact rational arithmetic; an empty result on a dense enough sample
-    is evidence (not proof) for the warranted separation.
+    For covers of ``Reals(n)`` only (else SpaceMismatch).  Exact rational
+    arithmetic; an empty result on a dense enough sample is evidence (not
+    proof) for the warranted separation.
     """
+    if not isinstance(cover.domain, Reals):
+        raise SpaceMismatch(f"separation is checked on real points, not on {cover.domain}")
     needed = Fraction(2, cover.separation + 1)
     bad: list[tuple[Fraction, ...]] = []
     for point in points:
         p = tuple(Fraction(c) for c in point)
-        if len(p) != cover.n_args:
+        if len(p) != cover.domain.n:
             raise ArityMismatch("sample point dimension mismatch")
         depth = max(
             ball.radius - max(abs(a - b) for a, b in zip(p, ball.center))

@@ -1,4 +1,6 @@
 import io
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import replace
@@ -34,6 +36,20 @@ def test_eval_prints_the_approximation_block(capsys):
     assert lines[0] == "approx = 5/6"
     assert lines[1] == "t = 99"
     assert lines[2] == "bound = 1/100"
+
+
+def test_module_entry_point_exits_3_on_budget_exhaustion():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+    argv = ["eval", "(recip (sub 1/3 1/3))", "--budget", "20"]
+    proc = subprocess.run(
+        [sys.executable, "-m", "condreal.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "budget exhausted" in proc.stderr
 
 
 def test_eval_bare_rational(capsys):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from condreal import metric, suites
+from condreal import metric, realfns, suites
 from condreal.elementary import default_functions, uniform_from_rule
 from condreal.gadgets import conj, tuple_pack, tuple_part, tuple_parts
 from condreal.metric import (
@@ -39,14 +39,17 @@ from condreal.metric import (
 )
 from condreal.naming import NatFun, approx, rational_name
 from condreal.realfns import (
+    Ball,
+    BallCover,
     BudgetExhausted,
     TermOperator,
     apply_conditional_at,
     apply_uniform,
     embed_uniform,
     find_parameter,
+    separation_violations,
 )
-from condreal.suites import identity_fn, negate_fn
+from condreal.suites import identity_fn, negate_fn, two_ball_cover
 from condreal.terms import Apply, Base, BaseFunction, OperatorTerm, Proj
 
 from conftest import assert_check, linear_scan
@@ -329,6 +332,48 @@ def test_gluing_agrees_with_the_real_path():
 def test_ms_ball_requires_positive_radius():
     with pytest.raises(ValueError):
         MsBall(0, Fraction(0), identity_ms(M1))
+
+
+def test_the_ms_names_are_the_shared_constructions():
+    for alias, shared in [
+        ("find_parameter_ms", "find_parameter"),
+        ("apply_uniform_ms", "apply_uniform"),
+        ("apply_conditional_ms", "apply_conditional"),
+        ("apply_conditional_ms_at", "apply_conditional_at"),
+        ("identity_ms", "identity"),
+        ("embed_uniform_ms", "embed_uniform"),
+        ("compose_conditional_ms", "compose_conditional"),
+        ("localize_ms", "localize"),
+        ("glue_compact_ms", "glue_compact"),
+        ("dispatch_index_ms", "dispatch_index"),
+        ("MsBall", "Ball"),
+        ("MsBallCover", "BallCover"),
+    ]:
+        assert getattr(metric, alias) is getattr(realfns, shared), alias
+
+
+@pytest.mark.parametrize(
+    "balls",
+    [
+        [Ball((0,), 1, identity_fn()), Ball((0, 0), 1, ADD)],
+        [Ball(0, 1, identity_ms(M1)), Ball(0, 1, identity_ms(M2))],
+    ],
+    ids=["reals", "coded"],
+)
+def test_a_cover_needs_one_domain(balls):
+    with pytest.raises(SpaceMismatch):
+        BallCover(balls, separation=3)
+
+
+def test_separation_is_checked_on_real_covers_only():
+    real = two_ball_cover()
+    coded = BallCover(
+        [Ball(mn_code(b.center), b.radius, translate_uniform(b.local)) for b in real.balls],
+        separation=real.separation,
+    )
+    assert separation_violations(real, [(Fraction(1, 2),)]) == []
+    with pytest.raises(SpaceMismatch):
+        separation_violations(coded, [(Fraction(1, 2),)])
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,7 @@ from condreal.realfns import (
     JointComponent,
     JointOperator,
     Neighborhood,
+    SpaceMismatch,
     TermOperator,
     UniformFn,
     apply_conditional,
@@ -72,6 +73,7 @@ from condreal.suites import (
 )
 from condreal.terms import (
     Apply,
+    ArityMismatch,
     Base,
     OperatorTerm,
     Proj,
@@ -181,6 +183,21 @@ def test_known_composite_parameter_decomposition():
     s = find_parameter(composed, [name], 1000)
     assert s == 11
     assert (left(s), right(s)) == (1, 3)
+
+
+def test_composition_substitutes_a_binary_inner():
+    composed = compose_conditional(RECIP, embed_uniform(REGISTRY.get("add").fn))
+    names = [rational_name(Fraction(1, 3)), rational_name(Fraction(1, 6))]
+    s = find_parameter(composed, names, 1000)
+    assert s == linear_scan(composed.E, tuple(fn for name in names for fn in name), 1000) == 14
+    out = apply_conditional_at(composed, names, s)
+    assert validate_name(out, Fraction(2), 200).passed
+
+
+def test_composition_checks_that_the_inner_values_lie_in_the_outer_domain():
+    with pytest.raises(ArityMismatch) as info:
+        compose_conditional(embed_uniform(REGISTRY.get("add").fn), RECIP)
+    assert info.type is SpaceMismatch
 
 
 def test_term_backed_composition_stays_term_backed():
