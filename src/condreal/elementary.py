@@ -10,7 +10,9 @@ sum to under ``1/(t+1)``; multiplication additionally rescales the index
 by a magnitude bound read off the index-0 approximations.  What does not
 depend on the index is done once per application: the schedule and the
 arguments are bound (a constant decoded, the product's magnitude bound
-read), while the rule itself still runs at every index.
+read).  A builtin on exact arguments (``NatFun.constant``s) computes
+its value once and returns constants, as the reciprocal does at a
+constant parameter; a ``uniform_from_rule`` rule runs at every index.
 
 The builtins compute on integers: a triple is read as the unreduced pair
 ``(x - y, z + 1)``, an exact kernel combines the pairs, and one ``gcd``
@@ -49,6 +51,7 @@ from .naming import (
     validate_name,
 )
 from .realfns import (
+    _SEARCH_ORDER,
     ConditionalFn,
     JointOperator,
     ProcOperator,
@@ -114,10 +117,13 @@ def _pointwise(
     # the per-index loop of every uniform entry: ``decode`` turns a triple
     # into the rule's argument, ``encode`` its result into the output triple
     bind = getattr(schedule, "bind", None)
+    fold = isinstance(schedule, _Schedule)  # a builtin: exact arguments, exact value
 
     def build(fns: tuple[NatFun, ...]) -> NameTriple:
         names = [NameTriple(*fns[3 * j : 3 * j + 3]) for j in range(n_args)]
         args = [_argument(nm, decode) for nm in names]
+        if fold and not any(map(callable, args)):
+            return NameTriple(*map(NatFun.constant, encode(rule(*args))))
         at = bind(names) if bind is not None else lambda t: schedule(t, names)
         a, b = (args + [None, None])[:2]
         a_on, b_on = callable(a), callable(b)  # read per index, else a constant's value
@@ -156,11 +162,11 @@ def uniform_from_rule(
     on the same loop with integer kernels in place of ``Fraction`` rules.
 
     Work that does not depend on the index is done once per application:
-    a constant argument is decoded into its ``Fraction`` once (the rule
-    still runs at every index, and the queried index is still checked),
-    and a schedule with a ``bind(names)`` method gives the application
-    its ``t -> index`` map, as every builtin schedule does (the product
-    schedule to read its magnitude bound once).
+    a constant argument is decoded into its ``Fraction`` once, and a
+    schedule with a ``bind(names)`` method gives the application its
+    ``t -> index`` map, as every builtin schedule does (the product
+    schedule to read its magnitude bound once).  The rule still runs at
+    every index, and the queried index is still checked.
     """
     return _pointwise(n_args, rule, schedule, name, _decode, _rational_triple)
 
@@ -217,9 +223,18 @@ def _recip_certificate() -> ProcOperator:
     ``|x - y| / (z + 1) > 2/(s+1)`` is the same as
     ``(|x - y|(s+1)) / (z + 1) > 2``, a single ``gt`` gadget test on the
     rescaled triple ``(|x-y|(s+1), 0, z)`` -- constant work per candidate,
-    reading a stream argument without filling its memo.
+    reading a stream argument without filling its memo.  On an exact
+    triple the test first holds at ``s = floor(2(z+1)/|x-y|)``, and
+    never when ``x = y``: the search starts there, or probes nothing.
     """
     test = gadgets.gt(2)
+
+    def order(fns: tuple[NatFun, ...], budget: int) -> range:
+        triple = constant_values(*fns)
+        if triple is None:
+            return range(budget)
+        d = abs(triple[0] - triple[1])
+        return range(2 * (triple[2] + 1) // d if d else budget, budget)
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
         read = triple_reader(*fns, cached=False)
@@ -231,7 +246,9 @@ def _recip_certificate() -> ProcOperator:
 
         return NatFun(ev, label="recip.cert")
 
-    return ProcOperator(3, build, "recip-E")
+    certificate = ProcOperator(3, build, "recip-E")
+    _SEARCH_ORDER[certificate] = order
+    return certificate
 
 
 def _recip_value() -> JointOperator:
@@ -241,16 +258,21 @@ def _recip_value() -> JointOperator:
     # |1/q - 1/xi| = |xi - q| / (|q||xi|) then lands strictly under
     # 1/(t+1).  The q = 0 guard is unreachable for certified inputs and
     # only keeps the operator total.
-    # A constant input is decoded once; tau is a natural by construction.
+    # A constant input is decoded once (at a constant parameter, its
+    # reciprocal computed once); tau is a natural by construction.
     # The reciprocal of p/d is d/p with the sign moved to the numerator.
+    def inverse(p: int, d: int) -> tuple[int, int, int]:
+        return _encode_pair((d, p) if p > 0 else (-d, -p) if p < 0 else (0, 1))
+
     def build(fns: tuple[NatFun, ...]) -> NameTriple:
         arg, e = _argument(NameTriple(*fns[:3]), _pair), fns[3]
+        if not callable(arg) and constant_values(e) is not None:
+            return NameTriple(*map(NatFun.constant, inverse(*arg)))
 
         def ev(t: int) -> tuple[int, int, int]:
             s = e(t)
             tau = 2 * (s + 1) * (s + 1) * (t + 1) - 1
-            p, d = _pair(arg(tau)) if callable(arg) else arg
-            return _encode_pair((d, p) if p > 0 else (-d, -p) if p < 0 else (0, 1))
+            return inverse(*(_pair(arg(tau)) if callable(arg) else arg))
 
         return TripleStream(ev, "recip").name()
 

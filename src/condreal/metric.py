@@ -126,6 +126,8 @@ class EffectiveSpace:
         return f"EffectiveSpace({self.name})"
 
     def functions(self, name: OrdinaryName) -> tuple[NatFun]:
+        if not isinstance(name, OrdinaryName):
+            raise SpaceMismatch(f"{self} takes one ordinary name, got {name!r}")
         _same_space(name.space, self, "argument name lives in the wrong space")
         return (name.f,)
 
@@ -404,11 +406,14 @@ def _decode(n_dims: int, arity: int) -> list[Operator]:
 def _pack(n_dims: int, arity: int) -> list[Operator]:
     """The M_N coding: slots 1..3N, as f, g, h triples, packed into one code stream.
 
-    The other slots pass through.
+    The other slots pass through; constant triples pack once.
     """
     width = 3 * n_dims
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
+        values = constant_values(*fns[:width])
+        if values is not None:
+            return NatFun.constant(tuple_pack(values))
         readers = [triple_reader(*fns[i : i + 3]) for i in range(0, width, 3)]
         return NatFun(lambda t: tuple_pack([v for read in readers for v in read(t)]), "pack")
 

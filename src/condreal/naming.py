@@ -42,9 +42,10 @@ manipulates these triples, so this module pins down the two ground types:
 
 ``constant_values``
     tells a consumer that its functions are ``NatFun.constant``s and
-    gives their values, so work that does not depend on the index (a
-    constant argument's decoding) is done once per application.  A
-    constant's label is spelled only when asked for, so a constant of
+    gives their values, so an operator on such *exact* arguments (a
+    rational's name, an ``M_N`` point's code) computes its value once,
+    at application, and returns constants.  A constant is read in one
+    call; its label is spelled only when asked for, so a constant of
     any size builds.
 
 Rationals are ``fractions.Fraction`` throughout: arbitrary-precision,
@@ -154,7 +155,7 @@ class NatFun:
         """The constant function t -> c."""
         if not _natural(c):
             raise ValueError(f"constant value must be a natural, got {c!r}")
-        fn = cls(lambda _t: c)
+        fn = _Constant(lambda _t: c)
         fn._source = (None, c)
         return fn
 
@@ -251,6 +252,17 @@ class _Projection(NatFun):
         stream, i = self._source
         hit = stream._memo.get(t)
         return hit[i] if hit is not None else stream(t)[i]
+
+
+class _Constant(NatFun):
+    """A ``NatFun.constant``: its read checks the argument and returns the value."""
+
+    __slots__ = ()
+
+    def __call__(self, t: int) -> int:
+        if t.__class__ is not int or t < 0:
+            _check_argument(t, "NatFun")
+        return self._source[1]
 
 
 def constant_values(*fns: NatFun) -> tuple[int, ...] | None:

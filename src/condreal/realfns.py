@@ -39,9 +39,10 @@ computes its rational once per index; used one at a time, a component
 gives the same values.  Term-backed F, G and H applied together run as
 one ``TermProgram`` behind one ``TripleStream``.
 
-A composite's certificate search walks the pairing diagonals, probing
-the inner certificate once per diagonal: it finds the linear scan's least
-parameter at a cost near-linear, not quadratic, in the inner certificate.
+A search probes in its certificate's order, which skips only parameters
+that cannot certify, so it finds the linear scan's least one.  A
+composite walks the pairing diagonals, probing its inner certificate once
+per diagonal; the reciprocal on an exact argument starts at its least s.
 
 Gluing, in either form, picks its ball once per argument name and
 evaluates only that ball's local function; ``support_bound`` still holds.
@@ -51,13 +52,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Callable, Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
 from . import gadgets
 from .gadgets import CORE
-from .naming import NameTriple, NatFun, TripleStream, _natural, recording
+from .naming import NameTriple, NatFun, TripleStream, _natural, constant_values, recording
 from .terms import (
     Apply,
     ArityMismatch,
@@ -274,6 +275,8 @@ class Reals:
 
     def functions(self, names: Sequence[NameTriple]) -> tuple[NatFun, ...]:
         """The functions of ``n`` argument names, counted, in order."""
+        if not isinstance(names, (list, tuple)) or {type(nm) for nm in names} - {NameTriple}:
+            raise SpaceMismatch(f"{self} takes a list of name triples, got {names!r}")
         if len(names) != self.n:
             raise ArityMismatch(f"{self.n} argument names expected, got {len(names)}")
         return tuple(fn for name in names for fn in name)
@@ -369,24 +372,28 @@ def apply_uniform(fn: UniformFn, names: Sequence[NameTriple]) -> NameTriple:
     return fn.codomain.name_of(_apply_ops(fn.values, fn.domain.functions(names)))
 
 
-_INNER_CERT: WeakKeyDictionary[Operator, Operator] = WeakKeyDictionary()  # see compose_conditional
+# certificate -> its order: (fns, budget) -> the s < budget to probe, least
+# first, leaving out only s that cannot certify; with no entry, every s
+_SEARCH_ORDER: WeakKeyDictionary[Operator, Callable[..., Iterable[int]]] = WeakKeyDictionary()
 
 
 def _candidates(certificate: Operator, fns: tuple[NatFun, ...], budget: int) -> Iterable[int]:
-    """The s < budget a search probes: all, or a composite's diagonal walk.
+    """The s < budget a search probes, in the certificate's order."""
+    if not _natural(budget):
+        raise ValueError(f"search budget must be a natural, got {budget!r}")
+    order = _SEARCH_ORDER.get(certificate)
+    return range(budget) if order is None else order(fns, budget)
+
+
+def _diagonal_walk(e_inner: Operator, fns: tuple[NatFun, ...], budget: int) -> Iterator[int]:
+    """A composite's order: the pairing diagonals, probing the inner certificate.
 
     A composite certificate at s = pair(s0, s1) is conj(inner(s1), ...) > 0
     wherever the inner one fails at s1.  The walk probes that once per
     diagonal d = s0 + s1, at s1 = d, and yields on diagonal d the s of
     every kept s1, largest s1 (least s) first.
     """
-    if not _natural(budget):
-        raise ValueError(f"search budget must be a natural, got {budget!r}")
-    e_inner = _INNER_CERT.get(certificate)
-    return range(budget) if e_inner is None else _diagonal_walk(e_inner.apply(fns), budget)
-
-
-def _diagonal_walk(inner: NatFun, budget: int) -> Iterator[int]:
+    inner = e_inner.apply(fns)
     kept: list[int] = []
     d = first = 0  # first = pair(0, d), the least s on diagonal d
     while first < budget:
@@ -400,10 +407,11 @@ def _diagonal_walk(inner: NatFun, budget: int) -> Iterator[int]:
 def find_parameter(fn: ConditionalFn, names: Sequence[NameTriple], budget: int) -> int:
     """The least certifying parameter s < budget, the one a linear scan finds.
 
-    A composite's search walks the pairing diagonals (``_candidates``) and
-    skips only s whose inner half fails, which cannot certify: the first
-    hit, and the budgets that raise BudgetExhausted, are the scan's.
-    Raises ValueError unless ``budget`` is a natural.
+    The candidates come in the certificate's order (``_candidates``),
+    which skips only s that cannot certify, and each is confirmed by
+    evaluating the certificate: the first hit, and the budgets that
+    raise BudgetExhausted, are the scan's.  Raises ValueError unless
+    ``budget`` is a natural.
     """
     fns = fn.domain.functions(names)
     certificate = fn.E.apply(fns)
@@ -502,7 +510,7 @@ def _patch(k: int, i: int, values: Sequence[int], term: bool) -> Operator:
 
 
 def _lift(base: BaseFunction, ops: Sequence[Operator], term: bool) -> Operator:
-    """Pointwise: ``base`` applied to the outputs of ``ops`` at each index."""
+    """Pointwise: ``base`` applied to the outputs of ``ops`` at each index (once if constant)."""
     k = ops[0].arity
     if term:
         return TermOperator(OperatorTerm(k, 1, Base(base, tuple(op.term.node for op in ops))))
@@ -510,6 +518,9 @@ def _lift(base: BaseFunction, ops: Sequence[Operator], term: bool) -> Operator:
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
         outs = _apply_ops(ops, fns)
+        values = constant_values(*outs)
+        if values is not None:
+            return NatFun.constant(fn(*values))
         return NatFun(lambda t: fn(*[out(t) for out in outs]), label=base.name)
 
     return ProcOperator(k, build, base.name)
@@ -645,7 +656,7 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
     outer_cert = _reindex(_subst([outer.E], inner_value, term)[0], _LEFT, term)
     cert = _lift(_CONJ, [_reindex(inner.E, _RIGHT, term), _diagonal(outer_cert, term)], term)
     # a term certificate in a fresh wrapper, so nested levels' records can go
-    _INNER_CERT[cert] = TermOperator(inner.E.term) if term else inner.E
+    _SEARCH_ORDER[cert] = partial(_diagonal_walk, TermOperator(inner.E.term) if term else inner.E)
     values = _subst(outer.values, inner_value + [_lift(_LEFT, [param], term)], term)
     return inner.domain.record(outer.codomain, values, cert)
 

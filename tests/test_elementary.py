@@ -41,6 +41,8 @@ from condreal.realfns import (
     find_parameter,
 )
 
+from conftest import linear_scan
+
 
 @pytest.fixture(scope="module")
 def registry():
@@ -318,7 +320,8 @@ def test_exhausting_search_memory_does_not_grow_with_the_budget(registry):
     sub, recip = registry.get("sub").fn, registry.get("recip").fn
 
     def peak(budget):
-        zero = apply_uniform(sub, [rational_name(Fraction(1, 3))] * 2)
+        # a name that is not exact, so the search scans the whole budget
+        zero = apply_uniform(sub, [_plain(Fraction(1, 3))] * 2)
         tracemalloc.start()
         try:
             with pytest.raises(BudgetExhausted):
@@ -333,7 +336,7 @@ def test_exhausting_search_memory_does_not_grow_with_the_budget(registry):
 
 def test_a_search_fills_no_memo_of_its_argument_stream(registry):
     sub, recip = registry.get("sub").fn, registry.get("recip").fn
-    zero = apply_uniform(sub, [rational_name(Fraction(1, 3))] * 2)
+    zero = apply_uniform(sub, [_plain(Fraction(1, 3))] * 2)
     stream = triple_reader(*zero)
     assert isinstance(stream, TripleStream)
     with pytest.raises(BudgetExhausted):
@@ -343,7 +346,7 @@ def test_a_search_fills_no_memo_of_its_argument_stream(registry):
     for _ in range(8):
         a = Fraction(rng.randrange(-999, 1000), rng.randrange(1, 50))
         q = Fraction(rng.choice((-1, 1)) * rng.randrange(1, 40), rng.randrange(40, 4000))
-        names = [rational_name(a), rational_name(a - q)]
+        names = [_plain(a), _plain(a - q)]
         near = apply_uniform(sub, names)
         s = find_parameter(recip, [near], 10**4)
         # the least s with |q| (s + 1) > 2, and what the spied read finds
@@ -361,6 +364,11 @@ nonzero = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
 )
 
 
+def _plain(q):
+    """The canonical name of ``q`` built from plain functions, not constants."""
+    return NameTriple(*(NatFun(lambda _t, c=c: c) for c in naming._rational_triple(q)))
+
+
 def _recorded(name):
     # the same functions behind recording spies: read through the fallback
     return NameTriple(*recording(tuple(name))[0])
@@ -374,16 +382,36 @@ def _reads(name, t_max=200):
 @settings(max_examples=15, deadline=None)
 @given(st.lists(nonzero, min_size=2, max_size=2))
 def test_constant_arguments_give_what_the_fallback_reads_give(entry, point):
+    # exact names, whose values are computed once at application, against
+    # recording spies and plain copies, read per index
     fn = default_functions().get(entry).fn
     constants = [rational_name(q) for q in point[: fn.n_args]]
     spied = [_recorded(name) for name in constants]
+    plain = [_plain(q) for q in point[: fn.n_args]]
     if isinstance(fn, ConditionalFn):
         s = find_parameter(fn, constants, 10**5)
-        assert find_parameter(fn, spied, 10**5) == s
-        fast, slow = apply_conditional_at(fn, constants, s), apply_conditional_at(fn, spied, s)
+        assert find_parameter(fn, spied, 10**5) == find_parameter(fn, plain, 10**5) == s
+        outs = [apply_conditional_at(fn, names, s) for names in (constants, spied, plain)]
     else:
-        fast, slow = apply_uniform(fn, constants), apply_uniform(fn, spied)
-    assert _reads(fast) == _reads(slow)
+        outs = [apply_uniform(fn, names) for names in (constants, spied, plain)]
+    assert naming.constant_values(*outs[0]) is not None
+    assert _reads(outs[0]) == _reads(outs[1]) == _reads(outs[2])
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(st.just(Fraction(0)), st.fractions(min_value=-3, max_value=3, max_denominator=4000)),
+    st.integers(0, 5000),
+)
+def test_an_exact_reciprocal_search_returns_the_linear_scans_s(x, budget):
+    recip = default_functions().get("recip").fn
+    name = rational_name(x)
+    s = linear_scan(recip.E, tuple(name), budget)
+    if s is None:
+        with pytest.raises(BudgetExhausted):
+            find_parameter(recip, [name], budget)
+    else:
+        assert find_parameter(recip, [name], budget) == s
 
 
 def test_reciprocal_finds_the_same_least_s_on_constant_and_spied_differences(registry):
@@ -434,7 +462,7 @@ def test_constant_arguments_build_their_fraction_once_per_application(monkeypatc
 
 def test_multiplication_reads_index_zero_once_per_application(registry, monkeypatch):
     mul = registry.get("mul").fn
-    a, b = rational_name(Fraction(7, 3)), rational_name(Fraction(-2, 9))
+    a, b = _plain(Fraction(7, 3)), _plain(Fraction(-2, 9))
     calls = []
     approx_ = elementary.approx
     monkeypatch.setattr(elementary, "approx", lambda name, t: calls.append(t) or approx_(name, t))
@@ -454,6 +482,49 @@ def test_multiplication_reads_index_zero_once_per_application(registry, monkeypa
 
     assert _reads(apply_uniform(mul, [NameTriple(*map(counted, a)), b])) == expected
     assert sum(zeros) == 3
+
+
+def test_multiplication_of_exact_names_reads_nothing(registry, monkeypatch):
+    mul = registry.get("mul").fn
+    calls = []
+    approx_ = elementary.approx
+    monkeypatch.setattr(elementary, "approx", lambda name, t: calls.append(t) or approx_(name, t))
+    out = apply_uniform(mul, [rational_name(Fraction(7, 3)), rational_name(Fraction(-2, 9))])
+    assert naming.constant_values(*out) == naming._rational_triple(Fraction(-14, 27))
+    expected = _reads(out)
+    assert calls == []  # the product of exact names needs no magnitude bound
+    assert expected == _reads(apply_uniform(mul, [_plain(Fraction(7, 3)), _plain(Fraction(-2, 9))]))
+
+
+def _probe_count(monkeypatch, thunk):
+    """How many certificate probes ``thunk`` makes (``NatFun.eval_uncached`` calls)."""
+    probes = []
+    probe = NatFun.eval_uncached
+    monkeypatch.setattr(NatFun, "eval_uncached", lambda fn, s: probes.append(s) or probe(fn, s))
+    try:
+        thunk()
+    finally:
+        monkeypatch.undo()
+    return len(probes)
+
+
+def test_an_exact_search_probes_once_or_not_at_all(registry, monkeypatch):
+    sub, recip = registry.get("sub").fn, registry.get("recip").fn
+    third = rational_name(Fraction(1, 3))
+    zero = apply_uniform(sub, [third, third])
+
+    def exhaust():
+        with pytest.raises(BudgetExhausted):
+            find_parameter(recip, [zero], 10**9)
+
+    assert _probe_count(monkeypatch, exhaust) == 0
+    near = apply_uniform(sub, [third, rational_name(Fraction(1, 3) - Fraction(1, 10**6))])
+    found = []
+    assert _probe_count(monkeypatch, lambda: found.append(find_parameter(recip, [near], 10**9))) == 1
+    assert found == [2 * 10**6]
+    # a budget that ends at the least s exhausts, as the scan does
+    with pytest.raises(BudgetExhausted):
+        find_parameter(recip, [near], 2 * 10**6)
 
 
 # ---------------------------------------------------------------------------
@@ -650,16 +721,34 @@ def _python_calls(thunk):
     return calls - 1  # the thunk's own call
 
 
+def _stream_name(q):
+    """The canonical name of ``q`` as a stream's projections: read per index, not exact."""
+    triple = naming._rational_triple(q)
+    return TripleStream(lambda _t: triple, "literal").name()
+
+
 def test_a_probe_and_an_index_read_stay_within_their_call_counts(registry):
-    # a deterministic guard on the per-index read path: a recip certificate
-    # probe on (sub 1/3 1/3), and one (f, g, h) read of add(2/7, sub(1/3, 1/5))
+    # a deterministic guard on the read path: a recip certificate probe on
+    # (sub 1/3 1/3), and one (f, g, h) read of add(2/7, sub(1/3, 1/5)),
+    # over names read per index and over exact names, whose values are
+    # computed at application
     sub, add, recip = (registry.get(entry).fn for entry in ("sub", "add", "recip"))
-    third = rational_name(Fraction(1, 3))
-    certificate = recip.E.apply(tuple(apply_uniform(sub, [third, third])))
-    probes = [_python_calls(lambda: certificate.eval_uncached(s)) for s in range(100)]
-    assert max(probes) <= 13, probes
-    inner = apply_uniform(sub, [third, rational_name(Fraction(1, 5))])
-    out = apply_uniform(add, [rational_name(Fraction(2, 7)), inner])
-    reads = [_python_calls(lambda: (out.f(t), out.g(t), out.h(t))) for t in range(100)]
-    assert max(reads) <= 14, reads
-    assert approx(out, 99) == Fraction(2, 7) + Fraction(1, 3) - Fraction(1, 5)
+    for literal, probe_calls, read_calls in ((_stream_name, 18, 23), (rational_name, 8, 3)):
+        third = literal(Fraction(1, 3))
+        certificate = recip.E.apply(tuple(apply_uniform(sub, [third, third])))
+        probes = [_python_calls(lambda: certificate.eval_uncached(s)) for s in range(100)]
+        assert max(probes) <= probe_calls, (literal, probes)
+        inner = apply_uniform(sub, [third, literal(Fraction(1, 5))])
+        out = apply_uniform(add, [literal(Fraction(2, 7)), inner])
+        reads = [_python_calls(lambda: (out.f(t), out.g(t), out.h(t))) for t in range(100)]
+        assert max(reads) <= read_calls, (literal, reads)
+        assert approx(out, 99) == Fraction(2, 7) + Fraction(1, 3) - Fraction(1, 5)
+
+
+def test_a_constant_read_is_one_call():
+    c = NatFun.constant(7)
+    assert _python_calls(lambda: c(5)) == 1
+    assert c(5) == c.eval_uncached(5) == 7
+    for bad in (-1, True, 1.0):
+        with pytest.raises(ValueError):
+            c(bad)

@@ -37,7 +37,7 @@ from condreal.metric import (
     tuple_conditional,
     validate_ordinary_name,
 )
-from condreal.naming import NatFun, approx, rational_name
+from condreal.naming import NatFun, approx, constant_values, rational_name
 from condreal.realfns import (
     Ball,
     BallCover,
@@ -162,6 +162,21 @@ def test_identity_map_and_space_checks():
     assert validate_ordinary_name(out, mn_code((Fraction(7, 3),)), 100) == []
     with pytest.raises(SpaceMismatch):
         apply_uniform_ms(identity_ms(M2), name)
+
+
+def test_a_name_of_the_wrong_kind_is_a_space_mismatch():
+    real, coded = realfns.identity_uniform(), identity_ms(M1)
+    for fn, names in (
+        (real, mn_name((1,))),
+        (real, [mn_name((1,))]),
+        (real, rational_name(1)),  # one name triple, not a list of them
+        (coded, [rational_name(1)]),
+        (coded, [mn_name((1,))]),
+    ):
+        with pytest.raises(SpaceMismatch):
+            apply_uniform(fn, names)
+    with pytest.raises(SpaceMismatch):
+        find_parameter(RECIP, mn_name((1,)), 10)
 
 
 def test_embedded_uniform_certifies_at_zero():
@@ -302,6 +317,33 @@ def test_translated_sum_decodes_a_constant_code_once(monkeypatch):
     assert walks == [6]  # at application, into constant coordinate names
     assert [out.f(t) for t in range(n + 1)] == expected
     assert walks == [6]
+
+
+def _coded_cases():
+    # (label, map, dimension): each builtin translated, and a tuple of two
+    for entry in REGISTRY:
+        if entry.kind == "uniform":
+            yield entry.name, embed_uniform_ms(translate_uniform(entry.fn)), entry.n_args
+        else:
+            yield entry.name, translate_conditional(entry.fn), entry.n_args
+    negate = embed_uniform_ms(translate_uniform(REGISTRY.get("negate").fn))
+    yield "tuple", tuple_conditional([translate_conditional(RECIP), negate]), 1
+
+
+@pytest.mark.parametrize("case", list(_coded_cases()), ids=lambda case: case[0])
+@settings(max_examples=8, deadline=None)
+@given(st.lists(st.fractions(max_denominator=1000).filter(bool), min_size=2, max_size=2))
+def test_exact_codes_give_what_plain_copies_give(case, point):
+    # the values computed once at application against the per-index path
+    _label, fn, n = case
+    exact = mn_name(point[:n])
+    code = exact.f(0)
+    plain = OrdinaryName(NatFun(lambda _t: code), exact.space)
+    s = find_parameter_ms(fn, exact, 10**5)
+    assert find_parameter_ms(fn, plain, 10**5) == s
+    fast, slow = apply_conditional_ms_at(fn, exact, s), apply_conditional_ms_at(fn, plain, s)
+    assert constant_values(fast.f) is not None
+    assert [fast.f(t) for t in range(201)] == [slow.f(t) for t in range(201)]
 
 
 def test_translation_back_requires_coordinate_spaces():
