@@ -13,20 +13,22 @@ names of values, and *conditionally computable* when a certificate
 operator E must first vanish at a searched parameter ``s``, after which
 ``T(f, const_s)`` names the value.
 
-The constructions are written once, in ``condreal.realfns``: an
-``EffectiveSpace`` is a space there as ``Reals(n)`` is (width 1, one
+The records and constructions are written once, in ``condreal.realfns``:
+an ``EffectiveSpace`` is a space there as ``Reals(n)`` is (width 1, one
 space-checked ``OrdinaryName``, ``MsNeighborhood``, ball indicators from
-``dist_lt``), so search, application, identity, embedding, composition,
-localization, gluing and dispatch take coded maps as they take real
-functions, and term-backed ingredients give term-backed results.  This
-module keeps the spaces, the records ``MsUniformFn`` and
-``MsConditionalFn``, the translations and tupling; its ``_ms`` names,
+``dist_lt``), so a coded map is a ``UniformFn`` or ``ConditionalFn``
+with one value operator T, and search, application, identity, embedding,
+composition, localization, gluing and dispatch take coded maps as they
+take real functions; term-backed ingredients give term-backed results.
+This module keeps the spaces, their names and neighborhoods, the
+translations and tupling; its ``_ms`` names, ``MsConditionalFn``,
 ``MsBall`` and ``MsBallCover`` are aliases of the ``realfns`` objects,
-kept for their callers.  The spaces ``M_N`` (rational N-tuples coded by
-nested pairing, max-norm distance) translate real-function
-computability back and forth losslessly: the coding is two operators,
-decode and pack, and each translation substitutes the translated
-function's operators between them.
+kept for the benchmark's callers.  The spaces ``M_N`` (rational
+N-tuples coded by nested pairing, max-norm distance) translate
+real-function computability back and forth losslessly: the coding is two
+operators, decode and pack, and each translation substitutes the
+translated function's operators between them.  A translated certificate
+searches in the real certificate's order, read through the decoding.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .realfns import (
     SpaceMismatch,
     UniformFn,
     _CONJ,
+    _SEARCH_ORDER,
     _is_term,
     _lift,
     _reindex,
@@ -56,17 +59,14 @@ from .realfns import (
     _slot,
     _subst,
     apply_conditional,
-    apply_conditional_at,
     apply_uniform,
     compose_conditional,
-    dispatch_index,
     embed_uniform,
     find_parameter,
     glue_compact,
-    identity,
     localize,
 )
-from .terms import ArityMismatch, BaseFunction
+from .terms import BaseFunction
 
 __all__ = [
     "EffectiveSpace",
@@ -74,20 +74,16 @@ __all__ = [
     "MsBallCover",
     "MsConditionalFn",
     "MsNeighborhood",
-    "MsUniformFn",
     "OrdinaryName",
     "SpaceMismatch",
     "apply_conditional_ms",
-    "apply_conditional_ms_at",
     "apply_uniform_ms",
     "builtin_spaces",
     "code_ball_indicator",
     "compose_conditional_ms",
-    "dispatch_index_ms",
     "embed_uniform_ms",
     "find_parameter_ms",
     "glue_compact_ms",
-    "identity_ms",
     "localize_ms",
     "make_discrete",
     "make_mn",
@@ -151,14 +147,6 @@ class EffectiveSpace:
     def neighborhood(self, prefix: tuple[tuple[int], ...]) -> MsNeighborhood:
         return MsNeighborhood(self, len(prefix) - 1, tuple(code for (code,) in prefix))
 
-    def record(
-        self, codomain: EffectiveSpace, values: Sequence[Operator], cert: Operator | None = None
-    ) -> MsUniformFn | MsConditionalFn:
-        """The uniform map, or given a certificate the conditional one."""
-        if cert is None:
-            return MsUniformFn(self, codomain, *values)
-        return MsConditionalFn(self, codomain, cert, *values)
-
 
 @dataclass(frozen=True, eq=False)
 class OrdinaryName:
@@ -166,43 +154,6 @@ class OrdinaryName:
 
     f: NatFun
     space: EffectiveSpace
-
-
-@dataclass(frozen=True, eq=False)
-class MsUniformFn:
-    """One operator T sending argument names to value names."""
-
-    domain: EffectiveSpace
-    codomain: EffectiveSpace
-    T: Operator
-
-    def __post_init__(self) -> None:
-        if self.T.arity != 1:
-            raise ArityMismatch("uniform metric-space operator must be unary")
-
-    @property
-    def values(self) -> tuple[Operator]:
-        return (self.T,)
-
-
-@dataclass(frozen=True, eq=False)
-class MsConditionalFn:
-    """Certificate operator E plus binary value operator T."""
-
-    domain: EffectiveSpace
-    codomain: EffectiveSpace
-    E: Operator
-    T: Operator
-
-    def __post_init__(self) -> None:
-        if self.E.arity != 1:
-            raise ArityMismatch("certificate operator must be unary")
-        if self.T.arity != 2:
-            raise ArityMismatch("conditional value operator must be binary")
-
-    @property
-    def values(self) -> tuple[Operator]:
-        return (self.T,)
 
 
 # ---------------------------------------------------------------------------
@@ -257,33 +208,33 @@ class MsNeighborhood:
     """Intersection of the metric balls cut out by the anchor's codes.
 
     A point belongs when it is within 1/(t+1) of the anchor's code at
-    every t <= cutoff; membership of coded points is decided exactly
-    through dist_lt.
+    every t <= cutoff; ``contains`` decides it for a code exactly,
+    through dist_lt, as ``realfns.Neighborhood.contains`` does for a
+    rational.
     """
 
     space: EffectiveSpace
     cutoff: int
     anchor_codes: tuple[int, ...]
 
-    def contains_code(self, code: int) -> bool:
+    def contains(self, code: int) -> bool:
         return all(
             self.space.dist_lt(self.anchor_codes[t], code, Fraction(1, t + 1))
             for t in range(self.cutoff + 1)
         )
 
 
-# The constructions are ``condreal.realfns``'s, which take a coded space as
-# they take the reals; these names are aliases kept for their callers.
+# The records and constructions are ``condreal.realfns``'s, which take a
+# coded space as they take the reals; these names are aliases kept for the
+# benchmark's callers.
 find_parameter_ms = find_parameter
 apply_uniform_ms = apply_uniform
 apply_conditional_ms = apply_conditional
-apply_conditional_ms_at = apply_conditional_at
-identity_ms = identity
 embed_uniform_ms = embed_uniform
 compose_conditional_ms = compose_conditional
 localize_ms = localize
 glue_compact_ms = glue_compact
-dispatch_index_ms = dispatch_index
+MsConditionalFn = ConditionalFn
 MsBall = Ball
 MsBallCover = BallCover
 
@@ -421,14 +372,14 @@ def _pack(n_dims: int, arity: int) -> list[Operator]:
     return [ProcOperator(arity, build, "pack"), *rest]
 
 
-def _coded_dimension(fn: MsUniformFn | MsConditionalFn) -> int:
+def _coded_dimension(fn: UniformFn | ConditionalFn) -> int:
     """N, for a map from M_N to M_1."""
-    if fn.domain.dimension is None or fn.codomain.dimension != 1:
+    if getattr(fn.domain, "dimension", None) is None or fn.codomain.dimension != 1:
         raise SpaceMismatch("translation expects a map from M_N to M_1")
     return fn.domain.dimension
 
 
-def translate_uniform(fn: UniformFn) -> MsUniformFn:
+def translate_uniform(fn: UniformFn) -> UniformFn:
     """A uniform real function as a uniform map from M_N to M_1.
 
     The operator decodes the argument-name codes into 3N component
@@ -437,32 +388,39 @@ def translate_uniform(fn: UniformFn) -> MsUniformFn:
     Operators that are one joint's components run once per index.
     """
     n = fn.n_args
-    (T,) = _subst(_pack(1, 3), _subst((fn.F, fn.G, fn.H), _decode(n, 1), False), False)
-    return MsUniformFn(make_mn(n), make_mn(1), T)
+    values = _subst(_pack(1, 3), _subst(fn.values, _decode(n, 1), False), False)
+    return UniformFn(make_mn(n), *values, codomain=make_mn(1))
 
 
-def translate_uniform_back(fn: MsUniformFn) -> UniformFn:
+def translate_uniform_back(fn: UniformFn) -> UniformFn:
     """The inverse packaging, for maps between the rational-tuple spaces."""
     n = _coded_dimension(fn)
-    return UniformFn(n, *_subst(_decode(1, 1), _subst([fn.T], _pack(n, 3 * n), False), False))
+    return UniformFn(n, *_subst(_decode(1, 1), _subst(fn.values, _pack(n, 3 * n), False), False))
 
 
-def translate_conditional(fn: ConditionalFn) -> MsConditionalFn:
-    """A conditional real function as a conditional map from M_N to M_1."""
+def translate_conditional(fn: ConditionalFn) -> ConditionalFn:
+    """A conditional real function as a conditional map from M_N to M_1.
+
+    Where the real certificate has a search order, the translated one
+    decodes the code and follows it.
+    """
     n = fn.n_args
     (E,) = _subst([fn.E], _decode(n, 1), False)
-    (T,) = _subst(_pack(1, 3), _subst((fn.F, fn.G, fn.H), _decode(n, 2), False), False)
-    return MsConditionalFn(make_mn(n), make_mn(1), E, T)
+    order = _SEARCH_ORDER.get(fn.E)
+    if order is not None:
+        _SEARCH_ORDER[E] = lambda fns, budget: order(_decoded_parts(n, fns[0]), budget)
+    values = _subst(_pack(1, 3), _subst(fn.values, _decode(n, 2), False), False)
+    return ConditionalFn(make_mn(n), E, *values, codomain=make_mn(1))
 
 
-def translate_conditional_back(fn: MsConditionalFn) -> ConditionalFn:
+def translate_conditional_back(fn: ConditionalFn) -> ConditionalFn:
     n = _coded_dimension(fn)
     (E,) = _subst([fn.E], _pack(n, 3 * n), False)
-    values = _subst(_decode(1, 1), _subst([fn.T], _pack(n, 3 * n + 1), False), False)
+    values = _subst(_decode(1, 1), _subst(fn.values, _pack(n, 3 * n + 1), False), False)
     return ConditionalFn(n, E, *values)
 
 
-def tuple_conditional(fns: Sequence[MsConditionalFn]) -> MsConditionalFn:
+def tuple_conditional(fns: Sequence[ConditionalFn]) -> ConditionalFn:
     """Bundle K conditional maps into M_1 into one map into M_K.
 
     The parameter decodes into K component parameters ``part_i(s)``; the
@@ -479,7 +437,7 @@ def tuple_conditional(fns: Sequence[MsConditionalFn]) -> MsConditionalFn:
     for fn in fns:
         _same_space(fn.domain, domain, "components must share their domain")
         _same_space(fn.codomain, make_mn(1), "components must map into M_1")
-    term = all(_is_term(op) for fn in fns for op in (fn.E, fn.T))
+    term = all(_is_term(op) for fn in fns for op in (fn.E, *fn.values))
     k = len(fns)
     parts = [BaseFunction(f"part_{i}_{k}", 1, partial(tuple_part, k, i)) for i in range(1, k + 1)]
     cert = reduce(
@@ -488,12 +446,12 @@ def tuple_conditional(fns: Sequence[MsConditionalFn]) -> MsConditionalFn:
     )
     f, e = _slot(2, 1, term), _slot(2, 2, term)
     outs = [
-        _subst([fn.T], [f, _lift(part, [e], term)], term)[0] for fn, part in zip(fns, parts)
+        _subst(fn.values, [f, _lift(part, [e], term)], term)[0] for fn, part in zip(fns, parts)
     ]
     interleave = BaseFunction(
         f"interleave_{k}", k, lambda *cs: tuple_pack([v for c in cs for v in tuple_parts(3, c)])
     )
-    return MsConditionalFn(domain, make_mn(k), cert, _lift(interleave, outs, term))
+    return ConditionalFn(domain, cert, _lift(interleave, outs, term), codomain=make_mn(k))
 
 
 def code_ball_indicator(

@@ -19,16 +19,17 @@ Operators are either operator terms (single numeric argument) or direct
 procedures honoring the same contract: total, deterministic, reading
 their function arguments only by evaluation.
 
-Search, application, ``identity``, the embedding of uniform functions,
-composition of conditionals (the inner one of any arity), localization
-of a conditional to a uniform function near a point, and gluing of
-local uniform functions over a finite ball cover are each written once,
-generic over a *space*: ``Reals(n)`` for n real arguments named by name
-triples, or a coded ``condreal.metric.EffectiveSpace`` (``metric``'s
-``_ms`` names are aliases of the functions here).  Wiring a construction across
-different spaces raises ``SpaceMismatch``, an ``ArityMismatch``.  A
-construction whose ingredients are all term-backed stays inside the
-term language, and otherwise builds the equivalent procedure form.
+The records ``UniformFn`` and ``ConditionalFn``, search, application,
+``identity``, the embedding of uniform functions, composition of
+conditionals (the inner one of any arity), localization of a conditional
+to a uniform function near a point, and gluing of local uniform
+functions over a finite ball cover are each written once, generic over a
+*space*: ``Reals(n)`` for n real arguments named by name triples, or a
+coded ``condreal.metric.EffectiveSpace`` with one value operator T where
+a real value has F, G, H.  Wiring a construction across different spaces
+raises ``SpaceMismatch``, an ``ArityMismatch``.  A construction whose
+ingredients are all term-backed stays inside the term language, and
+otherwise builds the equivalent procedure form.
 
 A ``JointOperator`` builds several value functions at once -- for a
 real value the three functions of a name, projected from one
@@ -53,7 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
 from weakref import WeakKeyDictionary
 
 from . import gadgets
@@ -72,6 +73,11 @@ from .terms import (
     compose_terms,
     diagonalize,
 )
+
+if TYPE_CHECKING:
+    from .metric import EffectiveSpace
+
+    Space = Reals | EffectiveSpace  # a domain or codomain
 
 __all__ = [
     "Ball",
@@ -259,12 +265,11 @@ class Reals:
     ``functions(names)``, those functions in order; ``name_of(fns)``, the
     name made of value functions; ``point(name)``, the names of a point
     given by one name, as ``localize`` takes its anchor; ``center`` and
-    ``indicator``, a ball's centre and membership test; ``neighborhood``,
-    what a localization's certified prefix cuts out; and ``record``, the
-    function record over the space, which has ``domain``, ``codomain``,
-    ``values`` (the value operators) and, if conditional, ``E``.  Real
-    functions take their values in ``Reals(1)``; balls are max-norm balls
-    around rational centres.
+    ``indicator``, a ball's centre and membership test; and
+    ``neighborhood``, what a localization's certified prefix cuts out,
+    whose ``contains`` decides an exact point (a rational here, a code in
+    a coded space).  Real functions take their values in ``Reals(1)``;
+    balls are max-norm balls around rational centres.
     """
 
     n: int
@@ -300,66 +305,69 @@ class Reals:
     def neighborhood(self, prefix: tuple[tuple[int, int, int], ...]) -> Neighborhood:
         return Neighborhood(len(prefix) - 1, prefix)
 
-    def record(
-        self, codomain: Reals, values: Sequence[Operator], cert: Operator | None = None
-    ) -> UniformFn | ConditionalFn:
-        """The uniform function, or given a certificate the conditional one."""
-        _same_space(codomain, Reals(1), "real functions take real values")
-        if cert is None:
-            return UniformFn(self.n, *values)
-        return ConditionalFn(self.n, cert, *values)
+
+@dataclass(frozen=True, eq=False, init=False)
+class _Record:
+    """What both function records hold: ``domain``, ``codomain``, ``values``.
+
+    ``values`` has one operator per function of a codomain name, each
+    ``domain.width``-ary plus its parameter slots; an int domain ``n``
+    means ``Reals(n)``, whose functions take values in ``Reals(1)``.
+    ``F``, ``G``, ``H`` and ``n_args`` read a real function's record.
+    """
+
+    domain: Space
+    codomain: Space
+    values: tuple[Operator, ...]
+
+    def _store(self, domain: int | Space, codomain: Space, values: tuple, slots: int) -> None:
+        """Check the spaces and the value operators, then set the fields."""
+        domain = Reals(domain) if isinstance(domain, int) else domain
+        if isinstance(domain, Reals):
+            _same_space(codomain, Reals(1), "real functions take real values")
+        if len(values) != codomain.width:
+            raise ArityMismatch(f"{codomain} names take {codomain.width} value operators")
+        want = domain.width + slots
+        if any(op.arity != want for op in values):
+            raise ArityMismatch(f"value operators must be {want}-ary")
+        for field, value in (("domain", domain), ("codomain", codomain), ("values", values)):
+            object.__setattr__(self, field, value)
+
+    F = property(lambda self: self.values[0])
+    G = property(lambda self: self.values[1])
+    H = property(lambda self: self.values[2])
+    n_args = property(lambda self: self.domain.n)
 
 
-class _RealFn:
-    """The space view of a real function record."""
+@dataclass(frozen=True, eq=False, init=False)
+class UniformFn(_Record):
+    """Value operators sending argument names to value names.
 
-    @property
-    def domain(self) -> Reals:
-        return Reals(self.n_args)
+    ``UniformFn(n, F, G, H)`` takes n real arguments;
+    ``UniformFn(space, T, codomain=other)`` maps between coded spaces.
+    """
 
-    @property
-    def codomain(self) -> Reals:
-        return Reals(1)
-
-    @property
-    def values(self) -> tuple[Operator, Operator, Operator]:
-        return (self.F, self.G, self.H)
+    def __init__(self, domain: int | Space, *values: Operator, codomain: Space = Reals(1)):
+        self._store(domain, codomain, values, 0)
 
 
-@dataclass(frozen=True, eq=False)
-class UniformFn(_RealFn):
-    """N real arguments; F, G, H are 3N-ary operators."""
+@dataclass(frozen=True, eq=False, init=False)
+class ConditionalFn(_Record):
+    """A certificate ``E``, ``domain.width``-ary, and value operators with a parameter slot.
 
-    n_args: int
-    F: Operator
-    G: Operator
-    H: Operator
+    ``ConditionalFn(n, E, F, G, H)`` takes n real arguments;
+    ``ConditionalFn(space, E, T, codomain=other)`` maps between coded spaces.
+    """
 
-    def __post_init__(self) -> None:
-        want = 3 * self.n_args
-        for op in (self.F, self.G, self.H):
-            if op.arity != want:
-                raise ArityMismatch(f"uniform operators must be {want}-ary")
-
-
-@dataclass(frozen=True, eq=False)
-class ConditionalFn(_RealFn):
-    """N real arguments; E is 3N-ary, F, G, H are (3N+1)-ary."""
-
-    n_args: int
     E: Operator
-    F: Operator
-    G: Operator
-    H: Operator
 
-    def __post_init__(self) -> None:
-        if self.E.arity != 3 * self.n_args:
-            raise ArityMismatch(f"certificate operator must be {3 * self.n_args}-ary")
-        for op in (self.F, self.G, self.H):
-            if op.arity != 3 * self.n_args + 1:
-                raise ArityMismatch(
-                    f"conditional value operators must be {3 * self.n_args + 1}-ary"
-                )
+    def __init__(
+        self, domain: int | Space, E: Operator, *values: Operator, codomain: Space = Reals(1)
+    ):
+        self._store(domain, codomain, values, 1)
+        if E.arity != self.domain.width:
+            raise ArityMismatch(f"certificate operator must be {self.domain.width}-ary")
+        object.__setattr__(self, "E", E)
 
 
 # ---------------------------------------------------------------------------
@@ -449,12 +457,13 @@ def embed_uniform(fn: UniformFn) -> ConditionalFn:
     else:
         cert = ProcOperator(k, lambda _fns: NatFun.identity(), "embedded-cert")
         values = _subst(values, [_slot(k + 1, i, False) for i in range(1, k + 1)], False)
-    return fn.domain.record(fn.codomain, values, cert)
+    return ConditionalFn(fn.domain, cert, *values, codomain=fn.codomain)
 
 
-def identity(space: Reals) -> UniformFn:
+def identity(space: Space) -> UniformFn:
     """The identity on ``space``, term-backed: passes the name straight through."""
-    return space.record(space, [_slot(space.width, i, True) for i in range(1, space.width + 1)])
+    slots = [_slot(space.width, i, True) for i in range(1, space.width + 1)]
+    return UniformFn(space, *slots, codomain=space)
 
 
 def identity_uniform() -> UniformFn:
@@ -658,7 +667,7 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
     # a term certificate in a fresh wrapper, so nested levels' records can go
     _SEARCH_ORDER[cert] = partial(_diagonal_walk, TermOperator(inner.E.term) if term else inner.E)
     values = _subst(outer.values, inner_value + [_lift(_LEFT, [param], term)], term)
-    return inner.domain.record(outer.codomain, values, cert)
+    return ConditionalFn(inner.domain, cert, *values, codomain=outer.codomain)
 
 
 def patch_operator(anchor: NatFun, k: int) -> ProcOperator:
@@ -726,7 +735,7 @@ def localize(
     w = len(anchor)
     inners = [_patch(w, i, [point[i - 1] for point in prefix], term) for i in range(1, w + 1)]
     inners.append(_constant(w, s0, term))
-    local = fn.domain.record(fn.codomain, _subst(fn.values, inners, term))
+    local = UniformFn(fn.domain, *_subst(fn.values, inners, term), codomain=fn.codomain)
     return fn.domain.neighborhood(prefix), local
 
 
@@ -782,11 +791,11 @@ class BallCover:
             _same_space(ball.local.codomain, self.codomain, "cover codomain mismatch")
 
     @property
-    def domain(self) -> Reals:
+    def domain(self) -> Space:
         return self.balls[0].local.domain
 
     @property
-    def codomain(self) -> Reals:
+    def codomain(self) -> Space:
         return self.balls[0].local.codomain
 
 
@@ -816,7 +825,7 @@ def glue_compact(cover: BallCover) -> UniformFn:
     components = [list(branches) for branches in zip(*(b.local.values for b in cover.balls))]
     term = all(_is_term(op) for branches in components for op in branches)
     glued = _select(_cover_indicators(cover), cover.separation, components, term)
-    return cover.domain.record(cover.codomain, glued)
+    return UniformFn(cover.domain, *glued, codomain=cover.codomain)
 
 
 def dispatch_index(cover: BallCover, names: Sequence[NameTriple]) -> int | None:

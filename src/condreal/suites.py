@@ -42,21 +42,8 @@ from .gadgets import (
     tuple_part,
 )
 from .metric import (
-    MsBall,
-    MsBallCover,
-    MsUniformFn,
     OrdinaryName,
-    apply_conditional_ms,
-    apply_conditional_ms_at,
-    apply_uniform_ms,
     code_ball_indicator,
-    compose_conditional_ms,
-    dispatch_index_ms,
-    embed_uniform_ms,
-    find_parameter_ms,
-    glue_compact_ms,
-    identity_ms,
-    localize_ms,
     make_discrete,
     make_mn,
     metric_axiom_violations,
@@ -77,6 +64,7 @@ from .realfns import (
     ProcOperator,
     TermOperator,
     UniformFn,
+    apply_conditional,
     apply_conditional_at,
     apply_uniform,
     compose_conditional,
@@ -84,6 +72,7 @@ from .realfns import (
     embed_uniform,
     find_parameter,
     glue_compact,
+    identity,
     identity_uniform,
     localize,
     separation_violations,
@@ -607,7 +596,7 @@ def axioms(rng: Random, t_max: int) -> Iterator[bool]:
 
 @_check("metric-spaces", "the identity of M_1 preserves names (t <= {t_max})")
 def identity_map(rng: Random, t_max: int) -> Iterator[bool]:
-    out = apply_uniform_ms(identity_ms(make_mn(1)), mn_name((Fraction(2, 3),)))
+    out = apply_uniform(identity(make_mn(1)), mn_name((Fraction(2, 3),)))
     yield validate_ordinary_name(out, mn_code((Fraction(2, 3),)), t_max) == []
 
 
@@ -616,17 +605,15 @@ def discrete_permutations(rng: Random, t_max: int) -> Iterator[bool]:
     disc = make_discrete(5)
     perm1, perm2 = (1, 2, 3, 4, 0), (2, 0, 3, 1, 4)
 
-    def perm_map(table: tuple[int, ...]) -> MsUniformFn:
+    def perm_map(table: tuple[int, ...]) -> UniformFn:
         def build(fns: tuple[NatFun, ...]) -> NatFun:
             return NatFun(lambda t, _f=fns[0]: table[_f(t)], label="perm")
 
-        return MsUniformFn(disc, disc, ProcOperator(1, build, "perm"))
+        return UniformFn(disc, ProcOperator(1, build, "perm"), codomain=disc)
 
-    composed = compose_conditional_ms(
-        embed_uniform_ms(perm_map(perm1)), embed_uniform_ms(perm_map(perm2))
-    )
+    composed = compose_conditional(embed_uniform(perm_map(perm1)), embed_uniform(perm_map(perm2)))
     for start in range(5):
-        got = apply_conditional_ms(composed, OrdinaryName(NatFun.constant(start), disc), 10)
+        got = apply_conditional(composed, OrdinaryName(NatFun.constant(start), disc), 10)
         yield got.f(3) == perm1[perm2[start]]
 
 
@@ -634,7 +621,7 @@ def discrete_permutations(rng: Random, t_max: int) -> Iterator[bool]:
 def translated_addition(rng: Random, t_max: int) -> Iterator[bool]:
     add_ms = translate_uniform(default_functions().get("add").fn)
     yield add_ms.domain is make_mn(2) and add_ms.codomain is make_mn(1)
-    out = apply_uniform_ms(add_ms, mn_name((Fraction(1, 2), Fraction(1, 3))))
+    out = apply_uniform(add_ms, mn_name((Fraction(1, 2), Fraction(1, 3))))
     yield validate_ordinary_name(out, mn_code((Fraction(5, 6),)), t_max) == []
 
 
@@ -660,7 +647,7 @@ def ms_uniform_round_trip(rng: Random, t_max: int) -> Iterator[bool]:
     pairs = [(_rational(rng), _rational(rng)) for _ in range(99)]
     for point in [(Fraction(1, 5), Fraction(3, 4))] + pairs:
         name = mn_name(point)
-        out, out_again = apply_uniform_ms(add_ms, name), apply_uniform_ms(again, name)
+        out, out_again = apply_uniform(add_ms, name), apply_uniform(again, name)
         yield all(out.f(t) == out_again.f(t) for t in range(25))
 
 
@@ -685,11 +672,11 @@ def ms_conditional_round_trip(rng: Random, t_max: int) -> Iterator[bool]:
     again = translate_conditional(translate_conditional_back(recip_ms))
     for q in [Fraction(1, 3)] + [_nonzero(rng) for _ in range(99)]:
         name = mn_name((q,))
-        s = find_parameter_ms(recip_ms, name, 10_000)
+        s = find_parameter(recip_ms, name, 10_000)
         s_real = find_parameter(recip, [rational_name(q)], 10_000)
-        s_again = find_parameter_ms(again, name, 10_000)
-        out = apply_conditional_ms_at(recip_ms, name, s)
-        out_again = apply_conditional_ms_at(again, name, s)
+        s_again = find_parameter(again, name, 10_000)
+        out = apply_conditional_at(recip_ms, name, s)
+        out_again = apply_conditional_at(again, name, s)
         yield s_real == s == s_again and all(out.f(t) == out_again.f(t) for t in range(25))
 
 
@@ -697,12 +684,12 @@ def ms_conditional_round_trip(rng: Random, t_max: int) -> Iterator[bool]:
 def translated_composition(rng: Random, t_max: int) -> Iterator[bool]:
     recip, q = _recip(), Fraction(2, 3)
     real = compose_conditional(recip, recip)
-    ms = compose_conditional_ms(translate_conditional(recip), translate_conditional(recip))
+    ms = compose_conditional(translate_conditional(recip), translate_conditional(recip))
     s_real = find_parameter(real, [rational_name(q)], 1000)
-    s_ms = find_parameter_ms(ms, mn_name((q,)), 1000)
+    s_ms = find_parameter(ms, mn_name((q,)), 1000)
     yield s_ms == s_real == 11
     real_out = apply_conditional_at(real, [rational_name(q)], s_real)
-    ms_out = apply_conditional_ms_at(ms, mn_name((q,)), s_ms)
+    ms_out = apply_conditional_at(ms, mn_name((q,)), s_ms)
     yield from (_agree_in_m1(ms_out, real_out, (t,)) for t in range(60))
 
 
@@ -710,12 +697,12 @@ def translated_composition(rng: Random, t_max: int) -> Iterator[bool]:
 def translated_localization(rng: Random, t_max: int) -> Iterator[bool]:
     recip = _recip()
     hood_real, local_real = localize(recip, rational_name(Fraction(1)), 100)
-    hood_ms, local_ms = localize_ms(translate_conditional(recip), mn_name((Fraction(1),)), 100)
+    hood_ms, local_ms = localize(translate_conditional(recip), mn_name((Fraction(1),)), 100)
     yield hood_ms.cutoff == hood_real.cutoff == 2
     for q in map(Fraction, ("3/4", "1", "9/8", "2/3", "7/5", "13/6")):
-        yield hood_ms.contains_code(mn_code((q,))) == hood_real.contains(q)
+        yield hood_ms.contains(mn_code((q,))) == hood_real.contains(q)
     for q in (Fraction(3, 4), Fraction(1), Fraction(9, 8)):
-        ms_out = apply_uniform_ms(local_ms, mn_name((q,)))
+        ms_out = apply_uniform(local_ms, mn_name((q,)))
         real_out = apply_uniform(local_real, [rational_name(q)])
         yield from (_agree_in_m1(ms_out, real_out, (t,)) for t in range(40))
         yield validate_ordinary_name(ms_out, mn_code((1 / q,)), t_max) == []
@@ -724,19 +711,19 @@ def translated_localization(rng: Random, t_max: int) -> Iterator[bool]:
 @_check("metric-spaces", "gluing via M_1 matches the real one: 16 points x 8 indices, dispatch")
 def translated_gluing(rng: Random, t_max: int) -> Iterator[bool]:
     real_cover = two_ball_cover()
-    ms_cover = MsBallCover(
+    ms_cover = BallCover(
         tuple(
-            MsBall(mn_code(ball.center), ball.radius, translate_uniform(ball.local))
+            Ball(mn_code(ball.center), ball.radius, translate_uniform(ball.local))
             for ball in real_cover.balls
         ),
         separation=real_cover.separation,
     )
-    real_glued, ms_glued = glue_compact(real_cover), glue_compact_ms(ms_cover)
+    real_glued, ms_glued = glue_compact(real_cover), glue_compact(ms_cover)
     for q in [Fraction(n, 8) for n in range(-8, 9) if n != 1]:
         real_out = apply_uniform(real_glued, [rational_name(q)])
-        ms_out = apply_uniform_ms(ms_glued, mn_name((q,)))
+        ms_out = apply_uniform(ms_glued, mn_name((q,)))
         yield from (_agree_in_m1(ms_out, real_out, (t,)) for t in range(0, 40, 5))
-        yield dispatch_index_ms(ms_cover, mn_name((q,))) == dispatch_index(
+        yield dispatch_index(ms_cover, mn_name((q,))) == dispatch_index(
             real_cover, [rational_name(q)]
         ) == (1 if q <= 0 else 2)
 
@@ -744,9 +731,9 @@ def translated_gluing(rng: Random, t_max: int) -> Iterator[bool]:
 @_check("metric-spaces", "a bundle of identity and recip names the value pair (t <= {t_max})")
 def bundle(rng: Random, t_max: int) -> Iterator[bool]:
     two = tuple_conditional(
-        [embed_uniform_ms(identity_ms(make_mn(1))), translate_conditional(_recip())]
+        [embed_uniform(identity(make_mn(1))), translate_conditional(_recip())]
     )
-    out = apply_conditional_ms(two, mn_name((Fraction(1, 2),)), 10**4)
+    out = apply_conditional(two, mn_name((Fraction(1, 2),)), 10**4)
     yield validate_ordinary_name(out, mn_code((Fraction(1, 2), Fraction(2))), t_max) == []
 
 
@@ -754,12 +741,12 @@ def bundle(rng: Random, t_max: int) -> Iterator[bool]:
 def substitution(rng: Random, t_max: int) -> Iterator[bool]:
     registry = default_functions()
     pieces = tuple_conditional(
-        [translate_conditional(_recip()), embed_uniform_ms(translate_uniform(double_fn()))]
+        [translate_conditional(_recip()), embed_uniform(translate_uniform(double_fn()))]
     )
-    outer = embed_uniform_ms(translate_uniform(registry.get("add").fn))
-    composed = compose_conditional_ms(outer, pieces)
+    outer = embed_uniform(translate_uniform(registry.get("add").fn))
+    composed = compose_conditional(outer, pieces)
     for q in (Fraction(1, 2), Fraction(2), Fraction(-1, 3)):
-        out = apply_conditional_ms(composed, mn_name((q,)), 100_000)
+        out = apply_conditional(composed, mn_name((q,)), 100_000)
         yield validate_ordinary_name(out, mn_code((1 / q + 2 * q,)), t_max) == []
 
 

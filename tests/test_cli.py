@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 
 from condreal import cli, suites
 from condreal.gadgets import tuple_pack
-from condreal.metric import find_parameter_ms
 from condreal.realfns import BallCover, find_parameter, glue_compact, localize
 from condreal.terms import compose_terms
 
@@ -232,8 +231,8 @@ SABOTAGE = {
         lambda cover: glue_compact(BallCover(cover.balls[::-1], cover.separation)),
     ),
     "metric-spaces": (
-        "find_parameter_ms",
-        lambda fn, name, budget: find_parameter_ms(fn, name, budget) + 1,
+        "find_parameter",
+        lambda fn, name, budget: find_parameter(fn, name, budget) + 1,
     ),
 }
 

@@ -10,11 +10,9 @@ from condreal.gadgets import conj, tuple_pack, tuple_part, tuple_parts
 from condreal.metric import (
     MsBall,
     MsBallCover,
-    MsUniformFn,
     OrdinaryName,
     SpaceMismatch,
     apply_conditional_ms,
-    apply_conditional_ms_at,
     apply_uniform_ms,
     builtin_spaces,
     code_ball_indicator,
@@ -22,7 +20,6 @@ from condreal.metric import (
     embed_uniform_ms,
     find_parameter_ms,
     glue_compact_ms,
-    identity_ms,
     localize_ms,
     make_discrete,
     make_mn,
@@ -42,15 +39,20 @@ from condreal.realfns import (
     Ball,
     BallCover,
     BudgetExhausted,
+    ConditionalFn,
+    ProcOperator,
+    Reals,
     TermOperator,
+    UniformFn,
     apply_conditional_at,
     apply_uniform,
     embed_uniform,
     find_parameter,
+    identity,
     separation_violations,
 )
 from condreal.suites import identity_fn, negate_fn, two_ball_cover
-from condreal.terms import Apply, Base, BaseFunction, OperatorTerm, Proj
+from condreal.terms import Apply, ArityMismatch, Base, BaseFunction, OperatorTerm, Proj
 
 from conftest import assert_check, linear_scan
 
@@ -65,8 +67,8 @@ M2 = make_mn(2)
 NEGATE_CODE = BaseFunction(
     "negate_code", 1, lambda c: (lambda x, y, z: tuple_pack([y, x, z]))(*tuple_parts(3, c))
 )
-NEGATE_MS = MsUniformFn(
-    M1, M1, TermOperator(OperatorTerm(1, 1, Base(NEGATE_CODE, (Apply(1, Proj(1)),))))
+NEGATE_MS = UniformFn(
+    M1, TermOperator(OperatorTerm(1, 1, Base(NEGATE_CODE, (Apply(1, Proj(1)),)))), codomain=M1
 )
 
 rational = st.fractions(min_value=-50, max_value=50, max_denominator=40)
@@ -155,17 +157,17 @@ def test_validate_ordinary_name_checks_the_code_domain():
 
 
 def test_identity_map_and_space_checks():
-    ident = identity_ms(M1)
+    ident = identity(M1)
     name = mn_name((Fraction(7, 3),))
     out = apply_uniform_ms(ident, name)
     assert out.space is M1
     assert validate_ordinary_name(out, mn_code((Fraction(7, 3),)), 100) == []
     with pytest.raises(SpaceMismatch):
-        apply_uniform_ms(identity_ms(M2), name)
+        apply_uniform_ms(identity(M2), name)
 
 
 def test_a_name_of_the_wrong_kind_is_a_space_mismatch():
-    real, coded = realfns.identity_uniform(), identity_ms(M1)
+    real, coded = realfns.identity_uniform(), identity(M1)
     for fn, names in (
         (real, mn_name((1,))),
         (real, [mn_name((1,))]),
@@ -180,26 +182,26 @@ def test_a_name_of_the_wrong_kind_is_a_space_mismatch():
 
 
 def test_embedded_uniform_certifies_at_zero():
-    embedded = embed_uniform_ms(identity_ms(M1))
+    embedded = embed_uniform_ms(identity(M1))
     name = mn_name((Fraction(4),))
     assert find_parameter_ms(embedded, name, 5) == 0
 
 
 def test_term_backed_inputs_give_term_backed_results():
     negate = embed_uniform_ms(NEGATE_MS)
-    ident = embed_uniform_ms(identity_ms(M1))
+    ident = embed_uniform_ms(identity(M1))
     point = mn_name((Fraction(3, 4),))
     _hood, local = localize_ms(negate, point, 10)
     one = mn_code((Fraction(1),))
     cover = MsBallCover(
         (
             MsBall(mn_code((Fraction(-1),)), Fraction(1), NEGATE_MS),
-            MsBall(one, Fraction(1), identity_ms(M1), code_ball_indicator(1, one, Fraction(1, 2))),
+            MsBall(one, Fraction(1), identity(M1), code_ball_indicator(1, one, Fraction(1, 2))),
         ),
         separation=4,
     )
     built = {
-        "identity_ms": identity_ms(M1),
+        "identity_ms": identity(M1),
         "embed_uniform_ms": ident,
         "compose_conditional_ms": compose_conditional_ms(negate, ident),
         "localize_ms": local,
@@ -207,9 +209,9 @@ def test_term_backed_inputs_give_term_backed_results():
         "tuple_conditional": tuple_conditional([negate, ident, negate]),
     }
     for label, fn in built.items():
-        ops = [getattr(fn, op) for op in ("E", "T") if hasattr(fn, op)]
+        ops = [*fn.values, *([fn.E] if hasattr(fn, "E") else [])]
         assert all(isinstance(op, TermOperator) for op in ops), label
-    out = apply_conditional_ms_at(built["tuple_conditional"], point, 0)
+    out = apply_conditional_at(built["tuple_conditional"], point, 0)
     target = mn_code((Fraction(-3, 4), Fraction(3, 4), Fraction(-3, 4)))
     assert validate_ordinary_name(out, target, 100) == []
 
@@ -229,7 +231,7 @@ def test_translated_reciprocal_finds_the_same_parameter():
         name = mn_name((q,))
         s = find_parameter_ms(recip_ms, name, 100)
         assert s == find_parameter(RECIP, [rational_name(q)], 100) == expected
-        out = apply_conditional_ms_at(recip_ms, name, s)
+        out = apply_conditional_at(recip_ms, name, s)
         real = apply_conditional_at(RECIP, [rational_name(q)], s)
         for t in range(40):
             assert M1.alpha(out.f(t)) == (approx(real, t),)
@@ -261,7 +263,7 @@ def test_translations_run_a_joint_rule_once_per_index():
     argument = apply_uniform_ms(translate_uniform(counted), mn_name((Fraction(1, 4),)))
     s = find_parameter_ms(recip_ms, argument, 100)
     del calls[:]
-    out = apply_conditional_ms_at(recip_ms, argument, s)
+    out = apply_conditional_at(recip_ms, argument, s)
     assert validate_ordinary_name(out, mn_code((Fraction(4, 3),)), 39) == []
     assert len(calls) == 40
 
@@ -341,17 +343,25 @@ def test_exact_codes_give_what_plain_copies_give(case, point):
     plain = OrdinaryName(NatFun(lambda _t: code), exact.space)
     s = find_parameter_ms(fn, exact, 10**5)
     assert find_parameter_ms(fn, plain, 10**5) == s
-    fast, slow = apply_conditional_ms_at(fn, exact, s), apply_conditional_ms_at(fn, plain, s)
+    fast, slow = apply_conditional_at(fn, exact, s), apply_conditional_at(fn, plain, s)
     assert constant_values(fast.f) is not None
     assert [fast.f(t) for t in range(201)] == [slow.f(t) for t in range(201)]
 
 
 def test_translation_back_requires_coordinate_spaces():
-    bogus = identity_ms(make_discrete(3))
+    bogus = identity(make_discrete(3))
     with pytest.raises(SpaceMismatch):
         translate_uniform_back(bogus)
     with pytest.raises(SpaceMismatch):
         translate_conditional_back(embed_uniform_ms(bogus))
+
+
+def test_translation_back_refuses_a_real_function():
+    # one record type for every space: a real function is not a coded map
+    with pytest.raises(SpaceMismatch):
+        translate_uniform_back(ADD)
+    with pytest.raises(SpaceMismatch):
+        translate_conditional_back(RECIP)
 
 
 # ---------------------------------------------------------------------------
@@ -371,9 +381,45 @@ def test_gluing_agrees_with_the_real_path():
     assert_check(suites.translated_gluing)
 
 
+@pytest.mark.parametrize("space", [Reals(1), Reals(2), M1, M2, make_discrete(8)], ids=str)
+def test_one_record_check_serves_every_space(space):
+    codomain = Reals(1) if isinstance(space, Reals) else space
+    w, m = space.width, codomain.width
+    cert = ProcOperator(w, lambda _fns: NatFun.constant(0))
+    values = [ProcOperator(w, lambda fns: fns[0])] * m
+    params = [ProcOperator(w + 1, lambda fns: fns[0])] * m
+    uniform = UniformFn(space, *values, codomain=codomain)
+    conditional = ConditionalFn(space, cert, *params, codomain=codomain)
+    for fn in (uniform, conditional):
+        assert (fn.domain, fn.codomain, len(fn.values)) == (space, codomain, m)
+    bad = [
+        lambda: UniformFn(space, *values[1:], codomain=codomain),  # too few values
+        lambda: UniformFn(space, *values, values[0], codomain=codomain),  # too many
+        lambda: UniformFn(space, *params, codomain=codomain),  # value arity
+        lambda: ConditionalFn(space, cert, *values, codomain=codomain),  # value arity
+        lambda: ConditionalFn(space, cert, *params[1:], codomain=codomain),  # too few
+        lambda: ConditionalFn(space, params[0], *params, codomain=codomain),  # cert arity
+    ]
+    for build in bad:
+        with pytest.raises(ArityMismatch) as info:
+            build()
+        assert info.type is ArityMismatch
+
+
+def test_a_real_domain_takes_real_values_and_an_int_names_it():
+    T = ProcOperator(3, lambda fns: fns[0])
+    with pytest.raises(SpaceMismatch):
+        UniformFn(Reals(1), T, codomain=M1)
+    with pytest.raises(SpaceMismatch):
+        UniformFn(1, T, codomain=M1)
+    assert UniformFn(1, T, T, T).domain == Reals(1)
+    assert type(translate_conditional(RECIP)) is ConditionalFn
+    assert type(translate_uniform(ADD)) is UniformFn
+
+
 def test_ms_ball_requires_positive_radius():
     with pytest.raises(ValueError):
-        MsBall(0, Fraction(0), identity_ms(M1))
+        MsBall(0, Fraction(0), identity(M1))
 
 
 def test_the_ms_names_are_the_shared_constructions():
@@ -381,13 +427,11 @@ def test_the_ms_names_are_the_shared_constructions():
         ("find_parameter_ms", "find_parameter"),
         ("apply_uniform_ms", "apply_uniform"),
         ("apply_conditional_ms", "apply_conditional"),
-        ("apply_conditional_ms_at", "apply_conditional_at"),
-        ("identity_ms", "identity"),
         ("embed_uniform_ms", "embed_uniform"),
         ("compose_conditional_ms", "compose_conditional"),
         ("localize_ms", "localize"),
         ("glue_compact_ms", "glue_compact"),
-        ("dispatch_index_ms", "dispatch_index"),
+        ("MsConditionalFn", "ConditionalFn"),
         ("MsBall", "Ball"),
         ("MsBallCover", "BallCover"),
     ]:
@@ -398,7 +442,7 @@ def test_the_ms_names_are_the_shared_constructions():
     "balls",
     [
         [Ball((0,), 1, identity_fn()), Ball((0, 0), 1, ADD)],
-        [Ball(0, 1, identity_ms(M1)), Ball(0, 1, identity_ms(M2))],
+        [Ball(0, 1, identity(M1)), Ball(0, 1, identity(M2))],
     ],
     ids=["reals", "coded"],
 )
@@ -428,7 +472,7 @@ def test_single_component_tuple_behaves_like_the_component():
     bundled = tuple_conditional([recip_ms])
     name = mn_name((Fraction(1, 2),))
     s = find_parameter_ms(bundled, name, 100)
-    out = apply_conditional_ms_at(bundled, name, s)
+    out = apply_conditional_at(bundled, name, s)
     assert validate_ordinary_name(out, mn_code((Fraction(2),)), 150) == []
 
 
@@ -440,13 +484,13 @@ def test_two_component_tuple_names_the_value_pair():
     name = mn_name((Fraction(1, 2),))
     s = find_parameter_ms(bundled, name, 100)
     assert s == 10  # pair of the component parameters 0 and 4
-    out = apply_conditional_ms_at(bundled, name, s)
+    out = apply_conditional_at(bundled, name, s)
     assert validate_ordinary_name(out, mn_code((Fraction(1, 2), Fraction(2))), 150) == []
 
 
 def test_tuple_components_must_share_their_domain():
     recip_ms = translate_conditional(RECIP)
-    other = embed_uniform_ms(identity_ms(M2))
+    other = embed_uniform_ms(identity(M2))
     with pytest.raises(SpaceMismatch):
         tuple_conditional([recip_ms, other])
     with pytest.raises(ValueError):
@@ -475,7 +519,7 @@ def _tupled_value_oracle(fns, f, e):
     # the hand-written tupled value: the components' code triples, interleaved
     k = len(fns)
     outs = [
-        fn.T.apply((f, NatFun(lambda t, i=i: tuple_part(k, i, e(t)))))
+        fn.values[0].apply((f, NatFun(lambda t, i=i: tuple_part(k, i, e(t)))))
         for i, fn in enumerate(fns, start=1)
     ]
     return NatFun(lambda t: tuple_pack([v for out in outs for v in tuple_parts(3, out(t))]))
@@ -488,7 +532,7 @@ TUPLE_COMPONENTS = {
             uniform_from_rule(1, lambda a: 2 * a, lambda t, names: 2 * t + 1, "double")
         )
     ),
-    "identity": embed_uniform_ms(identity_ms(M1)),
+    "identity": embed_uniform_ms(identity(M1)),
     "negate": embed_uniform_ms(NEGATE_MS),
 }
 
@@ -506,7 +550,7 @@ def test_tupling_agrees_with_the_hand_written_builders(labels, q, negative):
     cert, oracle = bundled.E.apply((name.f,)), _tupled_cert_oracle(fns, name.f)
     assert [cert(s) for s in range(200)] == [oracle(s) for s in range(200)]
     s = find_parameter_ms(bundled, name, 5000)
-    out = apply_conditional_ms_at(bundled, name, s).f
+    out = apply_conditional_at(bundled, name, s).f
     expected = _tupled_value_oracle(fns, name.f, NatFun.constant(s))
     assert [out(t) for t in range(100)] == [expected(t) for t in range(100)]
 
@@ -530,7 +574,7 @@ NESTED_PARTS = {
     "negate-term": embed_uniform_ms(NEGATE_MS),
     "double": TUPLE_COMPONENTS["double"],
     "identity": translate_conditional(embed_uniform(identity_fn())),
-    "identity-term": embed_uniform_ms(identity_ms(M1)),
+    "identity-term": embed_uniform_ms(identity(M1)),
 }
 # up to three compositions deep, recip drawn about half the time
 nestings = st.recursive(
@@ -567,6 +611,31 @@ def test_a_substitution_search_returns_the_linear_scans_s(q):
     assert find_parameter_ms(composed, name, 10**5) == s
     with pytest.raises(BudgetExhausted):
         find_parameter_ms(composed, name, s)
+
+
+RECIP_MS = translate_conditional(RECIP)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    code=st.one_of(
+        st.just(0),
+        st.integers(0, 10**9),
+        rational.map(lambda q: mn_code((q,))),
+    ),
+    budget=st.integers(0, 3000),
+)
+def test_the_translated_reciprocal_search_returns_the_linear_scans_s(code, budget):
+    # the real certificate's order, read through the decoding of an exact code
+    name = OrdinaryName(NatFun.constant(code), M1)
+    assert _least_or_none(RECIP_MS, name, budget) == linear_scan(RECIP_MS.E, (name.f,), budget)
+
+
+def test_the_translated_reciprocal_probes_nothing_at_an_exact_zero():
+    name = mn_name((0,))
+    assert next(iter(realfns._candidates(RECIP_MS.E, (name.f,), 10**9)), None) is None
+    with pytest.raises(BudgetExhausted):
+        find_parameter_ms(RECIP_MS, name, 10**9)
 
 
 @pytest.mark.parametrize("budget", [-1, False, 3.0])
