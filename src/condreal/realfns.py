@@ -38,7 +38,9 @@ Application, substitution, localization and gluing build a joint once
 wherever its components are used together, so a procedure-backed name
 computes its rational once per index; used one at a time, a component
 gives the same values.  Term-backed F, G and H applied together run as
-one ``TermProgram`` behind one ``TripleStream``.
+one ``TermProgram`` behind one ``TripleStream``, compiled once and kept.
+Exact arguments stay exact through term programs, gluing and reindexing:
+an output that does not depend on the index is a constant.
 
 A search probes in its certificate's order, which skips only parameters
 that cannot certify, so it finds the linear scan's least one.  A
@@ -151,8 +153,22 @@ class TermOperator:
         return self.term.k
 
     def apply(self, fns: Sequence[NatFun]) -> NatFun:
-        read = TermProgram((self.term,)).bind(_arguments(self.arity, fns))
-        return NatFun(lambda n: read(n)[0], label="term-op")
+        return _apply_terms((self,), fns)[0]
+
+
+def _apply_terms(ops: Sequence[TermOperator], fns: Sequence[NatFun]) -> list[NatFun]:
+    """Term operators applied together as one program, compiled once and kept
+    on the first operator; constants when the program reads no index."""
+    ops, key = tuple(ops), "_alone" if len(ops) == 1 else "_joint"
+    kept = ops[0].__dict__.get(key)
+    if kept is None or kept[0] != ops[1:]:
+        kept = ops[0].__dict__[key] = (ops[1:], TermProgram([op.term for op in ops]))
+    read = kept[1].bind(fns)
+    if isinstance(read, tuple):
+        return [NatFun.constant(v) for v in read]
+    if len(ops) == 1:
+        return [NatFun(lambda n: read(n)[0], label="term-op")]
+    return list(TripleStream(read, "term-op").name())
 
 
 @dataclass(frozen=True, eq=False)
@@ -228,8 +244,7 @@ def _apply_ops(ops: Sequence[Operator], fns: Sequence[NatFun]) -> list[NatFun]:
     built once, and term F, G, H run as one program behind one stream.
     """
     if len(ops) == 3 and all(map(_is_term, ops)):
-        read = TermProgram([op.term for op in ops]).bind(fns)
-        return list(TripleStream(read, "term-op").name())
+        return _apply_terms(ops, fns)
     built: dict[JointOperator, tuple[NatFun, ...]] = {}
     out: list[NatFun] = []
     for op in ops:
@@ -336,7 +351,12 @@ class _Record:
     F = property(lambda self: self.values[0])
     G = property(lambda self: self.values[1])
     H = property(lambda self: self.values[2])
-    n_args = property(lambda self: self.domain.n)
+
+    @property
+    def n_args(self) -> int:
+        if not isinstance(self.domain, Reals):
+            raise SpaceMismatch(f"a map on {self.domain} takes no real arguments")
+        return self.domain.n
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -559,6 +579,8 @@ def _reindex(op: Operator, base: BaseFunction, term: bool) -> Operator:
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
         out = op.apply(fns)
+        if constant_values(out) is not None:
+            return out
         return NatFun(lambda n: out(fn(n)), label=f"{base.name}-indexed")
 
     return ProcOperator(op.arity, build, f"{base.name}-indexed")
@@ -629,6 +651,8 @@ def _select(
                     chosen.extend(_apply_ops([branches[i - 1] for branches in components], fns))
             return chosen[j]
 
+        if constant_values(*fns) is not None:  # exact arguments: the ball is known now
+            return [branch(j) for j in range(width)]
         return [NatFun(lambda t, _j=j: branch(_j)(t), label="glued") for j in range(width)]
 
     return list(JointOperator(n, width, build, "glued").components())

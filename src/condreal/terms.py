@@ -51,7 +51,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
-from .naming import NatFun, recording
+from .naming import NatFun, constant_values, recording
 from .sexpr import SexprError, nesting, parse_sexpr
 
 __all__ = [
@@ -287,9 +287,13 @@ class TermProgram:
     since a registry override keeps the name of the entry it replaces.
 
     ``bind(fns)`` reads through a *residual* program built on the first
-    read: index-free steps become preset arguments, a ``gadgets.delta_k``
-    with index-free guards its chosen branch, and dead steps go.  Constants
-    and selects are known by what their callables carry, never by name.
+    read, or at once when every function is a ``NatFun.constant``:
+    index-free steps (a constant base, a read of a constant function)
+    become preset arguments, a ``gadgets.delta_k`` with index-free guards
+    its chosen branch, and dead steps go.  A residual whose roots are all
+    presets binds to their values.  Constants and selects are known by
+    what their callables carry, never by name.  A caller compiles a
+    program once and binds it at every application.
     """
 
     __slots__ = ("k", "m", "steps", "roots")
@@ -316,9 +320,15 @@ class TermProgram:
         )
         self.steps = tuple(steps)
 
-    def bind(self, fns: Sequence[NatFun]) -> Callable[[int], tuple[int, ...]]:
-        """``n -> eval_term(self, fns, (n,))``, through the residual program."""
-        bound: list = []  # the residual program and its preset values, once read
+    def bind(self, fns: Sequence[NatFun]) -> Callable[[int], tuple[int, ...]] | tuple[int, ...]:
+        """``n -> eval_term(self, fns, (n,))``, through the residual program,
+        or the roots' values when ``fns`` are constants and no root reads ``n``."""
+        if len(fns) != self.k:
+            raise ArityMismatch(f"term wants {self.k} functions, got {len(fns)}")
+        # the residual program and its preset values, once read
+        bound: list = [] if constant_values(*fns) is None else [*self._residual(fns)]
+        if bound and not bound[0].steps and min(bound[0].roots) >= self.m:
+            return tuple(bound[1][r - self.m] for r in bound[0].roots)
 
         def read(n: int) -> tuple[int, ...]:
             if not bound:
@@ -330,8 +340,13 @@ class TermProgram:
     def _residual(self, fns: Sequence[NatFun]) -> tuple[TermProgram, tuple[int, ...]]:
         # liveness back from the roots; index-free values computed on demand
         m, steps, free, values = self.m, self.steps, [False] * self.m, {}
-        for _slot, fn, ins in steps:
-            free.append(hasattr(fn, "constant_value") or all(free[i] for i in ins))
+        exact = [None if (c := constant_values(fn)) is None else c[0] for fn in fns]
+        for v, (slot, fn, ins) in enumerate(steps, m):
+            # a constant base, or a read of a constant function, whatever its input
+            known = exact[slot] if fn is None else getattr(fn, "constant_value", None)
+            if known is not None:
+                values[v] = known
+            free.append(known is not None or all(free[i] for i in ins))
         if True not in free:  # nothing is index-free: the residual is the program
             return self, ()
 
@@ -339,9 +354,7 @@ class TermProgram:
             stack = [v]
             while stack:
                 slot, fn, ins = steps[(u := stack.pop()) - m]
-                if hasattr(fn, "constant_value"):
-                    values[u] = fn.constant_value
-                elif u not in values and all(i in values for i in ins):
+                if u not in values and all(i in values for i in ins):
                     values[u] = (fns[slot] if fn is None else fn)(*[values[i] for i in ins])
                 elif u not in values:
                     stack += [u, *ins]

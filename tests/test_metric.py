@@ -348,6 +348,109 @@ def test_exact_codes_give_what_plain_copies_give(case, point):
     assert [fast.f(t) for t in range(201)] == [slow.f(t) for t in range(201)]
 
 
+def _exact_cases(space):
+    """(label, function) pairs on ``space`` whose outputs are exact on exact arguments."""
+    # builtins (translated on M_1) are procedures, exact on exact arguments
+    negate_proc, abs_proc = (REGISTRY.get(name).fn for name in ("negate", "abs"))
+    if space == M1:
+        negate, negate_proc, abs_proc = NEGATE_MS, *map(translate_uniform, (negate_proc, abs_proc))
+        center = lambda q: mn_code((q,))  # noqa: E731
+    else:
+        negate, center = suites.negate_term_fn(), lambda q: (q,)
+    chain = embed_uniform(identity(space))
+    for _ in range(8):
+        chain = realfns.compose_conditional(embed_uniform(negate), chain)
+    one, quarter = Fraction(1), Fraction(1, 4)
+    term_cover = [Ball(center(-one), one, negate), Ball(center(one), one, identity(space))]
+    proc_cover = [Ball(center(-one), one, negate_proc), Ball(center(one), one, abs_proc)]
+    proc_cover.append(Ball(center(Fraction(0)), quarter, abs_proc))
+    yield "negate^8 after identity", chain
+    yield "glued terms", realfns.glue_compact(BallCover(term_cover, separation=15))
+    yield "glued procedures", realfns.glue_compact(BallCover(proc_cover, separation=15))
+    yield "embedded", embed_uniform(negate_proc)
+    yield "embedded term", embed_uniform(negate)
+    yield "identity", identity(space)
+
+
+def _exact_and_plain(space, q):
+    """An exact name of ``q`` in ``space`` and a copy made of plain functions."""
+    if space == M1:
+        exact = mn_name((q,))
+        return exact, OrdinaryName(NatFun(lambda _t, c=exact.f(0): c), M1)
+    exact = rational_name(q)
+    return [exact], [realfns.NameTriple(*(NatFun(lambda _t, c=f(0): c) for f in exact))]
+
+
+def _apply_both(fn, exact, plain):
+    if isinstance(fn, ConditionalFn):
+        s = find_parameter(fn, exact, 10**5)
+        assert find_parameter(fn, plain, 10**5) == s
+        return apply_conditional_at(fn, exact, s), apply_conditional_at(fn, plain, s)
+    return apply_uniform(fn, exact), apply_uniform(fn, plain)
+
+
+_EXACT_CASES = [
+    (space, label, fn) for space in (Reals(1), M1) for label, fn in _exact_cases(space)
+]
+
+
+@pytest.mark.parametrize(
+    "space,label,fn", _EXACT_CASES, ids=[f"{sp}-{label}" for sp, label, _ in _EXACT_CASES]
+)
+@settings(max_examples=6, deadline=None)
+@given(st.fractions(min_value=-2, max_value=2, max_denominator=100))
+def test_term_programs_gluing_and_reindexing_keep_exact_arguments_exact(space, label, fn, q):
+    # the values computed at application against the per-index path on a plain copy
+    exact, plain = _exact_and_plain(space, q)
+    fast, slow = _apply_both(fn, exact, plain)
+    fast_fns, slow_fns = (space.functions([o] if space == Reals(1) else o) for o in (fast, slow))
+    assert constant_values(*fast_fns) is not None
+    assert constant_values(*slow_fns) is None
+    for f, g in zip(fast_fns, slow_fns):
+        assert [f(t) for t in range(201)] == [g(t) for t in range(201)]
+
+
+@pytest.mark.parametrize("space", [Reals(1), M1], ids=str)
+def test_a_root_that_reads_the_index_is_not_folded(space):
+    # the embedded certificate is (proj 1); a composite's is a diagonalized term
+    exact, plain = _exact_and_plain(space, Fraction(1, 3))
+    fns, plain_fns = space.functions(exact), space.functions(plain)
+    chain = dict(_exact_cases(space))["negate^8 after identity"]
+    embedded = embed_uniform(identity(space))
+    for certificate in (embedded.E, chain.E):
+        fast, slow = certificate.apply(fns), certificate.apply(plain_fns)
+        assert constant_values(fast) is None
+        assert [fast(s) for s in range(60)] == [slow(s) for s in range(60)]
+    assert [embedded.E.apply(fns)(s) for s in range(10)] == list(range(10))
+
+
+@pytest.mark.parametrize(
+    "fn,space",
+    [
+        (RECIP, Reals(1)),
+        (realfns.compose_conditional(RECIP, RECIP), Reals(1)),
+        (translate_conditional(RECIP), M1),
+    ],
+    ids=["recip", "recip-after-recip", "translated-recip"],
+)
+def test_localize_at_an_exact_anchor_records_the_cutoff_of_a_plain_anchor(fn, space):
+    # its recording spies are not constants, so the certificate is read, not folded
+    for q in (Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3)):
+        exact, plain = _exact_and_plain(space, q)
+        exact, plain = (exact[0], plain[0]) if space == Reals(1) else (exact, plain)
+        hood, _ = realfns.localize(fn, exact, 10**5)
+        assert hood.cutoff > 0
+        assert hood.cutoff == realfns.localize(fn, plain, 10**5)[0].cutoff
+
+
+def test_translation_refuses_a_coded_map():
+    # a coded map is no real function: a space mismatch, not an AttributeError
+    with pytest.raises(SpaceMismatch):
+        translate_uniform(identity(M1))
+    with pytest.raises(SpaceMismatch):
+        translate_conditional(embed_uniform_ms(identity(M1)))
+
+
 def test_translation_back_requires_coordinate_spaces():
     bogus = identity(make_discrete(3))
     with pytest.raises(SpaceMismatch):

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condreal import realfns as realfns_module
+from condreal import terms as terms_module
 from condreal.elementary import default_functions, uniform_from_rule
 from condreal.gadgets import CORE, GadgetRegistry, constant, left, pair, right
 from condreal.naming import (
@@ -14,6 +16,7 @@ from condreal.naming import (
     NatFun,
     TripleStream,
     approx,
+    constant_values,
     rational_name,
     recording,
     triple_reader,
@@ -888,17 +891,23 @@ def overridden_term_fns(draw) -> UniformFn:
 
 
 def _recorded(fns, log):
-    return tuple(NatFun(lambda t, i=i, f=f: log.add((i, t)) or f(t)) for i, f in enumerate(fns))
+    # a live function behind a spy logging (slot, index); a constant as it is
+    return tuple(
+        f if constant_values(f) else NatFun(lambda t, i=i, f=f: log.add((i, t)) or f(t))
+        for i, f in enumerate(fns)
+    )
 
 
 @settings(max_examples=40, deadline=None)
 @given(
     fn=st.one_of(glued_term_fns(), localized_term_fns(), overridden_term_fns()),
     seed=st.integers(0, 2**16),
+    exact=st.lists(st.booleans(), min_size=3, max_size=3),
 )
-def test_a_bound_program_agrees_with_full_evaluation_and_reads_less(fn, seed):
+def test_a_bound_program_agrees_with_full_evaluation_and_reads_less(fn, seed, exact):
     rng = Random(seed)
-    fns = tuple(random_natfun(rng) for _ in range(3))
+    # each argument a NatFun.constant or a recorded live function
+    fns = tuple(NatFun.constant(rng.randrange(40)) if c else random_natfun(rng) for c in exact)
     terms = [op.term for op in (fn.F, fn.G, fn.H)]
     # the three together, as an applied name runs them, and each alone
     for group in (terms, *([term] for term in terms)):
@@ -909,9 +918,53 @@ def test_a_bound_program_agrees_with_full_evaluation_and_reads_less(fn, seed):
         for t in range(201):
             bound_log.clear()
             full_log.clear()
-            assert read(t) == eval_term(program, full, (t,))
+            # a bound program that reads no index is its values
+            assert (read if isinstance(read, tuple) else read(t)) == eval_term(program, full, (t,))
             assert bound_log <= full_log
             assert len(full_log) <= sum(map(support_bound, group))
+
+
+def test_reading_the_term_composite_on_a_literal_evaluates_no_term(monkeypatch):
+    chain = embed_uniform(identity_uniform())
+    for _ in range(8):
+        chain = compose_conditional(embed_uniform(negate_term_fn()), chain)
+    exact = rational_name(Fraction(-2, 7))
+    plain = NameTriple(*(NatFun(lambda _t, c=f(0): c) for f in exact))
+    exact_out, plain_out = (apply_conditional(chain, [name], 10**4) for name in (exact, plain))
+    calls = []
+    eval_ = terms_module.eval_term
+    monkeypatch.setattr(terms_module, "eval_term", lambda *args: calls.append(1) or eval_(*args))
+    expected = [(0, 2, 6)] * 151  # negate^8 is the identity
+    assert read_whole(exact_out, range(151)) == expected
+    assert calls == []  # no term evaluation once applied
+    assert read_whole(plain_out, range(151)) == expected
+    assert len(calls) == 151  # the per-index path: one program run per index
+
+
+def test_a_term_operator_compiles_its_program_once(monkeypatch):
+    compiled = []
+    program = realfns_module.TermProgram
+    monkeypatch.setattr(
+        realfns_module, "TermProgram", lambda terms: compiled.append(len(terms)) or program(terms)
+    )
+    fn = negate_term_fn()
+    for q in (Fraction(1, 3), Fraction(-2), Fraction(5, 7)):
+        name = rational_name(q)
+        assert validate_name(apply_uniform(fn, [name]), -q, 20).passed
+        assert fn.F.apply(tuple(name))(0) == name.g(0)
+    # once for F, G and H applied together, kept on F, and once for F alone
+    assert sorted(compiled) == [1, 3]
+
+
+@pytest.mark.parametrize("term", [True, False], ids=["term", "procedure"])
+def test_a_reindexed_slot_on_a_constant_is_that_constant(term):
+    fns = tuple(rational_name(Fraction(-5, 3)))
+    out = _reindex(_slot(3, 2, term), CORE.get("left"), term).apply(fns)
+    assert constant_values(out) == (5,)
+    live = tuple(NatFun(lambda t, c=f(0): c + t) for f in fns)
+    out = _reindex(_slot(3, 2, term), CORE.get("left"), term).apply(live)
+    assert constant_values(out) is None
+    assert [out(n) for n in range(20)] == [5 + left(n) for n in range(20)]
 
 
 def test_single_ball_cover_reduces_to_its_local_function():
