@@ -53,11 +53,11 @@ from .naming import (
 from .realfns import (
     _SEARCH_ORDER,
     ConditionalFn,
-    JointOperator,
     ProcOperator,
     UniformFn,
     apply_conditional,
     apply_uniform,
+    joint,
 )
 
 __all__ = [
@@ -140,7 +140,7 @@ def _pointwise(
 
         return TripleStream(ev, name).name()
 
-    return UniformFn(n_args, *JointOperator(3 * n_args, 3, build, name).components())
+    return UniformFn(n_args, *joint(3 * n_args, 3, build, name))
 
 
 def uniform_from_rule(
@@ -156,7 +156,7 @@ def uniform_from_rule(
     as ``Fraction``s, and the exact rational result is re-encoded
     canonically.  The caller owns the error analysis: the schedule must
     be fine enough that the rule's output is within ``1/(t+1)`` of the
-    true value.  F, G and H are the components of one ``JointOperator``,
+    true value.  F, G and H are the ``joint`` components of one build,
     so an application computes each index's rational once, and it reads
     each argument name through one ``triple_reader``.  The builtins run
     on the same loop with integer kernels in place of ``Fraction`` rules.
@@ -251,7 +251,7 @@ def _recip_certificate() -> ProcOperator:
     return certificate
 
 
-def _recip_value() -> JointOperator:
+def _recip_value() -> tuple[ProcOperator, ...]:
     # A certified s gives |xi| > 1/(s+1).  Reading the input at
     # tau = 2(s+1)^2 (t+1) - 1 keeps the approximation q above
     # 1/(2(s+1)) in magnitude, and the quotient bound
@@ -276,12 +276,12 @@ def _recip_value() -> JointOperator:
 
         return TripleStream(ev, "recip").name()
 
-    return JointOperator(4, 3, build, "recip-value")
+    return joint(4, 3, build, "recip-value")
 
 
 def reciprocal_fn() -> ConditionalFn:
     """Reciprocal as a conditional function on the nonzero reals."""
-    return ConditionalFn(1, _recip_certificate(), *_recip_value().components())
+    return ConditionalFn(1, _recip_certificate(), *_recip_value())
 
 
 # ---------------------------------------------------------------------------

@@ -45,7 +45,6 @@ from .realfns import (
     Ball,
     BallCover,
     ConditionalFn,
-    JointOperator,
     Operator,
     ProcOperator,
     SpaceMismatch,
@@ -64,6 +63,7 @@ from .realfns import (
     embed_uniform,
     find_parameter,
     glue_compact,
+    joint,
     localize,
 )
 from .terms import BaseFunction
@@ -350,8 +350,8 @@ def _decode(n_dims: int, arity: int) -> list[Operator]:
     The other slots pass through.  The coordinates are one joint's
     components, so applied together they share one decode per index.
     """
-    joint = JointOperator(arity, 3 * n_dims, lambda fns: _decoded_parts(n_dims, fns[0]), "decode")
-    return [*joint.components(), *(_slot(arity, i, False) for i in range(2, arity + 1))]
+    coords = joint(arity, 3 * n_dims, lambda fns: _decoded_parts(n_dims, fns[0]), "decode")
+    return [*coords, *(_slot(arity, i, False) for i in range(2, arity + 1))]
 
 
 def _pack(n_dims: int, arity: int) -> list[Operator]:

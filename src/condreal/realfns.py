@@ -31,10 +31,10 @@ raises ``SpaceMismatch``, an ``ArityMismatch``.  A construction whose
 ingredients are all term-backed stays inside the term language, and
 otherwise builds the equivalent procedure form.
 
-A ``JointOperator`` builds several value functions at once -- for a
-real value the three functions of a name, projected from one
-``TripleStream`` -- and ``components()`` gives its F, G and H.
-Application, substitution, localization and gluing build a joint once
+``joint`` gives the components of one build of several value functions
+-- for a real value the three functions of a name, projected from one
+``TripleStream`` -- each a ``ProcOperator`` that picks its result.
+Application, substitution, localization and gluing run that build once
 wherever its components are used together, so a procedure-backed name
 computes its rational once per index; used one at a time, a component
 gives the same values.  Term-backed F, G and H applied together run as
@@ -86,8 +86,6 @@ __all__ = [
     "BallCover",
     "BudgetExhausted",
     "ConditionalFn",
-    "JointComponent",
-    "JointOperator",
     "Neighborhood",
     "Operator",
     "ProcOperator",
@@ -105,8 +103,8 @@ __all__ = [
     "glue_compact",
     "identity",
     "identity_uniform",
+    "joint",
     "localize",
-    "patch_operator",
     "separation_violations",
 ]
 
@@ -176,57 +174,29 @@ class ProcOperator:
     """An operator given directly as a procedure building the result function.
 
     The builder must be pure and must read the argument functions only by
-    calling them, so instrumentation sees every query.
+    calling them, so instrumentation sees every query.  With ``pick`` set,
+    ``build`` returns several functions and the operator is result
+    ``pick`` of them: one of the components ``joint`` makes.
     """
 
     arity: int
-    build: Callable[[tuple[NatFun, ...]], NatFun]
+    build: Callable[[tuple[NatFun, ...]], NatFun | Sequence[NatFun]]
     label: str = ""
+    pick: int | None = None
 
     def apply(self, fns: Sequence[NatFun]) -> NatFun:
-        return self.build(_arguments(self.arity, fns))
+        out = self.build(_arguments(self.arity, fns))
+        return out if self.pick is None else tuple(out)[self.pick]
 
 
-class JointOperator:
-    """``width`` operators built together: one build gives all their results.
+def joint(arity: int, width: int, build: Callable, label: str = "") -> tuple[ProcOperator, ...]:
+    """The ``width`` components of one ``build`` returning all their results at once.
 
-    ``build`` maps the argument functions to ``width`` functions at once;
-    for a real value (width 3) that is typically the ``name()`` of a
-    ``TripleStream``, which computes each index's rational once.
-    ``components()`` is the view of one operator each that functions,
-    constructions and terms work with.  Wherever any of a joint's
-    components are applied together, the joint is built once.
+    For a real value (width 3) ``build`` typically returns the ``name()``
+    of a ``TripleStream``, which computes each index's rational once.
+    Components applied together run it once; one alone runs it for itself.
     """
-
-    __slots__ = ("arity", "width", "build", "label")
-
-    def __init__(
-        self,
-        arity: int,
-        width: int,
-        build: Callable[[tuple[NatFun, ...]], Sequence[NatFun]],
-        label: str = "",
-    ):
-        self.arity, self.width, self.build, self.label = arity, width, build, label
-
-    def apply(self, fns: Sequence[NatFun]) -> tuple[NatFun, ...]:
-        return tuple(self.build(_arguments(self.arity, fns)))
-
-    def components(self) -> tuple["JointComponent", ...]:
-        return tuple(JointComponent(self, pick) for pick in range(self.width))
-
-
-class JointComponent(ProcOperator):
-    """Result ``pick`` of a ``JointOperator``, a procedure on its own.
-
-    Applied alone it builds the joint and keeps its own function, so it
-    gives the same values as the joint application.
-    """
-
-    def __init__(self, joint: JointOperator, pick: int):
-        super().__init__(joint.arity, lambda fns: joint.apply(fns)[pick], f"{joint.label}[{pick}]")
-        self.joint = joint
-        self.pick = pick
+    return tuple(ProcOperator(arity, build, f"{label}[{pick}]", pick) for pick in range(width))
 
 
 Operator = TermOperator | ProcOperator
@@ -239,19 +209,19 @@ def _is_term(op: Operator) -> bool:
 def _apply_ops(ops: Sequence[Operator], fns: Sequence[NatFun]) -> list[NatFun]:
     """Every operator applied to ``fns``, sharing builds.
 
-    The one place that decides which operators build together: each
-    joint among the components, in any order and of any subset, is
-    built once, and term F, G, H run as one program behind one stream.
+    The one place that decides which operators build together: the
+    components of each joint build, in any order and of any subset, run
+    it once, and term F, G, H run as one program behind one stream.
     """
     if len(ops) == 3 and all(map(_is_term, ops)):
         return _apply_terms(ops, fns)
-    built: dict[JointOperator, tuple[NatFun, ...]] = {}
+    built: dict[Callable, tuple[NatFun, ...]] = {}
     out: list[NatFun] = []
     for op in ops:
-        if isinstance(op, JointComponent):
-            if op.joint not in built:
-                built[op.joint] = op.joint.apply(fns)
-            out.append(built[op.joint][op.pick])
+        if isinstance(op, ProcOperator) and op.pick is not None:
+            if op.build not in built:
+                built[op.build] = tuple(op.build(_arguments(op.arity, fns)))
+            out.append(built[op.build][op.pick])
         else:
             out.append(op.apply(fns))
     return out
@@ -288,6 +258,10 @@ class Reals:
     """
 
     n: int
+
+    def __post_init__(self) -> None:
+        if not _natural(self.n):
+            raise ValueError(f"Reals(n) takes a natural n, got {self.n!r}")
 
     @property
     def width(self) -> int:
@@ -480,8 +454,9 @@ def embed_uniform(fn: UniformFn) -> ConditionalFn:
     return ConditionalFn(fn.domain, cert, *values, codomain=fn.codomain)
 
 
-def identity(space: Space) -> UniformFn:
-    """The identity on ``space``, term-backed: passes the name straight through."""
+def identity(space: int | Space) -> UniformFn:
+    """The identity on ``space`` (an int n: ``Reals(n)``), term-backed: passes names through."""
+    space = Reals(space) if isinstance(space, int) else space
     slots = [_slot(space.width, i, True) for i in range(1, space.width + 1)]
     return UniformFn(space, *slots, codomain=space)
 
@@ -567,7 +542,7 @@ def _subst(outers: Sequence[Operator], inners: Sequence[Operator], term: bool) -
     def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
         return _apply_ops(outers, _apply_ops(inners, fns))
 
-    return list(JointOperator(inners[0].arity, len(outers), build, "subst").components())
+    return list(joint(inners[0].arity, len(outers), build, "subst"))
 
 
 def _reindex(op: Operator, base: BaseFunction, term: bool) -> Operator:
@@ -655,7 +630,7 @@ def _select(
             return [branch(j) for j in range(width)]
         return [NatFun(lambda t, _j=j: branch(_j)(t), label="glued") for j in range(width)]
 
-    return list(JointOperator(n, width, build, "glued").components())
+    return list(joint(n, width, build, "glued"))
 
 
 # ---------------------------------------------------------------------------
@@ -692,15 +667,6 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
     _SEARCH_ORDER[cert] = partial(_diagonal_walk, TermOperator(inner.E.term) if term else inner.E)
     values = _subst(outer.values, inner_value + [_lift(_LEFT, [param], term)], term)
     return ConditionalFn(inner.domain, cert, *values, codomain=outer.codomain)
-
-
-def patch_operator(anchor: NatFun, k: int) -> ProcOperator:
-    """The unary operator replacing values below index k by the anchor's."""
-    if k < 0:
-        raise ValueError("patch cutoff must be a natural")
-    return ProcOperator(
-        1, lambda fns: NatFun.patched(anchor, k, fns[0]), f"patch<{k}"
-    )
 
 
 @dataclass(frozen=True)
@@ -808,8 +774,8 @@ class BallCover:
         object.__setattr__(self, "balls", tuple(self.balls))
         if not self.balls:
             raise ValueError("a cover needs at least one ball")
-        if self.separation < 0:
-            raise ValueError("separation index must be a natural")
+        if not _natural(self.separation):
+            raise ValueError(f"separation index must be a natural, got {self.separation!r}")
         for ball in self.balls:
             _same_space(ball.local.domain, self.domain, "cover domain mismatch")
             _same_space(ball.local.codomain, self.codomain, "cover codomain mismatch")

@@ -34,7 +34,7 @@ from condreal.naming import (
 from condreal.realfns import (
     BudgetExhausted,
     ConditionalFn,
-    JointComponent,
+    ProcOperator,
     apply_conditional,
     apply_conditional_at,
     apply_uniform,
@@ -243,7 +243,7 @@ def test_joint_names_equal_their_components_applied_separately(registry):
     ts = range(201)
     for entry in registry:
         fn = entry.fn
-        assert all(isinstance(op, JointComponent) for op in (fn.F, fn.G, fn.H))
+        assert all(isinstance(op, ProcOperator) and op.pick is not None for op in (fn.F, fn.G, fn.H))
         for point in seeded_points(rng, entry.n_args):
             names = [rational_name(q) for q in point]
             fns = [f for name in names for f in name]

@@ -8,6 +8,7 @@ from condreal import metric, realfns, suites
 from condreal.elementary import default_functions, uniform_from_rule
 from condreal.gadgets import conj, tuple_pack, tuple_part, tuple_parts
 from condreal.metric import (
+    EffectiveSpace,
     MsBall,
     MsBallCover,
     OrdinaryName,
@@ -117,6 +118,23 @@ def test_distance_is_the_exact_max_norm():
 def test_metric_axioms_hold_on_sampled_codes():
     assert metric_axiom_violations(M2, range(25)) == []
     assert metric_axiom_violations(make_discrete(6), range(6)) == []
+
+
+def test_metric_axiom_violations_name_each_broken_axiom():
+    # d(2,2) = 1, d(0,1) != d(1,0), d(0,2) = d(2,0) = -1, and
+    # d(1,2) = 5 > d(1,0) + d(0,2) = 1
+    table = {(0, 1): 1, (1, 0): 2, (0, 2): -1, (2, 0): -1, (1, 2): 5, (2, 1): 5, (2, 2): 1}
+    broken = EffectiveSpace(
+        "broken",
+        lambda n: n in (0, 1, 2),
+        Fraction,
+        lambda n, m: Fraction(table.get((n, m), 0)),
+        lambda n, m, r: table.get((n, m), 0) < r,
+    )
+    bad = metric_axiom_violations(broken, range(3))
+    for message in ("d(2,2) != 0", "d(0,1) asymmetric", "d(0,2) negative", "triangle fails at (1,0,2)"):
+        assert message in bad
+    assert all(m not in bad for m in ("d(0,0) != 0", "d(1,2) asymmetric", "d(0,1) negative"))
 
 
 def test_builtin_spaces_listing():

@@ -28,9 +28,8 @@ from condreal.realfns import (
     BallCover,
     BudgetExhausted,
     ConditionalFn,
-    JointComponent,
-    JointOperator,
     Neighborhood,
+    Reals,
     SpaceMismatch,
     TermOperator,
     UniformFn,
@@ -42,7 +41,9 @@ from condreal.realfns import (
     embed_uniform,
     find_parameter,
     glue_compact,
+    identity,
     identity_uniform,
+    joint,
     localize,
     _apply_ops,
     _constant,
@@ -53,7 +54,6 @@ from condreal.realfns import (
     _select,
     _slot,
     _subst,
-    patch_operator,
     separation_violations,
 )
 from condreal.gadgets import ball_indicator
@@ -362,10 +362,9 @@ def test_a_budget_that_is_not_a_natural_is_refused(budget):
 # ---------------------------------------------------------------------------
 
 
-def test_patch_operator_freezes_a_prefix():
-    anchor = NatFun(lambda t: 100 + t)
+def test_the_procedure_patch_freezes_a_prefix():
     inner = NatFun.identity()
-    patched = patch_operator(anchor, 3).apply((inner,))
+    patched = _patch(1, 1, [100, 101, 102], term=False).apply((inner,))
     assert [patched(t) for t in range(6)] == [100, 101, 102, 3, 4, 5]
 
 
@@ -704,6 +703,27 @@ def test_separation_holds_on_the_sound_cover_and_fails_on_a_sparse_one():
     assert (Fraction(0),) in bad
 
 
+@pytest.mark.parametrize("separation", [1.5, True, -1])
+def test_a_cover_refuses_a_separation_that_is_not_a_natural(separation):
+    with pytest.raises(ValueError, match="separation index must be a natural"):
+        BallCover((Ball((0,), 1, negate_fn()),), separation)
+
+
+@pytest.mark.parametrize("n", [-1, True, 1.5, "1"])
+def test_reals_refuses_an_n_that_is_not_a_natural(n):
+    with pytest.raises(ValueError, match="takes a natural n"):
+        Reals(n)
+
+
+def test_identity_reads_an_int_as_the_reals_of_that_dimension():
+    name, ts = [rational_name(Fraction(-2, 7))], range(20)
+    assert identity(1).domain == Reals(1)
+    expected = read_whole(apply_uniform(identity_uniform(), name), ts)
+    assert read_whole(apply_uniform(identity(1), name), ts) == expected
+    with pytest.raises(SpaceMismatch, match="real functions take real values"):
+        identity(3)
+
+
 def test_term_backed_cover_glues_to_a_term_backed_function():
     cover = BallCover(
         (
@@ -1005,6 +1025,10 @@ def read_whole(name, ts):
     return [(name.f(t), name.g(t), name.h(t)) for t in ts]
 
 
+def is_component(op):
+    return isinstance(op, ProcOperator) and op.pick is not None
+
+
 def components_alone(fn, fns, ts):
     alone = [op.apply(fns) for op in (fn.F, fn.G, fn.H)]
     return [tuple(c(t) for c in alone) for t in ts]
@@ -1014,7 +1038,7 @@ def test_embedded_and_glued_joint_functions_run_the_rule_once_per_index():
     calls = []
     ts = range(60)
     embedded = embed_uniform(counted_fn(calls, 2))
-    assert isinstance(embedded.F, JointComponent)
+    assert is_component(embedded.F)
     out = apply_conditional(embedded, [rational_name(Fraction(3, 5))], 10)
     assert read_whole(out, ts) == [(6, 0, 4)] * 60
     assert len(calls) == 60
@@ -1028,7 +1052,7 @@ def test_embedded_and_glued_joint_functions_run_the_rule_once_per_index():
         separation=3,
     )
     glued = glue_compact(cover)
-    assert isinstance(glued.F, JointComponent)
+    assert is_component(glued.F)
     name = [rational_name(Fraction(-1, 2))]
     assert read_whole(apply_uniform(glued, name), ts) == [(1, 0, 1)] * 60
     assert len(calls) == 60
@@ -1040,7 +1064,7 @@ def test_localized_and_composed_joint_functions_agree_with_their_components():
     calls = []
     ts = range(0, 80, 3)
     composed = compose_conditional(RECIP, embed_uniform(counted_fn(calls, -1)))
-    assert all(isinstance(op, JointComponent) for op in (composed.F, composed.G, composed.H))
+    assert all(map(is_component, (composed.F, composed.G, composed.H)))
     for q in (Fraction(2, 3), Fraction(-5, 2)):
         names = [rational_name(q)]
         s = find_parameter(composed, names, 1000)
@@ -1050,7 +1074,7 @@ def test_localized_and_composed_joint_functions_agree_with_their_components():
         assert read_whole(out, ts) == components_alone(composed, fns, ts)
 
     hood, local = localize(RECIP, rational_name(Fraction(1, 2)), 100)
-    assert isinstance(local.F, JointComponent)
+    assert is_component(local.F)
     q = Fraction(1, 2) + Fraction(1, 10 * (hood.cutoff + 2))
     out = apply_uniform(local, [rational_name(q)])
     assert validate_name(out, 1 / q, 79).passed
@@ -1072,13 +1096,13 @@ def counting_joint(builds, width=3):
         builds.append(fns)
         return [NatFun(lambda t, p=p: fns[0](t) + p) for p in range(width)]
 
-    return JointOperator(1, width, build, "counted")
+    return joint(1, width, build, "counted")
 
 
 @pytest.mark.parametrize("picks", [(0, 1, 2), (2, 0, 1), (1,), (2, 0), (1, 1, 0, 2)])
 def test_apply_ops_builds_a_joint_once_for_any_order_and_subset(picks):
     builds = []
-    parts = counting_joint(builds).components()
+    parts = counting_joint(builds)
     out = _apply_ops([parts[p] for p in picks], (NatFun(lambda t: 10 * t),))
     assert len(builds) == 1
     assert [fn(3) for fn in out] == [30 + p for p in picks]
@@ -1086,7 +1110,7 @@ def test_apply_ops_builds_a_joint_once_for_any_order_and_subset(picks):
 
 def test_apply_ops_builds_each_of_two_interleaved_joints_once():
     a_builds, b_builds = [], []
-    a, b = counting_joint(a_builds).components(), counting_joint(b_builds, 2).components()
+    a, b = counting_joint(a_builds), counting_joint(b_builds, 2)
     out = _apply_ops([b[1], a[2], b[0], a[0]], (NatFun(lambda t: t),))
     assert (len(a_builds), len(b_builds)) == (1, 1)
     assert [fn(5) for fn in out] == [6, 7, 5, 5]
@@ -1094,7 +1118,7 @@ def test_apply_ops_builds_each_of_two_interleaved_joints_once():
 
 def test_a_procedure_lift_builds_the_joint_of_its_inputs_once():
     builds = []
-    f, g, _ = counting_joint(builds).components()
+    f, g, _ = counting_joint(builds)
     lifted = _lift(CORE.get("conj"), [g, f], False).apply((NatFun(lambda t: t),))
     assert [lifted(t) for t in range(4)] == [2 * t + 1 for t in range(4)]
     assert len(builds) == 1

@@ -613,6 +613,7 @@ def test_instrumented_trace_is_the_naive_recorded_support(seed, k):
         value, trace = eval_instrumented(term, fns, args)
         assert value == expected
         assert dict(trace.queried) == {i: frozenset(seen) for i, seen in log.items()}
+        assert trace.max_index() == max((t for seen in log.values() for t in seen), default=None)
         assert support_bound(term) == naive_support_bound(term.node)
 
 
