@@ -223,9 +223,9 @@ def _recip_certificate() -> ProcOperator:
     ``|x - y| / (z + 1) > 2/(s+1)`` is the same as
     ``(|x - y|(s+1)) / (z + 1) > 2``, a single ``gt`` gadget test on the
     rescaled triple ``(|x-y|(s+1), 0, z)`` -- constant work per candidate,
-    reading a stream argument without filling its memo.  On an exact
-    triple the test first holds at ``s = floor(2(z+1)/|x-y|)``, and
-    never when ``x = y``: the search starts there, or probes nothing.
+    reading a stream argument through its memo, which ``MEMO_CAP`` bounds.
+    On an exact triple the test first holds at ``s = floor(2(z+1)/|x-y|)``,
+    and never when ``x = y``: the search starts there, or probes nothing.
     """
     test = gadgets.gt(2)
 
@@ -237,7 +237,7 @@ def _recip_certificate() -> ProcOperator:
         return range(2 * (triple[2] + 1) // d if d else budget, budget)
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
-        read = triple_reader(*fns, cached=False)
+        read = triple_reader(*fns)
 
         def ev(s: int) -> int:
             x, y, z = read(s)

@@ -32,7 +32,7 @@ from math import isqrt
 from random import Random
 from typing import Callable, Iterable, Sequence
 
-from .naming import NatFun
+from .naming import NatFun, _natural
 from .terms import (
     Apply,
     Base,
@@ -192,7 +192,7 @@ def delta_k(k: int) -> BaseFunction:
     ``delta_k(k)(x_1, y_1, ..., x_k, y_k, z)`` is the first ``y_i`` whose
     guard ``x_i`` is zero, or ``z`` when no guard is.
     """
-    if k < 0:
+    if not _natural(k):
         raise ValueError("k must be a natural")
 
     def fn(*args: int) -> int:
@@ -204,7 +204,7 @@ def delta_k(k: int) -> BaseFunction:
 
 def constant(c: int) -> BaseFunction:
     """The constant function c."""
-    if c < 0:
+    if not _natural(c):
         raise ValueError("constant must be a natural")
     fn = lambda _x: c  # noqa: E731
     fn.constant_value = c  # read by a bound term program instead of the input
@@ -213,14 +213,14 @@ def constant(c: int) -> BaseFunction:
 
 def mu(k: int, c: int) -> BaseFunction:
     """Override at one point: value c when x == k, else y."""
-    if k < 0 or c < 0:
+    if not (_natural(k) and _natural(c)):
         raise ValueError("mu parameters must be naturals")
     return BaseFunction(f"mu_{k}_{c}", 2, lambda x, y: _mu_value(k, c, x, y))
 
 
 def gamma(b: int, c: int) -> BaseFunction:
     """Positive exactly when the first b arguments out-sum the last c."""
-    if b < 1 or c < 1:
+    if not (_natural(b) and _natural(c)) or min(b, c) < 1:
         raise ValueError("gamma needs b, c >= 1")
 
     def fn(*args: int) -> int:
@@ -287,7 +287,7 @@ def derive_constant(c: int) -> BaseFunction:
     ``x - x`` is zero, and c successors on top of it give c; the result
     agrees with a directly-defined constant everywhere.
     """
-    if c < 0:
+    if not _natural(c):
         raise ValueError("constant must be a natural")
 
     def fn(x: int) -> int:

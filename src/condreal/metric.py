@@ -40,7 +40,7 @@ from typing import Callable, Sequence
 
 from . import gadgets
 from .gadgets import tuple_pack, tuple_part, tuple_parts
-from .naming import NatFun, TripleStream, _rational_triple, constant_values, triple_reader
+from .naming import NatFun, TripleStream, _natural, _rational_triple, constant_values, triple_reader
 from .realfns import (
     Ball,
     BallCover,
@@ -253,7 +253,7 @@ def make_mn(n_dims: int) -> EffectiveSpace:
     decoding is total, and distance comparisons are exact rational
     arithmetic.
     """
-    if n_dims < 1:
+    if not _natural(n_dims) or n_dims < 1:
         raise ValueError("dimension must be at least 1")
     width = 3 * n_dims
 
@@ -297,7 +297,7 @@ def mn_name(point: Sequence[Fraction | int]) -> OrdinaryName:
 @lru_cache(maxsize=None)
 def make_discrete(size: int) -> EffectiveSpace:
     """Finitely many points, 0/1 metric, codes = points."""
-    if size < 1:
+    if not _natural(size) or size < 1:
         raise ValueError("a discrete space needs at least one point")
 
     def dist(n: int, m: int) -> Fraction:

@@ -127,11 +127,11 @@ class NatFun:
         return self._eval(t)
 
     def eval_uncached(self, t: int) -> int:
-        """The value at ``t``, the same as ``__call__``'s.
+        """The name a certificate probe goes through, with ``__call__``'s value.
 
-        The certificate searches probe through this name, so a profile
-        tells their probes from other reads.  A stream's projection
-        evaluates here without first looking in the stream's memo.
+        ``find_parameter`` probes through it, so a profile or a spy tells
+        probes from other reads.  It stores nothing itself; a stream's
+        projection reads through the stream, whose memo keeps the triple.
         """
         return self._eval(t)
 
@@ -167,7 +167,7 @@ class NatFun:
     @classmethod
     def patched(cls, anchor: "NatFun", cutoff: int, inner: "NatFun") -> "NatFun":
         """Take values from ``anchor`` below ``cutoff``, from ``inner`` at or above."""
-        if cutoff < 0:
+        if not _natural(cutoff):
             raise ValueError("cutoff must be a natural")
         return cls(lambda t: anchor(t) if t < cutoff else inner(t), label=f"patch<{cutoff}")
 
@@ -200,7 +200,7 @@ class TripleStream:
         self._memo: dict[int, tuple[int, int, int]] = {}
         self.label = label
 
-    def __call__(self, t: int, store: bool = True) -> tuple[int, int, int]:
+    def __call__(self, t: int) -> tuple[int, int, int]:
         memo = self._memo
         hit = memo.get(t)
         # True and 1.0 find the entry of 1; only an int may take it
@@ -220,15 +220,10 @@ class TripleStream:
                 f"TripleStream {self.label or '<anonymous>'} returned {value!r} at {t}; "
                 "values must be triples of naturals"
             )
-        if store:
-            if len(memo) >= MEMO_CAP:
-                memo.clear()
-            memo[t] = value
+        if len(memo) >= MEMO_CAP:
+            memo.clear()
+        memo[t] = value
         return value
-
-    def eval_uncached(self, t: int) -> tuple[int, int, int]:
-        """The value at ``t``, storing nothing in the memo table."""
-        return self(t, False)
 
     def name(self) -> NameTriple:
         """The three-function view: f, g and h project this stream."""
@@ -280,19 +275,15 @@ def constant_values(*fns: NatFun) -> tuple[int, ...] | None:
     return tuple(values)
 
 
-def triple_reader(
-    f: NatFun, g: NatFun, h: NatFun, cached: bool = True
-) -> Callable[[int], tuple[int, int, int]]:
+def triple_reader(f: NatFun, g: NatFun, h: NatFun) -> Callable[[int], tuple[int, int, int]]:
     """One call per index giving ``(f(t), g(t), h(t))``.
 
     The projections of one stream, in order, are read as the stream
     itself, and three constants as their fixed triple; anything else is
     read through its three functions.  The values are the same either
     way, and every reader refuses an argument that is not a natural.
-    With ``cached=False``, for a search that reads each index once,
-    nothing is stored: each stream that ``f, g, h`` project, in order or
-    not, is read once per index without storing and its positions picked
-    from that triple; other functions are read as they are.
+    A certificate search reads its argument this way too: a stream keeps
+    what it computes in its memo, which ``MEMO_CAP`` bounds.
     """
     triple = constant_values(f, g, h)
     if triple is not None:
@@ -303,19 +294,10 @@ def triple_reader(
             return triple
 
         return read
-    sources = [getattr(fn, "_source", None) or (None, 0) for fn in (f, g, h)]
-    (a, i), (b, j), (c, k) = sources
+    (a, i), (b, j), (c, k) = (getattr(fn, "_source", None) or (None, 0) for fn in (f, g, h))
     if a is not None and a is b is c and (i, j, k) == (0, 1, 2):
-        return a if cached else a.eval_uncached
-    streams = set() if cached else {s for s, _ in sources} - {None}
-    if not streams:
-        return lambda t: (f(t), g(t), h(t))
-
-    def read_uncached(t: int) -> tuple[int, int, int]:
-        got = {s: s.eval_uncached(t) for s in streams}
-        return tuple(got[s][i] if s in got else fn(t) for fn, (s, i) in zip((f, g, h), sources))
-
-    return read_uncached
+        return a
+    return lambda t: (f(t), g(t), h(t))
 
 
 def approx(name: NameTriple, t: int) -> Fraction:

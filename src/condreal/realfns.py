@@ -455,7 +455,10 @@ def embed_uniform(fn: UniformFn) -> ConditionalFn:
 
 
 def identity(space: int | Space) -> UniformFn:
-    """The identity on ``space`` (an int n: ``Reals(n)``), term-backed: passes names through."""
+    """The identity on ``space`` (an int n: ``Reals(n)``), term-backed: passes names through.
+
+    On ``Reals(n)`` for n > 1 it raises ``SpaceMismatch``, as a real function takes
+    its values in ``Reals(1)``; a coded ``metric.make_mn(n)`` has an identity."""
     space = Reals(space) if isinstance(space, int) else space
     slots = [_slot(space.width, i, True) for i in range(1, space.width + 1)]
     return UniformFn(space, *slots, codomain=space)

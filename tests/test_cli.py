@@ -101,6 +101,9 @@ def test_eval_rejects_unknown_functions_and_bad_arity(capsys):
     code, _, err = run(capsys, "eval", "(add 1/2)")
     assert code == 2
     assert "takes 2 argument(s)" in err
+    code, _, err = run(capsys, "eval", "add")  # a bare atom that takes arguments
+    assert code == 2
+    assert "a bare atom must be a rational or a constant" in err
     code, _, err = run(capsys, "eval", "(add 1/2 1/3)", "--eps", "0")
     assert code == 2
 

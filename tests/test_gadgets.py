@@ -33,6 +33,8 @@ from condreal.gadgets import (
     tuple_parts,
 )
 
+from condreal.metric import make_discrete, make_mn
+from condreal.naming import NatFun
 from condreal.sexpr import SexprError
 from condreal.terms import parse_term
 
@@ -456,3 +458,40 @@ def test_decency_check_names_order_and_verdicts(registry, verdicts):
 def test_decency_check_fails_on_broken_dispatch():
     broken = default_registry().override("delta_1", lambda x, y, z: y)
     assert not decency_check(broken).passed
+
+
+# refusals no other test reaches: (what, call, exception, message)
+GADGETS_REFUSALS = [
+    ("pack no values", lambda: tuple_pack([]), ValueError, "at least one value"),
+    ("parts of a 0-tuple", lambda: tuple_parts(0, 5), ValueError, "at least one component"),
+    ("indicator with no coordinate", lambda: ball_indicator([], 1), ValueError, "at least one coordinate"),
+]
+
+
+@pytest.mark.parametrize("case", GADGETS_REFUSALS, ids=lambda case: case[0])
+def test_gadgets_refusals_raise_their_documented_errors(case):
+    _, call, error, message = case
+    with pytest.raises(error, match=message):
+        call()
+
+
+# constructors taking naturals, each called with ``v`` where a natural goes
+NATURAL_PARAMETERS = {
+    "make_mn": make_mn,
+    "make_discrete": make_discrete,
+    "constant": constant,
+    "derive_constant": derive_constant,
+    "mu k": lambda v: mu(v, 2),
+    "mu c": lambda v: mu(2, v),
+    "delta_k": delta_k,
+    "gamma b": lambda v: gamma(v, 1),
+    "gamma c": lambda v: gamma(1, v),
+    "patched": lambda v: NatFun.patched(NatFun.constant(0), v, NatFun.identity()),
+}
+
+
+@pytest.mark.parametrize("value", [True, 1.5, "2"], ids=repr)
+@pytest.mark.parametrize("what", sorted(NATURAL_PARAMETERS))
+def test_constructors_refuse_a_parameter_that_is_not_a_natural(what, value):
+    with pytest.raises(ValueError):
+        NATURAL_PARAMETERS[what](value)

@@ -1,3 +1,4 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -788,3 +789,20 @@ def test_code_ball_indicator_in_two_dimensions():
     outside = mn_code((Fraction(1, 4), Fraction(3, 2)))
     assert ind(inside) == 0
     assert ind(outside) != 0
+
+
+# refusals no other test reaches: (what, call, exception, message)
+METRIC_REFUSALS = [
+    ("M_0", lambda: make_mn(0), ValueError, "dimension must be at least 1"),
+    ("a discrete space of no points", lambda: make_discrete(0), ValueError, "at least one point"),
+    ("axioms without a distance",
+     lambda: metric_axiom_violations(replace(make_mn(1), dist=None), [0, 1]),
+     ValueError, "M_1 has no exact distance oracle"),
+]
+
+
+@pytest.mark.parametrize("case", METRIC_REFUSALS, ids=lambda case: case[0])
+def test_metric_refusals_raise_their_documented_errors(case):
+    _, call, error, message = case
+    with pytest.raises(error, match=message):
+        call()

@@ -89,6 +89,8 @@ def test_natfun_rejects_bad_arguments_and_values():
     with pytest.raises(ValueError):
         fn(2)
     assert fn(7) == 2
+    with pytest.raises(ValueError, match="must be a natural, got -1"):
+        NatFun.constant(-1)
 
 
 def test_natfun_evaluates_on_every_call():
@@ -155,22 +157,6 @@ def test_stream_checks_its_argument_and_its_triples():
             TripleStream(lambda _t, b=broken: b, "broken")(0)
     with pytest.raises(ValueError):
         stream.name().f(-1)
-
-
-def test_stream_eval_uncached_gives_the_value_and_stores_nothing():
-    calls = []
-    stream = counted_stream(calls)
-    assert [stream.eval_uncached(t) for t in (4, 4, 9)] == [(4, 1, 1), (4, 1, 1), (9, 1, 0)]
-    assert calls == [4, 4, 9]
-    assert stream._memo == {}
-    stream(4)
-    assert stream.eval_uncached(4) == (4, 1, 1)  # a stored index is read
-    assert calls == [4, 4, 9, 4] and list(stream._memo) == [4]
-    for bad in (-1, True, 1.0):
-        with pytest.raises(ValueError):
-            stream.eval_uncached(bad)
-    with pytest.raises(ValueError):
-        TripleStream(lambda _t: (1, -1, 0), "broken").eval_uncached(0)
 
 
 def test_patched_switches_at_the_cutoff():
@@ -300,45 +286,27 @@ def test_triple_reader_falls_back_for_swapped_or_foreign_projections():
         assert mixed(t) == (t, t, 3)
 
 
-def test_an_uncached_reader_reads_the_same_values_and_fills_no_memo():
-    for kind, name in _names_of_every_kind().items():
-        read = triple_reader(*name, cached=False)
-        for t in range(60):
-            assert read(t) == (name.f(t), name.g(t), name.h(t)), kind
-    stream = TripleStream(lambda t: (t, 1, 2), "s")
-    assert triple_reader(*stream.name(), cached=False) == stream.eval_uncached
-    plain = NameTriple(NatFun(lambda t: t), NatFun(lambda t: 2 * t), NatFun.constant(1))
-    read = triple_reader(*plain, cached=False)
-    assert [read(t) for t in range(20)] == [(t, 2 * t, 1) for t in range(20)]
-    assert stream._memo == {}
-    for bad in (-1, True, 1.0):
-        with pytest.raises(ValueError):
-            triple_reader(*stream.name(), cached=False)(bad)
-        with pytest.raises(ValueError):
-            read(bad)
-
-
-def test_an_uncached_reader_reads_each_source_stream_once_and_stores_nothing():
+def test_a_reader_reads_each_source_stream_once_per_index():
     a_calls, b_calls = [], []
     a = TripleStream(lambda t: a_calls.append(t) or (t, 2 * t, 3), "a")
     b = TripleStream(lambda t: b_calls.append(t) or (7, t, t + 1), "b")
     fns = (a.name().f, b.name().g, a.name().h)
-    read = triple_reader(*fns, cached=False)
+    read = triple_reader(*fns)
     assert [read(t) for t in range(3)] == [(t, t, 3) for t in range(3)]
-    assert a._memo == {} and b._memo == {}
+    assert [read(t) for t in range(3)] == [(t, t, 3) for t in range(3)]
     assert a_calls == [0, 1, 2] and b_calls == [0, 1, 2]  # once per index each
     # swapped positions of one stream, and projections beside other functions
     f, g, h = a.name()
     for triple in ((g, f, h), (h, NatFun(lambda t: t + 5), f), (NatFun.constant(4), g, g)):
         del a_calls[:]
-        read = triple_reader(*triple, cached=False)
-        values = [read(t) for t in range(4)]
-        assert a._memo == {} and a_calls == [0, 1, 2, 3]
-        assert values == [tuple(fn(t) for fn in triple) for t in range(4)]
         a._memo.clear()
+        read = triple_reader(*triple)
+        values = [read(t) for t in range(4)]
+        assert a_calls == [0, 1, 2, 3]
+        assert values == [tuple(fn(t) for fn in triple) for t in range(4)]
     for bad in (-1, True, 1.0):
         with pytest.raises(ValueError):
-            triple_reader(*fns, cached=False)(bad)
+            triple_reader(*fns)(bad)
 
 
 def test_every_reader_refuses_non_natural_arguments():

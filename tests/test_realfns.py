@@ -715,6 +715,33 @@ def test_reals_refuses_an_n_that_is_not_a_natural(n):
         Reals(n)
 
 
+_ONE_BALL = BallCover((Ball((0,), 1, identity_uniform()),), 3)
+
+# refusals no other test reaches: (what, call, exception, message)
+REALFNS_REFUSALS = [
+    ("procedure applied to too few functions",
+     lambda: ProcOperator(2, lambda fns: fns[0], "first").apply([NatFun.identity()]),
+     ArityMismatch, "operator wants 2 functions, got 1"),
+    ("term operator with two numeric arguments",
+     lambda: TermOperator(OperatorTerm(1, 2, Proj(1))),
+     ArityMismatch, "single numeric argument"),
+    ("point of Reals(2)", lambda: Reals(2).point(rational_name(1)),
+     ArityMismatch, "unary real functions"),
+    ("ball centre of the wrong dimension", lambda: Ball((1, 2), 1, identity_uniform()),
+     ArityMismatch, "ball center dimension"),
+    ("empty cover", lambda: BallCover((), 3), ValueError, "at least one ball"),
+    ("2-D point on a 1-D cover", lambda: separation_violations(_ONE_BALL, [(0, 0)]),
+     ArityMismatch, "sample point dimension"),
+]
+
+
+@pytest.mark.parametrize("case", REALFNS_REFUSALS, ids=lambda case: case[0])
+def test_realfns_refusals_raise_their_documented_errors(case):
+    _, call, error, message = case
+    with pytest.raises(error, match=message):
+        call()
+
+
 def test_identity_reads_an_int_as_the_reals_of_that_dimension():
     name, ts = [rational_name(Fraction(-2, 7))], range(20)
     assert identity(1).domain == Reals(1)

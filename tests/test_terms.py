@@ -672,3 +672,34 @@ def test_base_functions_wrap_plain_callables(x, y):
     lift = representable_lift(fn)
     fns = (NatFun.constant(x), NatFun.constant(y))
     assert eval_term(lift, fns, (0,)) == x * 3 + y
+
+
+_READ = OperatorTerm(1, 1, Apply(1, Proj(1)))
+_READ_2 = OperatorTerm(2, 1, Apply(1, Proj(1)))
+
+# refusals no other test reaches: (what, call, exception, message)
+TERMS_REFUSALS = [
+    ("bind with the wrong arity", lambda: TermProgram([_READ]).bind([]),
+     ArityMismatch, "term wants 1 functions, got 0"),
+    ("compose inners of mixed arity", lambda: compose_terms(_READ_2, [_READ, _READ_2]),
+     ArityMismatch, "share one function arity"),
+    ("compose with a wrong result_arity", lambda: compose_terms(_READ, [_READ], result_arity=2),
+     ArityMismatch, "result_arity disagrees"),
+    ("diagonalize with no function slot", lambda: diagonalize(OperatorTerm(0, 1, Proj(1))),
+     ArityMismatch, "at least one function slot"),
+    ("apply slot 0", lambda: OperatorTerm(1, 1, Apply(0, Proj(1))),
+     ArityMismatch, "slot index 0 below 1"),
+    ("parse ()", lambda: parse_term("()", 1, 1, CORE.get),
+     SexprError, r"expected a \(proj\|apply\|base"),
+    ("parse (base)", lambda: parse_term("(base)", 1, 1, CORE.get),
+     SexprError, "needs a function name"),
+    ("parse (foo 1)", lambda: parse_term("(foo 1)", 1, 1, CORE.get),
+     SexprError, "unknown term tag 'foo'"),
+]
+
+
+@pytest.mark.parametrize("case", TERMS_REFUSALS, ids=lambda case: case[0])
+def test_terms_refusals_raise_their_documented_errors(case):
+    _, call, error, message = case
+    with pytest.raises(error, match=message):
+        call()
