@@ -51,7 +51,6 @@ from .naming import (
     validate_name,
 )
 from .realfns import (
-    _SEARCH_ORDER,
     ConditionalFn,
     ProcOperator,
     UniformFn,
@@ -215,6 +214,15 @@ def constant_fn(q: Fraction | int) -> UniformFn:
     )
 
 
+def _recip_order(fns: tuple[NatFun, ...], budget: int) -> range:
+    """The reciprocal's search order: every s, or on an exact triple from its least s."""
+    triple = constant_values(*fns)
+    if triple is None:
+        return range(budget)
+    d = abs(triple[0] - triple[1])
+    return range(2 * (triple[2] + 1) // d if d else budget, budget)
+
+
 def _recip_certificate() -> ProcOperator:
     """Zero at ``s`` exactly when the input's approximation there exceeds
     ``2/(s+1)`` in magnitude.
@@ -229,13 +237,6 @@ def _recip_certificate() -> ProcOperator:
     """
     test = gadgets.gt(2)
 
-    def order(fns: tuple[NatFun, ...], budget: int) -> range:
-        triple = constant_values(*fns)
-        if triple is None:
-            return range(budget)
-        d = abs(triple[0] - triple[1])
-        return range(2 * (triple[2] + 1) // d if d else budget, budget)
-
     def build(fns: tuple[NatFun, ...]) -> NatFun:
         read = triple_reader(*fns)
 
@@ -246,9 +247,7 @@ def _recip_certificate() -> ProcOperator:
 
         return NatFun(ev, label="recip.cert")
 
-    certificate = ProcOperator(3, build, "recip-E")
-    _SEARCH_ORDER[certificate] = order
-    return certificate
+    return ProcOperator(3, build, "recip-E")
 
 
 def _recip_value() -> tuple[ProcOperator, ...]:
@@ -281,7 +280,7 @@ def _recip_value() -> tuple[ProcOperator, ...]:
 
 def reciprocal_fn() -> ConditionalFn:
     """Reciprocal as a conditional function on the nonzero reals."""
-    return ConditionalFn(1, _recip_certificate(), *_recip_value())
+    return ConditionalFn(1, _recip_certificate(), *_recip_value(), order=_recip_order)
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +504,9 @@ def registry_validate(
 
     Grid points outside an entry's domain are skipped; everything else
     must satisfy the strict 1/(t+1) bound for all t <= t_max, decided by
-    exact rational comparison.
+    exact rational comparison.  Raises ValueError unless ``t_max`` is a natural.
     """
+    _check_argument(t_max, "t_max")
     return RegistryReport(
         tuple(
             check

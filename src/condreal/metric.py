@@ -19,7 +19,8 @@ space-checked ``OrdinaryName``, ``MsNeighborhood``, ball indicators from
 ``dist_lt``), so a coded map is a ``UniformFn`` or ``ConditionalFn``
 with one value operator T, and search, application, identity, embedding,
 composition, localization, gluing and dispatch take coded maps as they
-take real functions; term-backed ingredients give term-backed results.
+take real functions; each operator built is a term exactly when every
+operator it is built from is one, and decode and pack are procedures.
 This module keeps the spaces, their names and neighborhoods, the
 translations and tupling; its ``_ms`` names, ``MsConditionalFn``,
 ``MsBall`` and ``MsBallCover`` are aliases of the ``realfns`` objects,
@@ -27,8 +28,8 @@ kept for the benchmark's callers.  The spaces ``M_N`` (rational
 N-tuples coded by nested pairing, max-norm distance) translate
 real-function computability back and forth losslessly: the coding is two
 operators, decode and pack, and each translation substitutes the
-translated function's operators between them.  A translated certificate
-searches in the real certificate's order, read through the decoding.
+translated function's operators between them.  A translated conditional
+searches in the real one's ``order``, read through the decoding.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .realfns import (
     SpaceMismatch,
     UniformFn,
     _CONJ,
-    _SEARCH_ORDER,
     _is_term,
     _lift,
     _reindex,
@@ -168,8 +168,10 @@ def validate_ordinary_name(
 
     A violation is a t where f(t) leaves the code domain or where the
     decoded point is not strictly within 1/(t+1) of the target.  Empty
-    result = valid up to t_max.
+    result = valid up to t_max, which must be a natural (else ValueError).
     """
+    if not _natural(t_max):
+        raise ValueError(f"t_max argument must be a natural, got {t_max!r}")
     space = name.space
     bad = []
     for t in range(t_max + 1):
@@ -388,35 +390,33 @@ def translate_uniform(fn: UniformFn) -> UniformFn:
     Operators that are one joint's components run once per index.
     """
     n = fn.n_args
-    values = _subst(_pack(1, 3), _subst(fn.values, _decode(n, 1), False), False)
+    values = _subst(_pack(1, 3), _subst(fn.values, _decode(n, 1)))
     return UniformFn(make_mn(n), *values, codomain=make_mn(1))
 
 
 def translate_uniform_back(fn: UniformFn) -> UniformFn:
     """The inverse packaging, for maps between the rational-tuple spaces."""
     n = _coded_dimension(fn)
-    return UniformFn(n, *_subst(_decode(1, 1), _subst(fn.values, _pack(n, 3 * n), False), False))
+    return UniformFn(n, *_subst(_decode(1, 1), _subst(fn.values, _pack(n, 3 * n))))
 
 
 def translate_conditional(fn: ConditionalFn) -> ConditionalFn:
     """A conditional real function as a conditional map from M_N to M_1.
 
-    Where the real certificate has a search order, the translated one
+    Where the real function has a search order, the translated one
     decodes the code and follows it.
     """
-    n = fn.n_args
-    (E,) = _subst([fn.E], _decode(n, 1), False)
-    order = _SEARCH_ORDER.get(fn.E)
-    if order is not None:
-        _SEARCH_ORDER[E] = lambda fns, budget: order(_decoded_parts(n, fns[0]), budget)
-    values = _subst(_pack(1, 3), _subst(fn.values, _decode(n, 2), False), False)
-    return ConditionalFn(make_mn(n), E, *values, codomain=make_mn(1))
+    n, real = fn.n_args, fn.order
+    (E,) = _subst([fn.E], _decode(n, 1))
+    values = _subst(_pack(1, 3), _subst(fn.values, _decode(n, 2)))
+    order = None if real is None else lambda fns, b: real(_decoded_parts(n, fns[0]), b)
+    return ConditionalFn(make_mn(n), E, *values, codomain=make_mn(1), order=order)
 
 
 def translate_conditional_back(fn: ConditionalFn) -> ConditionalFn:
     n = _coded_dimension(fn)
-    (E,) = _subst([fn.E], _pack(n, 3 * n), False)
-    values = _subst(_decode(1, 1), _subst(fn.values, _pack(n, 3 * n + 1), False), False)
+    (E,) = _subst([fn.E], _pack(n, 3 * n))
+    values = _subst(_decode(1, 1), _subst(fn.values, _pack(n, 3 * n + 1)))
     return ConditionalFn(n, E, *values)
 
 
@@ -428,7 +428,8 @@ def tuple_conditional(fns: Sequence[ConditionalFn]) -> ConditionalFn:
     and the value operator interleaves the component outputs at their
     parts into M_K codes (each component carries full index-t precision,
     so the max-norm error stays under 1/(t+1)).  Term-backed components
-    give a term-backed result.
+    give a term-backed result; the certificate is a term whenever every
+    component certificate is one.
     """
     fns = tuple(fns)
     if not fns:
@@ -441,17 +442,14 @@ def tuple_conditional(fns: Sequence[ConditionalFn]) -> ConditionalFn:
     k = len(fns)
     parts = [BaseFunction(f"part_{i}_{k}", 1, partial(tuple_part, k, i)) for i in range(1, k + 1)]
     cert = reduce(
-        lambda a, b: _lift(_CONJ, [a, b], term),
-        [_reindex(fn.E, part, term) for fn, part in zip(fns, parts)],
+        lambda a, b: _lift(_CONJ, [a, b]), [_reindex(fn.E, part) for fn, part in zip(fns, parts)]
     )
     f, e = _slot(2, 1, term), _slot(2, 2, term)
-    outs = [
-        _subst(fn.values, [f, _lift(part, [e], term)], term)[0] for fn, part in zip(fns, parts)
-    ]
+    outs = [_subst(fn.values, [f, _lift(part, [e])])[0] for fn, part in zip(fns, parts)]
     interleave = BaseFunction(
         f"interleave_{k}", k, lambda *cs: tuple_pack([v for c in cs for v in tuple_parts(3, c)])
     )
-    return ConditionalFn(domain, cert, _lift(interleave, outs, term), codomain=make_mn(k))
+    return ConditionalFn(domain, cert, _lift(interleave, outs), codomain=make_mn(k))
 
 
 def code_ball_indicator(

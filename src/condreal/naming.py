@@ -368,11 +368,12 @@ class ValidationReport:
 
 
 def validate_name(name: NameTriple, reference: Fraction | int, t_max: int) -> ValidationReport:
-    """Check |approx(name, t) - reference| < 1/(t+1) for every t <= t_max.
+    """Check |approx(name, t) - reference| < 1/(t+1) for every t <= t_max, a natural.
 
     All comparisons are exact rational arithmetic; the report carries one
     row per index so failures point at the first offending t.
     """
+    _check_argument(t_max, "t_max")
     reference = Fraction(reference)
     read = triple_reader(*name)
     rows = []

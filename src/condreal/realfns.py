@@ -27,9 +27,9 @@ functions over a finite ball cover are each written once, generic over a
 *space*: ``Reals(n)`` for n real arguments named by name triples, or a
 coded ``condreal.metric.EffectiveSpace`` with one value operator T where
 a real value has F, G, H.  Wiring a construction across different spaces
-raises ``SpaceMismatch``, an ``ArityMismatch``.  A construction whose
-ingredients are all term-backed stays inside the term language, and
-otherwise builds the equivalent procedure form.
+raises ``SpaceMismatch``, an ``ArityMismatch``.  Each operator a
+construction builds is a term exactly when every operator it is built
+from is one, and otherwise the equivalent procedure.
 
 ``joint`` gives the components of one build of several value functions
 -- for a real value the three functions of a name, projected from one
@@ -42,7 +42,7 @@ one ``TermProgram`` behind one ``TripleStream``, compiled once and kept.
 Exact arguments stay exact through term programs, gluing and reindexing:
 an output that does not depend on the index is a constant.
 
-A search probes in its certificate's order, which skips only parameters
+A search probes in its function's ``order``, which skips only parameters
 that cannot certify, so it finds the linear scan's least one.  A
 composite walks the pairing diagonals, probing its inner certificate once
 per diagonal; the reciprocal on an exact argument starts at its least s.
@@ -57,7 +57,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
 from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
-from weakref import WeakKeyDictionary
 
 from . import gadgets
 from .gadgets import CORE
@@ -143,6 +142,8 @@ class TermOperator:
     term: OperatorTerm
 
     def __post_init__(self) -> None:
+        if not isinstance(self.term, OperatorTerm):
+            raise ValueError(f"a term operator takes an OperatorTerm, got {self.term!r}")
         if self.term.m != 1:
             raise ArityMismatch("operator terms take a single numeric argument")
 
@@ -314,6 +315,8 @@ class _Record:
         domain = Reals(domain) if isinstance(domain, int) else domain
         if isinstance(domain, Reals):
             _same_space(codomain, Reals(1), "real functions take real values")
+        if not all(isinstance(op, Operator) for op in values):
+            raise ValueError(f"value operators must be TermOperators or ProcOperators: {values!r}")
         if len(values) != codomain.width:
             raise ArityMismatch(f"{codomain} names take {codomain.width} value operators")
         want = domain.width + slots
@@ -351,17 +354,30 @@ class ConditionalFn(_Record):
 
     ``ConditionalFn(n, E, F, G, H)`` takes n real arguments;
     ``ConditionalFn(space, E, T, codomain=other)`` maps between coded spaces.
+    ``order`` maps ``(fns, budget)`` to the s < budget a search probes, least
+    first, leaving out only s that cannot certify; ``None`` probes every s.
     """
 
     E: Operator
+    order: Callable[[tuple[NatFun, ...], int], Iterable[int]] | None
 
     def __init__(
-        self, domain: int | Space, E: Operator, *values: Operator, codomain: Space = Reals(1)
+        self,
+        domain: int | Space,
+        E: Operator,
+        *values: Operator,
+        codomain: Space = Reals(1),
+        order: Callable[[tuple[NatFun, ...], int], Iterable[int]] | None = None,
     ):
         self._store(domain, codomain, values, 1)
+        if not isinstance(E, Operator):
+            raise ValueError(f"a certificate must be a TermOperator or ProcOperator, got {E!r}")
         if E.arity != self.domain.width:
             raise ArityMismatch(f"certificate operator must be {self.domain.width}-ary")
+        if order is not None and not callable(order):
+            raise ValueError(f"a search order must be None or callable, got {order!r}")
         object.__setattr__(self, "E", E)
+        object.__setattr__(self, "order", order)
 
 
 # ---------------------------------------------------------------------------
@@ -372,19 +388,6 @@ class ConditionalFn(_Record):
 def apply_uniform(fn: UniformFn, names: Sequence[NameTriple]) -> NameTriple:
     """Transform argument names into a (lazily evaluated) value name."""
     return fn.codomain.name_of(_apply_ops(fn.values, fn.domain.functions(names)))
-
-
-# certificate -> its order: (fns, budget) -> the s < budget to probe, least
-# first, leaving out only s that cannot certify; with no entry, every s
-_SEARCH_ORDER: WeakKeyDictionary[Operator, Callable[..., Iterable[int]]] = WeakKeyDictionary()
-
-
-def _candidates(certificate: Operator, fns: tuple[NatFun, ...], budget: int) -> Iterable[int]:
-    """The s < budget a search probes, in the certificate's order."""
-    if not _natural(budget):
-        raise ValueError(f"search budget must be a natural, got {budget!r}")
-    order = _SEARCH_ORDER.get(certificate)
-    return range(budget) if order is None else order(fns, budget)
 
 
 def _diagonal_walk(e_inner: Operator, fns: tuple[NatFun, ...], budget: int) -> Iterator[int]:
@@ -409,15 +412,16 @@ def _diagonal_walk(e_inner: Operator, fns: tuple[NatFun, ...], budget: int) -> I
 def find_parameter(fn: ConditionalFn, names: Sequence[NameTriple], budget: int) -> int:
     """The least certifying parameter s < budget, the one a linear scan finds.
 
-    The candidates come in the certificate's order (``_candidates``),
-    which skips only s that cannot certify, and each is confirmed by
-    evaluating the certificate: the first hit, and the budgets that
-    raise BudgetExhausted, are the scan's.  Raises ValueError unless
-    ``budget`` is a natural.
+    The candidates come in ``fn.order``, which skips only s that cannot
+    certify, and each is confirmed by evaluating the certificate: the
+    first hit, and the budgets that raise BudgetExhausted, are the
+    scan's.  Raises ValueError unless ``budget`` is a natural.
     """
     fns = fn.domain.functions(names)
+    if not _natural(budget):
+        raise ValueError(f"search budget must be a natural, got {budget!r}")
     certificate = fn.E.apply(fns)
-    for s in _candidates(fn.E, fns, budget):
+    for s in range(budget) if fn.order is None else fn.order(fns, budget):
         if certificate.eval_uncached(s) == 0:
             return s
     raise BudgetExhausted(budget, "searching for a certifying parameter")
@@ -450,7 +454,7 @@ def embed_uniform(fn: UniformFn) -> ConditionalFn:
         values = [TermOperator(OperatorTerm(k + 1, 1, op.term.node)) for op in values]
     else:
         cert = ProcOperator(k, lambda _fns: NatFun.identity(), "embedded-cert")
-        values = _subst(values, [_slot(k + 1, i, False) for i in range(1, k + 1)], False)
+        values = _subst(values, [_slot(k + 1, i, False) for i in range(1, k + 1)])
     return ConditionalFn(fn.domain, cert, *values, codomain=fn.codomain)
 
 
@@ -473,11 +477,11 @@ def identity_uniform() -> UniformFn:
 # operator combinators
 # ---------------------------------------------------------------------------
 #
-# Each combinator returns a TermOperator when ``term`` is set, in which case
-# every operator input must be a TermOperator, and a procedure otherwise;
-# the two forms agree pointwise.  A construction computes ``term`` once
-# from all of its ingredients and passes it to every combinator it uses:
-# slot, constant and patch have no operator inputs to ask.
+# Each combinator over operators returns a TermOperator exactly when every
+# operator it is given is one, and a procedure otherwise; the two forms
+# agree pointwise.  Slot, constant and patch have no operators to read the
+# form off, so a construction passes them ``term``, set when all of its
+# ingredients are term-backed.
 
 _LEFT = CORE.get("left")
 _RIGHT = CORE.get("right")
@@ -516,10 +520,10 @@ def _patch(k: int, i: int, values: Sequence[int], term: bool) -> Operator:
     )
 
 
-def _lift(base: BaseFunction, ops: Sequence[Operator], term: bool) -> Operator:
+def _lift(base: BaseFunction, ops: Sequence[Operator]) -> Operator:
     """Pointwise: ``base`` applied to the outputs of ``ops`` at each index (once if constant)."""
     k = ops[0].arity
-    if term:
+    if all(map(_is_term, ops)):
         return TermOperator(OperatorTerm(k, 1, Base(base, tuple(op.term.node for op in ops))))
     fn = base.fn
 
@@ -533,13 +537,13 @@ def _lift(base: BaseFunction, ops: Sequence[Operator], term: bool) -> Operator:
     return ProcOperator(k, build, base.name)
 
 
-def _subst(outers: Sequence[Operator], inners: Sequence[Operator], term: bool) -> list[Operator]:
+def _subst(outers: Sequence[Operator], inners: Sequence[Operator]) -> list[Operator]:
     """Substitution: each of ``outers`` applied to the outputs of ``inners``.
 
     The procedure form is one joint: applied to an argument tuple it
     applies the inner operators once and the outer ones to their outputs.
     """
-    if term:
+    if all(map(_is_term, (*outers, *inners))):
         return [TermOperator(compose_terms(op.term, [i.term for i in inners])) for op in outers]
 
     def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
@@ -548,9 +552,9 @@ def _subst(outers: Sequence[Operator], inners: Sequence[Operator], term: bool) -
     return list(joint(inners[0].arity, len(outers), build, "subst"))
 
 
-def _reindex(op: Operator, base: BaseFunction, term: bool) -> Operator:
+def _reindex(op: Operator, base: BaseFunction) -> Operator:
     """Read the output of ``op`` at ``base(n)`` instead of at ``n``."""
-    if term:
+    if _is_term(op):
         node = _subst_numeric(op.term.node, Base(base, (Proj(1),)))
         return TermOperator(OperatorTerm(op.arity, 1, node))
     fn = base.fn
@@ -564,9 +568,9 @@ def _reindex(op: Operator, base: BaseFunction, term: bool) -> Operator:
     return ProcOperator(op.arity, build, f"{base.name}-indexed")
 
 
-def _diagonal(op: Operator, term: bool) -> Operator:
+def _diagonal(op: Operator) -> Operator:
     """Drop the last slot, feeding it ``const_n`` when reading index ``n``."""
-    if term:
+    if _is_term(op):
         return TermOperator(diagonalize(op.term))
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
@@ -584,10 +588,7 @@ def _first_passing(indicators: Sequence[BaseFunction], probes: Sequence[int]) ->
 
 
 def _select(
-    indicators: Sequence[BaseFunction],
-    k: int,
-    components: Sequence[Sequence[Operator]],
-    term: bool,
+    indicators: Sequence[BaseFunction], k: int, components: Sequence[Sequence[Operator]]
 ) -> list[Operator]:
     """First-zero select: per component, the branch of the first passing ball.
 
@@ -599,7 +600,7 @@ def _select(
     tuple, and only that ball's branches are applied, together.
     """
     n = components[0][0].arity
-    if term:
+    if all(_is_term(op) for branches in components for op in branches):
         const_k = Base(gadgets.constant(k), (Proj(1),))
         probes = tuple(Apply(i, const_k) for i in range(1, n + 1))
         zero = Base(gadgets.constant(0), (Proj(1),))
@@ -654,8 +655,9 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
 
     which vanishes exactly when ``right(s)`` certifies the inner function
     and ``left(s)`` the outer one at the inner output.  The value
-    operators feed the packed parameter through the same split.
-    Term-backed ingredients yield term-backed results.
+    operators feed the packed parameter through the same split, and the
+    search walks the pairing diagonals.  Term-backed ingredients yield
+    term-backed results.
     """
     _same_space(inner.codomain, outer.domain, "composition space mismatch")
     term = all(_is_term(op) for fn in (outer, inner) for op in (fn.E, *fn.values))
@@ -663,13 +665,12 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
     slots = [_slot(w + 1, i, term) for i in range(1, w + 1)]
     param = _slot(w + 1, w + 1, term)
     # the inner value name, its parameter slot read through `right`
-    inner_value = _subst(inner.values, slots + [_lift(_RIGHT, [param], term)], term)
-    outer_cert = _reindex(_subst([outer.E], inner_value, term)[0], _LEFT, term)
-    cert = _lift(_CONJ, [_reindex(inner.E, _RIGHT, term), _diagonal(outer_cert, term)], term)
-    # a term certificate in a fresh wrapper, so nested levels' records can go
-    _SEARCH_ORDER[cert] = partial(_diagonal_walk, TermOperator(inner.E.term) if term else inner.E)
-    values = _subst(outer.values, inner_value + [_lift(_LEFT, [param], term)], term)
-    return ConditionalFn(inner.domain, cert, *values, codomain=outer.codomain)
+    inner_value = _subst(inner.values, slots + [_lift(_RIGHT, [param])])
+    outer_cert = _reindex(_subst([outer.E], inner_value)[0], _LEFT)
+    cert = _lift(_CONJ, [_reindex(inner.E, _RIGHT), _diagonal(outer_cert)])
+    values = _subst(outer.values, inner_value + [_lift(_LEFT, [param])])
+    order = partial(_diagonal_walk, inner.E)
+    return ConditionalFn(inner.domain, cert, *values, codomain=outer.codomain, order=order)
 
 
 @dataclass(frozen=True)
@@ -728,7 +729,7 @@ def localize(
     w = len(anchor)
     inners = [_patch(w, i, [point[i - 1] for point in prefix], term) for i in range(1, w + 1)]
     inners.append(_constant(w, s0, term))
-    local = UniformFn(fn.domain, *_subst(fn.values, inners, term), codomain=fn.codomain)
+    local = UniformFn(fn.domain, *_subst(fn.values, inners), codomain=fn.codomain)
     return fn.domain.neighborhood(prefix), local
 
 
@@ -816,8 +817,7 @@ def glue_compact(cover: BallCover) -> UniformFn:
     only the chosen ball's local function.
     """
     components = [list(branches) for branches in zip(*(b.local.values for b in cover.balls))]
-    term = all(_is_term(op) for branches in components for op in branches)
-    glued = _select(_cover_indicators(cover), cover.separation, components, term)
+    glued = _select(_cover_indicators(cover), cover.separation, components)
     return UniformFn(cover.domain, *glued, codomain=cover.codomain)
 
 

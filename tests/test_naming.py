@@ -5,6 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from condreal import naming
+from condreal.elementary import FunctionRegistry, default_functions, registry_validate
+from condreal.metric import mn_name, validate_ordinary_name
 from condreal.naming import (
     MEMO_CAP,
     NameTriple,
@@ -342,3 +344,19 @@ def test_a_constant_label_is_spelled_only_when_asked_for():
     assert spied[0](0) == big
     with pytest.raises(ValueError, match="too many digits"):
         format_rational(Fraction(big))
+
+
+VALIDATORS = {
+    "validate_name": lambda t_max: validate_name(rational_name(1), 5, t_max),
+    "registry_validate": lambda t_max: registry_validate(default_functions(), t_max=t_max),
+    "registry_validate, no entries": lambda t_max: registry_validate(FunctionRegistry(), t_max),
+    "validate_ordinary_name": lambda t_max: validate_ordinary_name(mn_name((1,)), 5, t_max),
+}
+
+
+@pytest.mark.parametrize("t_max", [-1, 1.5, True])
+@pytest.mark.parametrize("validator", VALIDATORS)
+def test_a_validator_refuses_a_t_max_that_is_not_a_natural(validator, t_max):
+    # -1 used to pass with zero checks, 1.5 to raise TypeError from range
+    with pytest.raises(ValueError, match="t_max argument must be a natural"):
+        VALIDATORS[validator](t_max)

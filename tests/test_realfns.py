@@ -57,6 +57,7 @@ from condreal.realfns import (
     separation_violations,
 )
 from condreal.gadgets import ball_indicator
+from condreal.metric import make_mn, tuple_conditional
 from condreal.sampling import random_natfun, random_term
 from condreal.suites import (
     COMPOSITES,
@@ -385,6 +386,9 @@ def test_mu_chain_patch_agrees_with_the_case_definition():
 # ---------------------------------------------------------------------------
 # operator combinators: the term form and the procedure form agree
 # ---------------------------------------------------------------------------
+#
+# A combinator over operators takes its form from them: the same term
+# operators wrapped by ``as_proc`` give the procedure form.
 
 
 def random_ops(rng, k, count):
@@ -422,11 +426,12 @@ def test_combinators_over_operators_agree_in_both_forms():
         outer = TermOperator(random_term(rng, 2, 1, 3))
         inners = random_ops(rng, k, 2)
         wide = TermOperator(random_term(rng, k + 1, 1, 3))
+        procs = [as_proc(op) for op in ops]
         pairs = [
-            (_lift(base, ops, True), _lift(base, ops, False)),
-            (_subst([outer], inners, True)[0], _subst([outer], inners, False)[0]),
-            (_reindex(ops[0], index, True), _reindex(ops[0], index, False)),
-            (_diagonal(wide, True), _diagonal(wide, False)),
+            (_lift(base, ops), _lift(base, procs)),
+            (_subst([outer], inners)[0], _subst([as_proc(outer)], list(map(as_proc, inners)))[0]),
+            (_reindex(ops[0], index), _reindex(procs[0], index)),
+            (_diagonal(wide), _diagonal(as_proc(wide))),
         ]
         for term_form, proc_form in pairs:
             assert isinstance(term_form, TermOperator)
@@ -441,10 +446,11 @@ def test_select_agrees_in_both_forms():
         fns = tuple(random_natfun(rng) for _ in range(3))
         components = [random_ops(rng, 3, 2) for _ in range(2)]
         k = rng.randrange(6)
-        term_forms = _select(indicators, k, components, True)
-        proc_forms = _select(indicators, k, components, False)
+        term_forms = _select(indicators, k, components)
+        proc_forms = _select(indicators, k, [list(map(as_proc, ops)) for ops in components])
         for term_form, proc_form in zip(term_forms, proc_forms):
             assert isinstance(term_form, TermOperator)
+            assert isinstance(proc_form, ProcOperator)
             assert agree(term_form, proc_form, fns)
 
 
@@ -489,6 +495,63 @@ def test_localization_procedure_form_agrees_with_the_term_form():
     assert isinstance(proc_form.F, ProcOperator)
     points = [Fraction(2, 7) + Fraction(n, 100) for n in range(-9, 10, 3)]
     agree_on_names(term_form, proc_form, points)
+
+
+# ---------------------------------------------------------------------------
+# mixed forms: each operator is a term exactly when everything it is built from is
+# ---------------------------------------------------------------------------
+
+
+def operators(fn):
+    return [fn.E, *fn.values] if isinstance(fn, ConditionalFn) else list(fn.values)
+
+
+def with_procs(fn, *positions):
+    """``fn`` rebuilt, order kept, with the operators at ``positions`` (E is 0) as procedures."""
+    ops = [as_proc(op) if i in positions else op for i, op in enumerate(operators(fn))]
+    if isinstance(fn, ConditionalFn):
+        return ConditionalFn(fn.domain, *ops, codomain=fn.codomain, order=fn.order)
+    return UniformFn(fn.domain, *ops, codomain=fn.codomain)
+
+
+def _glue_two(left_local, right_local):
+    balls = (Ball((-1,), Fraction(3, 2), left_local), Ball((1,), Fraction(3, 2), right_local))
+    return glue_compact(BallCover(balls, separation=3))
+
+
+NEGATE_C, ABS_C = embed_uniform(negate_term_fn()), embed_uniform(abs_term_fn())
+COMPOSED = compose_conditional(NEGATE_C, embed_uniform(identity_uniform()))
+CODED_ID = embed_uniform(identity(make_mn(1)))
+
+# (what, construction, all-term ingredients, mixed ingredients, which of the
+# mixed result's operators -- E first -- are terms)
+MIXED_FORMS = [
+    ("compose, inner with a term E and procedure values", compose_conditional,
+     (NEGATE_C, ABS_C), (NEGATE_C, with_procs(ABS_C, 1, 2, 3)), [False] * 4),
+    ("compose, procedure outer after a term inner", compose_conditional,
+     (NEGATE_C, ABS_C), (with_procs(NEGATE_C, 0, 1, 2, 3), ABS_C), [False] * 4),
+    ("localize, one procedure value", lambda fn: localize(fn, rational_name(Fraction(2, 7)), 100)[1],
+     (COMPOSED,), (with_procs(COMPOSED, 2),), [False] * 3),
+    ("glue, a term branch and a procedure branch", _glue_two,
+     (negate_term_fn(), identity_uniform()),
+     (negate_term_fn(), with_procs(identity_uniform(), 0, 1, 2)), [False] * 3),
+    # the certificate is built from the component certificates alone
+    ("tuple, term certificates and procedure values", lambda *fns: tuple_conditional(fns),
+     (CODED_ID, CODED_ID), (with_procs(CODED_ID, 1),) * 2, [True, False]),
+]
+
+
+@pytest.mark.parametrize("case", MIXED_FORMS, ids=lambda case: case[0])
+def test_a_mixed_construction_follows_the_form_rule_and_agrees_with_the_all_term_one(case):
+    _, construct, term_inputs, mixed_inputs, forms = case
+    whole, mixed = construct(*term_inputs), construct(*mixed_inputs)
+    assert all(isinstance(op, TermOperator) for op in operators(whole))
+    assert [isinstance(op, TermOperator) for op in operators(mixed)] == forms
+    rng = Random(16)
+    for _ in range(6):
+        fns = tuple(random_natfun(rng) for _ in range(whole.domain.width + 1))
+        for a, b in zip(operators(whole), operators(mixed)):
+            assert agree(a, b, fns[: a.arity], range(61))
 
 
 def test_localizations_leave_the_gadget_registry_as_it_was():
@@ -732,6 +795,22 @@ REALFNS_REFUSALS = [
     ("empty cover", lambda: BallCover((), 3), ValueError, "at least one ball"),
     ("2-D point on a 1-D cover", lambda: separation_violations(_ONE_BALL, [(0, 0)]),
      ArityMismatch, "sample point dimension"),
+    # operands that are not operators, refused when the record is built
+    ("a function as a value operator", lambda: UniformFn(1, lambda x: x, 1, 2),
+     ValueError, "value operators must be"),
+    ("a term node as a coded value operator",
+     lambda: UniformFn(make_mn(1), Proj(1), codomain=make_mn(1)),
+     ValueError, "value operators must be"),
+    ("a string as a term", lambda: TermOperator("x"), ValueError, "takes an OperatorTerm"),
+    ("a node as a term", lambda: TermOperator(Apply(1, Proj(1))),
+     ValueError, "takes an OperatorTerm"),
+    ("an int as a certificate", lambda: ConditionalFn(1, 0, *RECIP.values),
+     ValueError, "certificate must be"),
+    ("a NatFun as a certificate", lambda: ConditionalFn(1, NatFun.identity(), *RECIP.values),
+     ValueError, "certificate must be"),
+    ("a range as a search order",
+     lambda: ConditionalFn(1, RECIP.E, *RECIP.values, order=range(3)),
+     ValueError, "None or callable"),
 ]
 
 
@@ -1006,10 +1085,10 @@ def test_a_term_operator_compiles_its_program_once(monkeypatch):
 @pytest.mark.parametrize("term", [True, False], ids=["term", "procedure"])
 def test_a_reindexed_slot_on_a_constant_is_that_constant(term):
     fns = tuple(rational_name(Fraction(-5, 3)))
-    out = _reindex(_slot(3, 2, term), CORE.get("left"), term).apply(fns)
+    out = _reindex(_slot(3, 2, term), CORE.get("left")).apply(fns)
     assert constant_values(out) == (5,)
     live = tuple(NatFun(lambda t, c=f(0): c + t) for f in fns)
-    out = _reindex(_slot(3, 2, term), CORE.get("left"), term).apply(live)
+    out = _reindex(_slot(3, 2, term), CORE.get("left")).apply(live)
     assert constant_values(out) is None
     assert [out(n) for n in range(20)] == [5 + left(n) for n in range(20)]
 
@@ -1146,6 +1225,6 @@ def test_apply_ops_builds_each_of_two_interleaved_joints_once():
 def test_a_procedure_lift_builds_the_joint_of_its_inputs_once():
     builds = []
     f, g, _ = counting_joint(builds)
-    lifted = _lift(CORE.get("conj"), [g, f], False).apply((NatFun(lambda t: t),))
+    lifted = _lift(CORE.get("conj"), [g, f]).apply((NatFun(lambda t: t),))
     assert [lifted(t) for t in range(4)] == [2 * t + 1 for t in range(4)]
     assert len(builds) == 1
