@@ -20,7 +20,8 @@ space-checked ``OrdinaryName``, ``MsNeighborhood``, ball indicators from
 with one value operator T, and search, application, identity, embedding,
 composition, localization, gluing and dispatch take coded maps as they
 take real functions; each operator built is a term exactly when every
-operator it is built from is one, and decode and pack are procedures.
+operator it is built from is one (a slot is both), and decode and pack
+are procedures.
 This module keeps the spaces, their names and neighborhoods, the
 translations and tupling; its ``_ms`` names, ``MsConditionalFn``,
 ``MsBall`` and ``MsBallCover`` are aliases of the ``realfns`` objects,
@@ -45,13 +46,13 @@ from .naming import NatFun, TripleStream, _natural, _rational_triple, constant_v
 from .realfns import (
     Ball,
     BallCover,
+    BudgetExhausted,
     ConditionalFn,
     Operator,
     ProcOperator,
     SpaceMismatch,
     UniformFn,
     _CONJ,
-    _is_term,
     _lift,
     _reindex,
     _same_space,
@@ -353,7 +354,7 @@ def _decode(n_dims: int, arity: int) -> list[Operator]:
     components, so applied together they share one decode per index.
     """
     coords = joint(arity, 3 * n_dims, lambda fns: _decoded_parts(n_dims, fns[0]), "decode")
-    return [*coords, *(_slot(arity, i, False) for i in range(2, arity + 1))]
+    return [*coords, *(_slot(arity, i) for i in range(2, arity + 1))]
 
 
 def _pack(n_dims: int, arity: int) -> list[Operator]:
@@ -370,7 +371,7 @@ def _pack(n_dims: int, arity: int) -> list[Operator]:
         readers = [triple_reader(*fns[i : i + 3]) for i in range(0, width, 3)]
         return NatFun(lambda t: tuple_pack([v for read in readers for v in read(t)]), "pack")
 
-    rest = (_slot(arity, i, False) for i in range(width + 1, arity + 1))
+    rest = (_slot(arity, i) for i in range(width + 1, arity + 1))
     return [ProcOperator(arity, build, "pack"), *rest]
 
 
@@ -420,6 +421,25 @@ def translate_conditional_back(fn: ConditionalFn) -> ConditionalFn:
     return ConditionalFn(n, E, *values)
 
 
+def _tuple_order(
+    components: Sequence[ConditionalFn], fns: tuple[NatFun, ...], budget: int
+) -> list[int]:
+    """A tuple's search order: ``tuple_pack`` of the components' least parameters, if below budget.
+
+    The tuple certifies at s exactly when every component certifies at
+    ``part_i(s)``.  As ``part_i(s) <= s`` and ``tuple_pack`` increases in
+    each coordinate, its least s is the pack of the components' least
+    parameters below ``budget``, each found by ``find_parameter`` in the
+    component's own order.
+    """
+    name = components[0].domain.name_of(fns)
+    try:
+        s = tuple_pack([find_parameter(fn, name, budget) for fn in components])
+    except BudgetExhausted:
+        return []
+    return [s] if s < budget else []
+
+
 def tuple_conditional(fns: Sequence[ConditionalFn]) -> ConditionalFn:
     """Bundle K conditional maps into M_1 into one map into M_K.
 
@@ -427,9 +447,10 @@ def tuple_conditional(fns: Sequence[ConditionalFn]) -> ConditionalFn:
     certificate conjoins each component certificate read at its part,
     and the value operator interleaves the component outputs at their
     parts into M_K codes (each component carries full index-t precision,
-    so the max-norm error stays under 1/(t+1)).  Term-backed components
-    give a term-backed result; the certificate is a term whenever every
-    component certificate is one.
+    so the max-norm error stays under 1/(t+1)).  Each operator is a term
+    exactly when every operator it is built from is one: the certificate
+    from the component certificates, the value from the component values.
+    The search probes only the pack of the components' least parameters.
     """
     fns = tuple(fns)
     if not fns:
@@ -438,18 +459,18 @@ def tuple_conditional(fns: Sequence[ConditionalFn]) -> ConditionalFn:
     for fn in fns:
         _same_space(fn.domain, domain, "components must share their domain")
         _same_space(fn.codomain, make_mn(1), "components must map into M_1")
-    term = all(_is_term(op) for fn in fns for op in (fn.E, *fn.values))
     k = len(fns)
     parts = [BaseFunction(f"part_{i}_{k}", 1, partial(tuple_part, k, i)) for i in range(1, k + 1)]
     cert = reduce(
         lambda a, b: _lift(_CONJ, [a, b]), [_reindex(fn.E, part) for fn, part in zip(fns, parts)]
     )
-    f, e = _slot(2, 1, term), _slot(2, 2, term)
-    outs = [_subst(fn.values, [f, _lift(part, [e])])[0] for fn, part in zip(fns, parts)]
+    f = _slot(2, 1)
+    outs = [_subst(fn.values, [f, _slot(2, 2, through=part)])[0] for fn, part in zip(fns, parts)]
     interleave = BaseFunction(
         f"interleave_{k}", k, lambda *cs: tuple_pack([v for c in cs for v in tuple_parts(3, c)])
     )
-    return ConditionalFn(domain, cert, _lift(interleave, outs), codomain=make_mn(k))
+    order = partial(_tuple_order, fns)
+    return ConditionalFn(domain, cert, _lift(interleave, outs), codomain=make_mn(k), order=order)
 
 
 def code_ball_indicator(

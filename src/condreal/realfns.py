@@ -29,7 +29,8 @@ coded ``condreal.metric.EffectiveSpace`` with one value operator T where
 a real value has F, G, H.  Wiring a construction across different spaces
 raises ``SpaceMismatch``, an ``ArityMismatch``.  Each operator a
 construction builds is a term exactly when every operator it is built
-from is one, and otherwise the equivalent procedure.
+from is one, and otherwise the equivalent procedure; slots, constants
+and patches are both, so no construction decides a form.
 
 ``joint`` gives the components of one build of several value functions
 -- for a real value the three functions of a name, projected from one
@@ -42,8 +43,8 @@ one ``TermProgram`` behind one ``TripleStream``, compiled once and kept.
 Exact arguments stay exact through term programs, gluing and reindexing:
 an output that does not depend on the index is a constant.
 
-A search probes in its function's ``order``, which skips only parameters
-that cannot certify, so it finds the linear scan's least one.  A
+A search probes in its function's ``order``, which never skips the least
+certifying parameter, so it finds the linear scan's least one.  A
 composite walks the pairing diagonals, probing its inner certificate once
 per diagonal; the reciprocal on an exact argument starts at its least s.
 
@@ -147,12 +148,24 @@ class TermOperator:
         if self.term.m != 1:
             raise ArityMismatch("operator terms take a single numeric argument")
 
-    @property
+    @cached_property
     def arity(self) -> int:
         return self.term.k
 
     def apply(self, fns: Sequence[NatFun]) -> NatFun:
         return _apply_terms((self,), fns)[0]
+
+
+class _Wire(TermOperator):
+    """A slot, constant or patch: its ``term`` is built when first read; ``apply`` runs ``run``."""
+
+    def __init__(self, arity: int, node: Callable[[], Node], run: Callable[..., NatFun]):
+        self.__dict__.update(arity=arity, _node=node, _run=run)
+
+    term = cached_property(lambda self: OperatorTerm(self.arity, 1, self._node()))
+
+    def apply(self, fns: Sequence[NatFun]) -> NatFun:
+        return self._run(_arguments(self.arity, fns))
 
 
 def _apply_terms(ops: Sequence[TermOperator], fns: Sequence[NatFun]) -> list[NatFun]:
@@ -212,9 +225,9 @@ def _apply_ops(ops: Sequence[Operator], fns: Sequence[NatFun]) -> list[NatFun]:
 
     The one place that decides which operators build together: the
     components of each joint build, in any order and of any subset, run
-    it once, and term F, G, H run as one program behind one stream.
+    it once, and plain term F, G, H run as one program behind one stream.
     """
-    if len(ops) == 3 and all(map(_is_term, ops)):
+    if len(ops) == 3 and type(ops[0]) is type(ops[1]) is type(ops[2]) is TermOperator:
         return _apply_terms(ops, fns)
     built: dict[Callable, tuple[NatFun, ...]] = {}
     out: list[NatFun] = []
@@ -355,7 +368,7 @@ class ConditionalFn(_Record):
     ``ConditionalFn(n, E, F, G, H)`` takes n real arguments;
     ``ConditionalFn(space, E, T, codomain=other)`` maps between coded spaces.
     ``order`` maps ``(fns, budget)`` to the s < budget a search probes, least
-    first, leaving out only s that cannot certify; ``None`` probes every s.
+    first, never leaving out the least that certifies; ``None`` probes every s.
     """
 
     E: Operator
@@ -412,8 +425,8 @@ def _diagonal_walk(e_inner: Operator, fns: tuple[NatFun, ...], budget: int) -> I
 def find_parameter(fn: ConditionalFn, names: Sequence[NameTriple], budget: int) -> int:
     """The least certifying parameter s < budget, the one a linear scan finds.
 
-    The candidates come in ``fn.order``, which skips only s that cannot
-    certify, and each is confirmed by evaluating the certificate: the
+    The candidates come in ``fn.order``, which never skips the least
+    certifying s, and each is confirmed by evaluating the certificate: the
     first hit, and the budgets that raise BudgetExhausted, are the
     scan's.  Raises ValueError unless ``budget`` is a natural.
     """
@@ -454,7 +467,7 @@ def embed_uniform(fn: UniformFn) -> ConditionalFn:
         values = [TermOperator(OperatorTerm(k + 1, 1, op.term.node)) for op in values]
     else:
         cert = ProcOperator(k, lambda _fns: NatFun.identity(), "embedded-cert")
-        values = _subst(values, [_slot(k + 1, i, False) for i in range(1, k + 1)])
+        values = _subst(values, [_slot(k + 1, i) for i in range(1, k + 1)])
     return ConditionalFn(fn.domain, cert, *values, codomain=fn.codomain)
 
 
@@ -464,7 +477,7 @@ def identity(space: int | Space) -> UniformFn:
     On ``Reals(n)`` for n > 1 it raises ``SpaceMismatch``, as a real function takes
     its values in ``Reals(1)``; a coded ``metric.make_mn(n)`` has an identity."""
     space = Reals(space) if isinstance(space, int) else space
-    slots = [_slot(space.width, i, True) for i in range(1, space.width + 1)]
+    slots = [_slot(space.width, i) for i in range(1, space.width + 1)]
     return UniformFn(space, *slots, codomain=space)
 
 
@@ -479,45 +492,52 @@ def identity_uniform() -> UniformFn:
 #
 # Each combinator over operators returns a TermOperator exactly when every
 # operator it is given is one, and a procedure otherwise; the two forms
-# agree pointwise.  Slot, constant and patch have no operators to read the
-# form off, so a construction passes them ``term``, set when all of its
-# ingredients are term-backed.
+# agree pointwise.  Slot, constant and patch are given no operators: each
+# returns a wire, a TermOperator whose term a combinator over terms reads
+# and whose application runs the procedure form.
 
 _LEFT = CORE.get("left")
 _RIGHT = CORE.get("right")
 _CONJ = CORE.get("conj")
 
 
-def _slot(k: int, i: int, term: bool) -> Operator:
-    """The k-ary operator returning its i-th function argument."""
-    if term:
-        return TermOperator(OperatorTerm(k, 1, Apply(i, Proj(1))))
-    return ProcOperator(k, lambda fns: fns[i - 1], f"slot {i}")
+def _slot(k: int, i: int, through: BaseFunction | None = None) -> Operator:
+    """The k-ary operator returning its i-th argument, read through ``through`` if given."""
+    if through is None:
+        return _Wire(k, lambda: Apply(i, Proj(1)), lambda fns: fns[i - 1])
+    node = lambda: Base(through, (Apply(i, Proj(1)),))  # noqa: E731
+    return _Wire(k, node, lambda fns: _pointwise(through, [fns[i - 1]]))
 
 
-def _constant(k: int, c: int, term: bool) -> Operator:
+def _constant(k: int, c: int) -> Operator:
     """The k-ary operator returning the constant function c."""
-    if term:
-        return TermOperator(OperatorTerm(k, 1, Base(gadgets.constant(c), (Proj(1),))))
-    return ProcOperator(k, lambda _fns: NatFun.constant(c), f"const {c}")
+    return _Wire(k, lambda: Base(gadgets.constant(c), (Proj(1),)), lambda _fns: NatFun.constant(c))
 
 
-def _patch(k: int, i: int, values: Sequence[int], term: bool) -> Operator:
+def _patch(k: int, i: int, values: Sequence[int]) -> Operator:
     """Slot i with its values below ``len(values)`` replaced by ``values``.
 
-    The term form chains one ``mu`` override per replaced index; the
-    procedure form is ``NatFun.patched`` over the prefix.
+    The term chains one ``mu`` override per replaced index; applied, it is
+    ``NatFun.patched`` over the prefix.
     """
     values = tuple(values)
-    if term:
+
+    def chain() -> Node:
         node: Node = Apply(i, Proj(1))
         for j, value in enumerate(values):
             node = Base(gadgets.mu(j, value), (Proj(1), node))
-        return TermOperator(OperatorTerm(k, 1, node))
+        return node
+
     anchor = NatFun(values.__getitem__, label="prefix")
-    return ProcOperator(
-        k, lambda fns: NatFun.patched(anchor, len(values), fns[i - 1]), f"patch<{len(values)}"
-    )
+    return _Wire(k, chain, lambda fns: NatFun.patched(anchor, len(values), fns[i - 1]))
+
+
+def _pointwise(base: BaseFunction, outs: Sequence[NatFun]) -> NatFun:
+    """``base`` applied to ``outs`` at each index, once if every one is constant."""
+    fn, values = base.fn, constant_values(*outs)
+    if values is not None:
+        return NatFun.constant(fn(*values))
+    return NatFun(lambda t: fn(*[out(t) for out in outs]), label=base.name)
 
 
 def _lift(base: BaseFunction, ops: Sequence[Operator]) -> Operator:
@@ -525,16 +545,7 @@ def _lift(base: BaseFunction, ops: Sequence[Operator]) -> Operator:
     k = ops[0].arity
     if all(map(_is_term, ops)):
         return TermOperator(OperatorTerm(k, 1, Base(base, tuple(op.term.node for op in ops))))
-    fn = base.fn
-
-    def build(fns: tuple[NatFun, ...]) -> NatFun:
-        outs = _apply_ops(ops, fns)
-        values = constant_values(*outs)
-        if values is not None:
-            return NatFun.constant(fn(*values))
-        return NatFun(lambda t: fn(*[out(t) for out in outs]), label=base.name)
-
-    return ProcOperator(k, build, base.name)
+    return ProcOperator(k, lambda fns: _pointwise(base, _apply_ops(ops, fns)), base.name)
 
 
 def _subst(outers: Sequence[Operator], inners: Sequence[Operator]) -> list[Operator]:
@@ -660,15 +671,13 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
     term-backed results.
     """
     _same_space(inner.codomain, outer.domain, "composition space mismatch")
-    term = all(_is_term(op) for fn in (outer, inner) for op in (fn.E, *fn.values))
     w = inner.domain.width
-    slots = [_slot(w + 1, i, term) for i in range(1, w + 1)]
-    param = _slot(w + 1, w + 1, term)
+    slots = [_slot(w + 1, i) for i in range(1, w + 1)]
     # the inner value name, its parameter slot read through `right`
-    inner_value = _subst(inner.values, slots + [_lift(_RIGHT, [param])])
+    inner_value = _subst(inner.values, slots + [_slot(w + 1, w + 1, through=_RIGHT)])
     outer_cert = _reindex(_subst([outer.E], inner_value)[0], _LEFT)
     cert = _lift(_CONJ, [_reindex(inner.E, _RIGHT), _diagonal(outer_cert)])
-    values = _subst(outer.values, inner_value + [_lift(_LEFT, [param])])
+    values = _subst(outer.values, inner_value + [_slot(w + 1, w + 1, through=_LEFT)])
     order = partial(_diagonal_walk, inner.E)
     return ConditionalFn(inner.domain, cert, *values, codomain=outer.codomain, order=order)
 
@@ -725,10 +734,9 @@ def localize(
     u = max((t for seen in log.values() for t in seen), default=0)
     prefix = tuple(tuple(f(t) for f in anchor) for t in range(u + 1))
 
-    term = all(map(_is_term, fn.values))
     w = len(anchor)
-    inners = [_patch(w, i, [point[i - 1] for point in prefix], term) for i in range(1, w + 1)]
-    inners.append(_constant(w, s0, term))
+    inners = [_patch(w, i, [point[i - 1] for point in prefix]) for i in range(1, w + 1)]
+    inners.append(_constant(w, s0))
     local = UniformFn(fn.domain, *_subst(fn.values, inners), codomain=fn.codomain)
     return fn.domain.neighborhood(prefix), local
 

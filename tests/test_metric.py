@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from condreal import metric, realfns, suites
 from condreal.elementary import default_functions, uniform_from_rule
-from condreal.gadgets import conj, tuple_pack, tuple_part, tuple_parts
+from condreal.gadgets import conj, pair, tuple_pack, tuple_part, tuple_parts
 from condreal.metric import (
     EffectiveSpace,
     MsBall,
@@ -733,6 +733,37 @@ def test_a_substitution_search_returns_the_linear_scans_s(q):
     assert find_parameter_ms(composed, name, 10**5) == s
     with pytest.raises(BudgetExhausted):
         find_parameter_ms(composed, name, s)
+
+
+# tuple components on M_1, one of which never certifies
+TUPLE_PARTS = {
+    **{label: NESTED_PARTS[label] for label in ("recip", "negate", "double", "identity-term")},
+    "never": ConditionalFn(
+        M1, ProcOperator(1, lambda _fns: NatFun.constant(1)), *NESTED_PARTS["negate"].values,
+        codomain=M1,
+    ),
+}
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    labels=st.lists(st.sampled_from(sorted(TUPLE_PARTS)), min_size=1, max_size=3),
+    point=st.sampled_from(["0", "1", "-2/3", "3/2", "1/4", "1/9"]).map(Fraction),
+    budget=st.integers(0, 800),
+)
+def test_a_tuple_search_returns_the_linear_scans_s(labels, point, budget):
+    fn, name = tuple_conditional([TUPLE_PARTS[label] for label in labels]), mn_name((point,))
+    assert _least_or_none(fn, name, budget) == linear_scan(fn.E, (name.f,), budget)
+
+
+@pytest.mark.parametrize("q,s", [(Fraction(1, 50), 20200), (Fraction(-1, 20), pair(40, 40))])
+def test_a_tuple_of_reciprocals_starts_at_the_pack_of_their_least_parameters(q, s):
+    fn, name = tuple_conditional([NESTED_PARTS["recip"]] * 2), mn_name((q,))
+    assert linear_scan(fn.E, (name.f,), s + 1) == s
+    assert list(fn.order((name.f,), s + 1)) == [s]
+    assert find_parameter_ms(fn, name, s + 1) == s
+    with pytest.raises(BudgetExhausted):
+        find_parameter_ms(fn, name, s)
 
 
 RECIP_MS = translate_conditional(RECIP)

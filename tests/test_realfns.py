@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from condreal import gadgets
 from condreal import realfns as realfns_module
 from condreal import terms as terms_module
 from condreal.elementary import default_functions, uniform_from_rule
-from condreal.gadgets import CORE, GadgetRegistry, constant, left, pair, right
+from condreal.gadgets import CORE, GadgetRegistry, constant, left, mu, pair, right
 from condreal.naming import (
     NameTriple,
     NatFun,
@@ -57,7 +58,7 @@ from condreal.realfns import (
     separation_violations,
 )
 from condreal.gadgets import ball_indicator
-from condreal.metric import make_mn, tuple_conditional
+from condreal.metric import make_mn, mn_name, tuple_conditional
 from condreal.sampling import random_natfun, random_term
 from condreal.suites import (
     COMPOSITES,
@@ -365,7 +366,7 @@ def test_a_budget_that_is_not_a_natural_is_refused(budget):
 
 def test_the_procedure_patch_freezes_a_prefix():
     inner = NatFun.identity()
-    patched = _patch(1, 1, [100, 101, 102], term=False).apply((inner,))
+    patched = _patch(1, 1, [100, 101, 102]).apply((inner,))
     assert [patched(t) for t in range(6)] == [100, 101, 102, 3, 4, 5]
 
 
@@ -375,10 +376,10 @@ def test_mu_chain_patch_agrees_with_the_case_definition():
         for _ in range(12):
             anchor = random_natfun(rng)
             inner = random_natfun(rng)
-            chain = _patch(1, 1, [anchor(t) for t in range(k)], term=True)
+            chain = _patch(1, 1, [anchor(t) for t in range(k)])
             assert isinstance(chain, TermOperator)
             direct = NatFun.patched(anchor, k, inner)
-            chained = chain.apply((inner,))
+            chained = TermOperator(chain.term).apply((inner,))
             for t in range(12):
                 assert chained(t) == direct(t)
 
@@ -396,6 +397,7 @@ def random_ops(rng, k, count):
 
 
 def test_combinators_without_operator_inputs_agree_in_both_forms():
+    # a wire applied runs its closure; its term, applied as a plain term operator, agrees
     rng = Random(11)
     for _ in range(40):
         k = rng.randrange(1, 4)
@@ -403,15 +405,12 @@ def test_combinators_without_operator_inputs_agree_in_both_forms():
         fns = tuple(random_natfun(rng) for _ in range(k))
         values = [rng.randrange(9) for _ in range(rng.randrange(5))]
         c = rng.randrange(9)
-        pairs = [
-            (_slot(k, i, True), _slot(k, i, False)),
-            (_constant(k, c, True), _constant(k, c, False)),
-            (_patch(k, i, values, True), _patch(k, i, values, False)),
-        ]
-        for term_form, proc_form in pairs:
-            assert isinstance(term_form, TermOperator)
-            assert isinstance(proc_form, ProcOperator)
-            assert agree(term_form, proc_form, fns)
+        through = rng.choice([CORE.get(name) for name in ("left", "right", "succ")])
+        wires = [_slot(k, i), _slot(k, i, through=through), _constant(k, c), _patch(k, i, values)]
+        for wire in wires:
+            assert isinstance(wire, TermOperator)
+            assert wire.arity == wire.term.k == k
+            assert agree(wire, TermOperator(wire.term), fns)
 
 
 def test_combinators_over_operators_agree_in_both_forms():
@@ -530,6 +529,9 @@ MIXED_FORMS = [
      (NEGATE_C, ABS_C), (NEGATE_C, with_procs(ABS_C, 1, 2, 3)), [False] * 4),
     ("compose, procedure outer after a term inner", compose_conditional,
      (NEGATE_C, ABS_C), (with_procs(NEGATE_C, 0, 1, 2, 3), ABS_C), [False] * 4),
+    # the certificate alone reads the procedure inner certificate
+    ("compose, a procedure inner certificate and term values", compose_conditional,
+     (NEGATE_C, ABS_C), (NEGATE_C, with_procs(ABS_C, 0)), [False, True, True, True]),
     ("localize, one procedure value", lambda fn: localize(fn, rational_name(Fraction(2, 7)), 100)[1],
      (COMPOSED,), (with_procs(COMPOSED, 2),), [False] * 3),
     ("glue, a term branch and a procedure branch", _glue_two,
@@ -538,6 +540,9 @@ MIXED_FORMS = [
     # the certificate is built from the component certificates alone
     ("tuple, term certificates and procedure values", lambda *fns: tuple_conditional(fns),
      (CODED_ID, CODED_ID), (with_procs(CODED_ID, 1),) * 2, [True, False]),
+    # and the value from the component values alone
+    ("tuple, procedure certificates and term values", lambda *fns: tuple_conditional(fns),
+     (CODED_ID, CODED_ID), (with_procs(CODED_ID, 0),) * 2, [False, True]),
 ]
 
 
@@ -552,6 +557,24 @@ def test_a_mixed_construction_follows_the_form_rule_and_agrees_with_the_all_term
         fns = tuple(random_natfun(rng) for _ in range(whole.domain.width + 1))
         for a, b in zip(operators(whole), operators(mixed)):
             assert agree(a, b, fns[: a.arity], range(61))
+
+
+def test_only_a_term_backed_localization_builds_its_mu_chains(monkeypatch):
+    built = []
+    monkeypatch.setattr(gadgets, "mu", lambda j, value: built.append(j) or mu(j, value))
+    at = rational_name(Fraction(2, 7))
+    hood, local = localize(RECIP, at, 100)
+    assert isinstance(local.F, ProcOperator)
+    assert built == []
+    coded = embed_uniform(identity(make_mn(1)))
+    hood, local = localize(compose_conditional(coded, coded), mn_name((Fraction(2, 7),)), 100)
+    assert isinstance(local.values[0], TermOperator)
+    assert built == list(range(hood.cutoff + 1))
+
+
+def test_the_coded_identity_passes_its_name_through():
+    name = mn_name((Fraction(2, 7),))
+    assert apply_uniform(identity(make_mn(1)), name).f is name.f
 
 
 def test_localizations_leave_the_gadget_registry_as_it_was():
@@ -963,7 +986,7 @@ def term_locals(draw) -> UniformFn:
         return identity_uniform()
     if kind == "negate":
         return negate_term_fn()
-    return UniformFn(1, *(_constant(3, draw(st.integers(0, 9)), True) for _ in range(3)))
+    return UniformFn(1, *(_constant(3, draw(st.integers(0, 9))) for _ in range(3)))
 
 
 halves = st.integers(-6, 6).map(lambda n: Fraction(n, 2))
@@ -1082,13 +1105,13 @@ def test_a_term_operator_compiles_its_program_once(monkeypatch):
     assert sorted(compiled) == [1, 3]
 
 
-@pytest.mark.parametrize("term", [True, False], ids=["term", "procedure"])
-def test_a_reindexed_slot_on_a_constant_is_that_constant(term):
+@pytest.mark.parametrize("form", [lambda op: op, as_proc], ids=["term", "procedure"])
+def test_a_reindexed_slot_on_a_constant_is_that_constant(form):
     fns = tuple(rational_name(Fraction(-5, 3)))
-    out = _reindex(_slot(3, 2, term), CORE.get("left")).apply(fns)
+    out = _reindex(form(_slot(3, 2)), CORE.get("left")).apply(fns)
     assert constant_values(out) == (5,)
     live = tuple(NatFun(lambda t, c=f(0): c + t) for f in fns)
-    out = _reindex(_slot(3, 2, term), CORE.get("left")).apply(live)
+    out = _reindex(form(_slot(3, 2)), CORE.get("left")).apply(live)
     assert constant_values(out) is None
     assert [out(n) for n in range(20)] == [5 + left(n) for n in range(20)]
 
@@ -1104,7 +1127,7 @@ def test_single_ball_cover_reduces_to_its_local_function():
 )
 def test_one_ball_cover_with_a_wide_separation_glues(local, sign):
     glued = glue_compact(BallCover((Ball((Fraction(0),), Fraction(1), local),), separation=1000))
-    assert isinstance(glued.F, type(local.F))
+    assert isinstance(glued.F, TermOperator) == isinstance(local.F, TermOperator)
     for q in (Fraction(0), Fraction(1, 3), Fraction(-1, 2)):
         out = apply_uniform(glued, [rational_name(q)])
         assert validate_name(out, sign * q, 40).passed
