@@ -147,7 +147,7 @@ def _apply_entry(
     return apply_uniform(entry.fn, names)
 
 
-def _eval_node(
+def _node_name(
     node: object,
     registry: FunctionRegistry,
     budget: int,
@@ -169,7 +169,7 @@ def _eval_node(
     if not node or not isinstance(node[0], str):
         raise _UsageError("expected (function argument...)")
     entry = _lookup(registry, node[0])
-    names = [_eval_node(child, registry, budget, found) for child in node[1:]]
+    names = [_node_name(child, registry, budget, found) for child in node[1:]]
     if len(names) != entry.n_args:
         raise _UsageError(
             f"{entry.name} takes {entry.n_args} argument(s), got {len(names)}"
@@ -192,7 +192,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
 
     found: list[tuple[str, int]] = []
     try:
-        name = _eval_node(tree, registry, args.budget, found)
+        name = _node_name(tree, registry, args.budget, found)
         value = approx(name, t)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,14 +11,15 @@ by a magnitude bound read off the index-0 approximations.  What does not
 depend on the index is done once per application: the schedule and the
 arguments are bound (a constant decoded, the product's magnitude bound
 read).  A builtin on exact arguments (``NatFun.constant``s) computes
-its value once and returns constants, as the reciprocal does at a
-constant parameter; a ``uniform_from_rule`` rule runs at every index.
+its value once and returns constants, as the reciprocal does at any
+parameter; a ``uniform_from_rule`` rule runs at every index.
 
 The builtins compute on integers: a triple is read as the unreduced pair
 ``(x - y, z + 1)``, an exact kernel combines the pairs, and one ``gcd``
 reduces the result to the canonical triple.  A builtin's ``Fraction``
 rule is its entry's oracle, which registration and ``registry_validate``
-check the kernel against; ``uniform_from_rule`` runs on the same loop.
+check the kernel against; ``uniform_from_rule`` runs on the same loop, and
+so does the reciprocal's value, whose parameter slot only its schedule reads.
 
 Reciprocal is the genuinely conditional entry: its certificate at
 parameter ``s`` checks ``|approx(input, s)| > 2/(s+1)`` -- realized with
@@ -112,9 +113,12 @@ def _pointwise(
     name: str,
     decode: Callable[[tuple[int, int, int]], object],
     encode: Callable[[object], tuple[int, int, int]],
-) -> UniformFn:
-    # the per-index loop of every uniform entry: ``decode`` turns a triple
-    # into the rule's argument, ``encode`` its result into the output triple
+    params: int = 0,
+) -> tuple[ProcOperator, ...]:
+    # the per-index loop of every elementary value operator: ``decode`` turns a
+    # triple into the rule's argument, ``encode`` its result into the output
+    # triple; the ``params`` trailing slots (the reciprocal's parameter) are
+    # read by the schedule alone, through ``bind(names, *params)``
     bind = getattr(schedule, "bind", None)
     fold = isinstance(schedule, _Schedule)  # a builtin: exact arguments, exact value
 
@@ -123,7 +127,7 @@ def _pointwise(
         args = [_argument(nm, decode) for nm in names]
         if fold and not any(map(callable, args)):
             return NameTriple(*map(NatFun.constant, encode(rule(*args))))
-        at = bind(names) if bind is not None else lambda t: schedule(t, names)
+        at = bind(names, *fns[3 * n_args :]) if bind is not None else lambda t: schedule(t, names)
         a, b = (args + [None, None])[:2]
         a_on, b_on = callable(a), callable(b)  # read per index, else a constant's value
 
@@ -139,7 +143,7 @@ def _pointwise(
 
         return TripleStream(ev, name).name()
 
-    return UniformFn(n_args, *joint(3 * n_args, 3, build, name))
+    return joint(3 * n_args + params, 3, build, name)
 
 
 def uniform_from_rule(
@@ -167,17 +171,18 @@ def uniform_from_rule(
     schedule to read its magnitude bound once).  The rule still runs at
     every index, and the queried index is still checked.
     """
-    return _pointwise(n_args, rule, schedule, name, _decode, _rational_triple)
+    return UniformFn(n_args, *_pointwise(n_args, rule, schedule, name, _decode, _rational_triple))
 
 
 class _Schedule:
-    """A schedule ``(t, names) -> index`` whose ``bind(names)`` is one application's map."""
+    """A schedule ``(t, names, *params) -> index`` whose ``bind(names, *params)``
+    is one application's map; ``params`` are the value operator's trailing slots."""
 
-    def __init__(self, bind: Callable[[Sequence[NameTriple]], Callable[[int], int]]):
+    def __init__(self, bind: Callable[..., Callable[[int], int]]):
         self.bind = bind
 
-    def __call__(self, t: int, names: Sequence[NameTriple]) -> int:
-        return self.bind(names)(t)
+    def __call__(self, t: int, names: Sequence[NameTriple], *params: NatFun) -> int:
+        return self.bind(names, *params)(t)
 
 
 _at_t = _Schedule(lambda _names: lambda t: t)
@@ -250,37 +255,24 @@ def _recip_certificate() -> ProcOperator:
     return ProcOperator(3, build, "recip-E")
 
 
-def _recip_value() -> tuple[ProcOperator, ...]:
-    # A certified s gives |xi| > 1/(s+1).  Reading the input at
-    # tau = 2(s+1)^2 (t+1) - 1 keeps the approximation q above
-    # 1/(2(s+1)) in magnitude, and the quotient bound
-    # |1/q - 1/xi| = |xi - q| / (|q||xi|) then lands strictly under
-    # 1/(t+1).  The q = 0 guard is unreachable for certified inputs and
-    # only keeps the operator total.
-    # A constant input is decoded once (at a constant parameter, its
-    # reciprocal computed once); tau is a natural by construction.
-    # The reciprocal of p/d is d/p with the sign moved to the numerator.
-    def inverse(p: int, d: int) -> tuple[int, int, int]:
-        return _encode_pair((d, p) if p > 0 else (-d, -p) if p < 0 else (0, 1))
+def _inverse(a: tuple[int, int]) -> tuple[int, int]:
+    # the reciprocal of p/d is d/p with the sign moved to the numerator; the
+    # p = 0 guard is unreachable for certified inputs and keeps the rule total
+    p, d = a
+    return (d, p) if p > 0 else (-d, -p) if p < 0 else (0, 1)
 
-    def build(fns: tuple[NatFun, ...]) -> NameTriple:
-        arg, e = _argument(NameTriple(*fns[:3]), _pair), fns[3]
-        if not callable(arg) and constant_values(e) is not None:
-            return NameTriple(*map(NatFun.constant, inverse(*arg)))
 
-        def ev(t: int) -> tuple[int, int, int]:
-            s = e(t)
-            tau = 2 * (s + 1) * (s + 1) * (t + 1) - 1
-            return inverse(*(_pair(arg(tau)) if callable(arg) else arg))
-
-        return TripleStream(ev, "recip").name()
-
-    return joint(4, 3, build, "recip-value")
+# A certified s gives |xi| > 1/(s+1).  Reading the input at
+# tau = 2(s+1)^2 (t+1) - 1 keeps the approximation q above 1/(2(s+1)) in
+# magnitude, and the quotient bound |1/q - 1/xi| = |xi - q| / (|q||xi|)
+# then lands strictly under 1/(t+1).  The parameter function e gives s.
+_recip_schedule = _Schedule(lambda _names, e: lambda t: 2 * (e(t) + 1) ** 2 * (t + 1) - 1)
 
 
 def reciprocal_fn() -> ConditionalFn:
     """Reciprocal as a conditional function on the nonzero reals."""
-    return ConditionalFn(1, _recip_certificate(), *_recip_value(), order=_recip_order)
+    values = _pointwise(1, _inverse, _recip_schedule, "recip", _pair, _encode_pair, params=1)
+    return ConditionalFn(1, _recip_certificate(), *values, order=_recip_order)
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +381,7 @@ def register_builtins(registry: FunctionRegistry | None = None) -> FunctionRegis
         aliases: Sequence[str] = (),
     ) -> None:
         # the kernel runs on (numerator, denominator > 0) pairs; the rule is its oracle
-        fn = _pointwise(n_args, kernel, schedule, name, _pair, _encode_pair)
+        fn = UniformFn(n_args, *_pointwise(n_args, kernel, schedule, name, _pair, _encode_pair))
         reg.register(Entry(name, n_args, fn, rule), aliases=aliases)
 
     uniform("negate", 1, lambda a: -a, lambda a: (-a[0], a[1]), _at_t, aliases=("neg",))

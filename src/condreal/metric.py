@@ -53,6 +53,7 @@ from .realfns import (
     SpaceMismatch,
     UniformFn,
     _CONJ,
+    _expect,
     _lift,
     _reindex,
     _same_space,
@@ -375,9 +376,9 @@ def _pack(n_dims: int, arity: int) -> list[Operator]:
     return [ProcOperator(arity, build, "pack"), *rest]
 
 
-def _coded_dimension(fn: UniformFn | ConditionalFn) -> int:
-    """N, for a map from M_N to M_1."""
-    if getattr(fn.domain, "dimension", None) is None or fn.codomain.dimension != 1:
+def _coded_dimension(fn: UniformFn | ConditionalFn, kind: type) -> int:
+    """N, for a map from M_N to M_1 that is a ``kind`` (else ValueError)."""
+    if getattr(_expect(kind, fn).domain, "dimension", None) is None or fn.codomain.dimension != 1:
         raise SpaceMismatch("translation expects a map from M_N to M_1")
     return fn.domain.dimension
 
@@ -390,14 +391,14 @@ def translate_uniform(fn: UniformFn) -> UniformFn:
     the real operators, and packs the output triple back into codes.
     Operators that are one joint's components run once per index.
     """
-    n = fn.n_args
+    n = _expect(UniformFn, fn).n_args
     values = _subst(_pack(1, 3), _subst(fn.values, _decode(n, 1)))
     return UniformFn(make_mn(n), *values, codomain=make_mn(1))
 
 
 def translate_uniform_back(fn: UniformFn) -> UniformFn:
     """The inverse packaging, for maps between the rational-tuple spaces."""
-    n = _coded_dimension(fn)
+    n = _coded_dimension(fn, UniformFn)
     return UniformFn(n, *_subst(_decode(1, 1), _subst(fn.values, _pack(n, 3 * n))))
 
 
@@ -407,7 +408,7 @@ def translate_conditional(fn: ConditionalFn) -> ConditionalFn:
     Where the real function has a search order, the translated one
     decodes the code and follows it.
     """
-    n, real = fn.n_args, fn.order
+    n, real = _expect(ConditionalFn, fn).n_args, fn.order
     (E,) = _subst([fn.E], _decode(n, 1))
     values = _subst(_pack(1, 3), _subst(fn.values, _decode(n, 2)))
     order = None if real is None else lambda fns, b: real(_decoded_parts(n, fns[0]), b)
@@ -415,7 +416,7 @@ def translate_conditional(fn: ConditionalFn) -> ConditionalFn:
 
 
 def translate_conditional_back(fn: ConditionalFn) -> ConditionalFn:
-    n = _coded_dimension(fn)
+    n = _coded_dimension(fn, ConditionalFn)
     (E,) = _subst([fn.E], _pack(n, 3 * n))
     values = _subst(_decode(1, 1), _subst(fn.values, _pack(n, 3 * n + 1)))
     return ConditionalFn(n, E, *values)
@@ -452,7 +453,7 @@ def tuple_conditional(fns: Sequence[ConditionalFn]) -> ConditionalFn:
     from the component certificates, the value from the component values.
     The search probes only the pack of the components' least parameters.
     """
-    fns = tuple(fns)
+    fns = tuple(_expect(ConditionalFn, fn) for fn in fns)
     if not fns:
         raise ValueError("tuple_conditional needs at least one component")
     domain = fns[0].domain

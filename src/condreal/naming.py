@@ -124,18 +124,6 @@ class NatFun:
             return f"const <{source[1].bit_length()}-bit natural>"
 
     def __call__(self, t: int) -> int:
-        return self._eval(t)
-
-    def eval_uncached(self, t: int) -> int:
-        """The name a certificate probe goes through, with ``__call__``'s value.
-
-        ``find_parameter`` probes through it, so a profile or a spy tells
-        probes from other reads.  It stores nothing itself; a stream's
-        projection reads through the stream, whose memo keeps the triple.
-        """
-        return self._eval(t)
-
-    def _eval(self, t: int) -> int:
         # a plain int is checked inline, anything else by ``_natural``
         if t.__class__ is not int or t < 0:
             _check_argument(t, "NatFun")
@@ -146,6 +134,15 @@ class NatFun:
                 "values must be naturals"
             )
         return value
+
+    def eval_uncached(self, t: int) -> int:
+        """``self(t)``, under the name a certificate probe goes through.
+
+        ``find_parameter`` probes through it, so a profile or a spy tells
+        probes from other reads.  It stores nothing itself; a stream's
+        projection reads through the stream, whose memo keeps the triple.
+        """
+        return self(t)
 
     def __repr__(self) -> str:
         return f"NatFun({self.label or '...'})"

@@ -57,7 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
-from typing import TYPE_CHECKING, Callable, Iterable, Iterator, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from . import gadgets
 from .gadgets import CORE
@@ -255,6 +255,13 @@ def _same_space(a: object, b: object, what: str) -> None:
         raise SpaceMismatch(f"{what}: {a} vs {b}")
 
 
+def _expect(kind: type, record: Any) -> Any:
+    """``record``, refused with a ValueError naming ``kind`` unless it is one."""
+    if not isinstance(record, kind):
+        raise ValueError(f"expected a {kind.__name__}, got {type(record).__name__}")
+    return record
+
+
 @dataclass(frozen=True)
 class Reals:
     """R^n, a point named by one name triple per coordinate: a space.
@@ -400,6 +407,7 @@ class ConditionalFn(_Record):
 
 def apply_uniform(fn: UniformFn, names: Sequence[NameTriple]) -> NameTriple:
     """Transform argument names into a (lazily evaluated) value name."""
+    _expect(UniformFn, fn)
     return fn.codomain.name_of(_apply_ops(fn.values, fn.domain.functions(names)))
 
 
@@ -428,13 +436,15 @@ def find_parameter(fn: ConditionalFn, names: Sequence[NameTriple], budget: int) 
     The candidates come in ``fn.order``, which never skips the least
     certifying s, and each is confirmed by evaluating the certificate: the
     first hit, and the budgets that raise BudgetExhausted, are the
-    scan's.  Raises ValueError unless ``budget`` is a natural.
+    scan's.  Raises ValueError on a ``budget`` that is not a natural or an ordered s >= budget.
     """
-    fns = fn.domain.functions(names)
+    fns = _expect(ConditionalFn, fn).domain.functions(names)
     if not _natural(budget):
         raise ValueError(f"search budget must be a natural, got {budget!r}")
     certificate = fn.E.apply(fns)
     for s in range(budget) if fn.order is None else fn.order(fns, budget):
+        if s >= budget:
+            raise ValueError(f"the search order gave s = {s}, not below the budget {budget}")
         if certificate.eval_uncached(s) == 0:
             return s
     raise BudgetExhausted(budget, "searching for a certifying parameter")
@@ -444,7 +454,7 @@ def apply_conditional_at(
     fn: ConditionalFn, names: Sequence[NameTriple], s: int
 ) -> NameTriple:
     """Apply at an already-found parameter (any certified s is valid)."""
-    fns = fn.domain.functions(names) + (NatFun.constant(s),)
+    fns = _expect(ConditionalFn, fn).domain.functions(names) + (NatFun.constant(s),)
     return fn.codomain.name_of(_apply_ops(fn.values, fns))
 
 
@@ -461,7 +471,7 @@ def embed_uniform(fn: UniformFn) -> ConditionalFn:
     The certificate returns the identity whatever its arguments; the
     value operators leave the parameter slot unread.
     """
-    k, values = fn.domain.width, fn.values
+    k, values = _expect(UniformFn, fn).domain.width, fn.values
     if all(map(_is_term, values)):
         cert: Operator = TermOperator(OperatorTerm(k, 1, Proj(1)))
         values = [TermOperator(OperatorTerm(k + 1, 1, op.term.node)) for op in values]
@@ -670,6 +680,7 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
     search walks the pairing diagonals.  Term-backed ingredients yield
     term-backed results.
     """
+    outer, inner = _expect(ConditionalFn, outer), _expect(ConditionalFn, inner)
     _same_space(inner.codomain, outer.domain, "composition space mismatch")
     w = inner.domain.width
     slots = [_slot(w + 1, i) for i in range(1, w + 1)]
@@ -763,6 +774,7 @@ class Ball:
     indicator: Callable[..., int] | None = None
 
     def __post_init__(self) -> None:
+        _expect(UniformFn, self.local)
         object.__setattr__(self, "radius", Fraction(self.radius))
         if self.radius <= 0:
             raise ValueError("ball radius must be positive")

@@ -317,6 +317,13 @@ def test_reciprocal_reads_its_argument_once_per_output_index(registry):
     assert len(calls) == 40
 
 
+def test_the_reciprocal_of_an_exact_argument_is_exact_at_any_parameter(registry):
+    # the parameter only schedules reads of the argument, and an exact one is read once
+    fns = (*rational_name(Fraction(-7, 3)), NatFun.identity())
+    outs = [op.apply(fns) for op in registry.get("recip").fn.values]
+    assert naming.constant_values(*outs) == naming._rational_triple(Fraction(-3, 7))
+
+
 def test_exhausting_search_memory_does_not_grow_with_the_budget(registry):
     sub, recip = registry.get("sub").fn, registry.get("recip").fn
 

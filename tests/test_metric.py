@@ -829,6 +829,20 @@ METRIC_REFUSALS = [
     ("axioms without a distance",
      lambda: metric_axiom_violations(replace(make_mn(1), dist=None), [0, 1]),
      ValueError, "M_1 has no exact distance oracle"),
+    # a record of the wrong kind, refused at the call that gets it
+    ("a conditional function translated as uniform", lambda: translate_uniform(RECIP),
+     ValueError, "expected a UniformFn, got ConditionalFn"),
+    ("a uniform function translated as conditional", lambda: translate_conditional(ADD),
+     ValueError, "expected a ConditionalFn, got UniformFn"),
+    ("a coded conditional translated back as uniform",
+     lambda: translate_uniform_back(RECIP_MS),
+     ValueError, "expected a UniformFn, got ConditionalFn"),
+    ("a coded uniform map translated back as conditional",
+     lambda: translate_conditional_back(NEGATE_MS),
+     ValueError, "expected a ConditionalFn, got UniformFn"),
+    ("a coded uniform map in a tuple",
+     lambda: tuple_conditional([RECIP_MS, translate_uniform(REGISTRY.get("neg").fn)]),
+     ValueError, "expected a ConditionalFn, got UniformFn"),
 ]
 
 

@@ -1,5 +1,6 @@
 import re
 from fractions import Fraction
+from itertools import count
 from math import inf
 from random import Random
 
@@ -349,6 +350,16 @@ def test_a_composite_search_probes_the_inner_certificate_once_per_diagonal():
     assert reads <= 1602  # 1,601 inner probes on diagonals 0..1600, 1 candidate
 
 
+def test_a_120_level_procedure_chain_evaluates_at_the_default_recursion_limit():
+    # a read through the chain costs interpreter frames at every level
+    neg = embed_uniform(REGISTRY.get("negate").fn)
+    chain = neg
+    for _ in range(119):
+        chain = compose_conditional(neg, chain)
+    third = TripleStream(lambda _t: (1, 0, 2), "third").name()  # read per index, not exact
+    assert validate_name(apply_conditional(chain, [third], 10), Fraction(1, 3), 5).passed
+
+
 @pytest.mark.parametrize("budget", [-3, True, 2.5, Fraction(10)])
 def test_a_budget_that_is_not_a_natural_is_refused(budget):
     name = rational_name(Fraction(1, 2))
@@ -357,6 +368,18 @@ def test_a_budget_that_is_not_a_natural_is_refused(budget):
             search(RECIP, [name] if search is not localize else name, budget)
     with pytest.raises(ValueError, match="budget must be a natural"):
         find_parameter(compose_conditional(RECIP, RECIP), [name], budget)
+
+
+@pytest.mark.parametrize(
+    "q, order, s",
+    [(Fraction(1, 3), lambda _fns, b: [b + 5], 15), (Fraction(1, 10), lambda _fns, b: count(), 10)],
+    ids=["past the budget", "every natural"],
+)
+def test_a_search_order_past_the_budget_is_refused(q, order, s):
+    # the least certifying s is 6 at 1/3 and 20 at 1/10; a budget of 10 ends the search
+    fn = ConditionalFn(1, RECIP.E, *RECIP.values, order=order)
+    with pytest.raises(ValueError, match=f"s = {s}, not below the budget 10"):
+        find_parameter(fn, [rational_name(q)], 10)
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +857,28 @@ REALFNS_REFUSALS = [
     ("a range as a search order",
      lambda: ConditionalFn(1, RECIP.E, *RECIP.values, order=range(3)),
      ValueError, "None or callable"),
+    # a record of the wrong kind, refused at the call that gets it
+    ("a search of a uniform function", lambda: find_parameter(double_fn(), [rational_name(1)], 9),
+     ValueError, "expected a ConditionalFn, got UniformFn"),
+    ("a uniform function applied as conditional",
+     lambda: apply_conditional(double_fn(), [rational_name(1)], 9),
+     ValueError, "expected a ConditionalFn, got UniformFn"),
+    ("a uniform function applied at a parameter",
+     lambda: apply_conditional_at(double_fn(), [rational_name(1)], 0),
+     ValueError, "expected a ConditionalFn, got UniformFn"),
+    ("a uniform function localized", lambda: localize(double_fn(), rational_name(1), 9),
+     ValueError, "expected a ConditionalFn, got UniformFn"),
+    ("a conditional function applied as uniform",
+     lambda: apply_uniform(RECIP, [rational_name(1)]),
+     ValueError, "expected a UniformFn, got ConditionalFn"),
+    ("a conditional function embedded", lambda: embed_uniform(RECIP),
+     ValueError, "expected a UniformFn, got ConditionalFn"),
+    ("a uniform outer function composed", lambda: compose_conditional(double_fn(), RECIP),
+     ValueError, "expected a ConditionalFn, got UniformFn"),
+    ("a uniform inner function composed", lambda: compose_conditional(RECIP, double_fn()),
+     ValueError, "expected a ConditionalFn, got UniformFn"),
+    ("a conditional function on a ball", lambda: Ball((0,), 1, RECIP),
+     ValueError, "expected a UniformFn, got ConditionalFn"),
 ]
 
 
