@@ -174,7 +174,7 @@ def validate_ordinary_name(
     """
     if not _natural(t_max):
         raise ValueError(f"t_max argument must be a natural, got {t_max!r}")
-    space = name.space
+    space = _expect(OrdinaryName, name).space
     bad = []
     for t in range(t_max + 1):
         code = name.f(t)
@@ -187,7 +187,7 @@ def validate_ordinary_name(
 
 def metric_axiom_violations(space: EffectiveSpace, codes: Sequence[int]) -> list[str]:
     """Spot-check identity, symmetry and the triangle inequality, exactly."""
-    if space.dist is None:
+    if _expect(EffectiveSpace, space).dist is None:
         raise ValueError(f"{space.name} has no exact distance oracle")
     bad = []
     for n in codes:
@@ -416,10 +416,13 @@ def translate_conditional(fn: ConditionalFn) -> ConditionalFn:
 
 
 def translate_conditional_back(fn: ConditionalFn) -> ConditionalFn:
-    n = _coded_dimension(fn, ConditionalFn)
-    (E,) = _subst([fn.E], _pack(n, 3 * n))
+    """The inverse packaging; a coded search order is followed through the packing."""
+    n, coded = _coded_dimension(fn, ConditionalFn), fn.order
+    (pack,) = _pack(n, 3 * n)
+    (E,) = _subst([fn.E], [pack])
     values = _subst(_decode(1, 1), _subst(fn.values, _pack(n, 3 * n + 1)))
-    return ConditionalFn(n, E, *values)
+    order = None if coded is None else lambda fns, b: coded((pack.apply(fns),), b)
+    return ConditionalFn(n, E, *values, order=order)
 
 
 def _tuple_order(
@@ -466,7 +469,7 @@ def tuple_conditional(fns: Sequence[ConditionalFn]) -> ConditionalFn:
         lambda a, b: _lift(_CONJ, [a, b]), [_reindex(fn.E, part) for fn, part in zip(fns, parts)]
     )
     f = _slot(2, 1)
-    outs = [_subst(fn.values, [f, _slot(2, 2, through=part)])[0] for fn, part in zip(fns, parts)]
+    outs = [_subst(fn.values, [f, _lift(part, [_slot(2, 2)])])[0] for fn, part in zip(fns, parts)]
     interleave = BaseFunction(
         f"interleave_{k}", k, lambda *cs: tuple_pack([v for c in cs for v in tuple_parts(3, c)])
     )

@@ -29,8 +29,8 @@ coded ``condreal.metric.EffectiveSpace`` with one value operator T where
 a real value has F, G, H.  Wiring a construction across different spaces
 raises ``SpaceMismatch``, an ``ArityMismatch``.  Each operator a
 construction builds is a term exactly when every operator it is built
-from is one, and otherwise the equivalent procedure; slots, constants
-and patches are both, so no construction decides a form.
+from is one, else a procedure.  Slots, constants and patches are wires,
+carrying both forms, and a combinator over wires only keeps a wire.
 
 ``joint`` gives the components of one build of several value functions
 -- for a real value the three functions of a name, projected from one
@@ -57,6 +57,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, partial
+from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from . import gadgets
@@ -471,14 +472,9 @@ def embed_uniform(fn: UniformFn) -> ConditionalFn:
     The certificate returns the identity whatever its arguments; the
     value operators leave the parameter slot unread.
     """
-    k, values = _expect(UniformFn, fn).domain.width, fn.values
-    if all(map(_is_term, values)):
-        cert: Operator = TermOperator(OperatorTerm(k, 1, Proj(1)))
-        values = [TermOperator(OperatorTerm(k + 1, 1, op.term.node)) for op in values]
-    else:
-        cert = ProcOperator(k, lambda _fns: NatFun.identity(), "embedded-cert")
-        values = _subst(values, [_slot(k + 1, i) for i in range(1, k + 1)])
-    return ConditionalFn(fn.domain, cert, *values, codomain=fn.codomain)
+    k = _expect(UniformFn, fn).domain.width
+    values = _subst(fn.values, [_slot(k + 1, i) for i in range(1, k + 1)])
+    return ConditionalFn(fn.domain, _index(k), *values, codomain=fn.codomain)
 
 
 def identity(space: int | Space) -> UniformFn:
@@ -500,23 +496,26 @@ def identity_uniform() -> UniformFn:
 # operator combinators
 # ---------------------------------------------------------------------------
 #
-# Each combinator over operators returns a TermOperator exactly when every
-# operator it is given is one, and a procedure otherwise; the two forms
-# agree pointwise.  Slot, constant and patch are given no operators: each
-# returns a wire, a TermOperator whose term a combinator over terms reads
-# and whose application runs the procedure form.
+# A combinator returns a TermOperator exactly when every operator it is
+# given is one, else a procedure; the forms agree pointwise.  Slot, index,
+# constant and patch are wires: TermOperators whose term is built when
+# first read and whose application runs the procedure form.  ``_combine``
+# decides for a single output and keeps wires over wires; ``_subst`` and
+# ``_select`` decide for themselves, as their procedure forms are joints.
 
 _LEFT = CORE.get("left")
 _RIGHT = CORE.get("right")
 _CONJ = CORE.get("conj")
 
 
-def _slot(k: int, i: int, through: BaseFunction | None = None) -> Operator:
-    """The k-ary operator returning its i-th argument, read through ``through`` if given."""
-    if through is None:
-        return _Wire(k, lambda: Apply(i, Proj(1)), lambda fns: fns[i - 1])
-    node = lambda: Base(through, (Apply(i, Proj(1)),))  # noqa: E731
-    return _Wire(k, node, lambda fns: _pointwise(through, [fns[i - 1]]))
+def _slot(k: int, i: int) -> Operator:
+    """The k-ary operator returning its i-th argument."""
+    return _Wire(k, lambda: Apply(i, Proj(1)), lambda fns: fns[i - 1])
+
+
+def _index(k: int) -> Operator:
+    """The k-ary operator returning the identity function, whatever its arguments."""
+    return _Wire(k, lambda: Proj(1), lambda _fns: NatFun.identity())
 
 
 def _constant(k: int, c: int) -> Operator:
@@ -550,12 +549,22 @@ def _pointwise(base: BaseFunction, outs: Sequence[NatFun]) -> NatFun:
     return NatFun(lambda t: fn(*[out(t) for out in outs]), label=base.name)
 
 
+def _combine(
+    ops: Sequence[Operator], arity: int, node: Callable[[], Node], run: Callable, label: str
+) -> Operator:
+    """``ProcOperator(run)`` if any of ``ops`` is one, a wire if all are wires, else ``node()``."""
+    if not all(map(_is_term, ops)):
+        return ProcOperator(arity, run, label)
+    if all(isinstance(op, _Wire) for op in ops):
+        return _Wire(arity, node, run)
+    return TermOperator(OperatorTerm(arity, 1, node()))
+
+
 def _lift(base: BaseFunction, ops: Sequence[Operator]) -> Operator:
     """Pointwise: ``base`` applied to the outputs of ``ops`` at each index (once if constant)."""
-    k = ops[0].arity
-    if all(map(_is_term, ops)):
-        return TermOperator(OperatorTerm(k, 1, Base(base, tuple(op.term.node for op in ops))))
-    return ProcOperator(k, lambda fns: _pointwise(base, _apply_ops(ops, fns)), base.name)
+    node = lambda: Base(base, tuple(op.term.node for op in ops))  # noqa: E731
+    run = lambda fns: _pointwise(base, _apply_ops(ops, fns))  # noqa: E731
+    return _combine(ops, ops[0].arity, node, run, base.name)
 
 
 def _subst(outers: Sequence[Operator], inners: Sequence[Operator]) -> list[Operator]:
@@ -575,29 +584,23 @@ def _subst(outers: Sequence[Operator], inners: Sequence[Operator]) -> list[Opera
 
 def _reindex(op: Operator, base: BaseFunction) -> Operator:
     """Read the output of ``op`` at ``base(n)`` instead of at ``n``."""
-    if _is_term(op):
-        node = _subst_numeric(op.term.node, Base(base, (Proj(1),)))
-        return TermOperator(OperatorTerm(op.arity, 1, node))
-    fn = base.fn
+    fn, label = base.fn, f"{base.name}-indexed"
 
-    def build(fns: tuple[NatFun, ...]) -> NatFun:
+    def run(fns: tuple[NatFun, ...]) -> NatFun:
         out = op.apply(fns)
-        if constant_values(out) is not None:
-            return out
-        return NatFun(lambda n: out(fn(n)), label=f"{base.name}-indexed")
+        return out if constant_values(out) is not None else NatFun(lambda n: out(fn(n)), label)
 
-    return ProcOperator(op.arity, build, f"{base.name}-indexed")
+    node = lambda: _subst_numeric(op.term.node, Base(base, (Proj(1),)))  # noqa: E731
+    return _combine([op], op.arity, node, run, label)
 
 
 def _diagonal(op: Operator) -> Operator:
     """Drop the last slot, feeding it ``const_n`` when reading index ``n``."""
-    if _is_term(op):
-        return TermOperator(diagonalize(op.term))
 
-    def build(fns: tuple[NatFun, ...]) -> NatFun:
+    def run(fns: tuple[NatFun, ...]) -> NatFun:
         return NatFun(lambda n: op.apply(fns + (NatFun.constant(n),))(n), label="diagonal")
 
-    return ProcOperator(op.arity - 1, build, "diagonal")
+    return _combine([op], op.arity - 1, lambda: diagonalize(op.term).node, run, "diagonal")
 
 
 def _first_passing(indicators: Sequence[BaseFunction], probes: Sequence[int]) -> int | None:
@@ -614,28 +617,20 @@ def _select(
     """First-zero select: per component, the branch of the first passing ball.
 
     Every indicator reads all function arguments at index ``k``; the
-    default when none passes is the constant zero.  The term form keeps
-    the selector ``delta_m`` in the term, where a bound program settles
-    it once.  The procedure form is one joint over all components: the
-    first read of any of its results picks the ball for that argument
-    tuple, and only that ball's branches are applied, together.
+    default when none passes is the constant zero.  The term form, a
+    plain term even over wires, keeps the selector ``delta_m`` in the
+    term, where a bound program settles it once.  The procedure form is
+    one joint over all components: the first read of any of its results
+    picks the ball for that argument tuple, and only that ball's
+    branches are applied, together.
     """
     n = components[0][0].arity
     if all(_is_term(op) for branches in components for op in branches):
-        const_k = Base(gadgets.constant(k), (Proj(1),))
-        probes = tuple(Apply(i, const_k) for i in range(1, n + 1))
-        zero = Base(gadgets.constant(0), (Proj(1),))
-        selector = gadgets.delta_k(len(indicators))
-
-        def select_term(branches: Sequence[Operator]) -> Operator:
-            subs = [
-                node
-                for indicator, branch in zip(indicators, branches)
-                for node in (Base(indicator, probes), branch.term.node)
-            ]
-            return TermOperator(OperatorTerm(n, 1, Base(selector, (*subs, zero))))
-
-        return [select_term(branches) for branches in components]
+        probes = [_reindex(_slot(n, i), gadgets.constant(k)) for i in range(1, n + 1)]
+        guards = [_lift(indicator, probes) for indicator in indicators]
+        selector, zero = gadgets.delta_k(len(indicators)), _constant(n, 0)
+        rows = ([*chain(*zip(guards, branches)), zero] for branches in components)
+        return [TermOperator(_lift(selector, row).term) for row in rows]
 
     width = len(components)
 
@@ -685,10 +680,10 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
     w = inner.domain.width
     slots = [_slot(w + 1, i) for i in range(1, w + 1)]
     # the inner value name, its parameter slot read through `right`
-    inner_value = _subst(inner.values, slots + [_slot(w + 1, w + 1, through=_RIGHT)])
+    inner_value = _subst(inner.values, slots + [_lift(_RIGHT, [_slot(w + 1, w + 1)])])
     outer_cert = _reindex(_subst([outer.E], inner_value)[0], _LEFT)
     cert = _lift(_CONJ, [_reindex(inner.E, _RIGHT), _diagonal(outer_cert)])
-    values = _subst(outer.values, inner_value + [_slot(w + 1, w + 1, through=_LEFT)])
+    values = _subst(outer.values, inner_value + [_lift(_LEFT, [_slot(w + 1, w + 1)])])
     order = partial(_diagonal_walk, inner.E)
     return ConditionalFn(inner.domain, cert, *values, codomain=outer.codomain, order=order)
 
@@ -795,7 +790,7 @@ class BallCover:
     separation: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "balls", tuple(self.balls))
+        object.__setattr__(self, "balls", tuple(_expect(Ball, ball) for ball in self.balls))
         if not self.balls:
             raise ValueError("a cover needs at least one ball")
         if not _natural(self.separation):
@@ -836,13 +831,15 @@ def glue_compact(cover: BallCover) -> UniformFn:
     Either form makes that choice once per argument name and evaluates
     only the chosen ball's local function.
     """
-    components = [list(branches) for branches in zip(*(b.local.values for b in cover.balls))]
+    balls = _expect(BallCover, cover).balls
+    components = [list(branches) for branches in zip(*(b.local.values for b in balls))]
     glued = _select(_cover_indicators(cover), cover.separation, components)
     return UniformFn(cover.domain, *glued, codomain=cover.codomain)
 
 
 def dispatch_index(cover: BallCover, names: Sequence[NameTriple]) -> int | None:
     """Which ball (1-based) the glued function would source from, if any."""
+    _expect(BallCover, cover)
     probes = [fn(cover.separation) for fn in cover.domain.functions(names)]
     return _first_passing(_cover_indicators(cover), probes)
 
@@ -856,7 +853,7 @@ def separation_violations(
     arithmetic; an empty result on a dense enough sample is evidence (not
     proof) for the warranted separation.
     """
-    if not isinstance(cover.domain, Reals):
+    if not isinstance(_expect(BallCover, cover).domain, Reals):
         raise SpaceMismatch(f"separation is checked on real points, not on {cover.domain}")
     needed = Fraction(2, cover.separation + 1)
     bad: list[tuple[Fraction, ...]] = []

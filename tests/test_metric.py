@@ -784,6 +784,19 @@ def test_the_translated_reciprocal_search_returns_the_linear_scans_s(code, budge
     assert _least_or_none(RECIP_MS, name, budget) == linear_scan(RECIP_MS.E, (name.f,), budget)
 
 
+def test_a_translation_back_follows_the_coded_search_order():
+    # the coded order, read through the packing: nothing on the exact zero,
+    # the least s first on 1/10, and the linear scan's s for a composite
+    back = translate_conditional_back(RECIP_MS)
+    zero, tenth = rational_name(0), rational_name(Fraction(1, 10))
+    assert next(iter(back.order(tuple(zero), 10**9)), None) is None
+    s = linear_scan(back.E, tuple(tenth), 10**4)
+    assert next(iter(back.order(tuple(tenth), 10**4))) == s
+    composite = translate_conditional_back(compose_conditional_ms(RECIP_MS, RECIP_MS))
+    s = linear_scan(composite.E, tuple(tenth), 10**4)
+    assert find_parameter(composite, [tenth], 10**4) == s == 210
+
+
 def test_the_translated_reciprocal_probes_nothing_at_an_exact_zero():
     name = mn_name((0,))
     assert next(iter(RECIP_MS.order((name.f,), 10**9)), None) is None
@@ -843,6 +856,11 @@ METRIC_REFUSALS = [
     ("a coded uniform map in a tuple",
      lambda: tuple_conditional([RECIP_MS, translate_uniform(REGISTRY.get("neg").fn)]),
      ValueError, "expected a ConditionalFn, got UniformFn"),
+    ("a name triple checked as an ordinary name",
+     lambda: validate_ordinary_name(rational_name(1), 0, 3),
+     ValueError, "expected a OrdinaryName, got NameTriple"),
+    ("a function's axioms checked as a space", lambda: metric_axiom_violations(ADD, [0]),
+     ValueError, "expected a EffectiveSpace, got UniformFn"),
 ]
 
 

@@ -49,7 +49,9 @@ from condreal.realfns import (
     localize,
     _apply_ops,
     _constant,
+    _Wire,
     _diagonal,
+    _index,
     _lift,
     _patch,
     _reindex,
@@ -429,7 +431,7 @@ def test_combinators_without_operator_inputs_agree_in_both_forms():
         values = [rng.randrange(9) for _ in range(rng.randrange(5))]
         c = rng.randrange(9)
         through = rng.choice([CORE.get(name) for name in ("left", "right", "succ")])
-        wires = [_slot(k, i), _slot(k, i, through=through), _constant(k, c), _patch(k, i, values)]
+        wires = [_slot(k, i), _lift(through, [_slot(k, i)]), _constant(k, c), _patch(k, i, values)]
         for wire in wires:
             assert isinstance(wire, TermOperator)
             assert wire.arity == wire.term.k == k
@@ -459,6 +461,33 @@ def test_combinators_over_operators_agree_in_both_forms():
             assert isinstance(term_form, TermOperator)
             assert isinstance(proc_form, ProcOperator)
             assert agree(term_form, proc_form, fns)
+
+
+def test_combinators_over_wires_only_keep_the_wires():
+    # a wire's application runs its closure; its term, as a plain term operator, agrees
+    rng = Random(14)
+    bases = [CORE.get(name) for name in ("conj", "left", "monus", "pair")]
+    indices = [CORE.get(name) for name in ("left", "right", "succ")]
+    for _ in range(40):
+        k = rng.randrange(1, 4)
+        fns = tuple(random_natfun(rng) for _ in range(k))
+        values = [rng.randrange(9) for _ in range(rng.randrange(5))]
+        wires = [_slot(k, rng.randrange(1, k + 1)), _constant(k, rng.randrange(9)), _index(k)]
+        wide = rng.choice([_slot(k + 1, k + 1), _patch(k + 1, rng.randrange(1, k + 2), values)])
+        base, index = rng.choice(bases), rng.choice(indices)
+        ops = [
+            _index(k),
+            _lift(base, [rng.choice(wires) for _ in range(base.arity)]),
+            _reindex(rng.choice(wires), index),
+            _diagonal(wide),
+        ]
+        for op in ops:
+            assert isinstance(op, _Wire)
+            assert op.arity == op.term.k == k
+            assert agree(op, TermOperator(op.term), fns)
+    # but a select over wires is a plain term, which a bound program settles once
+    glued = glue_compact(BallCover((Ball((0,), 1, identity_uniform()),), 3))
+    assert all(type(op) is TermOperator for op in glued.values)
 
 
 def test_select_agrees_in_both_forms():
@@ -879,6 +908,15 @@ REALFNS_REFUSALS = [
      ValueError, "expected a ConditionalFn, got UniformFn"),
     ("a conditional function on a ball", lambda: Ball((0,), 1, RECIP),
      ValueError, "expected a UniformFn, got ConditionalFn"),
+    ("a function as a ball", lambda: BallCover((identity_uniform(),), 3),
+     ValueError, "expected a Ball, got UniformFn"),
+    ("a function glued as a cover", lambda: glue_compact(identity_uniform()),
+     ValueError, "expected a BallCover, got UniformFn"),
+    ("a function as a cover to dispatch",
+     lambda: dispatch_index(identity_uniform(), [rational_name(0)]),
+     ValueError, "expected a BallCover, got UniformFn"),
+    ("a function as a cover to check", lambda: separation_violations(identity_uniform(), [(0,)]),
+     ValueError, "expected a BallCover, got UniformFn"),
 ]
 
 
@@ -953,6 +991,18 @@ def test_term_backed_glued_functions_print_and_parse_back_equal(cover):
         again = parse_term(text, op.term.k, 1, CORE.resolve)
         assert again == op.term
         assert print_term(again) == text
+    assert glued.F.term == glued_term_reference(cover)
+
+
+def glued_term_reference(cover):
+    # delta_K over ball_i(f_1(const_k), ...), each followed by ball i's F, then const_0
+    k, width = cover.separation, cover.domain.width
+    probes = tuple(Apply(i, Base(constant(k), (Proj(1),))) for i in range(1, width + 1))
+    margin = Fraction(1, k + 1)
+    guards = [Base(ball_indicator(b.center, b.radius - margin), probes) for b in cover.balls]
+    subs = [node for guard, b in zip(guards, cover.balls) for node in (guard, b.local.F.term.node)]
+    selected = Base(gadgets.delta_k(len(cover.balls)), (*subs, Base(constant(0), (Proj(1),))))
+    return OperatorTerm(width, 1, selected)
 
 
 def test_a_term_backed_name_reads_each_distinct_node_once_per_index():
