@@ -136,6 +136,8 @@ class EffectiveSpace:
         return name
 
     def center(self, code: int) -> int:
+        if not _natural(code):
+            raise SpaceMismatch(f"{self} takes a code as a ball centre, got {code!r}")
         return code
 
     def indicator(self, center: int, radius: Fraction) -> BaseFunction:

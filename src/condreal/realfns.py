@@ -29,8 +29,9 @@ coded ``condreal.metric.EffectiveSpace`` with one value operator T where
 a real value has F, G, H.  Wiring a construction across different spaces
 raises ``SpaceMismatch``, an ``ArityMismatch``.  Each operator a
 construction builds is a term exactly when every operator it is built
-from is one, else a procedure.  Slots, constants and patches are wires,
-carrying both forms, and a combinator over wires only keeps a wire.
+from is one, else a procedure; one rule, ``_combine``, decides for every
+combinator.  Slots, constants and patches are wires, carrying both
+forms, and a combinator over wires only makes wires.
 
 ``joint`` gives the components of one build of several value functions
 -- for a real value the three functions of a name, projected from one
@@ -56,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, partial
+from functools import cache, cached_property, partial
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -142,6 +143,7 @@ class TermOperator:
     """An operator denoted by a single-argument operator term."""
 
     term: OperatorTerm
+    pick = None  # not a joint's component: applied alone, or with F, G, H as one program
 
     def __post_init__(self) -> None:
         if not isinstance(self.term, OperatorTerm):
@@ -155,18 +157,6 @@ class TermOperator:
 
     def apply(self, fns: Sequence[NatFun]) -> NatFun:
         return _apply_terms((self,), fns)[0]
-
-
-class _Wire(TermOperator):
-    """A slot, constant or patch: its ``term`` is built when first read; ``apply`` runs ``run``."""
-
-    def __init__(self, arity: int, node: Callable[[], Node], run: Callable[..., NatFun]):
-        self.__dict__.update(arity=arity, _node=node, _run=run)
-
-    term = cached_property(lambda self: OperatorTerm(self.arity, 1, self._node()))
-
-    def apply(self, fns: Sequence[NatFun]) -> NatFun:
-        return self._run(_arguments(self.arity, fns))
 
 
 def _apply_terms(ops: Sequence[TermOperator], fns: Sequence[NatFun]) -> list[NatFun]:
@@ -214,26 +204,32 @@ def joint(arity: int, width: int, build: Callable, label: str = "") -> tuple[Pro
     return tuple(ProcOperator(arity, build, f"{label}[{pick}]", pick) for pick in range(width))
 
 
+class _Wire(TermOperator):
+    """A term built when first read, applied as a ``ProcOperator``: result ``pick`` of ``build``."""
+
+    def __init__(self, arity: int, node: Callable, build: Callable, pick: int | None = None):
+        self.__dict__.update(arity=arity, _node=node, build=build, pick=pick)
+
+    term = cached_property(lambda self: OperatorTerm(self.arity, 1, self._node()))
+    apply = ProcOperator.apply
+
+
 Operator = TermOperator | ProcOperator
-
-
-def _is_term(op: Operator) -> bool:
-    return isinstance(op, TermOperator)
 
 
 def _apply_ops(ops: Sequence[Operator], fns: Sequence[NatFun]) -> list[NatFun]:
     """Every operator applied to ``fns``, sharing builds.
 
     The one place that decides which operators build together: the
-    components of each joint build, in any order and of any subset, run
-    it once, and plain term F, G, H run as one program behind one stream.
+    components of each joint build, wires included, in any order and of
+    any subset, run it once; plain term F, G, H run as one program behind one stream.
     """
     if len(ops) == 3 and type(ops[0]) is type(ops[1]) is type(ops[2]) is TermOperator:
         return _apply_terms(ops, fns)
     built: dict[Callable, tuple[NatFun, ...]] = {}
     out: list[NatFun] = []
     for op in ops:
-        if isinstance(op, ProcOperator) and op.pick is not None:
+        if op.pick is not None:
             if op.build not in built:
                 built[op.build] = tuple(op.build(_arguments(op.arity, fns)))
             out.append(built[op.build][op.pick])
@@ -259,8 +255,16 @@ def _same_space(a: object, b: object, what: str) -> None:
 def _expect(kind: type, record: Any) -> Any:
     """``record``, refused with a ValueError naming ``kind`` unless it is one."""
     if not isinstance(record, kind):
-        raise ValueError(f"expected a {kind.__name__}, got {type(record).__name__}")
+        article = "an" if kind.__name__[0] in "AEIO" else "a"
+        raise ValueError(f"expected {article} {kind.__name__}, got {type(record).__name__}")
     return record
+
+
+def _space(space: Any) -> Space:
+    """``space``, refused with a ValueError unless it is a space."""
+    if not isinstance(getattr(space, "width", None), int):
+        raise ValueError(f"expected a space, got {type(space).__name__}")
+    return space
 
 
 @dataclass(frozen=True)
@@ -306,6 +310,8 @@ class Reals:
         return [name]
 
     def center(self, center: Sequence[Fraction | int]) -> tuple[Fraction, ...]:
+        if not isinstance(center, (list, tuple)):
+            raise SpaceMismatch(f"{self} takes a ball centre of rationals, got {center!r}")
         center = tuple(map(Fraction, center))
         if len(center) != self.n:
             raise ArityMismatch("ball center dimension must match the local function")
@@ -333,12 +339,12 @@ class _Record:
 
     def _store(self, domain: int | Space, codomain: Space, values: tuple, slots: int) -> None:
         """Check the spaces and the value operators, then set the fields."""
-        domain = Reals(domain) if isinstance(domain, int) else domain
+        domain = _space(Reals(domain) if isinstance(domain, int) else domain)
         if isinstance(domain, Reals):
             _same_space(codomain, Reals(1), "real functions take real values")
         if not all(isinstance(op, Operator) for op in values):
             raise ValueError(f"value operators must be TermOperators or ProcOperators: {values!r}")
-        if len(values) != codomain.width:
+        if len(values) != _space(codomain).width:
             raise ArityMismatch(f"{codomain} names take {codomain.width} value operators")
         want = domain.width + slots
         if any(op.arity != want for op in values):
@@ -482,7 +488,7 @@ def identity(space: int | Space) -> UniformFn:
 
     On ``Reals(n)`` for n > 1 it raises ``SpaceMismatch``, as a real function takes
     its values in ``Reals(1)``; a coded ``metric.make_mn(n)`` has an identity."""
-    space = Reals(space) if isinstance(space, int) else space
+    space = _space(Reals(space) if isinstance(space, int) else space)
     slots = [_slot(space.width, i) for i in range(1, space.width + 1)]
     return UniformFn(space, *slots, codomain=space)
 
@@ -496,12 +502,12 @@ def identity_uniform() -> UniformFn:
 # operator combinators
 # ---------------------------------------------------------------------------
 #
-# A combinator returns a TermOperator exactly when every operator it is
-# given is one, else a procedure; the forms agree pointwise.  Slot, index,
-# constant and patch are wires: TermOperators whose term is built when
-# first read and whose application runs the procedure form.  ``_combine``
-# decides for a single output and keeps wires over wires; ``_subst`` and
-# ``_select`` decide for themselves, as their procedure forms are joints.
+# Each combinator gives ``_combine`` its operators, its result nodes and its
+# build, and ``_combine`` decides the form: a procedure among the operators
+# gives procedures (the joint's components when the build has several
+# results), wires only give wires, other terms give plain terms; the forms
+# agree pointwise.  Slot, index, constant and patch are wires: TermOperators
+# whose term is built when first read and which apply as a ProcOperator.
 
 _LEFT = CORE.get("left")
 _RIGHT = CORE.get("right")
@@ -550,57 +556,57 @@ def _pointwise(base: BaseFunction, outs: Sequence[NatFun]) -> NatFun:
 
 
 def _combine(
-    ops: Sequence[Operator], arity: int, node: Callable[[], Node], run: Callable, label: str
-) -> Operator:
-    """``ProcOperator(run)`` if any of ``ops`` is one, a wire if all are wires, else ``node()``."""
-    if not all(map(_is_term, ops)):
-        return ProcOperator(arity, run, label)
+    ops: Sequence[Operator], arity: int, nodes: Callable, build: Callable, label: str, width=0
+) -> list[Operator]:
+    """The form rule: what a combinator makes of ``ops``, one operator or ``width`` of one build."""
+    if any(isinstance(op, ProcOperator) for op in ops):
+        procs = joint(arity, width, build, label) if width else [ProcOperator(arity, build, label)]
+        return list(procs)
     if all(isinstance(op, _Wire) for op in ops):
-        return _Wire(arity, node, run)
-    return TermOperator(OperatorTerm(arity, 1, node()))
+        nodes, picks = cache(nodes), range(width) if width else [None]
+        return [_Wire(arity, lambda j=j: nodes()[j], build, pick) for j, pick in enumerate(picks)]
+    return [TermOperator(OperatorTerm(arity, 1, node)) for node in nodes()]
 
 
 def _lift(base: BaseFunction, ops: Sequence[Operator]) -> Operator:
     """Pointwise: ``base`` applied to the outputs of ``ops`` at each index (once if constant)."""
-    node = lambda: Base(base, tuple(op.term.node for op in ops))  # noqa: E731
-    run = lambda fns: _pointwise(base, _apply_ops(ops, fns))  # noqa: E731
-    return _combine(ops, ops[0].arity, node, run, base.name)
+    nodes = lambda: [Base(base, tuple(op.term.node for op in ops))]  # noqa: E731
+    build = lambda fns: _pointwise(base, _apply_ops(ops, fns))  # noqa: E731
+    return _combine(ops, ops[0].arity, nodes, build, base.name)[0]
 
 
 def _subst(outers: Sequence[Operator], inners: Sequence[Operator]) -> list[Operator]:
     """Substitution: each of ``outers`` applied to the outputs of ``inners``.
 
-    The procedure form is one joint: applied to an argument tuple it
-    applies the inner operators once and the outer ones to their outputs.
+    Its build applies the inner operators once and the outer ones to
+    their outputs; the term of each outer is ``compose_terms``.
     """
-    if all(map(_is_term, (*outers, *inners))):
-        return [TermOperator(compose_terms(op.term, [i.term for i in inners])) for op in outers]
-
-    def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
-        return _apply_ops(outers, _apply_ops(inners, fns))
-
-    return list(joint(inners[0].arity, len(outers), build, "subst"))
+    build = lambda fns: _apply_ops(outers, _apply_ops(inners, fns))  # noqa: E731
+    terms = lambda: [i.term for i in inners]  # noqa: E731
+    nodes = lambda: [compose_terms(op.term, terms()).node for op in outers]  # noqa: E731
+    return _combine([*outers, *inners], inners[0].arity, nodes, build, "subst", len(outers))
 
 
 def _reindex(op: Operator, base: BaseFunction) -> Operator:
     """Read the output of ``op`` at ``base(n)`` instead of at ``n``."""
     fn, label = base.fn, f"{base.name}-indexed"
 
-    def run(fns: tuple[NatFun, ...]) -> NatFun:
+    def build(fns: tuple[NatFun, ...]) -> NatFun:
         out = op.apply(fns)
         return out if constant_values(out) is not None else NatFun(lambda n: out(fn(n)), label)
 
-    node = lambda: _subst_numeric(op.term.node, Base(base, (Proj(1),)))  # noqa: E731
-    return _combine([op], op.arity, node, run, label)
+    nodes = lambda: [_subst_numeric(op.term.node, Base(base, (Proj(1),)))]  # noqa: E731
+    return _combine([op], op.arity, nodes, build, label)[0]
 
 
 def _diagonal(op: Operator) -> Operator:
     """Drop the last slot, feeding it ``const_n`` when reading index ``n``."""
 
-    def run(fns: tuple[NatFun, ...]) -> NatFun:
+    def build(fns: tuple[NatFun, ...]) -> NatFun:
         return NatFun(lambda n: op.apply(fns + (NatFun.constant(n),))(n), label="diagonal")
 
-    return _combine([op], op.arity - 1, lambda: diagonalize(op.term).node, run, "diagonal")
+    nodes = lambda: [diagonalize(op.term).node]  # noqa: E731
+    return _combine([op], op.arity - 1, nodes, build, "diagonal")[0]
 
 
 def _first_passing(indicators: Sequence[BaseFunction], probes: Sequence[int]) -> int | None:
@@ -617,22 +623,13 @@ def _select(
     """First-zero select: per component, the branch of the first passing ball.
 
     Every indicator reads all function arguments at index ``k``; the
-    default when none passes is the constant zero.  The term form, a
-    plain term even over wires, keeps the selector ``delta_m`` in the
-    term, where a bound program settles it once.  The procedure form is
-    one joint over all components: the first read of any of its results
-    picks the ball for that argument tuple, and only that ball's
-    branches are applied, together.
+    default when none passes is the constant zero.  The term of each
+    component keeps the selector ``delta_m``, which a bound program
+    settles once.  The build is one joint over all components: the first
+    read of any of its results picks the ball for that argument tuple,
+    and only that ball's branches are applied, together.
     """
-    n = components[0][0].arity
-    if all(_is_term(op) for branches in components for op in branches):
-        probes = [_reindex(_slot(n, i), gadgets.constant(k)) for i in range(1, n + 1)]
-        guards = [_lift(indicator, probes) for indicator in indicators]
-        selector, zero = gadgets.delta_k(len(indicators)), _constant(n, 0)
-        rows = ([*chain(*zip(guards, branches)), zero] for branches in components)
-        return [TermOperator(_lift(selector, row).term) for row in rows]
-
-    width = len(components)
+    n, width = components[0][0].arity, len(components)
 
     def build(fns: tuple[NatFun, ...]) -> list[NatFun]:
         chosen: list[NatFun] = []
@@ -650,7 +647,14 @@ def _select(
             return [branch(j) for j in range(width)]
         return [NatFun(lambda t, _j=j: branch(_j)(t), label="glued") for j in range(width)]
 
-    return list(joint(n, width, build, "glued"))
+    def nodes() -> list[Node]:
+        probes = [_reindex(_slot(n, i), gadgets.constant(k)) for i in range(1, n + 1)]
+        guards = [_lift(indicator, probes) for indicator in indicators]
+        selector, zero = gadgets.delta_k(len(indicators)), _constant(n, 0)
+        rows = ([*chain(*zip(guards, branches)), zero] for branches in components)
+        return [_lift(selector, row).term.node for row in rows]
+
+    return _combine([*chain(*components)], n, nodes, build, "glued", width)
 
 
 # ---------------------------------------------------------------------------
@@ -731,7 +735,7 @@ def localize(
     For any point of the neighborhood, patched names still name it, so
     the frozen certificate stays valid and the output names the value.
     """
-    names = fn.domain.point(at)
+    names = _expect(ConditionalFn, fn).domain.point(at)
     s0 = find_parameter(fn, names, budget)
     anchor = fn.domain.functions(names)
     wrapped, log = recording(anchor)

@@ -858,9 +858,11 @@ METRIC_REFUSALS = [
      ValueError, "expected a ConditionalFn, got UniformFn"),
     ("a name triple checked as an ordinary name",
      lambda: validate_ordinary_name(rational_name(1), 0, 3),
-     ValueError, "expected a OrdinaryName, got NameTriple"),
+     ValueError, "expected an OrdinaryName, got NameTriple"),
     ("a function's axioms checked as a space", lambda: metric_axiom_violations(ADD, [0]),
-     ValueError, "expected a EffectiveSpace, got UniformFn"),
+     ValueError, "expected an EffectiveSpace, got UniformFn"),
+    ("a rational tuple as the centre of a coded ball",
+     lambda: Ball((1, 2), 1, NEGATE_MS), SpaceMismatch, "takes a code as a ball centre"),
 ]
 
 

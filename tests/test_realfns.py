@@ -61,7 +61,24 @@ from condreal.realfns import (
     separation_violations,
 )
 from condreal.gadgets import ball_indicator
-from condreal.metric import make_mn, mn_name, tuple_conditional
+from condreal.elementary import OutsideDomain
+from condreal.metric import (
+    OrdinaryName,
+    builtin_spaces,
+    code_ball_indicator,
+    make_discrete,
+    make_mn,
+    metric_axiom_violations,
+    mn_code,
+    mn_decode,
+    mn_name,
+    translate_conditional,
+    translate_conditional_back,
+    translate_uniform,
+    translate_uniform_back,
+    tuple_conditional,
+    validate_ordinary_name,
+)
 from condreal.sampling import random_natfun, random_term
 from condreal.suites import (
     COMPOSITES,
@@ -464,10 +481,12 @@ def test_combinators_over_operators_agree_in_both_forms():
 
 
 def test_combinators_over_wires_only_keep_the_wires():
-    # a wire's application runs its closure; its term, as a plain term operator, agrees
+    # a wire's application runs its build; its term, as a plain term operator,
+    # agrees, and so does the procedure form of the same combinator
     rng = Random(14)
     bases = [CORE.get(name) for name in ("conj", "left", "monus", "pair")]
     indices = [CORE.get(name) for name in ("left", "right", "succ")]
+    indicators = [ball_indicator((Fraction(-2),), Fraction(3)), ball_indicator((Fraction(3),), 2)]
     for _ in range(40):
         k = rng.randrange(1, 4)
         fns = tuple(random_natfun(rng) for _ in range(k))
@@ -485,9 +504,27 @@ def test_combinators_over_wires_only_keep_the_wires():
             assert isinstance(op, _Wire)
             assert op.arity == op.term.k == k
             assert agree(op, TermOperator(op.term), fns)
-    # but a select over wires is a plain term, which a bound program settles once
+        # substitution and select make one wire per result, components of one build
+        outers = [_slot(2, 2), _lift(base, [_slot(2, 1 + i % 2) for i in range(base.arity)])]
+        inners = [rng.choice(wires) for _ in range(2)]
+        edge, trio = rng.randrange(6), tuple(random_natfun(rng) for _ in range(3))
+        branches = [[rng.choice([_slot(3, 1), _constant(3, 2), _index(3)]) for _ in indicators]]
+        joints = [
+            (fns, _subst(outers, inners), _subst(list(map(as_proc, outers)), inners)),
+            (trio, _select(indicators, edge, branches * 2),
+             _select(indicators, edge, [list(map(as_proc, row)) for row in branches * 2])),
+        ]
+        for args, wired, procs in joints:
+            assert len({op.build for op in wired}) == 1
+            assert [op.pick for op in wired] == list(range(len(wired)))
+            for op, proc in zip(wired, procs):
+                assert isinstance(op, _Wire)
+                assert op.arity == op.term.k == len(args)
+                assert agree(op, TermOperator(op.term), args)
+                assert agree(op, proc, args)
+    # a glued cover of wires is made of wires, and applies the select build
     glued = glue_compact(BallCover((Ball((0,), 1, identity_uniform()),), 3))
-    assert all(type(op) is TermOperator for op in glued.values)
+    assert all(isinstance(op, _Wire) for op in glued.values)
 
 
 def test_select_agrees_in_both_forms():
@@ -618,10 +655,18 @@ def test_only_a_term_backed_localization_builds_its_mu_chains(monkeypatch):
     hood, local = localize(RECIP, at, 100)
     assert isinstance(local.F, ProcOperator)
     assert built == []
+    # a localization of wires builds its chain when its term is first read
     coded = embed_uniform(identity(make_mn(1)))
     hood, local = localize(compose_conditional(coded, coded), mn_name((Fraction(2, 7),)), 100)
-    assert isinstance(local.values[0], TermOperator)
+    assert isinstance(local.values[0], _Wire)
+    assert built == []
+    assert local.values[0].term.k == 1
     assert built == list(range(hood.cutoff + 1))
+    # and a plain term one builds the chains of its three slots at once
+    del built[:]
+    hood, local = localize(COMPOSED, rational_name(Fraction(2, 7)), 100)
+    assert type(local.F) is TermOperator
+    assert built == list(range(hood.cutoff + 1)) * 3
 
 
 def test_the_coded_identity_passes_its_name_through():
@@ -917,6 +962,18 @@ REALFNS_REFUSALS = [
      ValueError, "expected a BallCover, got UniformFn"),
     ("a function as a cover to check", lambda: separation_violations(identity_uniform(), [(0,)]),
      ValueError, "expected a BallCover, got UniformFn"),
+    # a non-space where a space is expected
+    ("a float as the space of an identity", lambda: identity(2.5),
+     ValueError, "expected a space, got float"),
+    ("a string as the space of an identity", lambda: identity("x"),
+     ValueError, "expected a space, got str"),
+    ("an int as a coded codomain",
+     lambda: UniformFn(make_mn(1), *identity(make_mn(1)).values, codomain=2),
+     ValueError, "expected a space, got int"),
+    ("a name localized", lambda: localize(rational_name(1), rational_name(1), 9),
+     ValueError, "expected a ConditionalFn, got NameTriple"),
+    ("a code as the centre of a real ball", lambda: Ball(3, 1, identity_uniform()),
+     SpaceMismatch, "takes a ball centre of rationals"),
 ]
 
 
@@ -1023,6 +1080,19 @@ def test_a_term_backed_name_reads_each_distinct_node_once_per_index():
     out = apply_uniform(glue_compact(cover), name)
     assert isinstance(triple_reader(*out), TripleStream)
     assert [(out.f(t), out.g(t), out.h(t)) for t in range(20)] == [(3, 0, 3)] * 20
+    assert sorted(reads) == sorted([3] * 3 + list(range(20)) * 3)
+
+
+def test_an_all_wire_glued_name_picks_its_ball_once():
+    # the glued F, G, H of two identity balls are wires of one select build,
+    # which runs once: three probes at k, then one read per index and function
+    balls = tuple(Ball((c,), Fraction(3, 2), identity_uniform()) for c in (-1, 1))
+    glued = glue_compact(BallCover(balls, separation=3))
+    assert all(isinstance(op, _Wire) for op in glued.values)
+    reads = []
+    name = [NameTriple(*(NatFun(lambda t, c=c: reads.append(t) or c) for c in (0, 3, 3)))]
+    out = apply_uniform(glued, name)
+    assert read_whole(out, range(20)) == [(0, 3, 3)] * 20
     assert sorted(reads) == sorted([3] * 3 + list(range(20)) * 3)
 
 
@@ -1346,3 +1416,189 @@ def test_a_procedure_lift_builds_the_joint_of_its_inputs_once():
     lifted = _lift(CORE.get("conj"), [g, f]).apply((NatFun(lambda t: t),))
     assert [lifted(t) for t in range(4)] == [2 * t + 1 for t in range(4)]
     assert len(builds) == 1
+
+
+# ---------------------------------------------------------------------------
+# every public entry point, in every space, returns or raises a documented error
+# ---------------------------------------------------------------------------
+
+
+DOCUMENTED_ERRORS = (ArityMismatch, SpaceMismatch, ValueError, BudgetExhausted, OutsideDomain)
+SPACES = [Reals(1), Reals(2), make_mn(1), make_mn(2), make_discrete(8)]
+NOT_SPACES = [2.5, "x", None, identity_uniform(), 3]
+BUDGETS = [-1, True, False, 0, 1, 3, 20]
+
+
+def any_rational(rng):
+    return Fraction(rng.randrange(-9, 10), rng.randrange(1, 9))
+
+
+def a_point(rng, space):
+    """One name of a point of ``space``: what ``localize`` takes as its anchor."""
+    if isinstance(space, Reals):
+        return rational_name(any_rational(rng))
+    if space.dimension is None:
+        return OrdinaryName(NatFun.constant(rng.randrange(8)), space)
+    return mn_name([any_rational(rng) for _ in range(space.dimension)])
+
+
+def some_names(rng, space):
+    """The argument names of ``space``, sometimes one too few or too many."""
+    if not isinstance(space, Reals):
+        return a_point(rng, space)
+    return [a_point(rng, space) for _ in range(space.n + rng.choice([0, 0, 0, -1, 1]))]
+
+
+def a_uniform(rng, space):
+    if space == Reals(1):
+        return rng.choice([identity_uniform, negate_term_fn, double_fn, abs_term_fn])()
+    if space == Reals(2):
+        return REGISTRY.get("add").fn
+    if space == make_mn(1) and rng.randrange(2):
+        return translate_uniform(negate_fn())
+    return identity(space)
+
+
+def a_conditional(rng, space):
+    roll = rng.randrange(4)
+    if roll == 0 and space == Reals(1):
+        return RECIP
+    if roll == 0 and space == make_mn(1):
+        return translate_conditional(RECIP)
+    if roll == 1 and space == make_mn(1):
+        return tuple_conditional([embed_uniform(translate_uniform(negate_fn()))] * 2)
+    return embed_uniform(a_uniform(rng, space))
+
+
+def by_hand(rng, space):
+    """A record built from another record's operators, maybe across spaces."""
+    other = a_conditional(rng, rng.choice(SPACES))
+    codomain = rng.choice(SPACES + NOT_SPACES[:1])
+    if rng.randrange(2):
+        return UniformFn(space, *other.values, codomain=codomain)
+    order = rng.choice([None, other.order, 3, range(3)])
+    return ConditionalFn(space, other.E, *other.values, codomain=codomain, order=order)
+
+
+def a_center(rng, space):
+    if isinstance(space, Reals):
+        return tuple(any_rational(rng) for _ in range(space.n + rng.choice([0, 0, 1])))
+    return rng.randrange(8)
+
+
+def a_ball(rng, space):
+    radius = rng.choice([Fraction(3, 2), 2, 0, -1])
+    return Ball(a_center(rng, space), radius, a_uniform(rng, space))
+
+
+def a_cover(rng, space):
+    balls = [a_ball(rng, space) for _ in range(rng.randrange(1, 3))]
+    if rng.randrange(3) == 0:  # a foreign ball, or a record where a ball goes
+        balls.append(rng.choice([a_ball(rng, rng.choice(SPACES)), a_uniform(rng, space)]))
+    return BallCover(tuple(balls), rng.choice(BUDGETS))
+
+
+KINDS = {
+    "uniform": a_uniform,
+    "conditional": a_conditional,
+    "by hand": by_hand,
+    "names": some_names,
+    "point": a_point,
+    "budget": lambda rng, _space: rng.choice(BUDGETS),
+    "space": lambda rng, space: rng.choice([space, space, *NOT_SPACES]),
+    "cover": a_cover,
+    "ball": a_ball,
+    "center": a_center,
+    "points": lambda rng, _space: [a_center(rng, rng.choice(SPACES[:2])) for _ in range(2)],
+    "codes": lambda rng, _space: [rng.randrange(40) for _ in range(3)],
+    "rationals": lambda rng, _space: [any_rational(rng) for _ in range(rng.randrange(1, 3))],
+    "conditionals": lambda rng, _space: [an_argument(rng, "conditional") for _ in range(2)],
+    "operator": lambda rng, space: a_conditional(rng, space).E,
+    "operators": lambda rng, space: list(a_conditional(rng, space).values),
+    "order": lambda rng, space: rng.choice([None, a_conditional(rng, space).order, 3, range(3)]),
+}
+
+# each public function of realfns and metric, with the kind of each argument
+ENTRY_POINTS = {
+    "find_parameter": (find_parameter, ["conditional", "names", "budget"]),
+    "apply_conditional": (apply_conditional, ["conditional", "names", "budget"]),
+    "apply_conditional_at": (apply_conditional_at, ["conditional", "names", "budget"]),
+    "apply_uniform": (apply_uniform, ["uniform", "names"]),
+    "embed_uniform": (embed_uniform, ["uniform"]),
+    "compose_conditional": (compose_conditional, ["conditional", "conditional"]),
+    "localize": (localize, ["conditional", "point", "budget"]),
+    "identity": (identity, ["space"]),
+    "identity_uniform": (identity_uniform, []),
+    "glue_compact": (glue_compact, ["cover"]),
+    "dispatch_index": (dispatch_index, ["cover", "names"]),
+    "separation_violations": (separation_violations, ["cover", "points"]),
+    "UniformFn": (lambda space, ops, codomain: UniformFn(space, *ops, codomain=codomain),
+                  ["space", "operators", "space"]),
+    "ConditionalFn": (
+        lambda space, e, ops, codomain, order:
+            ConditionalFn(space, e, *ops, codomain=codomain, order=order),
+        ["space", "operator", "operators", "space", "order"],
+    ),
+    "by hand": (lambda fn: fn, ["by hand"]),
+    "Ball": (Ball, ["center", "budget", "uniform"]),
+    "BallCover": (lambda ball, separation: BallCover((ball,), separation), ["ball", "budget"]),
+    "Reals": (Reals, ["budget"]),
+    "joint": (lambda arity, width: joint(arity, width, lambda fns: fns), ["budget", "budget"]),
+    "make_mn": (make_mn, ["budget"]),
+    "make_discrete": (make_discrete, ["budget"]),
+    "builtin_spaces": (builtin_spaces, []),
+    "mn_code": (mn_code, ["rationals"]),
+    "mn_decode": (mn_decode, ["budget", "budget"]),
+    "mn_name": (mn_name, ["rationals"]),
+    "code_ball_indicator": (code_ball_indicator, ["budget", "budget", "budget"]),
+    "validate_ordinary_name": (validate_ordinary_name, ["point", "budget", "budget"]),
+    "metric_axiom_violations": (metric_axiom_violations, ["space", "codes"]),
+    "translate_uniform": (translate_uniform, ["uniform"]),
+    "translate_uniform_back": (translate_uniform_back, ["uniform"]),
+    "translate_conditional": (translate_conditional, ["conditional"]),
+    "translate_conditional_back": (translate_conditional_back, ["conditional"]),
+    "tuple_conditional": (tuple_conditional, ["conditionals"]),
+}
+
+
+RECORDS_AND_NAMES = ["uniform", "conditional", "by hand", "names", "point"]
+
+
+def an_argument(rng, kind):
+    """An argument of ``kind`` in some space; where a record or a name goes, sometimes another."""
+    if kind in RECORDS_AND_NAMES and rng.randrange(4) == 0:
+        kind = rng.choice(RECORDS_AND_NAMES)
+    return KINDS[kind](rng, rng.choice(SPACES))
+
+
+def read(rng, out):
+    """Read a result: a name at a few indices, a record applied to names of its domain,
+    a ball or a cover glued."""
+    if isinstance(out, NameTriple):
+        return [fn(t) for fn in out for t in range(3)]
+    if isinstance(out, OrdinaryName):
+        return [out.f(t) for t in range(3)]
+    if isinstance(out, UniformFn):
+        return read(rng, apply_uniform(out, some_names(rng, out.domain)))
+    if isinstance(out, ConditionalFn):
+        return read(rng, apply_conditional(out, some_names(rng, out.domain), 30))
+    if isinstance(out, tuple) and len(out) == 2 and isinstance(out[1], UniformFn):
+        return read(rng, out[1])  # a localization's neighborhood and local function
+    if isinstance(out, (Ball, BallCover)):
+        return read(rng, glue_compact(BallCover((out,), 3) if isinstance(out, Ball) else out))
+    return out
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.sampled_from(sorted(ENTRY_POINTS)), st.integers(min_value=0, max_value=10**6))
+def test_every_public_realfns_and_metric_function_returns_or_raises_a_documented_error(name, seed):
+    rng = Random(seed)
+    call, kinds = ENTRY_POINTS[name]
+    try:
+        args = [an_argument(rng, kind) for kind in kinds]
+    except DOCUMENTED_ERRORS:
+        return  # an argument refused while being built
+    try:
+        read(rng, call(*args))
+    except DOCUMENTED_ERRORS:
+        pass
