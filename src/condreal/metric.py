@@ -15,22 +15,22 @@ operator E must first vanish at a searched parameter ``s``, after which
 
 The records and constructions are written once, in ``condreal.realfns``:
 an ``EffectiveSpace`` is a space there as ``Reals(n)`` is (width 1, one
-space-checked ``OrdinaryName``, ``MsNeighborhood``, ball indicators from
+space-checked ``OrdinaryName``, ``near`` and ball indicators from
 ``dist_lt``), so a coded map is a ``UniformFn`` or ``ConditionalFn``
 with one value operator T, and search, application, identity, embedding,
 composition, localization, gluing and dispatch take coded maps as they
 take real functions; each operator built is a term exactly when every
 operator it is built from is one (a slot is both), and decode and pack
 are procedures.
-This module keeps the spaces, their names and neighborhoods, the
-translations and tupling; its ``_ms`` names, ``MsConditionalFn``,
-``MsBall`` and ``MsBallCover`` are aliases of the ``realfns`` objects,
-kept for the benchmark's callers.  The spaces ``M_N`` (rational
-N-tuples coded by nested pairing, max-norm distance) translate
-real-function computability back and forth losslessly: the coding is two
-operators, decode and pack, and each translation substitutes the
-translated function's operators between them.  A translated conditional
-searches in the real one's ``order``, read through the decoding.
+This module keeps the spaces, their names, the translations and
+tupling; its ``_ms`` names, ``MsConditionalFn``, ``MsBall`` and
+``MsBallCover`` are aliases of the ``realfns`` objects, kept for the
+benchmark's callers.  The spaces ``M_N`` (rational N-tuples coded by
+nested pairing, max-norm distance) translate real-function
+computability back and forth losslessly: the coding is two operators,
+decode and pack, and each translation substitutes the translated
+function's operators between them.  A translated conditional searches
+in the real one's ``order``, read through the decoding.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ __all__ = [
     "MsBall",
     "MsBallCover",
     "MsConditionalFn",
-    "MsNeighborhood",
     "OrdinaryName",
     "SpaceMismatch",
     "apply_conditional_ms",
@@ -148,8 +147,8 @@ class EffectiveSpace:
             lambda n: 0 if self.dist_lt(n, center, radius) else 1,
         )
 
-    def neighborhood(self, prefix: tuple[tuple[int], ...]) -> MsNeighborhood:
-        return MsNeighborhood(self, len(prefix) - 1, tuple(code for (code,) in prefix))
+    def near(self, row: tuple[int], code: int, radius: Fraction) -> bool:
+        return self.dist_lt(row[0], code, radius)
 
 
 @dataclass(frozen=True, eq=False)
@@ -209,27 +208,6 @@ def metric_axiom_violations(space: EffectiveSpace, codes: Sequence[int]) -> list
     return bad
 
 
-@dataclass(frozen=True, eq=False)
-class MsNeighborhood:
-    """Intersection of the metric balls cut out by the anchor's codes.
-
-    A point belongs when it is within 1/(t+1) of the anchor's code at
-    every t <= cutoff; ``contains`` decides it for a code exactly,
-    through dist_lt, as ``realfns.Neighborhood.contains`` does for a
-    rational.
-    """
-
-    space: EffectiveSpace
-    cutoff: int
-    anchor_codes: tuple[int, ...]
-
-    def contains(self, code: int) -> bool:
-        return all(
-            self.space.dist_lt(self.anchor_codes[t], code, Fraction(1, t + 1))
-            for t in range(self.cutoff + 1)
-        )
-
-
 # The records and constructions are ``condreal.realfns``'s, which take a
 # coded space as they take the reals; these names are aliases kept for the
 # benchmark's callers.
@@ -250,17 +228,21 @@ MsBallCover = BallCover
 # ---------------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def make_mn(n_dims: int) -> EffectiveSpace:
     """R^N with the max-norm metric and rational tuples coded by pairing.
 
     A code decodes through the 3N-tuple projections: coordinate j is
     (c_{3j-2} - c_{3j-1}) / (c_{3j} + 1).  Every natural is a valid code,
     decoding is total, and distance comparisons are exact rational
-    arithmetic.
+    arithmetic.  One space per N.
     """
     if not _natural(n_dims) or n_dims < 1:
-        raise ValueError("dimension must be at least 1")
+        raise ValueError(f"dimension must be at least 1, got {n_dims!r}")
+    return _mn(n_dims)
+
+
+@lru_cache(maxsize=None)
+def _mn(n_dims: int) -> EffectiveSpace:
     width = 3 * n_dims
 
     def alpha(n: int) -> tuple[Fraction, ...]:
@@ -286,6 +268,8 @@ def make_mn(n_dims: int) -> EffectiveSpace:
 
 def mn_decode(n_dims: int, code: int) -> tuple[Fraction, ...]:
     """The rational tuple a code stands for (same map as the space's alpha)."""
+    if not _natural(code):
+        raise ValueError(f"a code must be a natural, got {code!r}")
     return make_mn(n_dims).alpha(code)
 
 
@@ -300,12 +284,15 @@ def mn_name(point: Sequence[Fraction | int]) -> OrdinaryName:
     return OrdinaryName(NatFun.constant(mn_code(point)), make_mn(len(point)))
 
 
-@lru_cache(maxsize=None)
 def make_discrete(size: int) -> EffectiveSpace:
-    """Finitely many points, 0/1 metric, codes = points."""
+    """Finitely many points, 0/1 metric, codes = points; one space per size."""
     if not _natural(size) or size < 1:
-        raise ValueError("a discrete space needs at least one point")
+        raise ValueError(f"a discrete space needs at least one point, got {size!r}")
+    return _discrete(size)
 
+
+@lru_cache(maxsize=None)
+def _discrete(size: int) -> EffectiveSpace:
     def dist(n: int, m: int) -> Fraction:
         return Fraction(0) if n == m else Fraction(1)
 
@@ -394,8 +381,9 @@ def translate_uniform(fn: UniformFn) -> UniformFn:
     Operators that are one joint's components run once per index.
     """
     n = _expect(UniformFn, fn).n_args
+    domain = make_mn(n)  # refuses n = 0: there is no M_0
     values = _subst(_pack(1, 3), _subst(fn.values, _decode(n, 1)))
-    return UniformFn(make_mn(n), *values, codomain=make_mn(1))
+    return UniformFn(domain, *values, codomain=make_mn(1))
 
 
 def translate_uniform_back(fn: UniformFn) -> UniformFn:
@@ -411,10 +399,11 @@ def translate_conditional(fn: ConditionalFn) -> ConditionalFn:
     decodes the code and follows it.
     """
     n, real = _expect(ConditionalFn, fn).n_args, fn.order
+    domain = make_mn(n)  # refuses n = 0: there is no M_0
     (E,) = _subst([fn.E], _decode(n, 1))
     values = _subst(_pack(1, 3), _subst(fn.values, _decode(n, 2)))
     order = None if real is None else lambda fns, b: real(_decoded_parts(n, fns[0]), b)
-    return ConditionalFn(make_mn(n), E, *values, codomain=make_mn(1), order=order)
+    return ConditionalFn(domain, E, *values, codomain=make_mn(1), order=order)
 
 
 def translate_conditional_back(fn: ConditionalFn) -> ConditionalFn:

@@ -189,6 +189,10 @@ class ProcOperator:
     label: str = ""
     pick: int | None = None
 
+    def __post_init__(self) -> None:
+        if not _natural(self.arity):
+            raise ValueError(f"an operator's arity must be a natural, got {self.arity!r}")
+
     def apply(self, fns: Sequence[NatFun]) -> NatFun:
         out = self.build(_arguments(self.arity, fns))
         return out if self.pick is None else tuple(out)[self.pick]
@@ -201,6 +205,9 @@ def joint(arity: int, width: int, build: Callable, label: str = "") -> tuple[Pro
     of a ``TripleStream``, which computes each index's rational once.
     Components applied together run it once; one alone runs it for itself.
     """
+    for what, value in (("arity", arity), ("width", width)):
+        if not _natural(value):
+            raise ValueError(f"a joint's {what} must be a natural, got {value!r}")
     return tuple(ProcOperator(arity, build, f"{label}[{pick}]", pick) for pick in range(width))
 
 
@@ -277,10 +284,10 @@ class Reals:
     name made of value functions; ``point(name)``, the names of a point
     given by one name, as ``localize`` takes its anchor; ``center`` and
     ``indicator``, a ball's centre and membership test; and
-    ``neighborhood``, what a localization's certified prefix cuts out,
-    whose ``contains`` decides an exact point (a rational here, a code in
-    a coded space).  Real functions take their values in ``Reals(1)``;
-    balls are max-norm balls around rational centres.
+    ``near(row, point, radius)``, whether the point one index's values
+    stand for is strictly within ``radius`` of an exact point (a rational
+    here, a code in a coded space).  Real functions take their values in
+    ``Reals(1)``; balls are max-norm balls around rational centres.
     """
 
     n: int
@@ -319,8 +326,9 @@ class Reals:
 
     indicator = staticmethod(gadgets.ball_indicator)
 
-    def neighborhood(self, prefix: tuple[tuple[int, int, int], ...]) -> Neighborhood:
-        return Neighborhood(len(prefix) - 1, prefix)
+    def near(self, row: tuple[int, int, int], q: Fraction | int, radius: Fraction) -> bool:
+        x, y, z = row  # localization is unary for the reals
+        return abs(Fraction(x - y, z + 1) - q) < radius
 
 
 @dataclass(frozen=True, eq=False, init=False)
@@ -479,7 +487,7 @@ def embed_uniform(fn: UniformFn) -> ConditionalFn:
     value operators leave the parameter slot unread.
     """
     k = _expect(UniformFn, fn).domain.width
-    values = _subst(fn.values, [_slot(k + 1, i) for i in range(1, k + 1)])
+    values = _subst(fn.values, [_slot(k + 1, i) for i in range(1, k + 1)], k + 1)
     return ConditionalFn(fn.domain, _index(k), *values, codomain=fn.codomain)
 
 
@@ -575,16 +583,18 @@ def _lift(base: BaseFunction, ops: Sequence[Operator]) -> Operator:
     return _combine(ops, ops[0].arity, nodes, build, base.name)[0]
 
 
-def _subst(outers: Sequence[Operator], inners: Sequence[Operator]) -> list[Operator]:
+def _subst(outers: Sequence[Operator], inners: Sequence[Operator], arity=None) -> list[Operator]:
     """Substitution: each of ``outers`` applied to the outputs of ``inners``.
 
     Its build applies the inner operators once and the outer ones to
-    their outputs; the term of each outer is ``compose_terms``.
+    their outputs; the term of each outer is ``compose_terms``.  The
+    result is ``arity``-ary, which the inners give when there are any.
     """
+    arity = inners[0].arity if inners else arity
     build = lambda fns: _apply_ops(outers, _apply_ops(inners, fns))  # noqa: E731
     terms = lambda: [i.term for i in inners]  # noqa: E731
-    nodes = lambda: [compose_terms(op.term, terms()).node for op in outers]  # noqa: E731
-    return _combine([*outers, *inners], inners[0].arity, nodes, build, "subst", len(outers))
+    nodes = lambda: [compose_terms(op.term, terms(), arity).node for op in outers]  # noqa: E731
+    return _combine([*outers, *inners], arity, nodes, build, "subst", len(outers))
 
 
 def _reindex(op: Operator, base: BaseFunction) -> Operator:
@@ -694,25 +704,20 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
 
 @dataclass(frozen=True)
 class Neighborhood:
-    """Finitely many exact interval constraints around an anchor name.
+    """The points within 1/(t+1) of an anchor's index-t approximation, for every t <= cutoff.
 
-    A rational (or real) ``xi`` belongs when, for every ``t <= cutoff``,
-    the anchor's index-t approximation is within 1/(t+1) of ``xi``.
-    Membership for rationals is decided exactly, by two comparisons.
+    ``anchor`` holds the anchor name's values at each index; ``contains``
+    decides an exact point of ``space`` (a rational for the reals, a code
+    for a coded space) through the space's ``near``.
     """
 
+    space: Space
     cutoff: int
-    anchor: tuple[tuple[int, int, int], ...]
+    anchor: tuple[tuple[int, ...], ...]
 
-    @cached_property
-    def interval(self) -> tuple[Fraction | float, Fraction | float]:
-        """The members' open interval, ``max_t(a_t - 1/(t+1)) < xi < min_t(a_t + 1/(t+1))``."""
-        at = [Fraction(x - y, z + 1) for x, y, z in self.anchor]  # the a_t
-        low = max((a - Fraction(1, t) for t, a in enumerate(at, 1)), default=-float("inf"))
-        return low, min((a + Fraction(1, t) for t, a in enumerate(at, 1)), default=float("inf"))
-
-    def contains(self, q: Fraction | int) -> bool:
-        return self.interval[0] < q < self.interval[1]
+    def contains(self, point: object) -> bool:
+        near = self.space.near
+        return all(near(self.anchor[t], point, Fraction(1, t + 1)) for t in range(self.cutoff + 1))
 
 
 def localize(
@@ -748,7 +753,7 @@ def localize(
     inners = [_patch(w, i, [point[i - 1] for point in prefix]) for i in range(1, w + 1)]
     inners.append(_constant(w, s0))
     local = UniformFn(fn.domain, *_subst(fn.values, inners), codomain=fn.codomain)
-    return fn.domain.neighborhood(prefix), local
+    return Neighborhood(fn.domain, u, prefix), local
 
 
 # ---------------------------------------------------------------------------

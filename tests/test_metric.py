@@ -462,6 +462,20 @@ def test_localize_at_an_exact_anchor_records_the_cutoff_of_a_plain_anchor(fn, sp
         assert hood.cutoff == realfns.localize(fn, plain, 10**5)[0].cutoff
 
 
+@settings(max_examples=40, deadline=None)
+@given(q=rational.filter(bool), offsets=st.lists(st.integers(-8, 8), max_size=6))
+def test_a_coded_localization_cuts_out_what_the_real_one_does(q, offsets):
+    # the translated reciprocal localized at q's code: the same cutoff, and a
+    # point's code is inside exactly when the point is inside the real neighborhood
+    hood, _ = realfns.localize(RECIP, rational_name(q), 10**5)
+    hood_ms, _ = realfns.localize(RECIP_MS, mn_name((q,)), 10**5)
+    assert hood_ms.cutoff == hood.cutoff
+    assert (hood.space, hood_ms.space) == (RECIP.domain, RECIP_MS.domain)
+    points = [q + Fraction(k, 4 * (hood.cutoff + 1)) for k in offsets] + [q, -q]
+    for p in points:
+        assert hood_ms.contains(mn_code((p,))) == hood.contains(p)
+
+
 def test_translation_refuses_a_coded_map():
     # a coded map is no real function: a space mismatch, not an AttributeError
     with pytest.raises(SpaceMismatch):
@@ -863,6 +877,23 @@ METRIC_REFUSALS = [
      ValueError, "expected an EffectiveSpace, got UniformFn"),
     ("a rational tuple as the centre of a coded ball",
      lambda: Ball((1, 2), 1, NEGATE_MS), SpaceMismatch, "takes a code as a ball centre"),
+    # codes and sizes that are not naturals, refused with their value
+    ("a negative code decoded", lambda: mn_decode(1, -1),
+     ValueError, "a code must be a natural, got -1"),
+    ("a fractional code decoded", lambda: mn_decode(1, 2.5),
+     ValueError, "a code must be a natural, got 2.5"),
+    ("a ball around a negative code", lambda: code_ball_indicator(1, -1, 1),
+     ValueError, "a code must be a natural, got -1"),
+    ("a list as a dimension", lambda: make_mn([1]),
+     ValueError, r"dimension must be at least 1, got \[1\]"),
+    ("a list as a discrete size", lambda: make_discrete([1]),
+     ValueError, r"at least one point, got \[1\]"),
+    # a zero-argument function has no M_0 to translate to
+    ("a constant translated", lambda: translate_uniform(REGISTRY.get("const_2/3").fn),
+     ValueError, "dimension must be at least 1, got 0"),
+    ("an embedded constant translated",
+     lambda: translate_conditional(embed_uniform(REGISTRY.get("const_2/3").fn)),
+     ValueError, "dimension must be at least 1, got 0"),
 ]
 
 

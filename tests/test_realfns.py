@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from condreal import gadgets
 from condreal import realfns as realfns_module
 from condreal import terms as terms_module
-from condreal.elementary import default_functions, uniform_from_rule
+from condreal.elementary import constant_fn, default_functions, uniform_from_rule
 from condreal.gadgets import CORE, GadgetRegistry, constant, left, mu, pair, right
 from condreal.naming import (
     NameTriple,
@@ -780,12 +780,12 @@ def test_localize_keeps_the_certificate_frozen_under_patching():
     assert_check(frozen_certificates)
 
 
-def contains_by_index(hood, q):
-    # the definition: within 1/(t+1) of the anchor's approximation at each t
-    return all(
-        abs(Fraction(x - y, z + 1) - q) < Fraction(1, t + 1)
-        for t, (x, y, z) in enumerate(hood.anchor)
-    )
+def interval(hood):
+    # a real neighborhood's members form the open interval
+    # max_t(a_t - 1/(t+1)) < q < min_t(a_t + 1/(t+1)), a_t the anchor's rational at t
+    at = [Fraction(x - y, z + 1) for x, y, z in hood.anchor]
+    low = max((a - Fraction(1, t) for t, a in enumerate(at, 1)), default=-inf)
+    return low, min((a + Fraction(1, t) for t, a in enumerate(at, 1)), default=inf)
 
 
 @st.composite
@@ -798,19 +798,27 @@ def neighborhoods(draw):
         z = draw(st.integers(0, 4 * (t + 1)))
         x = round(center * (z + 1)) + draw(st.integers(-1, 1))
         anchor.append((max(x, 0), max(-x, 0), z))
-    return Neighborhood(len(anchor) - 1, tuple(anchor))
+    return Neighborhood(Reals(1), len(anchor) - 1, tuple(anchor))
 
 
 @settings(max_examples=300, deadline=None)
 @given(hood=neighborhoods(), points=st.lists(st.fractions(-4, 4, max_denominator=24), max_size=6))
-def test_a_neighborhood_decides_membership_by_its_interval_as_the_index_loop_does(hood, points):
-    low, high = hood.interval
+def test_a_real_neighborhood_decides_membership_as_its_interval_does(hood, points):
+    low, high = interval(hood)
     ends = [end for end in (low, high) if end not in (-inf, inf)]
     if len(ends) == 2:
         ends.append((low + high) / 2)
     for q in [*points, *ends]:
-        assert hood.contains(q) == contains_by_index(hood, q)
+        assert hood.contains(q) == (low < q < high)
     assert not any(hood.contains(end) for end in ends[:2])
+
+
+@pytest.mark.parametrize("space", [Reals(1), make_mn(1), make_discrete(8)], ids=str)
+def test_a_localization_in_any_space_cuts_out_a_neighborhood_of_its_domain(space):
+    fn = compose_conditional(*[embed_uniform(identity(space))] * 2)
+    hood, _ = localize(fn, a_point(Random(5), space), 100)
+    assert type(hood) is Neighborhood
+    assert hood.space is fn.domain
 
 
 def test_localize_a_composed_function():
@@ -833,6 +841,22 @@ def test_localize_an_embedded_uniform_queries_nothing():
     assert not hood.contains(Fraction(4))  # boundary: distance exactly 1
     out = apply_uniform(local, [rational_name(Fraction(9, 2))])
     assert validate_name(out, Fraction(9, 2), 100).passed
+
+
+def zero_argument_term_fn(triple):
+    consts = [Base(constant(c), (Proj(1),)) for c in triple]
+    return UniformFn(0, *(TermOperator(OperatorTerm(0, 1, node)) for node in consts))
+
+
+def test_a_zero_argument_function_embeds_and_composes():
+    # a constant is a uniform function on Reals(0), applied to no argument names
+    const = REGISTRY.get("const_2/3").fn
+    assert approx(apply_conditional(embed_uniform(const), [], 10), 5) == Fraction(2, 3)
+    out = apply_conditional(compose_conditional(RECIP, embed_uniform(const)), [], 10**6)
+    assert validate_name(out, Fraction(3, 2), 300).passed
+    embedded = embed_uniform(zero_argument_term_fn((2, 0, 2)))
+    assert all(type(op) is TermOperator for op in embedded.values)
+    assert approx(apply_conditional(embedded, [], 10), 5) == Fraction(2, 3)
 
 
 def test_localize_requires_a_certifiable_anchor():
@@ -908,6 +932,14 @@ REALFNS_REFUSALS = [
     ("term operator with two numeric arguments",
      lambda: TermOperator(OperatorTerm(1, 2, Proj(1))),
      ArityMismatch, "single numeric argument"),
+    ("procedure of negative arity", lambda: ProcOperator(-1, lambda fns: fns[0]),
+     ValueError, "arity must be a natural, got -1"),
+    ("joint of fractional width", lambda: joint(1, 2.5, lambda fns: fns),
+     ValueError, "width must be a natural, got 2.5"),
+    ("joint of negative width", lambda: joint(1, -1, lambda fns: fns),
+     ValueError, "width must be a natural, got -1"),
+    ("joint of fractional arity", lambda: joint(1.5, 2, lambda fns: fns),
+     ValueError, "arity must be a natural, got 1.5"),
     ("point of Reals(2)", lambda: Reals(2).point(rational_name(1)),
      ArityMismatch, "unary real functions"),
     ("ball centre of the wrong dimension", lambda: Ball((1, 2), 1, identity_uniform()),
@@ -1424,7 +1456,7 @@ def test_a_procedure_lift_builds_the_joint_of_its_inputs_once():
 
 
 DOCUMENTED_ERRORS = (ArityMismatch, SpaceMismatch, ValueError, BudgetExhausted, OutsideDomain)
-SPACES = [Reals(1), Reals(2), make_mn(1), make_mn(2), make_discrete(8)]
+SPACES = [Reals(1), Reals(2), make_mn(1), make_mn(2), make_discrete(8), Reals(0)]
 NOT_SPACES = [2.5, "x", None, identity_uniform(), 3]
 BUDGETS = [-1, True, False, 0, 1, 3, 20]
 
@@ -1450,6 +1482,8 @@ def some_names(rng, space):
 
 
 def a_uniform(rng, space):
+    if space == Reals(0):
+        return constant_fn(any_rational(rng))
     if space == Reals(1):
         return rng.choice([identity_uniform, negate_term_fn, double_fn, abs_term_fn])()
     if space == Reals(2):
