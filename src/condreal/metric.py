@@ -21,7 +21,8 @@ with one value operator T, and search, application, identity, embedding,
 composition, localization, gluing and dispatch take coded maps as they
 take real functions; each operator built is a term exactly when every
 operator it is built from is one (a slot is both), and decode and pack
-are procedures.
+are procedures.  A packed code stream keeps the functions it packs, and
+decoding it gives them back, so a chain of coded operators packs once.
 This module keeps the spaces, their names, the translations and
 tupling; its ``_ms`` names, ``MsConditionalFn``, ``MsBall`` and
 ``MsBallCover`` are aliases of the ``realfns`` objects, kept for the
@@ -53,6 +54,8 @@ from .realfns import (
     SpaceMismatch,
     UniformFn,
     _CONJ,
+    _apply_ops,
+    _combine,
     _expect,
     _lift,
     _reindex,
@@ -68,7 +71,7 @@ from .realfns import (
     joint,
     localize,
 )
-from .terms import BaseFunction
+from .terms import Base, BaseFunction
 
 __all__ = [
     "EffectiveSpace",
@@ -164,6 +167,13 @@ class OrdinaryName:
 # ---------------------------------------------------------------------------
 
 
+def _code(code: int, what: str = "a code") -> int:
+    """``code``, if it is a natural; else ValueError naming it."""
+    if not _natural(code):
+        raise ValueError(f"{what} must be a natural, got {code!r}")
+    return code
+
+
 def validate_ordinary_name(
     name: OrdinaryName, target_code: int, t_max: int
 ) -> list[int]:
@@ -171,11 +181,12 @@ def validate_ordinary_name(
 
     A violation is a t where f(t) leaves the code domain or where the
     decoded point is not strictly within 1/(t+1) of the target.  Empty
-    result = valid up to t_max, which must be a natural (else ValueError).
+    result = valid up to t_max; t_max and the target code must be naturals.
     """
     if not _natural(t_max):
         raise ValueError(f"t_max argument must be a natural, got {t_max!r}")
     space = _expect(OrdinaryName, name).space
+    _code(target_code, "a target code")
     bad = []
     for t in range(t_max + 1):
         code = name.f(t)
@@ -187,9 +198,10 @@ def validate_ordinary_name(
 
 
 def metric_axiom_violations(space: EffectiveSpace, codes: Sequence[int]) -> list[str]:
-    """Spot-check identity, symmetry and the triangle inequality, exactly."""
+    """Spot-check identity, symmetry and the triangle inequality at natural codes, exactly."""
     if _expect(EffectiveSpace, space).dist is None:
         raise ValueError(f"{space.name} has no exact distance oracle")
+    codes = [_code(n, "a sampled code") for n in codes]
     bad = []
     for n in codes:
         if space.dist(n, n) != 0:
@@ -268,9 +280,7 @@ def _mn(n_dims: int) -> EffectiveSpace:
 
 def mn_decode(n_dims: int, code: int) -> tuple[Fraction, ...]:
     """The rational tuple a code stands for (same map as the space's alpha)."""
-    if not _natural(code):
-        raise ValueError(f"a code must be a natural, got {code!r}")
-    return make_mn(n_dims).alpha(code)
+    return make_mn(n_dims).alpha(_code(code))
 
 
 def mn_code(point: Sequence[Fraction | int]) -> int:
@@ -310,16 +320,36 @@ def builtin_spaces() -> list[EffectiveSpace]:
     return [make_mn(1), make_mn(2), make_mn(3), make_discrete(8)]
 
 
+class _Packed(NatFun):
+    """A code stream that keeps the functions it packs, which its decoding gives back."""
+
+    __slots__ = ("parts",)
+
+
+def _packed(fns: Sequence[NatFun]) -> NatFun:
+    """``fns`` packed as f, g, h triples into one code per index: once, if all are constant."""
+    values = constant_values(*fns)
+    if values is not None:
+        return NatFun.constant(tuple_pack(values))
+    readers = [triple_reader(*fns[i : i + 3]) for i in range(0, len(fns), 3)]
+    packed = _Packed(lambda t: tuple_pack([v for read in readers for v in read(t)]), "pack")
+    packed.parts = tuple(fns)
+    return packed
+
+
 def _decoded_parts(n_dims: int, fn: NatFun) -> tuple[NatFun, ...]:
     """The 3N functions an M_N code stream stands for.
 
-    A constant code is decoded once, into constant coordinate names.
-    Otherwise each coordinate's name projects its own stream, and the
-    streams share one decode of the code per index, so a reader takes a
-    coordinate whole and reading every coordinate at an index walks the
-    code once.
+    A stream packing 3N functions gives them back, as a decode after a
+    pack is the identity.  A constant code is decoded once, into
+    constant coordinate names.  Otherwise each coordinate's name
+    projects its own stream, and the streams share one decode of the
+    code per index, so a reader takes a coordinate whole and reading
+    every coordinate at an index walks the code once.
     """
     width = 3 * n_dims
+    if isinstance(fn, _Packed) and len(fn.parts) == width:
+        return fn.parts
     code = constant_values(fn)
     if code is not None:
         return tuple(NatFun.constant(v) for v in tuple_parts(width, code[0]))
@@ -350,19 +380,11 @@ def _decode(n_dims: int, arity: int) -> list[Operator]:
 def _pack(n_dims: int, arity: int) -> list[Operator]:
     """The M_N coding: slots 1..3N, as f, g, h triples, packed into one code stream.
 
-    The other slots pass through; constant triples pack once.
+    The other slots pass through; constant triples pack once, and a code stream keeps them.
     """
     width = 3 * n_dims
-
-    def build(fns: tuple[NatFun, ...]) -> NatFun:
-        values = constant_values(*fns[:width])
-        if values is not None:
-            return NatFun.constant(tuple_pack(values))
-        readers = [triple_reader(*fns[i : i + 3]) for i in range(0, width, 3)]
-        return NatFun(lambda t: tuple_pack([v for read in readers for v in read(t)]), "pack")
-
     rest = (_slot(arity, i) for i in range(width + 1, arity + 1))
-    return [ProcOperator(arity, build, "pack"), *rest]
+    return [ProcOperator(arity, lambda fns: _packed(fns[:width]), "pack"), *rest]
 
 
 def _coded_dimension(fn: UniformFn | ConditionalFn, kind: type) -> int:
@@ -442,10 +464,12 @@ def tuple_conditional(fns: Sequence[ConditionalFn]) -> ConditionalFn:
     certificate conjoins each component certificate read at its part,
     and the value operator interleaves the component outputs at their
     parts into M_K codes (each component carries full index-t precision,
-    so the max-norm error stays under 1/(t+1)).  Each operator is a term
-    exactly when every operator it is built from is one: the certificate
-    from the component certificates, the value from the component values.
-    The search probes only the pack of the components' least parameters.
+    so the max-norm error stays under 1/(t+1)); applied, it packs the
+    components' decoded triples, so a component's own pack is not
+    unpacked.  Each operator is a term exactly when every operator it is
+    built from is one: the certificate from the component certificates,
+    the value (``interleave_K``) from the component values.  The search
+    probes only the pack of the components' least parameters.
     """
     fns = tuple(_expect(ConditionalFn, fn) for fn in fns)
     if not fns:
@@ -464,8 +488,14 @@ def tuple_conditional(fns: Sequence[ConditionalFn]) -> ConditionalFn:
     interleave = BaseFunction(
         f"interleave_{k}", k, lambda *cs: tuple_pack([v for c in cs for v in tuple_parts(3, c)])
     )
+    nodes = lambda: [Base(interleave, tuple(op.term.node for op in outs))]  # noqa: E731
+
+    def build(args: tuple[NatFun, ...]) -> NatFun:
+        return _packed([p for out in _apply_ops(outs, args) for p in _decoded_parts(1, out)])
+
+    (value,) = _combine(outs, 2, nodes, build, interleave.name)
     order = partial(_tuple_order, fns)
-    return ConditionalFn(domain, cert, _lift(interleave, outs), codomain=make_mn(k), order=order)
+    return ConditionalFn(domain, cert, value, codomain=make_mn(k), order=order)
 
 
 def code_ball_indicator(

@@ -36,7 +36,14 @@ from condreal.metric import (
     tuple_conditional,
     validate_ordinary_name,
 )
-from condreal.naming import NatFun, approx, constant_values, rational_name
+from condreal.naming import (
+    NatFun,
+    _rational_triple,
+    approx,
+    constant_values,
+    rational_name,
+    recording,
+)
 from condreal.realfns import (
     Ball,
     BallCover,
@@ -849,6 +856,119 @@ def test_code_ball_indicator_in_two_dimensions():
     assert ind(outside) != 0
 
 
+# ---------------------------------------------------------------------------
+# packed code streams: a decode after a pack takes back the packed functions
+# ---------------------------------------------------------------------------
+
+
+def _embedded(label):
+    return embed_uniform_ms(translate_uniform(REGISTRY.get(label).fn))
+
+
+def _substitution():
+    # 1/q + 2q: add over M_2, fed by the tupled pair (1/q, 2q)
+    bundle = tuple_conditional([RECIP_MS, TUPLE_COMPONENTS["double"]])
+    return compose_conditional_ms(_embedded("add"), bundle)
+
+
+def _opaque(space):
+    # the identity on a coded space, whose output code hides what it packs:
+    # the next decode reads it through tuple_parts, the paper's decoding
+    hide = ProcOperator(1, lambda fns: NatFun(lambda t: fns[0](t), "opaque"), "opaque")
+    return embed_uniform(UniformFn(space, hide, codomain=space))
+
+
+def _hidden(fn, hide):
+    """``fn``, its output code behind ``_opaque`` when ``hide`` is set."""
+    return compose_conditional_ms(_opaque(fn.codomain), fn) if hide else fn
+
+
+def _packed_chain(kind, labels, hide):
+    # two coded operators and the code between them
+    if kind == "uniforms":
+        inner, outer = (_embedded(label) for label in labels)
+        return compose_conditional_ms(outer, _hidden(inner, hide))
+    if kind == "tuple":
+        components = [_hidden(TUPLE_COMPONENTS[label], hide) for label in labels]
+        bundle = _hidden(tuple_conditional(components), hide)
+        return compose_conditional_ms(_embedded("add"), bundle)
+    inner = _embedded(labels[0])
+    return translate_conditional_back(compose_conditional_ms(RECIP_MS, _hidden(inner, hide)))
+
+
+def _scaled_code(q):
+    # a code stream of q whose code changes with t: the triple scaled by t + 1
+    x, y, z = _rational_triple(q)
+    return NatFun(lambda t: tuple_pack([(t + 1) * x, (t + 1) * y, (t + 1) * (z + 1) - 1]))
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.sampled_from(["uniforms", "tuple", "back"]),
+    st.lists(st.sampled_from(["negate", "abs"]), min_size=2, max_size=2),
+    st.lists(st.sampled_from(sorted(TUPLE_COMPONENTS)), min_size=2, max_size=2),
+    st.fractions(min_value=1, max_value=5, max_denominator=9),  # small searches when hidden
+    st.booleans(),
+)
+def test_a_chain_passing_packed_functions_gives_the_codes_of_one_that_unpacks(
+    kind, uniforms, components, q, negative
+):
+    # the same chain with its intermediate codes hidden is the oracle
+    q = -q if negative else q
+    labels = components if kind == "tuple" else uniforms
+    fast, slow = (_packed_chain(kind, labels, hide) for hide in (False, True))
+    if kind == "back":  # a real name, read per index
+        name = [realfns.NameTriple(*(NatFun(lambda t, c=c: c) for c in _rational_triple(q)))]
+    else:
+        name = OrdinaryName(_scaled_code(q), M1)
+    outs = [apply_conditional_ms(fn, name, 10**9) for fn in (fast, slow)]  # hiding adds pairings
+    fns = [out if kind == "back" else (out.f,) for out in outs]
+    fast_codes, slow_codes = ([[f(t) for t in range(61)] for f in side] for side in fns)
+    assert fast_codes == slow_codes
+
+
+def test_reading_a_coded_substitution_never_unpacks(monkeypatch):
+    # 1/q + 2q at an exact 3/4, applied, then read to t = 100
+    out = apply_conditional_ms(_substitution(), mn_name((Fraction(3, 4),)), 10**4)
+    assert constant_values(out.f) is None  # read per index
+    calls = {"parts": 0, "pack": 0}
+    parts, pack = metric.tuple_parts, metric.tuple_pack
+
+    def spy(key, fn):
+        return lambda *args: calls.__setitem__(key, calls[key] + 1) or fn(*args)
+
+    monkeypatch.setattr(metric, "tuple_parts", spy("parts", parts))
+    monkeypatch.setattr(metric, "tuple_pack", spy("pack", pack))
+    codes = [out.f(t) for t in range(101)]
+    assert calls["parts"] == 0
+    assert calls["pack"] <= 101
+    monkeypatch.undo()
+    assert validate_ordinary_name(OrdinaryName(NatFun(codes.__getitem__), M1),
+                                  mn_code((Fraction(17, 6),)), 100) == []
+
+
+@pytest.mark.parametrize("q", [Fraction(1, 2), Fraction(-3, 4), Fraction(5, 3), Fraction(1, 40)])
+def test_a_translated_composite_localizes_with_the_real_composites_cutoff(q):
+    negate = REGISTRY.get("negate").fn
+    real = realfns.compose_conditional(RECIP, embed_uniform(negate))
+    coded = realfns.compose_conditional(RECIP_MS, _embedded("negate"))
+    hood, _ = realfns.localize(real, rational_name(q), 10**5)
+    hood_ms, _ = realfns.localize(coded, mn_name((q,)), 10**5)
+    assert hood_ms.cutoff == hood.cutoff > 0
+    # the certificate at its least parameter reads the same indices of either name
+    seen = []
+    for fn, name, fns in (
+        (real, [rational_name(q)], tuple(rational_name(q))),
+        (coded, mn_name((q,)), (mn_name((q,)).f,)),
+    ):
+        s = find_parameter(fn, name, 10**5)
+        spies, log = recording(fns)
+        assert fn.E.apply(spies)(s) == 0
+        seen.append(set().union(*log.values()))
+    assert seen[0] == seen[1]
+    assert max(seen[0]) == hood.cutoff
+
+
 # refusals no other test reaches: (what, call, exception, message)
 METRIC_REFUSALS = [
     ("M_0", lambda: make_mn(0), ValueError, "dimension must be at least 1"),
@@ -877,6 +997,10 @@ METRIC_REFUSALS = [
      ValueError, "expected an EffectiveSpace, got UniformFn"),
     ("a rational tuple as the centre of a coded ball",
      lambda: Ball((1, 2), 1, NEGATE_MS), SpaceMismatch, "takes a code as a ball centre"),
+    ("a negative target code", lambda: validate_ordinary_name(mn_name((1,)), -1, 3),
+     ValueError, "a target code must be a natural, got -1"),
+    ("a negative sampled code", lambda: metric_axiom_violations(make_mn(1), [0, -1]),
+     ValueError, "a sampled code must be a natural, got -1"),
     # codes and sizes that are not naturals, refused with their value
     ("a negative code decoded", lambda: mn_decode(1, -1),
      ValueError, "a code must be a natural, got -1"),
