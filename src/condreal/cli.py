@@ -264,7 +264,7 @@ def _cmd_gadgets(args: argparse.Namespace) -> int:
         print(f"{'name':<10} arity")
         for name in CORE.names():
             print(f"{name:<10} {CORE.get(name).arity}")
-        print("families: delta_K, const_C, mu_K_C, gamma_B_C, lt_A, gt_A, ball_A_r_R")
+        print("families: delta_K, const_C, mu_K_C, prefix_K_C, gamma_B_C, lt_A, gt_A, ball_A_r_R")
         return 0
     try:
         fn = CORE.resolve(args.name)

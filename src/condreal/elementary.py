@@ -10,9 +10,9 @@ sum to under ``1/(t+1)``; multiplication additionally rescales the index
 by a magnitude bound read off the index-0 approximations.  What does not
 depend on the index is done once per application: the schedule and the
 arguments are bound (a constant decoded, the product's magnitude bound
-read).  A builtin on exact arguments (``NatFun.constant``s) computes
-its value once and returns constants, as the reciprocal does at any
-parameter; a ``uniform_from_rule`` rule runs at every index.
+read).  A builtin on exact arguments (``NatFun.constant``s or ``steps``)
+computes its value once per output piece and returns steps, constants
+on constants at any parameter; a ``uniform_from_rule`` rule runs per index.
 
 The builtins compute on integers: a triple is read as the unreduced pair
 ``(x - y, z + 1)``, an exact kernel combines the pairs, and one ``gcd``
@@ -29,6 +29,7 @@ point away from zero and fixes the output's precision schedule.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -47,6 +48,7 @@ from .naming import (
     constant_values,
     format_rational,
     parse_rational,
+    piece_values,
     rational_name,
     triple_reader,
     validate_name,
@@ -100,12 +102,6 @@ def _encode_pair(pair: tuple[int, int]) -> tuple[int, int, int]:
 Schedule = Callable[[int, Sequence[NameTriple]], int]
 
 
-def _argument(name: NameTriple, decode: Callable[[tuple[int, int, int]], object]) -> object:
-    """A constant name's value, decoded once; any other name's reader."""
-    triple = constant_values(*name)
-    return triple_reader(*name) if triple is None else decode(triple)
-
-
 def _pointwise(
     n_args: int,
     rule: Callable[..., object],
@@ -115,19 +111,29 @@ def _pointwise(
     encode: Callable[[object], tuple[int, int, int]],
     params: int = 0,
 ) -> tuple[ProcOperator, ...]:
-    # the per-index loop of every elementary value operator: ``decode`` turns a
-    # triple into the rule's argument, ``encode`` its result into the output
-    # triple; the ``params`` trailing slots (the reciprocal's parameter) are
-    # read by the schedule alone, through ``bind(names, *params)``
+    # the loop of every elementary value operator, per index or per piece:
+    # ``decode`` turns a triple into the rule's argument, ``encode`` its result
+    # into the output triple; the ``params`` trailing slots (the reciprocal's
+    # parameter) are read by the schedule alone, through ``bind(names, *params)``
     bind = getattr(schedule, "bind", None)
     fold = isinstance(schedule, _Schedule)  # a builtin: exact arguments, exact value
+    slots = [slice(i, i + 3) for i in range(0, 3 * n_args, 3)]  # each argument's triple
 
     def build(fns: tuple[NatFun, ...]) -> NameTriple:
-        names = [NameTriple(*fns[3 * j : 3 * j + 3]) for j in range(n_args)]
-        args = [_argument(nm, decode) for nm in names]
-        if fold and not any(map(callable, args)):
-            return NameTriple(*map(NatFun.constant, encode(rule(*args))))
-        at = bind(names, *fns[3 * n_args :]) if bind is not None else lambda t: schedule(t, names)
+        params = fns[3 * n_args :]
+        pieces = piece_values(*fns[: 3 * n_args]) if fold else None
+        if pieces is not None and (not pieces[0] or constant_values(*params) is not None):
+            (breaks, rows), cuts = pieces, ()
+            if breaks:  # at a constant parameter a builtin's at(t) >= t never falls
+                at = bind([NameTriple(*fns[s]) for s in slots], *params)
+                cuts = sorted({bisect_left(range(k), k, key=at) for k in breaks} - {0})
+                rows = [rows[bisect_right(breaks, at(t))] for t in [0, *cuts]]
+            out = [encode(rule(*[decode(row[s]) for s in slots])) for row in rows]
+            return NameTriple(*[NatFun.steps(cuts, values) for values in zip(*out)])
+        names = [NameTriple(*fns[s]) for s in slots]
+        at = bind(names, *params) if bind is not None else lambda t: schedule(t, names)
+        # a constant name's value, decoded once; any other name's reader
+        args = [decode(c) if (c := constant_values(*nm)) else triple_reader(*nm) for nm in names]
         a, b = (args + [None, None])[:2]
         a_on, b_on = callable(a), callable(b)  # read per index, else a constant's value
 

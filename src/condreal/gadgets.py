@@ -8,6 +8,7 @@ three layers:
   three-way selector ``delta_1`` and the pairing functions;
 * constructed families, built from the primitives by fixed recursions:
   ``delta_k`` (first-zero dispatch), ``mu`` (single-point override),
+  ``prefix`` (override below a cut, one node for a run of ``mu``s),
   ``gamma`` (sum comparison by repeated truncated subtraction), and from
   ``gamma`` the sign tests ``lt``/``gt`` and the ``ball_indicator``,
   in closed form (constant time and memory for any threshold);
@@ -63,6 +64,7 @@ __all__ = [
     "monus",
     "mu",
     "pair",
+    "prefix",
     "right",
     "succ",
     "tuple_pack",
@@ -160,10 +162,6 @@ def _delta_k_value(k: int, args: Sequence[int]) -> int:
     return args[2 * k]
 
 
-def _mu_value(k: int, c: int, x: int, y: int) -> int:
-    return c if x == k else y
-
-
 def _gamma_value(b: int, c: int, args: Sequence[int]) -> int:
     """Sum comparison by truncated subtraction, in closed form.
 
@@ -215,7 +213,16 @@ def mu(k: int, c: int) -> BaseFunction:
     """Override at one point: value c when x == k, else y."""
     if not (_natural(k) and _natural(c)):
         raise ValueError("mu parameters must be naturals")
-    return BaseFunction(f"mu_{k}_{c}", 2, lambda x, y: _mu_value(k, c, x, y))
+    return BaseFunction(f"mu_{k}_{c}", 2, lambda x, y: c if x == k else y)
+
+
+def prefix(k: int, c: int) -> BaseFunction:
+    """Override below a cut: value c when x < k, else y."""
+    if not (_natural(k) and _natural(c)):
+        raise ValueError("prefix parameters must be naturals")
+    fn = lambda x, y: c if x < k else y  # noqa: E731
+    fn.prefix_cut = k  # read by a bound term program: on the index, a breakpoint
+    return BaseFunction(f"prefix_{k}_{c}", 2, fn)
 
 
 def gamma(b: int, c: int) -> BaseFunction:
@@ -351,15 +358,15 @@ class GadgetRegistry:
         """Look a name up, constructing family members on demand.
 
         Understands the spellings the family constructors generate:
-        ``delta_K``, ``const_C``, ``mu_K_C``, ``gamma_B_C``, ``lt_A``,
-        ``gt_A`` and ``ball_A1_..._An_r_R`` (A and R rationals), and only
+        ``delta_K``, ``const_C``, ``mu_K_C``, ``prefix_K_C``, ``gamma_B_C``,
+        ``lt_A``, ``gt_A`` and ``ball_A1_..._An_r_R`` (A and R rationals), and only
         as they spell them: ``lt_2/4`` or ``const_007`` is no name.
         """
         if name in self._entries:
             return self._entries[name]
-        prefix, _, rest = name.partition("_")
-        if prefix in _FAMILIES:
-            make, separator, readers = _FAMILIES[prefix]
+        family, _, rest = name.partition("_")
+        if family in _FAMILIES:
+            make, separator, readers = _FAMILIES[family]
             spelled = rest.split(separator)
             try:
                 fn = make(*[read(p) for read, p in zip(readers, spelled, strict=True)])
@@ -387,6 +394,7 @@ _FAMILIES = {
     "delta": (delta_k, "_", (int,)),
     "const": (constant, "_", (int,)),
     "mu": (mu, "_", (int, int)),
+    "prefix": (prefix, "_", (int, int)),
     "gamma": (gamma, "_", (int, int)),
     "lt": (lt, "_", (Fraction,)),
     "gt": (gt, "_", (Fraction,)),

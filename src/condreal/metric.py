@@ -43,7 +43,7 @@ from typing import Callable, Sequence
 
 from . import gadgets
 from .gadgets import tuple_pack, tuple_part, tuple_parts
-from .naming import NatFun, TripleStream, _natural, _rational_triple, constant_values, triple_reader
+from .naming import NatFun, TripleStream, _natural, _rational_triple, piece_values, triple_reader
 from .realfns import (
     Ball,
     BallCover,
@@ -327,10 +327,10 @@ class _Packed(NatFun):
 
 
 def _packed(fns: Sequence[NatFun]) -> NatFun:
-    """``fns`` packed as f, g, h triples into one code per index: once, if all are constant."""
-    values = constant_values(*fns)
-    if values is not None:
-        return NatFun.constant(tuple_pack(values))
+    """``fns`` packed as f, g, h triples into one code per index, once per piece if they allow."""
+    pieces = piece_values(*fns)
+    if pieces is not None:
+        return NatFun.steps(pieces[0], [tuple_pack(row) for row in pieces[1]])
     readers = [triple_reader(*fns[i : i + 3]) for i in range(0, len(fns), 3)]
     packed = _Packed(lambda t: tuple_pack([v for read in readers for v in read(t)]), "pack")
     packed.parts = tuple(fns)
@@ -341,18 +341,19 @@ def _decoded_parts(n_dims: int, fn: NatFun) -> tuple[NatFun, ...]:
     """The 3N functions an M_N code stream stands for.
 
     A stream packing 3N functions gives them back, as a decode after a
-    pack is the identity.  A constant code is decoded once, into
-    constant coordinate names.  Otherwise each coordinate's name
-    projects its own stream, and the streams share one decode of the
-    code per index, so a reader takes a coordinate whole and reading
-    every coordinate at an index walks the code once.
+    pack is the identity.  A piecewise-constant code is decoded once per
+    piece, into steps (a constant code into constants).  Otherwise each
+    coordinate's name projects its own stream, and the streams share one
+    decode of the code per index, so a reader takes a coordinate whole
+    and reading every coordinate at an index walks the code once.
     """
     width = 3 * n_dims
     if isinstance(fn, _Packed) and len(fn.parts) == width:
         return fn.parts
-    code = constant_values(fn)
-    if code is not None:
-        return tuple(NatFun.constant(v) for v in tuple_parts(width, code[0]))
+    pieces = piece_values(fn)
+    if pieces is not None:
+        rows = [tuple_parts(width, code) for (code,) in pieces[1]]
+        return tuple(NatFun.steps(pieces[0], column) for column in zip(*rows))
     last: list[tuple[int, tuple[int, ...]]] = [(-1, ())]
 
     def walk(t: int) -> tuple[int, ...]:
@@ -389,7 +390,8 @@ def _pack(n_dims: int, arity: int) -> list[Operator]:
 
 def _coded_dimension(fn: UniformFn | ConditionalFn, kind: type) -> int:
     """N, for a map from M_N to M_1 that is a ``kind`` (else ValueError)."""
-    if getattr(_expect(kind, fn).domain, "dimension", None) is None or fn.codomain.dimension != 1:
+    coded = getattr(_expect(kind, fn).domain, "dimension", None)
+    if coded is None or getattr(fn.codomain, "dimension", None) != 1:
         raise SpaceMismatch("translation expects a map from M_N to M_1")
     return fn.domain.dimension
 

@@ -12,7 +12,7 @@ manipulates these triples, so this module pins down the two ground types:
 
 ``NatFun``
     a total, deterministic function on the naturals.  Instances are built
-    from a small closed set of constructors (constants, the identity,
+    from a small closed set of constructors (constants, steps, the identity,
     patching, term-evaluation closures and vouched-for pure callables).
     It keeps no values: every call checks its argument, evaluates and
     checks the result.
@@ -40,13 +40,14 @@ manipulates these triples, so this module pins down the two ground types:
     construction, or by a ``NatFun``'s own evaluation; every reader
     still refuses an argument that is not a natural.
 
-``constant_values``
-    tells a consumer that its functions are ``NatFun.constant``s and
-    gives their values, so an operator on such *exact* arguments (a
-    rational's name, an ``M_N`` point's code) computes its value once,
-    at application, and returns constants.  A constant is read in one
-    call; its label is spelled only when asked for, so a constant of
-    any size builds.
+``constant_values`` and ``piece_values``
+    tell a consumer that its functions are ``NatFun.constant``s, or
+    ``NatFun.steps`` (sorted breakpoints, one value per piece; a constant
+    has none), and give their values, so an operator on such *exact*
+    arguments (a rational's name, an ``M_N`` point's code, an exact name
+    patched by an exact anchor) computes its value once per piece, at
+    application, and returns steps.  A constant is read in one call; its
+    label is spelled only when asked for, so a constant of any size builds.
 
 Rationals are ``fractions.Fraction`` throughout: arbitrary-precision,
 kept in lowest terms with positive denominator, exactly the contract the
@@ -55,6 +56,7 @@ approximation arithmetic needs.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
@@ -70,6 +72,7 @@ __all__ = [
     "constant_values",
     "format_rational",
     "parse_rational",
+    "piece_values",
     "precision_index",
     "rational_name",
     "recording",
@@ -150,9 +153,9 @@ class NatFun:
     @classmethod
     def constant(cls, c: int) -> "NatFun":
         """The constant function t -> c."""
-        if not _natural(c):
+        if (c.__class__ is not int or c < 0) and not _natural(c):
             raise ValueError(f"constant value must be a natural, got {c!r}")
-        fn = _Constant(lambda _t: c)
+        fn = _Constant(None)  # its read returns the value, which _source keeps
         fn._source = (None, c)
         return fn
 
@@ -162,10 +165,31 @@ class NatFun:
         return cls(lambda t: t, label="id")
 
     @classmethod
+    def steps(cls, breaks: Sequence[int], values: Sequence[int]) -> "NatFun":
+        """``values[j]`` from ``breaks[j - 1]`` on (``values[0]`` from 0): increasing positive
+        natural breaks, one value more, else ValueError; equal neighbours join (one: a constant)."""
+        rising = not breaks or [*breaks] == sorted({*filter(_natural, breaks)} - {0})
+        if len(values) - len(breaks) != 1 or not rising:
+            raise ValueError(f"steps want increasing positive breaks, one value more: {breaks!r}")
+        kept = [j for j in range(1, len(values)) if values[j] != values[j - 1]] if breaks else ()
+        if not kept:
+            return cls.constant(values[0])
+        fn = _Steps(None, label="steps")
+        fn.breaks = tuple(breaks[j - 1] for j in kept)
+        fn.values = (values[0], *(values[j] for j in kept))
+        if not all(map(_natural, fn.values)):
+            raise ValueError(f"step values must be naturals, got {fn.values!r}")
+        return fn
+
+    @classmethod
     def patched(cls, anchor: "NatFun", cutoff: int, inner: "NatFun") -> "NatFun":
-        """Take values from ``anchor`` below ``cutoff``, from ``inner`` at or above."""
+        """Values from ``anchor`` below ``cutoff``, from ``inner`` at or above; steps on steps."""
         if not _natural(cutoff):
             raise ValueError("cutoff must be a natural")
+        pieces = piece_values(anchor, inner)
+        if pieces is not None:
+            breaks = sorted({*pieces[0], cutoff} - {0})
+            return cls.steps(breaks, [anchor(t) if t < cutoff else inner(t) for t in [0, *breaks]])
         return cls(lambda t: anchor(t) if t < cutoff else inner(t), label=f"patch<{cutoff}")
 
 
@@ -246,10 +270,22 @@ class _Projection(NatFun):
         return hit[i] if hit is not None else stream(t)[i]
 
 
-class _Constant(NatFun):
-    """A ``NatFun.constant``: its read checks the argument and returns the value."""
+class _Steps(NatFun):
+    """A ``NatFun.steps``: its read checks the argument and finds the piece by bisection."""
+
+    __slots__ = ("breaks", "values")
+
+    def __call__(self, t: int) -> int:
+        if t.__class__ is not int or t < 0:
+            _check_argument(t, "NatFun")
+        return self.values[bisect_right(self.breaks, t)]
+
+
+class _Constant(_Steps):
+    """A ``NatFun.constant``, the step with no breakpoints: its read returns the value."""
 
     __slots__ = ()
+    breaks = ()
 
     def __call__(self, t: int) -> int:
         if t.__class__ is not int or t < 0:
@@ -270,6 +306,17 @@ def constant_values(*fns: NatFun) -> tuple[int, ...] | None:
             return None
         values.append(source[1])
     return tuple(values)
+
+
+def piece_values(*fns: NatFun) -> tuple[list[int], list[tuple[int, ...]]] | None:
+    """The breakpoints of ``fns`` together and their values at 0 and at each
+    breakpoint, when every one is piecewise constant, else None."""
+    if (values := constant_values(*fns)) is not None:
+        return [], [values]
+    if not all(isinstance(fn, _Steps) for fn in fns):
+        return None
+    breaks = sorted({b for fn in fns for b in fn.breaks})
+    return breaks, [tuple(fn(t) for fn in fns) for t in [0, *breaks]]
 
 
 def triple_reader(f: NatFun, g: NatFun, h: NatFun) -> Callable[[int], tuple[int, int, int]]:

@@ -41,8 +41,8 @@ wherever its components are used together, so a procedure-backed name
 computes its rational once per index; used one at a time, a component
 gives the same values.  Term-backed F, G and H applied together run as
 one ``TermProgram`` behind one ``TripleStream``, compiled once and kept.
-Exact arguments stay exact through term programs, gluing and reindexing:
-an output that does not depend on the index is a constant.
+Exact arguments stay exact through term programs, gluing, reindexing and
+localization at an exact anchor: such an output is a constant or a step.
 
 A search probes in its function's ``order``, which never skips the least
 certifying parameter, so it finds the linear scan's least one.  A
@@ -63,7 +63,8 @@ from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
 from . import gadgets
 from .gadgets import CORE
-from .naming import NameTriple, NatFun, TripleStream, _natural, constant_values, recording
+from .naming import NameTriple, NatFun, TripleStream, _natural, constant_values, piece_values
+from .naming import recording
 from .terms import (
     Apply,
     ArityMismatch,
@@ -161,14 +162,14 @@ class TermOperator:
 
 def _apply_terms(ops: Sequence[TermOperator], fns: Sequence[NatFun]) -> list[NatFun]:
     """Term operators applied together as one program, compiled once and kept
-    on the first operator; constants when the program reads no index."""
+    on the first operator; steps when the program is constant between cuts."""
     ops, key = tuple(ops), "_alone" if len(ops) == 1 else "_joint"
     kept = ops[0].__dict__.get(key)
     if kept is None or kept[0] != ops[1:]:
         kept = ops[0].__dict__[key] = (ops[1:], TermProgram([op.term for op in ops]))
     read = kept[1].bind(fns)
     if isinstance(read, tuple):
-        return [NatFun.constant(v) for v in read]
+        return [NatFun.steps(read[0], values) for values in zip(*read[1])]
     if len(ops) == 1:
         return [NatFun(lambda n: read(n)[0], label="term-op")]
     return list(TripleStream(read, "term-op").name())
@@ -540,26 +541,29 @@ def _constant(k: int, c: int) -> Operator:
 def _patch(k: int, i: int, values: Sequence[int]) -> Operator:
     """Slot i with its values below ``len(values)`` replaced by ``values``.
 
-    The term chains one ``mu`` override per replaced index; applied, it is
-    ``NatFun.patched`` over the prefix.
+    Applied, it is ``NatFun.patched`` over the prefix.  On one value c, an
+    exact anchor's, the term is one ``prefix`` cut and the patch c below the
+    cutoff; otherwise the term chains one ``mu`` override per replaced index.
     """
-    values = tuple(values)
+    values, cutoff, exact = tuple(values), len(values), len(set(values)) == 1
 
     def chain() -> Node:
         node: Node = Apply(i, Proj(1))
+        if exact:
+            return Base(gadgets.prefix(cutoff, values[0]), (Proj(1), node))
         for j, value in enumerate(values):
             node = Base(gadgets.mu(j, value), (Proj(1), node))
         return node
 
-    anchor = NatFun(values.__getitem__, label="prefix")
-    return _Wire(k, chain, lambda fns: NatFun.patched(anchor, len(values), fns[i - 1]))
+    anchor = NatFun.constant(values[0]) if exact else NatFun(values.__getitem__, label="prefix")
+    return _Wire(k, chain, lambda fns: NatFun.patched(anchor, cutoff, fns[i - 1]))
 
 
 def _pointwise(base: BaseFunction, outs: Sequence[NatFun]) -> NatFun:
-    """``base`` applied to ``outs`` at each index, once if every one is constant."""
-    fn, values = base.fn, constant_values(*outs)
-    if values is not None:
-        return NatFun.constant(fn(*values))
+    """``base`` applied to ``outs`` at each index; once per piece if all are piecewise constant."""
+    fn, pieces = base.fn, piece_values(*outs)
+    if pieces is not None:
+        return NatFun.steps(pieces[0], [fn(*row) for row in pieces[1]])
     return NatFun(lambda t: fn(*[out(t) for out in outs]), label=base.name)
 
 

@@ -51,7 +51,7 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Mapping, Sequence, TypeVar, Union
 
-from .naming import NatFun, constant_values, recording
+from .naming import NatFun, constant_values, piece_values, recording
 from .sexpr import SexprError, nesting, parse_sexpr
 
 __all__ = [
@@ -287,13 +287,13 @@ class TermProgram:
     since a registry override keeps the name of the entry it replaces.
 
     ``bind(fns)`` reads through a *residual* program built on the first
-    read, or at once when every function is a ``NatFun.constant``:
-    index-free steps (a constant base, a read of a constant function)
-    become preset arguments, a ``gadgets.delta_k`` with index-free guards
-    its chosen branch, and dead steps go.  A residual whose roots are all
-    presets binds to their values.  Constants and selects are known by
-    what their callables carry, never by name.  A caller compiles a
-    program once and binds it at every application.
+    read, or at once when every function is piecewise constant: index-free
+    steps become preset arguments, a ``gadgets.delta_k`` with index-free
+    guards its chosen branch, and dead steps go.  A residual that takes
+    the index only into reads of the functions and ``gadgets.prefix`` cuts
+    binds to its values on each piece between them.  Constants, selects
+    and cuts are known by what their callables carry, never by name.  A
+    caller compiles a program once and binds it at every application.
     """
 
     __slots__ = ("k", "m", "steps", "roots")
@@ -320,15 +320,16 @@ class TermProgram:
         )
         self.steps = tuple(steps)
 
-    def bind(self, fns: Sequence[NatFun]) -> Callable[[int], tuple[int, ...]] | tuple[int, ...]:
-        """``n -> eval_term(self, fns, (n,))``, through the residual program,
-        or the roots' values when ``fns`` are constants and no root reads ``n``."""
+    def bind(self, fns: Sequence[NatFun]) -> Callable[[int], tuple[int, ...]] | tuple[list, list]:
+        """``n -> eval_term(self, fns, (n,))``, through the residual program; or the
+        cuts and the roots' values at 0 and at each, when constant between cuts."""
         if len(fns) != self.k:
             raise ArityMismatch(f"term wants {self.k} functions, got {len(fns)}")
         # the residual program and its preset values, once read
-        bound: list = [] if constant_values(*fns) is None else [*self._residual(fns)]
-        if bound and not bound[0].steps and min(bound[0].roots) >= self.m:
-            return tuple(bound[1][r - self.m] for r in bound[0].roots)
+        bound: list = [] if piece_values(*fns) is None else [*self._residual(fns)]
+        cuts = bound[0]._cuts(fns) if bound else None
+        if cuts is not None:
+            return cuts, [eval_term(bound[0], fns, (t, *bound[1])) for t in [0, *cuts]]
 
         def read(n: int) -> tuple[int, ...]:
             if not bound:
@@ -336,6 +337,18 @@ class TermProgram:
             return eval_term(bound[0], fns, (n, *bound[1]))
 
         return read
+
+    def _cuts(self, fns: Sequence[NatFun]) -> list[int] | None:
+        # where the values may change, if the index n reaches only reads of
+        # the (piecewise-constant) functions and the cut input of a prefix
+        cuts: set[int] = set()
+        for slot, fn, ins in self.steps:
+            if 0 not in ins:  # off the index: constant wherever its inputs are
+                continue
+            if fn is not None and not (hasattr(fn, "prefix_cut") and 0 not in ins[1:]):
+                return None  # a base other than a cut on the index
+            cuts.update(fns[slot].breaks if fn is None else [fn.prefix_cut])
+        return None if 0 in self.roots else sorted(cuts - {0})
 
     def _residual(self, fns: Sequence[NatFun]) -> tuple[TermProgram, tuple[int, ...]]:
         # liveness back from the roots; index-free values computed on demand

@@ -324,6 +324,26 @@ def test_the_reciprocal_of_an_exact_argument_is_exact_at_any_parameter(registry)
     assert naming.constant_values(*outs) == naming._rational_triple(Fraction(-3, 7))
 
 
+def test_every_builtin_schedule_rises_and_reads_no_earlier_than_its_index():
+    # what a builtin's piece path assumes: at(t) >= t and at nondecreasing, at any
+    # magnitude of the product's arguments and at any constant reciprocal parameter
+    big, small = rational_name(Fraction(10**30 + 1, 3)), rational_name(Fraction(-7, 10**20))
+    products = ([big, small], [big, big], [small, small])
+    cases = [
+        (elementary._at_t, [big], ()),
+        (elementary._twice_plus_one, [big, small], ()),
+        *((elementary._product_schedule, names, ()) for names in products),
+        *((elementary._recip_schedule, [small], (NatFun.constant(s),)) for s in (0, 1, 7, 10**6)),
+    ]
+    every = {v for v in vars(elementary).values() if isinstance(v, elementary._Schedule)}
+    assert {schedule for schedule, _, _ in cases} == every
+    ts = [*range(301), 10**6, 10**12]
+    for schedule, names, params in cases:
+        reads = [schedule.bind(names, *params)(t) for t in ts]
+        assert all(read >= t for read, t in zip(reads, ts))
+        assert reads == sorted(reads)
+
+
 def test_exhausting_search_memory_does_not_grow_with_the_budget(registry):
     sub, recip = registry.get("sub").fn, registry.get("recip").fn
 

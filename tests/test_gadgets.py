@@ -26,6 +26,7 @@ from condreal.gadgets import (
     monus,
     mu,
     pair,
+    prefix,
     right,
     succ,
     tuple_pack,
@@ -36,7 +37,7 @@ from condreal.gadgets import (
 from condreal.metric import make_discrete, make_mn
 from condreal.naming import NatFun
 from condreal.sexpr import SexprError
-from condreal.terms import parse_term
+from condreal.terms import Apply, Base, OperatorTerm, Proj, eval_term, parse_term, print_term
 
 from conftest import assert_check
 
@@ -345,6 +346,9 @@ FAMILY_MEMBERS = [
     *(constant(c) for c in (0, 7, 10**30)),
     mu(0, 0),
     mu(3, 9),
+    prefix(0, 0),
+    prefix(3, 9),
+    prefix(10**6, 7),
     gamma(1, 1),
     gamma(2, 3),
     *(make(a) for make in (lt, gt) for a in (0, 2, -3, Fraction(5, 7), Fraction(-1, 2))),
@@ -365,6 +369,21 @@ def test_resolve_rebuilds_every_family_member_from_its_name(member):
         assert got.fn(*args) == member.fn(*args)
 
 
+@pytest.mark.parametrize("k,c", [(0, 0), (1, 5), (300, 1), (10**9, 2)])
+def test_a_prefix_cut_prints_parses_back_and_is_the_run_of_mu_overrides(k, c):
+    # one node, whatever the cut: the mu overrides of 0..k-1, all to c
+    node = Base(prefix(k, c), (Proj(1), Apply(1, Proj(1))))
+    term = OperatorTerm(1, 1, node)
+    text = print_term(term)
+    assert text == f"(base prefix_{k}_{c} (proj 1) (apply 1 (proj 1)))"
+    assert parse_term(text, 1, 1, CORE.resolve) == term
+    f = NatFun(lambda t: 3 * t + 1)
+    for t in [0, 1, k - 1, k, k + 1, 2 * k + 5]:
+        if t >= 0:
+            assert eval_term(term, [f], [t]) == (c if t < k else f(t))
+    assert prefix(k, c).fn.prefix_cut == k
+
+
 @pytest.mark.parametrize(
     "name",
     ["ball_0", "ball_r_1", "ball__r_1", "ball_0_1", "ball_0_r", "ball_0_r_1_r_2", "ball_0_r_x"],
@@ -381,6 +400,7 @@ NON_CANONICAL = {
     "delta_+3": "delta_3",
     "delta_00": "delta_0",
     "mu_1_ 2": "mu_1_2",
+    "prefix_03_1": "prefix_3_1",
     "ball_0/2_r_1": "ball_0_r_1",
 }
 
@@ -483,6 +503,8 @@ NATURAL_PARAMETERS = {
     "derive_constant": derive_constant,
     "mu k": lambda v: mu(v, 2),
     "mu c": lambda v: mu(2, v),
+    "prefix k": lambda v: prefix(v, 2),
+    "prefix c": lambda v: prefix(2, v),
     "delta_k": delta_k,
     "gamma b": lambda v: gamma(v, 1),
     "gamma c": lambda v: gamma(1, v),

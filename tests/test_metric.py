@@ -969,6 +969,12 @@ def test_a_translated_composite_localizes_with_the_real_composites_cutoff(q):
     assert max(seen[0]) == hood.cutoff
 
 
+# a code's three parts as a real name: a map from M_1 to the reals
+M1_TO_REALS = UniformFn(
+    M1, *metric._subst(metric._decode(1, 1), [TermOperator(OperatorTerm(1, 1, Apply(1, Proj(1))))]),
+    codomain=Reals(1),
+)
+
 # refusals no other test reaches: (what, call, exception, message)
 METRIC_REFUSALS = [
     ("M_0", lambda: make_mn(0), ValueError, "dimension must be at least 1"),
@@ -1012,6 +1018,12 @@ METRIC_REFUSALS = [
      ValueError, r"dimension must be at least 1, got \[1\]"),
     ("a list as a discrete size", lambda: make_discrete([1]),
      ValueError, r"at least one point, got \[1\]"),
+    # a map into the reals is no map into M_1 (the codomain's dimension was read unguarded)
+    ("a map into the reals translated back", lambda: translate_uniform_back(M1_TO_REALS),
+     SpaceMismatch, "translation expects a map from M_N to M_1"),
+    ("a conditional map into the reals translated back",
+     lambda: translate_conditional_back(embed_uniform(M1_TO_REALS)),
+     SpaceMismatch, "translation expects a map from M_N to M_1"),
     # a zero-argument function has no M_0 to translate to
     ("a constant translated", lambda: translate_uniform(REGISTRY.get("const_2/3").fn),
      ValueError, "dimension must be at least 1, got 0"),

@@ -16,6 +16,7 @@ from condreal.naming import (
     constant_values,
     format_rational,
     parse_rational,
+    piece_values,
     precision_index,
     rational_name,
     recording,
@@ -164,6 +165,46 @@ def test_stream_checks_its_argument_and_its_triples():
 def test_patched_switches_at_the_cutoff():
     patched = NatFun.patched(NatFun.constant(9), 3, NatFun.identity())
     assert [patched(t) for t in range(6)] == [9, 9, 9, 3, 4, 5]
+
+
+def test_a_patch_of_piecewise_constants_is_a_step():
+    # an exact anchor's constant below the cutoff, an exact argument's from it on
+    patched = NatFun.patched(NatFun.constant(9), 3, NatFun.constant(4))
+    assert piece_values(patched) == ([3], [(9,), (4,)])
+    assert [patched(t) for t in range(6)] == [9, 9, 9, 4, 4, 4]
+    # a patch of steps keeps their breakpoints on each side of the cutoff
+    inner = NatFun.steps([2, 5], [1, 7, 3])
+    twice = NatFun.patched(NatFun.steps([1], [0, 8]), 4, inner)
+    assert piece_values(twice) == ([1, 4, 5], [(0,), (8,), (7,), (3,)])
+    # the same value on both sides, or a cutoff of 0, leaves no breakpoint
+    assert constant_values(NatFun.patched(NatFun.constant(4), 3, NatFun.constant(4))) == (4,)
+    assert NatFun.patched(NatFun.constant(9), 0, inner).breaks == (2, 5)
+    # anything else is patched index by index
+    assert piece_values(NatFun.patched(NatFun.constant(9), 3, NatFun.identity())) is None
+
+
+def test_steps_join_equal_pieces_and_check_their_values():
+    fn = NatFun.steps([2, 4, 6], [5, 5, 1, 5])
+    assert (fn.breaks, fn.values) == ((4, 6), (5, 1, 5))
+    assert [fn(t) for t in range(8)] == [5, 5, 5, 5, 1, 1, 5, 5]
+    assert constant_values(NatFun.steps([3], [2, 2])) == (2,)
+    assert constant_values(NatFun.steps([], [2])) == (2,)
+    with pytest.raises(ValueError, match="step values must be naturals"):
+        NatFun.steps([1], [0, -1])
+    # breakpoints out of order, at 0, repeated, not naturals, or not one fewer than the values
+    bad = [[5, 2], [0, 3], [2, 2], [-1, 2], [1.5, 2], [True, 2]]
+    for breaks, values in [*((b, [1, 2, 3]) for b in bad), ([], [1, 2])]:
+        with pytest.raises(ValueError, match="increasing positive breaks, one value more"):
+            NatFun.steps(breaks, values)
+    with pytest.raises(ValueError):
+        fn(-1)
+
+
+def test_piece_values_gives_common_breakpoints_and_one_row_per_piece():
+    a, b = NatFun.steps([3], [1, 2]), NatFun.steps([1, 3], [0, 5, 6])
+    assert piece_values(a, b, NatFun.constant(7)) == ([1, 3], [(1, 0, 7), (1, 5, 7), (2, 6, 7)])
+    assert piece_values(*rational_name(Fraction(-2, 3))) == ([], [(0, 2, 2)])
+    assert piece_values(a, NatFun.identity()) is None
 
 
 def test_recording_logs_every_query_by_slot():

@@ -1,4 +1,5 @@
 import re
+from bisect import bisect_right
 from fractions import Fraction
 from itertools import count
 from math import inf
@@ -12,13 +13,14 @@ from condreal import gadgets
 from condreal import realfns as realfns_module
 from condreal import terms as terms_module
 from condreal.elementary import constant_fn, default_functions, uniform_from_rule
-from condreal.gadgets import CORE, GadgetRegistry, constant, left, mu, pair, right
+from condreal.gadgets import CORE, GadgetRegistry, constant, left, mu, pair, prefix, right
 from condreal.naming import (
     NameTriple,
     NatFun,
     TripleStream,
     approx,
     constant_values,
+    piece_values,
     rational_name,
     recording,
     triple_reader,
@@ -64,6 +66,8 @@ from condreal.gadgets import ball_indicator
 from condreal.elementary import OutsideDomain
 from condreal.metric import (
     OrdinaryName,
+    _decoded_parts,
+    _packed,
     builtin_spaces,
     code_ball_indicator,
     make_discrete,
@@ -649,24 +653,32 @@ def test_a_mixed_construction_follows_the_form_rule_and_agrees_with_the_all_term
 
 
 def test_only_a_term_backed_localization_builds_its_mu_chains(monkeypatch):
-    built = []
+    built, cuts = [], []
     monkeypatch.setattr(gadgets, "mu", lambda j, value: built.append(j) or mu(j, value))
+    monkeypatch.setattr(gadgets, "prefix", lambda k, c: cuts.append(k) or prefix(k, c))
     at = rational_name(Fraction(2, 7))
     hood, local = localize(RECIP, at, 100)
     assert isinstance(local.F, ProcOperator)
-    assert built == []
-    # a localization of wires builds its chain when its term is first read
+    assert built == cuts == []
+    # a localization of wires builds its term when the term is first read:
+    # on an exact anchor, one prefix cut at the cutoff
     coded = embed_uniform(identity(make_mn(1)))
     hood, local = localize(compose_conditional(coded, coded), mn_name((Fraction(2, 7),)), 100)
     assert isinstance(local.values[0], _Wire)
-    assert built == []
+    assert built == cuts == []
     assert local.values[0].term.k == 1
-    assert built == list(range(hood.cutoff + 1))
-    # and a plain term one builds the chains of its three slots at once
-    del built[:]
+    assert (built, cuts) == ([], [hood.cutoff + 1])
+    # and a plain term one builds the terms of its three slots at once
+    del cuts[:]
     hood, local = localize(COMPOSED, rational_name(Fraction(2, 7)), 100)
     assert type(local.F) is TermOperator
-    assert built == list(range(hood.cutoff + 1)) * 3
+    assert (built, cuts) == ([], [hood.cutoff + 1] * 3)
+    # on a stream anchor whose values change below the cutoff: a mu chain per slot
+    del cuts[:]
+    stream = TripleStream(lambda t: (3 * (t + 1), t + 1, 7 * (t + 1) - 1), "2/7").name()
+    hood, local = localize(reads_its_parameter(), stream, 100)
+    assert hood.cutoff == 2 and type(local.F) is TermOperator
+    assert (built, cuts) == (list(range(hood.cutoff + 1)) * 3, [])
 
 
 def test_the_coded_identity_passes_its_name_through():
@@ -1264,8 +1276,9 @@ def test_a_bound_program_agrees_with_full_evaluation_and_reads_less(fn, seed, ex
         for t in range(201):
             bound_log.clear()
             full_log.clear()
-            # a bound program that reads no index is its values
-            assert (read if isinstance(read, tuple) else read(t)) == eval_term(program, full, (t,))
+            # a bound program constant between cuts is its values on each piece
+            value = read[1][bisect_right(read[0], t)] if isinstance(read, tuple) else read(t)
+            assert value == eval_term(program, full, (t,))
             assert bound_log <= full_log
             assert len(full_log) <= sum(map(support_bound, group))
 
@@ -1636,3 +1649,103 @@ def test_every_public_realfns_and_metric_function_returns_or_raises_a_documented
         read(rng, call(*args))
     except DOCUMENTED_ERRORS:
         pass
+
+
+# ---------------------------------------------------------------------------
+# piecewise-constant names: the piece path against the per-index path
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def step_fns(draw) -> NatFun:
+    breaks = sorted(draw(st.sets(st.integers(1, 250), max_size=4)))
+    values = draw(st.lists(st.integers(0, 40), min_size=len(breaks) + 1, max_size=len(breaks) + 1))
+    return NatFun.steps(breaks, values)
+
+
+def hidden(fns):
+    # the same values behind plain NatFuns, which every site reads per index
+    return tuple(NatFun(fn.__call__) for fn in fns)
+
+
+def pointwise_terms(k: int, c: int) -> list[TermOperator]:
+    # reads at the index only, and one prefix cut on it
+    read = [Apply(i, Proj(1)) for i in range(1, 7)]
+    cut = Base(gadgets.prefix(k, c), (Proj(1), read[1]))
+    nodes = [
+        Base(CORE.get("monus"), (read[0], read[3])),
+        cut,
+        Base(CORE.get("conj"), (read[2], Base(gadgets.prefix(k, c), (Proj(1), read[5])))),
+    ]
+    return [TermOperator(OperatorTerm(6, 1, node)) for node in nodes]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    fns=st.lists(step_fns(), min_size=6, max_size=6),
+    s=st.integers(0, 6),
+    k=st.integers(0, 300),
+    c=st.integers(0, 40),
+)
+def test_piecewise_names_give_what_the_per_index_path_gives(fns, s, k, c):
+    fns, ts = tuple(fns), range(301)
+
+    def agree(make):
+        fast, slow = make(fns), make(hidden(fns))
+        assert piece_values(*fast) is not None  # the piece path ran
+        for a, b in zip(fast, slow, strict=True):
+            assert [a(t) for t in ts] == [b(t) for t in ts]
+
+    for entry in REGISTRY:  # every builtin, the reciprocal at a constant parameter s
+        params = (NatFun.constant(s),) if isinstance(entry.fn, ConditionalFn) else ()
+        agree(lambda args: _apply_ops(entry.fn.values, args[: 3 * entry.n_args] + params))
+    for base, slots in ((CORE.get("monus"), (1, 4)), (CORE.get("delta_1"), (2, 5, 6))):
+        agree(lambda args: [_lift(base, [_slot(6, i) for i in slots]).apply(args)])
+    agree(lambda args: [_packed(args[:3])])
+    # a step code decoded per piece, the same code hidden decoded per index
+    code = _packed(fns)
+    agree(lambda args: _decoded_parts(2, code if args is fns else hidden([code])[0]))
+    ops = pointwise_terms(k, c)
+    agree(lambda args: _apply_ops(ops, args))
+    agree(lambda args: [ops[2].apply(args)])
+
+
+def test_a_term_localization_on_an_exact_point_runs_its_program_once_per_piece(monkeypatch):
+    chain = embed_uniform(identity_uniform())
+    for _ in range(3):
+        chain = compose_conditional(embed_uniform(negate_term_fn()), chain)
+    anchor = Fraction(1, 3)
+    hood, local = localize(chain, rational_name(anchor), 10**4)
+    point = anchor + Fraction(1, 7 * (hood.cutoff + 2))
+    exact = rational_name(point)
+    plain = NameTriple(*(NatFun(lambda _t, c=f(0): c) for f in exact))
+    calls = []
+    eval_ = terms_module.eval_term
+    monkeypatch.setattr(terms_module, "eval_term", lambda *args: calls.append(1) or eval_(*args))
+    exact_out = apply_uniform(local, [exact])
+    # the patch is the anchor's constant below the cutoff: two pieces, one run each
+    assert len(calls) == 2
+    assert piece_values(*exact_out)[0] == [hood.cutoff + 1]
+    expected = read_whole(apply_uniform(local, [plain]), range(301))
+    del calls[:]
+    assert read_whole(exact_out, range(301)) == expected
+    assert calls == []
+    assert validate_name(exact_out, -point, 300).first_failure is None
+
+
+def reads_at_index(k: int) -> ConditionalFn:
+    """Term-backed: s certifies from f(k) on, and the values are the argument's."""
+    cert = Base(CORE.get("monus"), (Apply(1, Base(constant(k), (Proj(1),))), Proj(1)))
+    values = (TermOperator(OperatorTerm(4, 1, Apply(i, Proj(1)))) for i in (1, 2, 3))
+    return ConditionalFn(1, TermOperator(OperatorTerm(3, 1, cert)), *values)
+
+
+def test_a_term_localization_at_an_exact_anchor_prints_a_term_that_parses_back():
+    # cutoff 300: the patch is one prefix cut, not 301 nested mu overrides
+    hood, local = localize(reads_at_index(300), rational_name(Fraction(1, 3)), 10**4)
+    assert hood.cutoff == 300
+    # 1/3's exact name is (1, 0, 2) at every index: F, G and H each cut to their constant
+    for op, slot, c in zip(local.values, (1, 2, 3), (1, 0, 2)):
+        text = print_term(op.term)
+        assert text == f"(base prefix_301_{c} (proj 1) (apply {slot} (proj 1)))"
+        assert parse_term(text, 3, 1, CORE.resolve) == op.term
