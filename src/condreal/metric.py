@@ -139,8 +139,10 @@ class EffectiveSpace:
 
     def center(self, code: int) -> int:
         if not _natural(code):
-            raise SpaceMismatch(f"{self} takes a code as a ball centre, got {code!r}")
+            raise SpaceMismatch(f"{self} takes a code as a ball centre or point, got {code!r}")
         return code
+
+    exact_point = center
 
     def indicator(self, center: int, radius: Fraction) -> BaseFunction:
         """Zero exactly on the codes within ``radius`` of the centre."""

@@ -284,11 +284,12 @@ class Reals:
     ``functions(names)``, those functions in order; ``name_of(fns)``, the
     name made of value functions; ``point(name)``, the names of a point
     given by one name, as ``localize`` takes its anchor; ``center`` and
-    ``indicator``, a ball's centre and membership test; and
-    ``near(row, point, radius)``, whether the point one index's values
-    stand for is strictly within ``radius`` of an exact point (a rational
-    here, a code in a coded space).  Real functions take their values in
-    ``Reals(1)``; balls are max-norm balls around rational centres.
+    ``indicator``, a ball's centre and membership test; ``exact_point``,
+    the point checked (SpaceMismatch unless exact); and ``near(row,
+    point, radius)``, whether the point one index's values stand for is
+    strictly within ``radius`` of an exact point (an int or a Fraction
+    here, a natural code in a coded space).  Real functions take their
+    values in ``Reals(1)``; balls are max-norm balls around rational centres.
     """
 
     n: int
@@ -326,6 +327,11 @@ class Reals:
         return center
 
     indicator = staticmethod(gadgets.ball_indicator)
+
+    def exact_point(self, q: object) -> Fraction | int:
+        if type(q) not in (int, Fraction):
+            raise SpaceMismatch(f"{self} takes a rational point, got {q!r}")
+        return q
 
     def near(self, row: tuple[int, int, int], q: Fraction | int, radius: Fraction) -> bool:
         x, y, z = row  # localization is unary for the reals
@@ -538,24 +544,23 @@ def _constant(k: int, c: int) -> Operator:
     return _Wire(k, lambda: Base(gadgets.constant(c), (Proj(1),)), lambda _fns: NatFun.constant(c))
 
 
-def _patch(k: int, i: int, values: Sequence[int]) -> Operator:
-    """Slot i with its values below ``len(values)`` replaced by ``values``.
+def _patch(k: int, i: int, anchor: NatFun, cutoff: int) -> Operator:
+    """Slot i with its values below ``cutoff`` read from ``anchor``.
 
-    Applied, it is ``NatFun.patched`` over the prefix.  On one value c, an
-    exact anchor's, the term is one ``prefix`` cut and the patch c below the
-    cutoff; otherwise the term chains one ``mu`` override per replaced index.
+    Applied, it is ``NatFun.patched``.  Its term, built when first read, is one
+    ``prefix`` cut if the anchor is constant or takes one value below the cutoff
+    (one pass over it), otherwise one ``mu`` override per replaced index.
     """
-    values, cutoff, exact = tuple(values), len(values), len(set(values)) == 1
-
     def chain() -> Node:
         node: Node = Apply(i, Proj(1))
-        if exact:
+        exact = constant_values(anchor)
+        values = exact[:cutoff] if exact else [anchor(t) for t in range(cutoff)]
+        if len(set(values)) == 1:
             return Base(gadgets.prefix(cutoff, values[0]), (Proj(1), node))
         for j, value in enumerate(values):
             node = Base(gadgets.mu(j, value), (Proj(1), node))
         return node
 
-    anchor = NatFun.constant(values[0]) if exact else NatFun(values.__getitem__, label="prefix")
     return _Wire(k, chain, lambda fns: NatFun.patched(anchor, cutoff, fns[i - 1]))
 
 
@@ -710,18 +715,19 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
 class Neighborhood:
     """The points within 1/(t+1) of an anchor's index-t approximation, for every t <= cutoff.
 
-    ``anchor`` holds the anchor name's values at each index; ``contains``
-    decides an exact point of ``space`` (a rational for the reals, a code
-    for a coded space) through the space's ``near``.
+    ``anchor`` holds the anchor name's functions, not a table of their
+    values; ``contains`` checks a point once by the space's ``exact_point``
+    and decides it through the space's ``near``, reading each index anew.
     """
 
     space: Space
     cutoff: int
-    anchor: tuple[tuple[int, ...], ...]
+    anchor: tuple[NatFun, ...]
 
     def contains(self, point: object) -> bool:
-        near = self.space.near
-        return all(near(self.anchor[t], point, Fraction(1, t + 1)) for t in range(self.cutoff + 1))
+        near, point = self.space.near, self.space.exact_point(point)
+        rows = zip(*(map(f, range(self.cutoff + 1)) for f in self.anchor))
+        return all(near(row, point, Fraction(1, t + 1)) for t, row in enumerate(rows))
 
 
 def localize(
@@ -735,11 +741,11 @@ def localize(
     index ``u`` (a continuity modulus: the certificate cannot distinguish
     functions agreeing up to ``u``), and returns
 
-    * the neighborhood cut out by the anchor's first ``u+1``
-      approximations, and
+    * the neighborhood cut out by the anchor's functions up to ``u``
+      (they are kept, not tabulated), and
     * a uniform function that patches every argument name below ``u+1``
-      with the anchor and applies the original value operators at the
-      frozen parameter ``s0``.
+      with the anchor's functions and applies the original value
+      operators at the frozen parameter ``s0``.
 
     For any point of the neighborhood, patched names still name it, so
     the frozen certificate stays valid and the output names the value.
@@ -751,13 +757,11 @@ def localize(
     if fn.E.apply(wrapped)(s0) != 0:
         raise AssertionError("certificate changed value under instrumentation")
     u = max((t for seen in log.values() for t in seen), default=0)
-    prefix = tuple(tuple(f(t) for f in anchor) for t in range(u + 1))
-
     w = len(anchor)
-    inners = [_patch(w, i, [point[i - 1] for point in prefix]) for i in range(1, w + 1)]
+    inners = [_patch(w, i, anchor[i - 1], u + 1) for i in range(1, w + 1)]
     inners.append(_constant(w, s0))
     local = UniformFn(fn.domain, *_subst(fn.values, inners), codomain=fn.codomain)
-    return Neighborhood(fn.domain, u, prefix), local
+    return Neighborhood(fn.domain, u, anchor), local
 
 
 # ---------------------------------------------------------------------------

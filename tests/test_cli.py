@@ -220,7 +220,7 @@ def test_suite_unknown_name_is_exit_two(capsys):
 
 def off_by_one_localize(fn, at, budget):
     hood, local = localize(fn, at, budget)
-    return replace(hood, cutoff=hood.cutoff - 1, anchor=hood.anchor[:-1]), local
+    return replace(hood, cutoff=hood.cutoff - 1), local
 
 
 # one subtly wrong library function per suite, as the catalogue sees it

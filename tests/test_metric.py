@@ -1030,7 +1030,28 @@ METRIC_REFUSALS = [
     ("an embedded constant translated",
      lambda: translate_conditional(embed_uniform(REGISTRY.get("const_2/3").fn)),
      ValueError, "dimension must be at least 1, got 0"),
+    # a point of a coded neighborhood that is not a natural code, refused with its value
+    ("a bool as a point of M_1", lambda: coded_hood(M1).contains(True),
+     SpaceMismatch, r"M_1\) takes a code as a ball centre or point, got True"),
+    ("a negative point of M_1", lambda: coded_hood(M1).contains(-1),
+     SpaceMismatch, "takes a code as a ball centre or point, got -1"),
+    ("a rational as a point of M_1", lambda: coded_hood(M1).contains(Fraction(1, 3)),
+     SpaceMismatch, r"takes a code as a ball centre or point, got Fraction\(1, 3\)"),
+    ("a float as a point of M_1", lambda: coded_hood(M1).contains(1.5),
+     SpaceMismatch, r"takes a code as a ball centre or point, got 1\.5"),
+    ("a string as a discrete point", lambda: coded_hood(make_discrete(8)).contains("a"),
+     SpaceMismatch, r"discrete_8\) takes a code as a ball centre or point, got 'a'"),
+    ("a negative discrete point", lambda: coded_hood(make_discrete(8)).contains(-1),
+     SpaceMismatch, "takes a code as a ball centre or point, got -1"),
+    ("an integral float as a discrete point", lambda: coded_hood(make_discrete(8)).contains(3.0),
+     SpaceMismatch, r"takes a code as a ball centre or point, got 3\.0"),
 ]
+
+
+def coded_hood(space):
+    """The neighborhood of the identity composed with itself on ``space``, at code 3."""
+    fn = realfns.compose_conditional(*[embed_uniform(identity(space))] * 2)
+    return realfns.localize(fn, OrdinaryName(NatFun.constant(3), space), 100)[0]
 
 
 @pytest.mark.parametrize("case", METRIC_REFUSALS, ids=lambda case: case[0])

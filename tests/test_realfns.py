@@ -410,9 +410,14 @@ def test_a_search_order_past_the_budget_is_refused(q, order, s):
 # ---------------------------------------------------------------------------
 
 
+def table(values):
+    """A function reading ``values`` at each index below their length."""
+    return NatFun(tuple(values).__getitem__, label="table")
+
+
 def test_the_procedure_patch_freezes_a_prefix():
     inner = NatFun.identity()
-    patched = _patch(1, 1, [100, 101, 102]).apply((inner,))
+    patched = _patch(1, 1, table([100, 101, 102]), 3).apply((inner,))
     assert [patched(t) for t in range(6)] == [100, 101, 102, 3, 4, 5]
 
 
@@ -422,7 +427,7 @@ def test_mu_chain_patch_agrees_with_the_case_definition():
         for _ in range(12):
             anchor = random_natfun(rng)
             inner = random_natfun(rng)
-            chain = _patch(1, 1, [anchor(t) for t in range(k)])
+            chain = _patch(1, 1, table(anchor(t) for t in range(k)), k)
             assert isinstance(chain, TermOperator)
             direct = NatFun.patched(anchor, k, inner)
             chained = TermOperator(chain.term).apply((inner,))
@@ -452,7 +457,8 @@ def test_combinators_without_operator_inputs_agree_in_both_forms():
         values = [rng.randrange(9) for _ in range(rng.randrange(5))]
         c = rng.randrange(9)
         through = rng.choice([CORE.get(name) for name in ("left", "right", "succ")])
-        wires = [_slot(k, i), _lift(through, [_slot(k, i)]), _constant(k, c), _patch(k, i, values)]
+        patch = _patch(k, i, table(values), len(values))
+        wires = [_slot(k, i), _lift(through, [_slot(k, i)]), _constant(k, c), patch]
         for wire in wires:
             assert isinstance(wire, TermOperator)
             assert wire.arity == wire.term.k == k
@@ -496,7 +502,8 @@ def test_combinators_over_wires_only_keep_the_wires():
         fns = tuple(random_natfun(rng) for _ in range(k))
         values = [rng.randrange(9) for _ in range(rng.randrange(5))]
         wires = [_slot(k, rng.randrange(1, k + 1)), _constant(k, rng.randrange(9)), _index(k)]
-        wide = rng.choice([_slot(k + 1, k + 1), _patch(k + 1, rng.randrange(1, k + 2), values)])
+        patch = _patch(k + 1, rng.randrange(1, k + 2), table(values), len(values))
+        wide = rng.choice([_slot(k + 1, k + 1), patch])
         base, index = rng.choice(bases), rng.choice(indices)
         ops = [
             _index(k),
@@ -785,7 +792,10 @@ def test_localize_cuts_off_a_stream_anchor_where_it_cuts_off_a_constant_anchor()
         stream_anchor = TripleStream(lambda _t, v=triple: v, "anchor").name()
         hood_c, _ = localize(RECIP, rational_name(q), 1000)
         hood_s, _ = localize(RECIP, stream_anchor, 1000)
-        assert hood_s == hood_c
+        assert hood_s.cutoff == hood_c.cutoff
+        rows = [[tuple(f(t) for f in hood.anchor) for t in range(hood.cutoff + 1)]
+                for hood in (hood_s, hood_c)]
+        assert rows[0] == rows[1]
 
 
 def test_localize_keeps_the_certificate_frozen_under_patching():
@@ -795,7 +805,8 @@ def test_localize_keeps_the_certificate_frozen_under_patching():
 def interval(hood):
     # a real neighborhood's members form the open interval
     # max_t(a_t - 1/(t+1)) < q < min_t(a_t + 1/(t+1)), a_t the anchor's rational at t
-    at = [Fraction(x - y, z + 1) for x, y, z in hood.anchor]
+    rows = [tuple(f(t) for f in hood.anchor) for t in range(hood.cutoff + 1)]
+    at = [Fraction(x - y, z + 1) for x, y, z in rows]
     low = max((a - Fraction(1, t) for t, a in enumerate(at, 1)), default=-inf)
     return low, min((a + Fraction(1, t) for t, a in enumerate(at, 1)), default=inf)
 
@@ -810,7 +821,8 @@ def neighborhoods(draw):
         z = draw(st.integers(0, 4 * (t + 1)))
         x = round(center * (z + 1)) + draw(st.integers(-1, 1))
         anchor.append((max(x, 0), max(-x, 0), z))
-    return Neighborhood(Reals(1), len(anchor) - 1, tuple(anchor))
+    fns = tuple(table(row[j] for row in anchor) for j in range(3))
+    return Neighborhood(Reals(1), len(anchor) - 1, fns)
 
 
 @settings(max_examples=300, deadline=None)
@@ -823,6 +835,59 @@ def test_a_real_neighborhood_decides_membership_as_its_interval_does(hood, point
     for q in [*points, *ends]:
         assert hood.contains(q) == (low < q < high)
     assert not any(hood.contains(end) for end in ends[:2])
+
+
+naturals = st.integers(0, 12)
+
+
+@st.composite
+def anchor_fns(draw, width):
+    """The ``width`` functions of an anchor name: constants, steps, a stream's
+    projections or sampled functions."""
+    kind = draw(st.sampled_from(["constant", "steps", "stream", "sampled"]))
+    if kind == "constant":
+        return tuple(NatFun.constant(draw(naturals)) for _ in range(width))
+    if kind == "steps":
+        breaks = [sorted(draw(st.sets(st.integers(1, 10), max_size=3))) for _ in range(width)]
+        values = [draw(st.lists(naturals, min_size=len(b) + 1, max_size=len(b) + 1))
+                  for b in breaks]
+        return tuple(map(NatFun.steps, breaks, values))
+    if kind == "stream":
+        rows = draw(st.lists(st.tuples(naturals, naturals, naturals), min_size=1, max_size=8))
+        return tuple(TripleStream(lambda t: rows[t % len(rows)], "anchor").name())[:width]
+    rng = Random(draw(st.integers(0, 2**16)))
+    return tuple(random_natfun(rng) for _ in range(width))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+@pytest.mark.parametrize("space", [Reals(1), make_mn(1), make_discrete(8)], ids=str)
+def test_contains_agrees_with_the_index_loop_over_a_table_of_anchor_rows(space, data):
+    anchor, cutoff = data.draw(anchor_fns(space.width)), data.draw(naturals)
+    # the oracle: the paper's index loop over a table of the anchor's rows, made here
+    rows = [tuple(f(t) for f in anchor) for t in range(cutoff + 1)]
+    if isinstance(space, Reals):
+        own = [Fraction(x - y, z + 1) for x, y, z in rows]
+        kinds = st.integers(-3, 3) | st.fractions(-4, 4, max_denominator=24) | st.sampled_from(own)
+    else:
+        kinds = st.integers(0, 40) | st.sampled_from([row[0] for row in rows])
+    hood = Neighborhood(space, cutoff, anchor)
+    for point in data.draw(st.lists(kinds, max_size=6)):
+        inside = all(space.near(rows[t], point, Fraction(1, t + 1)) for t in range(cutoff + 1))
+        assert hood.contains(point) == inside
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_a_patch_applied_agrees_with_its_term_and_with_natfun_patched(data):
+    k = data.draw(st.integers(1, 3))
+    i, cutoff = data.draw(st.integers(1, k)), data.draw(naturals)
+    anchor = data.draw(anchor_fns(1))[0]
+    fns = tuple(data.draw(anchor_fns(1))[0] for _ in range(k))
+    patch = _patch(k, i, anchor, cutoff)
+    outs = [patch.apply(fns), TermOperator(patch.term).apply(fns)]
+    outs.append(NatFun.patched(anchor, cutoff, fns[i - 1]))
+    assert len({tuple(out(t) for t in range(20)) for out in outs}) == 1
 
 
 @pytest.mark.parametrize("space", [Reals(1), make_mn(1), make_discrete(8)], ids=str)
@@ -1018,7 +1083,20 @@ REALFNS_REFUSALS = [
      ValueError, "expected a ConditionalFn, got NameTriple"),
     ("a code as the centre of a real ball", lambda: Ball(3, 1, identity_uniform()),
      SpaceMismatch, "takes a ball centre of rationals"),
+    # a point of a real neighborhood that is not an int or a Fraction, refused with its value
+    ("a float as a real point", lambda: hood_at_a_third().contains(1 / 3),
+     SpaceMismatch, r"Reals\(n=1\) takes a rational point, got 0\.333"),
+    ("a bool as a real point", lambda: hood_at_a_third().contains(True),
+     SpaceMismatch, "takes a rational point, got True"),
+    ("a string as a real point", lambda: hood_at_a_third().contains("1/3"),
+     SpaceMismatch, "takes a rational point, got '1/3'"),
+    ("an integral float as a real point", lambda: hood_at_a_third().contains(1.0),
+     SpaceMismatch, r"takes a rational point, got 1\.0"),
 ]
+
+
+def hood_at_a_third():
+    return localize(RECIP, rational_name(Fraction(1, 3)), 100)[0]
 
 
 @pytest.mark.parametrize("case", REALFNS_REFUSALS, ids=lambda case: case[0])
