@@ -57,7 +57,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property, partial
+from functools import cached_property, partial
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
@@ -212,13 +212,13 @@ def joint(arity: int, width: int, build: Callable, label: str = "") -> tuple[Pro
     return tuple(ProcOperator(arity, build, f"{label}[{pick}]", pick) for pick in range(width))
 
 
+@dataclass(frozen=True, eq=False)
 class _Wire(TermOperator):
-    """A term built when first read, applied as a ``ProcOperator``: result ``pick`` of ``build``."""
+    """A term, made with the wire, applied as a ``ProcOperator``: result ``pick`` of ``build``."""
 
-    def __init__(self, arity: int, node: Callable, build: Callable, pick: int | None = None):
-        self.__dict__.update(arity=arity, _node=node, build=build, pick=pick)
+    build: Callable
+    pick: int | None = None
 
-    term = cached_property(lambda self: OperatorTerm(self.arity, 1, self._node()))
     apply = ProcOperator.apply
 
 
@@ -522,7 +522,7 @@ def identity_uniform() -> UniformFn:
 # gives procedures (the joint's components when the build has several
 # results), wires only give wires, other terms give plain terms; the forms
 # agree pointwise.  Slot, index, constant and patch are wires: TermOperators
-# whose term is built when first read and which apply as a ProcOperator.
+# whose term is made with them and which apply as a ProcOperator.
 
 _LEFT = CORE.get("left")
 _RIGHT = CORE.get("right")
@@ -531,37 +531,35 @@ _CONJ = CORE.get("conj")
 
 def _slot(k: int, i: int) -> Operator:
     """The k-ary operator returning its i-th argument."""
-    return _Wire(k, lambda: Apply(i, Proj(1)), lambda fns: fns[i - 1])
+    return _Wire(OperatorTerm(k, 1, Apply(i, Proj(1))), lambda fns: fns[i - 1])
 
 
 def _index(k: int) -> Operator:
     """The k-ary operator returning the identity function, whatever its arguments."""
-    return _Wire(k, lambda: Proj(1), lambda _fns: NatFun.identity())
+    return _Wire(OperatorTerm(k, 1, Proj(1)), lambda _fns: NatFun.identity())
 
 
 def _constant(k: int, c: int) -> Operator:
     """The k-ary operator returning the constant function c."""
-    return _Wire(k, lambda: Base(gadgets.constant(c), (Proj(1),)), lambda _fns: NatFun.constant(c))
+    node = Base(gadgets.constant(c), (Proj(1),))
+    return _Wire(OperatorTerm(k, 1, node), lambda _fns: NatFun.constant(c))
 
 
 def _patch(k: int, i: int, anchor: NatFun, cutoff: int) -> Operator:
     """Slot i with its values below ``cutoff`` read from ``anchor``.
 
-    Applied, it is ``NatFun.patched``.  Its term, built when first read, is one
-    ``prefix`` cut if the anchor is constant or takes one value below the cutoff
-    (one pass over it), otherwise one ``mu`` override per replaced index.
+    Applied, it is ``NatFun.patched``.  Its term is one cut, made without
+    reading the anchor: ``prefix_{cutoff}_{c}`` when the anchor is a constant c,
+    or steps with no breakpoint below the cutoff; else ``patch_{cutoff}``, which
+    reads the anchor below the cutoff and has no registry spelling.
     """
-    def chain() -> Node:
-        node: Node = Apply(i, Proj(1))
-        exact = constant_values(anchor)
-        values = exact[:cutoff] if exact else [anchor(t) for t in range(cutoff)]
-        if len(set(values)) == 1:
-            return Base(gadgets.prefix(cutoff, values[0]), (Proj(1), node))
-        for j, value in enumerate(values):
-            node = Base(gadgets.mu(j, value), (Proj(1), node))
-        return node
-
-    return _Wire(k, chain, lambda fns: NatFun.patched(anchor, cutoff, fns[i - 1]))
+    pieces = piece_values(anchor)
+    if pieces is not None and min(pieces[0], default=cutoff) >= cutoff:
+        cut = gadgets.prefix(cutoff, anchor(0))
+    else:
+        cut = BaseFunction(f"patch_{cutoff}", 2, lambda x, y: anchor(x) if x < cutoff else y)
+    node = Base(cut, (Proj(1), Apply(i, Proj(1))))
+    return _Wire(OperatorTerm(k, 1, node), lambda fns: NatFun.patched(anchor, cutoff, fns[i - 1]))
 
 
 def _pointwise(base: BaseFunction, outs: Sequence[NatFun]) -> NatFun:
@@ -579,10 +577,10 @@ def _combine(
     if any(isinstance(op, ProcOperator) for op in ops):
         procs = joint(arity, width, build, label) if width else [ProcOperator(arity, build, label)]
         return list(procs)
+    terms = [OperatorTerm(arity, 1, node) for node in nodes()]
     if all(isinstance(op, _Wire) for op in ops):
-        nodes, picks = cache(nodes), range(width) if width else [None]
-        return [_Wire(arity, lambda j=j: nodes()[j], build, pick) for j, pick in enumerate(picks)]
-    return [TermOperator(OperatorTerm(arity, 1, node)) for node in nodes()]
+        return [_Wire(term, build, pick) for term, pick in zip(terms, range(width) or [None])]
+    return [TermOperator(term) for term in terms]
 
 
 def _lift(base: BaseFunction, ops: Sequence[Operator]) -> Operator:
@@ -755,7 +753,9 @@ def localize(
     anchor = fn.domain.functions(names)
     wrapped, log = recording(anchor)
     if fn.E.apply(wrapped)(s0) != 0:
-        raise AssertionError("certificate changed value under instrumentation")
+        raise ValueError(
+            f"re-read, the certificate rejects s = {s0}: operators must be deterministic"
+        )
     u = max((t for seen in log.values() for t in seen), default=0)
     w = len(anchor)
     inners = [_patch(w, i, anchor[i - 1], u + 1) for i in range(1, w + 1)]

@@ -13,7 +13,7 @@ from condreal import gadgets
 from condreal import realfns as realfns_module
 from condreal import terms as terms_module
 from condreal.elementary import constant_fn, default_functions, uniform_from_rule
-from condreal.gadgets import CORE, GadgetRegistry, constant, left, mu, pair, prefix, right
+from condreal.gadgets import CORE, GadgetRegistry, constant, left, mu, pair, right
 from condreal.naming import (
     NameTriple,
     NatFun,
@@ -84,6 +84,7 @@ from condreal.metric import (
     validate_ordinary_name,
 )
 from condreal.sampling import random_natfun, random_term
+from condreal.sexpr import SexprError
 from condreal.suites import (
     COMPOSITES,
     _PARTS,
@@ -383,6 +384,38 @@ def test_a_120_level_procedure_chain_evaluates_at_the_default_recursion_limit():
     assert validate_name(apply_conditional(chain, [third], 10), Fraction(1, 3), 5).passed
 
 
+def wire_chain(levels):
+    """``levels`` compositions of the embedded identity, all wires."""
+    idt = embed_uniform(identity(1))
+    chain = idt
+    for _ in range(levels):
+        chain = compose_conditional(idt, chain)
+    return chain
+
+
+def test_a_200_level_wire_chain_has_its_terms_and_composes_under_a_plain_term():
+    # each level's term is made with the level, so no read of one recurses
+    chain = wire_chain(200)
+    assert all(isinstance(op, _Wire) for op in (chain.E, *chain.values))
+    name = tuple(TripleStream(lambda t: (t % 5, 3, t + 2), "x").name())
+    assert TermOperator(chain.E.term).apply(name)(0) == 0
+    values = [TermOperator(op.term) for op in chain.values]
+    out = _apply_ops(values, name + (NatFun.constant(0),))
+    assert [[f(t) for f in out] for t in range(30)] == [[f(t) for f in name] for t in range(30)]
+    negated = compose_conditional(embed_uniform(negate_term_fn()), chain)
+    assert type(negated.F) is TermOperator
+
+
+def test_a_90_level_wire_chain_applies_as_its_terms_do():
+    chain, rng = wire_chain(90), Random(90)
+    for _ in range(2):
+        fns = tuple(random_natfun(rng) for _ in range(4))
+        # each read of the applied certificate re-applies the chain below every level: few reads
+        assert agree(chain.E, TermOperator(chain.E.term), fns[:3], range(4))
+        for op in chain.values:
+            assert agree(op, TermOperator(op.term), fns, range(20))
+
+
 @pytest.mark.parametrize("budget", [-3, True, 2.5, Fraction(10)])
 def test_a_budget_that_is_not_a_natural_is_refused(budget):
     name = rational_name(Fraction(1, 2))
@@ -421,18 +454,32 @@ def test_the_procedure_patch_freezes_a_prefix():
     assert [patched(t) for t in range(6)] == [100, 101, 102, 3, 4, 5]
 
 
-def test_mu_chain_patch_agrees_with_the_case_definition():
+def patch_anchors(rng, k):
+    """Anchors of every kind with the cut their patch at cutoff k takes: ``prefix``
+    when the anchor's kind shows one value below k, else ``patch_k``."""
+    yield NatFun.constant(4), f"prefix_{k}_4"
+    yield NatFun.steps([k + 1], [5, 2]), f"prefix_{k}_5"  # breaks past the cutoff
+    if k >= 1:
+        yield NatFun.steps([k], [6, 1]), f"prefix_{k}_6"  # breaks at the cutoff
+    if k >= 2:
+        yield NatFun.steps([1, k + 3], [6, 1, 3]), f"patch_{k}"  # breaks below it
+    for fn in TripleStream(lambda t: (t % 3, 2 * t, 7), "stream").name():
+        yield fn, f"patch_{k}"
+    for fn in (random_natfun(rng) for _ in range(8)):
+        yield fn, f"prefix_{k}_{fn(0)}" if constant_values(fn) else f"patch_{k}"
+
+
+def test_a_patch_term_is_one_cut_and_agrees_with_natfun_patched_on_every_anchor_kind():
     rng = Random(5)
-    for k in range(5):
-        for _ in range(12):
-            anchor = random_natfun(rng)
+    for k in range(6):
+        for anchor, cut in patch_anchors(rng, k):
             inner = random_natfun(rng)
-            chain = _patch(1, 1, table(anchor(t) for t in range(k)), k)
-            assert isinstance(chain, TermOperator)
+            patch = _patch(1, 1, anchor, k)
+            node = patch.term.node
+            assert (node.fn.name, node.subs) == (cut, (Proj(1), Apply(1, Proj(1))))
             direct = NatFun.patched(anchor, k, inner)
-            chained = TermOperator(chain.term).apply((inner,))
-            for t in range(12):
-                assert chained(t) == direct(t)
+            cut_out = TermOperator(patch.term).apply((inner,))
+            assert [cut_out(t) for t in range(12)] == [direct(t) for t in range(12)]
 
 
 # ---------------------------------------------------------------------------
@@ -659,33 +706,40 @@ def test_a_mixed_construction_follows_the_form_rule_and_agrees_with_the_all_term
             assert agree(a, b, fns[: a.arity], range(61))
 
 
-def test_only_a_term_backed_localization_builds_its_mu_chains(monkeypatch):
-    built, cuts = [], []
+def test_every_localization_makes_one_cut_per_argument_function_and_no_mu(monkeypatch):
+    built, cuts, patch = [], [], realfns_module._patch
     monkeypatch.setattr(gadgets, "mu", lambda j, value: built.append(j) or mu(j, value))
-    monkeypatch.setattr(gadgets, "prefix", lambda k, c: cuts.append(k) or prefix(k, c))
+
+    def cut_made(*args):  # the name of the cut a patch's term holds when the patch is made
+        wire = patch(*args)
+        cuts.append(wire.term.node.fn.name)
+        return wire
+
+    monkeypatch.setattr(realfns_module, "_patch", cut_made)
+    # a procedure localization at an exact anchor: one prefix cut per function
     at = rational_name(Fraction(2, 7))
     hood, local = localize(RECIP, at, 100)
     assert isinstance(local.F, ProcOperator)
-    assert built == cuts == []
-    # a localization of wires builds its term when the term is first read:
-    # on an exact anchor, one prefix cut at the cutoff
-    coded = embed_uniform(identity(make_mn(1)))
-    hood, local = localize(compose_conditional(coded, coded), mn_name((Fraction(2, 7),)), 100)
-    assert isinstance(local.values[0], _Wire)
-    assert built == cuts == []
-    assert local.values[0].term.k == 1
-    assert (built, cuts) == ([], [hood.cutoff + 1])
-    # and a plain term one builds the terms of its three slots at once
+    assert cuts == [f"prefix_{hood.cutoff + 1}_{f(0)}" for f in at]
+    # a localization of wires at a coded exact anchor: its one function's code
     del cuts[:]
-    hood, local = localize(COMPOSED, rational_name(Fraction(2, 7)), 100)
+    coded = embed_uniform(identity(make_mn(1)))
+    code = mn_name((Fraction(2, 7),))
+    hood, local = localize(compose_conditional(coded, coded), code, 100)
+    assert isinstance(local.values[0], _Wire)
+    assert cuts == [f"prefix_{hood.cutoff + 1}_{code.f(0)}"]
+    # a plain term one, at the exact anchor
+    del cuts[:]
+    hood, local = localize(COMPOSED, at, 100)
     assert type(local.F) is TermOperator
-    assert (built, cuts) == ([], [hood.cutoff + 1] * 3)
-    # on a stream anchor whose values change below the cutoff: a mu chain per slot
+    assert cuts == [f"prefix_{hood.cutoff + 1}_{f(0)}" for f in at]
+    # on a stream anchor, whose values change below the cutoff: a patch cut per slot
     del cuts[:]
     stream = TripleStream(lambda t: (3 * (t + 1), t + 1, 7 * (t + 1) - 1), "2/7").name()
     hood, local = localize(reads_its_parameter(), stream, 100)
     assert hood.cutoff == 2 and type(local.F) is TermOperator
-    assert (built, cuts) == (list(range(hood.cutoff + 1)) * 3, [])
+    assert cuts == ["patch_3"] * 3
+    assert built == []
 
 
 def test_the_coded_identity_passes_its_name_through():
@@ -694,7 +748,7 @@ def test_the_coded_identity_passes_its_name_through():
 
 
 def test_localizations_leave_the_gadget_registry_as_it_was():
-    # the mu and const gadgets of each anchor are built per localization
+    # the prefix and const gadgets of each anchor are built per localization
     names = CORE.names()
     identity = embed_uniform(identity_uniform())
     composed = compose_conditional(identity, identity)
@@ -1092,7 +1146,17 @@ REALFNS_REFUSALS = [
      SpaceMismatch, "takes a rational point, got '1/3'"),
     ("an integral float as a real point", lambda: hood_at_a_third().contains(1.0),
      SpaceMismatch, r"takes a rational point, got 1\.0"),
+    # a certificate that certifies s = 0 in the search and rejects it when localize re-reads it
+    ("an impure certificate localized", lambda: localize(impure_certificate(), rational_name(1), 9),
+     ValueError, "rejects s = 0: operators must be deterministic"),
 ]
+
+
+def impure_certificate():
+    """A certificate built as 0 the first time and as 1 after: not deterministic."""
+    builds = count()
+    E = ProcOperator(3, lambda _fns: NatFun.constant(min(next(builds), 1)), "impure")
+    return ConditionalFn(1, E, *RECIP.values)
 
 
 def hood_at_a_third():
@@ -1816,6 +1880,19 @@ def reads_at_index(k: int) -> ConditionalFn:
     cert = Base(CORE.get("monus"), (Apply(1, Base(constant(k), (Proj(1),))), Proj(1)))
     values = (TermOperator(OperatorTerm(4, 1, Apply(i, Proj(1)))) for i in (1, 2, 3))
     return ConditionalFn(1, TermOperator(OperatorTerm(3, 1, cert)), *values)
+
+
+def test_a_term_localization_at_a_stream_anchor_reads_the_anchor_only_where_its_certificate_does():
+    # cutoff 10^6: each patch is one patch_{10^6 + 1} cut, read per index
+    K, rows, reads = 10**6, ((1, 0, 2), (2, 0, 5)), []
+    at = TripleStream(lambda t: reads.append(t) or rows[t % 2], "alternating").name()
+    hood, local = localize(reads_at_index(K), at, 10)
+    assert hood.cutoff == K and reads == [K]
+    assert [op.term.node.fn.name for op in local.values] == [f"patch_{K + 1}"] * 3
+    with pytest.raises(SexprError, match=f"unknown base function 'patch_{K + 1}'"):
+        parse_term(print_term(local.F.term), 3, 1, CORE.resolve)
+    out = apply_uniform(local, [at])
+    assert read_whole(out, range(2000)) == [rows[t % 2] for t in range(2000)]
 
 
 def test_a_term_localization_at_an_exact_anchor_prints_a_term_that_parses_back():
