@@ -47,7 +47,9 @@ localization at an exact anchor: such an output is a constant or a step.
 A search probes in its function's ``order``, which never skips the least
 certifying parameter, so it finds the linear scan's least one.  A
 composite walks the pairing diagonals, probing its inner certificate once
-per diagonal; the reciprocal on an exact argument starts at its least s.
+per diagonal and applying its outer one once per inner parameter, at
+most ``MEMO_CAP`` kept at a time; the reciprocal on an exact argument
+starts at its least s.
 
 Gluing, in either form, picks its ball once per argument name and
 evaluates only that ball's local function; ``support_bound`` still holds.
@@ -61,7 +63,7 @@ from functools import cached_property, partial
 from itertools import chain
 from typing import TYPE_CHECKING, Any, Callable, Iterable, Iterator, Sequence
 
-from . import gadgets
+from . import gadgets, naming
 from .gadgets import CORE
 from .naming import NameTriple, NatFun, TripleStream, _natural, constant_values, piece_values
 from .naming import recording
@@ -617,13 +619,33 @@ def _reindex(op: Operator, base: BaseFunction) -> Operator:
 
 
 def _diagonal(op: Operator) -> Operator:
-    """Drop the last slot, feeding it ``const_n`` when reading index ``n``."""
+    """Drop the last slot, feeding it ``const_{right(n)}`` when reading index ``left(n)``.
+
+    The build applies ``op`` once per distinct ``right(n)`` read, keeping
+    the results in a dict emptied at ``MEMO_CAP`` entries, as a stream's
+    memo is.  The term is ``diagonalize`` of ``op`` with that slot read
+    through ``right``, reindexed by ``left``.
+    """
+    k = op.arity
 
     def build(fns: tuple[NatFun, ...]) -> NatFun:
-        return NatFun(lambda n: op.apply(fns + (NatFun.constant(n),))(n), label="diagonal")
+        applied: dict[int, NatFun] = {}
 
-    nodes = lambda: [diagonalize(op.term).node]  # noqa: E731
-    return _combine([op], op.arity - 1, nodes, build, "diagonal")[0]
+        def read(n: int) -> int:
+            out = applied.get(p := _RIGHT.fn(n))
+            if out is None:
+                if len(applied) >= naming.MEMO_CAP:
+                    applied.clear()
+                out = applied[p] = op.apply(fns + (NatFun.constant(p),))
+            return out(_LEFT.fn(n))
+
+        return NatFun(read, label="diagonal")
+
+    def nodes() -> list[Node]:
+        split = [_slot(k, i) for i in range(1, k)] + [_lift(_RIGHT, [_slot(k, k)])]
+        return [diagonalize(_reindex(_subst([op], split)[0], _LEFT).term).node]
+
+    return _combine([op], k - 1, nodes, build, "diagonal")[0]
 
 
 def _first_passing(indicators: Sequence[BaseFunction], probes: Sequence[int]) -> int | None:
@@ -702,8 +724,8 @@ def compose_conditional(outer: ConditionalFn, inner: ConditionalFn) -> Condition
     slots = [_slot(w + 1, i) for i in range(1, w + 1)]
     # the inner value name, its parameter slot read through `right`
     inner_value = _subst(inner.values, slots + [_lift(_RIGHT, [_slot(w + 1, w + 1)])])
-    outer_cert = _reindex(_subst([outer.E], inner_value)[0], _LEFT)
-    cert = _lift(_CONJ, [_reindex(inner.E, _RIGHT), _diagonal(outer_cert)])
+    outer_cert = _diagonal(_subst([outer.E], inner.values)[0])
+    cert = _lift(_CONJ, [_reindex(inner.E, _RIGHT), outer_cert])
     values = _subst(outer.values, inner_value + [_lift(_LEFT, [_slot(w + 1, w + 1)])])
     order = partial(_diagonal_walk, inner.E)
     return ConditionalFn(inner.domain, cert, *values, codomain=outer.codomain, order=order)

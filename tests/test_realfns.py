@@ -108,6 +108,7 @@ from condreal.terms import (
     OperatorTerm,
     Proj,
     TermProgram,
+    diagonalize,
     eval_term,
     parse_term,
     print_term,
@@ -251,6 +252,28 @@ def test_a_300_fold_term_backed_negation_chain_composes_and_evaluates():
     assert validate_name(out, Fraction(-9, 5), 20).passed
 
 
+def certificate_the_old_way(outer, inner):
+    """A composite certificate as built with ``diagonalize`` on the packed parameter: the
+    outer certificate over the inner values read at ``right``, reindexed by ``left``."""
+    w, (lft, rgt) = inner.domain.width, (CORE.get("left"), CORE.get("right"))
+    slots = [_slot(w + 1, i) for i in range(1, w + 1)]
+    inner_value = _subst(inner.values, slots + [_lift(rgt, [_slot(w + 1, w + 1)])])
+    outer_cert = TermOperator(diagonalize(_reindex(_subst([outer.E], inner_value)[0], lft).term))
+    return _lift(CORE.get("conj"), [_reindex(inner.E, rgt), outer_cert])
+
+
+def test_term_backed_composites_print_the_certificate_term_built_with_diagonalize():
+    negate, identity_c = embed_uniform(negate_term_fn()), embed_uniform(identity_uniform())
+    pair_of = compose_conditional(negate, identity_c)
+    assert print_term(pair_of.E.term) == print_term(certificate_the_old_way(negate, identity_c).term)
+    chain = old = identity_c
+    for _ in range(8):  # the benchmark's negation chain
+        old = ConditionalFn(1, certificate_the_old_way(negate, old), *compose_conditional(negate, old).values)
+        chain = compose_conditional(negate, chain)
+    assert isinstance(chain.E, TermOperator)
+    assert print_term(chain.E.term) == print_term(old.E.term)
+
+
 def test_composition_is_associative_at_the_value_level():
     add_one = embed_uniform(add_one_fn())
     lhs = compose_conditional(compose_conditional(RECIP, RECIP), add_one)
@@ -372,6 +395,41 @@ def test_a_composite_search_probes_the_inner_certificate_once_per_diagonal():
     s = find_parameter(composite, [rational_name(Fraction(1, 800))], 2 * 10**6)
     assert s == 1_280_800 == pair(0, 1600)
     assert reads <= 1602  # 1,601 inner probes on diagonals 0..1600, 1 candidate
+
+
+def counted_recip():
+    """The reciprocal with its certificate a spy: ``builds[0]`` counts its applications."""
+    builds = [0]
+
+    def build(fns):
+        builds[0] += 1
+        return RECIP.E.apply(fns)
+
+    return ConditionalFn(1, ProcOperator(3, build), RECIP.F, RECIP.G, RECIP.H), builds
+
+
+def test_a_composite_search_applies_the_outer_certificate_once_per_inner_parameter():
+    # negate certifies only at s1 = 0, so every probe reads the outer at the same value
+    outer, builds = counted_recip()
+    composite = compose_conditional(outer, embed_uniform(REGISTRY.get("negate").fn))
+    s = find_parameter(composite, [rational_name(Fraction(1, 500))], 10**11)
+    assert s == 501_500 == pair(1000, 0)
+    assert builds[0] == 1  # not once per probe: the walk makes 1,001
+
+
+def test_a_composite_search_keeps_its_least_s_when_its_table_is_emptied(monkeypatch):
+    # at 7 the outer needs s0 > 0 while every s1 >= 0 certifies the inner, so the walk
+    # cycles through more kept s1 than a table of 4 holds
+    x = [TripleStream(lambda _t: (7, 0, 0), "7").name()]  # read per index, not exact
+    expected = linear_scan(compose_conditional(RECIP, RECIP).E, tuple(x[0]), 10**4)
+    found = []
+    for cap in (realfns_module.naming.MEMO_CAP, 4):
+        monkeypatch.setattr(realfns_module.naming, "MEMO_CAP", cap)
+        outer, builds = counted_recip()
+        found.append((find_parameter(compose_conditional(outer, RECIP), x, 10**4), builds[0]))
+    (s, kept), (s_capped, rebuilt) = found
+    assert expected is not None and s == s_capped == expected
+    assert kept < rebuilt  # emptied, the table applies the outer again
 
 
 def test_a_120_level_procedure_chain_evaluates_at_the_default_recursion_limit():
@@ -524,12 +582,15 @@ def test_combinators_over_operators_agree_in_both_forms():
         outer = TermOperator(random_term(rng, 2, 1, 3))
         inners = random_ops(rng, k, 2)
         wide = TermOperator(random_term(rng, k + 1, 1, 3))
+        wides = random_ops(rng, k + 1, 2)
         procs = [as_proc(op) for op in ops]
         pairs = [
             (_lift(base, ops), _lift(base, procs)),
             (_subst([outer], inners)[0], _subst([as_proc(outer)], list(map(as_proc, inners)))[0]),
             (_reindex(ops[0], index), _reindex(procs[0], index)),
             (_diagonal(wide), _diagonal(as_proc(wide))),
+            # a composite certificate's shape: an outer over inners with a parameter slot
+            (_diagonal(_subst([outer], wides)[0]), _diagonal(_subst([as_proc(outer)], wides)[0])),
         ]
         for term_form, proc_form in pairs:
             assert isinstance(term_form, TermOperator)
@@ -557,6 +618,7 @@ def test_combinators_over_wires_only_keep_the_wires():
             _lift(base, [rng.choice(wires) for _ in range(base.arity)]),
             _reindex(rng.choice(wires), index),
             _diagonal(wide),
+            _diagonal(_lift(CORE.get("pair"), [wide, _index(k + 1)])),  # reads left(n) too
         ]
         for op in ops:
             assert isinstance(op, _Wire)
